@@ -431,7 +431,7 @@ def _fiber_product(a, j, n, amodel, v_basis, fib_x, fib_y):
     gens_count = len(v_basis) + len(h_orders)
     if gens_count == 0:
         return FormalGroup.zero()
-    theta = intmat.zeros(e_dim, gens_count)
+    theta = [[0] * gens_count for _ in range(e_dim)]
     orders = []
     for cidx, (xv, yv) in enumerate(v_basis):
         orders.append(2)
@@ -445,9 +445,8 @@ def _fiber_product(a, j, n, amodel, v_basis, fib_x, fib_y):
         for rbit in range(e_dim):
             if (vec >> rbit) & 1:
                 theta[rbit][cidx] = 1
-    two = [[2 if r == c else 0 for c in range(e_dim)] for r in range(e_dim)]
-    kernel = intmat.kernel_mod_lattice(theta, two) if e_dim else intmat.identity(
-        gens_count
+    kernel = intmat.kernel_mod_lattice(
+        intmat.Mat(theta, gens_count), intmat.scalar(e_dim, 2)
     )
     order_cols = [
         [orders[r] if r == c else 0 for c in range(gens_count)]

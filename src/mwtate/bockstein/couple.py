@@ -14,112 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exactalg import FreeComplex, PresentedGroup, intmat
+from ..exactalg.intmat import Mat
 
 
 class InexactCouple(ValueError):
     """The given triangle fails exactness somewhere."""
-
-
-@dataclass(frozen=True)
-class Mat:
-    """An integer matrix with explicit shape (empty dimensions allowed)."""
-
-    rows: int
-    cols: int
-    a: tuple
-
-    @classmethod
-    def of(cls, rows, cols, lists=None) -> Mat:
-        if lists is None:
-            lists = [[0] * cols for _ in range(rows)]
-        if len(lists) != rows or any(len(r) != cols for r in lists):
-            raise ValueError("shape mismatch")
-        return cls(rows, cols, tuple(tuple(int(x) for x in r) for r in lists))
-
-    @classmethod
-    def identity(cls, n) -> Mat:
-        return cls.of(n, n, intmat.identity(n))
-
-    def lists(self):
-        return [list(r) for r in self.a]
-
-    def mul(self, other: Mat) -> Mat:
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in mul")
-        if self.rows == 0 or other.cols == 0:
-            return Mat.of(self.rows, other.cols)
-        if self.cols == 0:
-            return Mat.of(self.rows, other.cols)
-        return Mat.of(self.rows, other.cols, intmat.matmul(self.lists(), other.lists()))
-
-    def hstack(self, other: Mat) -> Mat:
-        if self.rows != other.rows:
-            raise ValueError("shape mismatch in hstack")
-        return Mat.of(
-            self.rows,
-            self.cols + other.cols,
-            [list(r) + list(s) for r, s in zip(self.a, other.a)],
-        )
-
-    def column(self, c) -> list:
-        return [self.a[r][c] for r in range(self.rows)]
-
-    def kernel(self) -> Mat:
-        if self.cols == 0:
-            return Mat.of(0, 0)
-        if self.rows == 0:
-            return Mat.identity(self.cols)
-        k = intmat.kernel_basis(self.lists())
-        return Mat.of(self.cols, len(k[0]) if k else 0, k if k and k[0] else [[] for _ in range(self.cols)])
-
-    def scale(self, c) -> Mat:
-        return Mat.of(self.rows, self.cols, [[c * x for x in r] for r in self.a])
-
-
-def _solve_in(span: Mat, vec) -> list | None:
-    """Integer coordinates of vec in the column span, or None."""
-    if span.cols == 0:
-        return [] if all(x == 0 for x in vec) else None
-    if span.rows == 0:
-        return [0] * span.cols
-    return intmat.solve(span.lists(), list(vec))
-
-
-def _kernel_mod(a: Mat, rels: Mat) -> Mat:
-    """Generators of {x : a x in colspan(rels)} with explicit shapes."""
-    if a.cols == 0:
-        return Mat.of(0, 0)
-    if a.rows == 0:
-        return Mat.identity(a.cols)
-    if rels.cols == 0:
-        return a.kernel()
-    k = intmat.kernel_mod_lattice(a.lists(), rels.lists())
-    cols = len(k[0]) if k else 0
-    return Mat.of(a.cols, cols, k if cols else [[] for _ in range(a.cols)])
-
-
-@dataclass
-class Presentation:
-    """A presented group together with a chosen generator matrix that
-    embeds it into an ambient coordinate space (for subquotients)."""
-
-    group: PresentedGroup
-    gens_in_ambient: Mat  # ambient_dim x ngens
-
-    @property
-    def ngens(self):
-        return self.group.ngens
-
-    def rels_mat(self) -> Mat:
-        r = self.group.rels
-        cols = len(r[0]) if r and r[0] else 0
-        if self.ngens == 0:
-            return Mat.of(0, 0)
-        return Mat.of(self.ngens, cols, r if cols else [[] for _ in range(self.ngens)])
-
-
-def _std_presentation(group: PresentedGroup) -> Presentation:
-    return Presentation(group, Mat.identity(group.ngens))
 
 
 @dataclass
@@ -150,19 +49,34 @@ class ExactCouple:
         return self.e_groups.get(deg, PresentedGroup(0))
 
     def imat(self, deg) -> Mat:
-        return self.map_i.get(
-            deg, Mat.of(self.dgroup(deg + self.shift_i).ngens, self.dgroup(deg).ngens)
-        )
+        return _map(self.map_i, deg, self.dgroup(deg + self.shift_i), self.dgroup(deg))
 
     def jmat(self, deg) -> Mat:
-        return self.map_j.get(
-            deg, Mat.of(self.egroup(deg + self.shift_j).ngens, self.dgroup(deg).ngens)
-        )
+        return _map(self.map_j, deg, self.egroup(deg + self.shift_j), self.dgroup(deg))
 
     def kmat(self, deg) -> Mat:
-        return self.map_k.get(
-            deg, Mat.of(self.dgroup(deg + self.shift_k).ngens, self.egroup(deg).ngens)
-        )
+        return _map(self.map_k, deg, self.dgroup(deg + self.shift_k), self.egroup(deg))
+
+
+def _map(maps, deg, target: PresentedGroup, source: PresentedGroup) -> Mat:
+    m = maps.get(deg)
+    return m if m is not None else intmat.zeros(target.ngens, source.ngens)
+
+
+def _coordinates(group: PresentedGroup, gens: Mat, images: Mat) -> Mat:
+    """Coordinates, column by column, of ``images`` in the columns of
+    ``gens`` modulo the relations of ``group``."""
+    cols = []
+    for vec in images.columns():
+        coords = group.express(gens, vec)
+        if coords is None:
+            raise InexactCouple("element does not lie in the expected subgroup")
+        cols.append(coords)
+    return Mat.from_columns(cols, gens.cols)
+
+
+def _negate(m: Mat) -> Mat:
+    return Mat([[-x for x in row] for row in m.a], m.cols)
 
 
 def _diag_normalize(group: PresentedGroup):
@@ -173,29 +87,26 @@ def _diag_normalize(group: PresentedGroup):
     into the new presentation, and maps conjugate accordingly.
     """
     n = group.ngens
-    rels = _std_rels(group)
-    if n == 0:
-        return group, Mat.of(0, 0), Mat.of(0, 0)
-    if rels.cols == 0:
-        return group, Mat.identity(n), Mat.identity(n)
-    u, s, _v, uinv, _vinv = intmat.smith_with_inverses(rels.lists())
+    u, s, _v, uinv, _vinv = intmat.smith_with_inverses(group.rels)
     diag = intmat.diagonal(s)
     keep = [i for i in range(n) if i >= len(diag) or diag[i] != 1]
     orders = [diag[i] if i < len(diag) else 0 for i in keep]
-    new_rels_cols = []
-    for pos, d in enumerate(orders):
-        if d > 1:
-            new_rels_cols.append([d if r == pos else 0 for r in range(len(keep))])
-    new_group = PresentedGroup(len(keep), _transpose_cols(new_rels_cols, len(keep)))
-    to_new = Mat.of(len(keep), n, [u[i] for i in keep])
-    from_new = Mat.of(n, len(keep), [[uinv[r][i] for i in keep] for r in range(n)])
+    k = len(keep)
+    new_rels = [
+        [d if r == pos else 0 for r in range(k)]
+        for pos, d in enumerate(orders)
+        if d > 1
+    ]
+    new_group = PresentedGroup(k, Mat.from_columns(new_rels, k))
+    to_new = Mat([u[i] for i in keep], n)
+    from_new = Mat([[row[i] for i in keep] for row in uinv], k)
     return new_group, to_new, from_new
 
 
 def _orders_of(group: PresentedGroup) -> list:
     """Per-generator orders of a diagonal presentation (0 = free)."""
     orders = [0] * group.ngens
-    for col in _columns(group.rels):
+    for col in group.rels.columns():
         nz = [(r, x) for r, x in enumerate(col) if x]
         if len(nz) == 1:
             r, x = nz[0]
@@ -204,14 +115,9 @@ def _orders_of(group: PresentedGroup) -> list:
 
 
 def _reduce_mod_orders(m: Mat, orders) -> Mat:
-    rows = []
-    for r in range(m.rows):
-        d = orders[r] if r < len(orders) else 0
-        if d > 1:
-            rows.append([x % d for x in m.a[r]])
-        else:
-            rows.append(list(m.a[r]))
-    return Mat.of(m.rows, m.cols, rows)
+    return Mat(
+        [[x % d for x in row] if d > 1 else row for row, d in zip(m.a, orders)], m.cols
+    )
 
 
 def normalize_couple(c: ExactCouple) -> ExactCouple:
@@ -227,14 +133,11 @@ def normalize_couple(c: ExactCouple) -> ExactCouple:
     def conv(mat_of, src_frm, dst_to, dst_grp, shift):
         out = {}
         for deg in c.degrees():
-            src = src_frm.get(deg)
             dst = dst_to.get(deg + shift)
-            if src is None or dst is None or src.cols == 0 or dst.rows == 0:
+            if dst is None:
                 continue
-            m = dst.mul(mat_of(deg)).mul(src)
-            m = _reduce_mod_orders(m, _orders_of(dst_grp[deg + shift]))
-            if m.cols:
-                out[deg] = m
+            m = intmat.matmul(intmat.matmul(dst, mat_of(deg)), src_frm[deg])
+            out[deg] = _reduce_mod_orders(m, _orders_of(dst_grp[deg + shift]))
         return out
 
     return ExactCouple(
@@ -249,42 +152,25 @@ def normalize_couple(c: ExactCouple) -> ExactCouple:
     )
 
 
-def _check_im_eq_ker(group: PresentedGroup, im: Mat, ker: Mat) -> bool:
-    return group.subgroups_equal(
-        im.lists() if im.rows else intmat.zeros(group.ngens, 0),
-        ker.lists() if ker.rows else intmat.zeros(group.ngens, 0),
-    )
-
-
 def verify_exactness(c: ExactCouple) -> None:
     """Exactness of ... -k-> D -i-> D -j-> E -k-> D ... at every node."""
+    kernel = intmat.kernel_mod_lattice
     for deg in c.degrees():
         dg = c.dgroup(deg)
         if dg.ngens:
             # at D(deg) between i (incoming from deg - shift_i) and j
-            im_i = c.imat(deg - c.shift_i)
-            ker_j = _kernel_mod(c.jmat(deg), _e_rels(c, deg + c.shift_j))
-            if not _check_im_eq_ker(dg, im_i, ker_j):
+            ker_j = kernel(c.jmat(deg), c.egroup(deg + c.shift_j).rels)
+            if not dg.subgroups_equal(c.imat(deg - c.shift_i), ker_j):
                 raise InexactCouple(f"im(i) != ker(j) at D degree {deg}")
             # at D(deg) between k (incoming from deg - shift_k) and i
-            im_k = c.kmat(deg - c.shift_k)
-            ker_i = _kernel_mod(c.imat(deg), _d_rels(c, deg + c.shift_i))
-            if not _check_im_eq_ker(dg, im_k, ker_i):
+            ker_i = kernel(c.imat(deg), c.dgroup(deg + c.shift_i).rels)
+            if not dg.subgroups_equal(c.kmat(deg - c.shift_k), ker_i):
                 raise InexactCouple(f"im(k) != ker(i) at D degree {deg}")
         eg = c.egroup(deg)
         if eg.ngens:
-            im_j = c.jmat(deg - c.shift_j)
-            ker_k = _kernel_mod(c.kmat(deg), _d_rels(c, deg + c.shift_k))
-            if not _check_im_eq_ker(eg, im_j, ker_k):
+            ker_k = kernel(c.kmat(deg), c.dgroup(deg + c.shift_k).rels)
+            if not eg.subgroups_equal(c.jmat(deg - c.shift_j), ker_k):
                 raise InexactCouple(f"im(j) != ker(k) at E degree {deg}")
-
-
-def _d_rels(c: ExactCouple, deg) -> Mat:
-    return _std_presentation(c.dgroup(deg)).rels_mat()
-
-
-def _e_rels(c: ExactCouple, deg) -> Mat:
-    return _std_presentation(c.egroup(deg)).rels_mat()
 
 
 def couple_derive(c: ExactCouple) -> ExactCouple:
@@ -292,6 +178,7 @@ def couple_derive(c: ExactCouple) -> ExactCouple:
     structure maps induced by exact solving."""
     if c.shift_i != 0:
         raise NotImplementedError("derivation assumes a degree-preserving i")
+    empty = intmat.zeros(0, 0)
     d2: dict = {}
     e2: dict = {}
     i2: dict = {}
@@ -299,72 +186,49 @@ def couple_derive(c: ExactCouple) -> ExactCouple:
     k2: dict = {}
     d_gens: dict = {}
     e_cycles: dict = {}
-    e_pres: dict = {}
 
     for deg in c.degrees():
-        src = c.dgroup(deg - c.shift_i)
         tgt = c.dgroup(deg)
-        gens = c.imat(deg - c.shift_i)  # columns i(e_b)
-        if tgt.ngens == 0 or gens.cols == 0:
-            d_gens[deg] = Mat.of(tgt.ngens, 0)
-            d2[deg] = PresentedGroup(0)
-        else:
-            rels = _kernel_mod(gens, _d_rels(c, deg))
-            d_gens[deg] = gens
-            d2[deg] = PresentedGroup(gens.cols, rels.lists() if rels.cols else None)
+        gens = c.imat(deg - c.shift_i) if tgt.ngens else empty  # columns i(e_b)
+        d_gens[deg] = gens
+        d2[deg] = PresentedGroup(gens.cols, intmat.kernel_mod_lattice(gens, tgt.rels))
 
     for deg in c.degrees():
         eg = c.egroup(deg)
+        e_cycles[deg] = empty
+        e2[deg] = PresentedGroup(0)
         if eg.ngens == 0:
-            e_cycles[deg] = Mat.of(0, 0)
-            e2[deg] = PresentedGroup(0)
             continue
         dd = c.shift_k + c.shift_j  # degree of the differential j o k
-        dmat = c.jmat(deg + c.shift_k).mul(c.kmat(deg))
-        prev = c.jmat(deg - dd + c.shift_k).mul(c.kmat(deg - dd))
-        tgt_rels = _e_rels(c, deg + dd)
-        cycles = _kernel_mod(dmat, tgt_rels)
+        dmat = intmat.matmul(c.jmat(deg + c.shift_k), c.kmat(deg))
+        prev = intmat.matmul(c.jmat(deg - dd + c.shift_k), c.kmat(deg - dd))
+        cycles = intmat.kernel_mod_lattice(dmat, c.egroup(deg + dd).rels)
         e_cycles[deg] = cycles
         if cycles.cols == 0:
-            e2[deg] = PresentedGroup(0)
             continue
-        bound = prev.hstack(_e_rels(c, deg))
-        rels = _kernel_mod(cycles, bound)
-        e2[deg] = PresentedGroup(cycles.cols, rels.lists() if rels.cols else None)
+        bound = intmat.hstack(prev, eg.rels)
+        e2[deg] = PresentedGroup(cycles.cols, intmat.kernel_mod_lattice(cycles, bound))
 
     for deg in c.degrees():
         # i': restriction of i to the image
-        gens = d_gens.get(deg, Mat.of(c.dgroup(deg).ngens, 0))
-        tgt_gens = d_gens.get(deg + c.shift_i, Mat.of(c.dgroup(deg + c.shift_i).ngens, 0))
-        cols = []
-        ok = gens.cols > 0 and tgt_gens.cols >= 0
-        for b in range(gens.cols):
-            v = c.imat(deg).mul(Mat.of(gens.rows, 1, [[x] for x in gens.column(b)]))
-            coords = _express(tgt_gens, _d_rels(c, deg + c.shift_i), v.column(0))
-            cols.append(coords)
-        if gens.cols:
-            i2[deg] = _cols_to_mat(tgt_gens.cols, cols)
-        # j': i(x) -> [j(x)] in E'
-        e_c = e_cycles.get(deg + c.shift_j, Mat.of(0, 0))
-        cols = []
-        for b in range(gens.cols):
-            # generator b of D' is i(e_b) with e_b standard in D(deg - shift_i)
-            jx = c.jmat(deg - c.shift_i + c.shift_j)
-            v = jx.column(b) if jx.cols > b else [0] * jx.rows
-            coords = _express(e_c, _e_rels(c, deg + c.shift_j), v)
-            cols.append(coords)
-        if gens.cols:
-            j2[deg] = _cols_to_mat(e_c.cols, cols)
+        gens = d_gens[deg]
+        tgt = deg + c.shift_i
+        i2[deg] = _coordinates(
+            c.dgroup(tgt), d_gens.get(tgt, empty), intmat.matmul(c.imat(deg), gens)
+        )
+        # j': i(x) -> [j(x)] in E'; generator b of D' is i(e_b) with e_b
+        # standard in D(deg - shift_i)
+        tgt = deg + c.shift_j
+        jx = c.jmat(deg - c.shift_i + c.shift_j)
+        images = Mat.from_columns(
+            [jx.column(b) if b < jx.cols else [0] * jx.rows for b in range(gens.cols)],
+            jx.rows,
+        )
+        j2[deg] = _coordinates(c.egroup(tgt), e_cycles.get(tgt, empty), images)
         # k': cycle z -> k(z) expressed in D'
-        e_c = e_cycles.get(deg, Mat.of(0, 0))
-        tgt_gens = d_gens.get(deg + c.shift_k, Mat.of(c.dgroup(deg + c.shift_k).ngens, 0))
-        cols = []
-        for b in range(e_c.cols):
-            v = c.kmat(deg).mul(Mat.of(e_c.rows, 1, [[x] for x in e_c.column(b)]))
-            coords = _express(tgt_gens, _d_rels(c, deg + c.shift_k), v.column(0))
-            cols.append(coords)
-        if e_c.cols:
-            k2[deg] = _cols_to_mat(tgt_gens.cols, cols)
+        tgt = deg + c.shift_k
+        images = intmat.matmul(c.kmat(deg), e_cycles[deg])
+        k2[deg] = _coordinates(c.dgroup(tgt), d_gens.get(tgt, empty), images)
 
     raw = ExactCouple(
         {d: g for d, g in d2.items() if g.ngens},
@@ -379,30 +243,14 @@ def couple_derive(c: ExactCouple) -> ExactCouple:
     return normalize_couple(raw)
 
 
-def _express(gens: Mat, rels: Mat, vec) -> list:
-    if gens.cols == 0:
-        if any(x != 0 for x in vec):
-            raise InexactCouple("element does not lie in the expected subgroup")
-        return []
-    span = gens.hstack(rels)
-    sol = _solve_in(span, vec)
-    if sol is None:
-        raise InexactCouple("element does not lie in the expected subgroup")
-    return sol[: gens.cols]
-
-
-def _cols_to_mat(rows, cols):
-    return Mat.of(rows, len(cols), [[col[r] for col in cols] for r in range(rows)])
-
-
 def _iterate_kernel(c: ExactCouple, deg, n) -> Mat:
     """Generators of ker(i^n) in D(deg) (shift_i assumed 0 for chains)."""
-    m = Mat.identity(c.dgroup(deg).ngens)
+    m = intmat.identity(c.dgroup(deg).ngens)
     cur = deg
     for _ in range(n):
-        m = c.imat(cur).mul(m)
+        m = intmat.matmul(c.imat(cur), m)
         cur += c.shift_i
-    return _kernel_mod(m, _d_rels(c, cur))
+    return intmat.kernel_mod_lattice(m, c.dgroup(cur).rels)
 
 
 def torsion_order(c: ExactCouple, cap: int = 64) -> int:
@@ -414,18 +262,12 @@ def torsion_order(c: ExactCouple, cap: int = 64) -> int:
                 continue
             k_r = _iterate_kernel(c, deg, r)
             k_r1 = _iterate_kernel(c, deg, r + 1)
-            if not c.dgroup(deg).subgroups_equal(
-                _as_lists(k_r, c.dgroup(deg).ngens), _as_lists(k_r1, c.dgroup(deg).ngens)
-            ):
+            if not c.dgroup(deg).subgroups_equal(k_r, k_r1):
                 stable = False
                 break
         if stable:
             return r
     raise InexactCouple(f"kernel chain did not stabilize within {cap} steps")
-
-
-def _as_lists(m: Mat, rows):
-    return m.lists() if m.cols else intmat.zeros(rows, 0)
 
 
 @dataclass(frozen=True)
@@ -453,17 +295,13 @@ def e_infinity(c: ExactCouple, r: int) -> dict:
         eg = c.egroup(deg)
         if eg.ngens == 0:
             continue
-        kerk = _kernel_mod(c.kmat(deg), _d_rels(c, deg + c.shift_k))
+        kerk = intmat.kernel_mod_lattice(c.kmat(deg), c.dgroup(deg + c.shift_k).rels)
         if kerk.cols == 0:
             continue
         ker_inf = _iterate_kernel(c, deg - c.shift_j, r)
-        jk = c.jmat(deg - c.shift_j).mul(ker_inf) if ker_inf.cols else Mat.of(
-            eg.ngens, 0
-        )
-        rels = _kernel_mod(kerk, jk.hstack(_e_rels(c, deg)))
-        grp = PresentedGroup(
-            kerk.cols, rels.lists() if rels.cols else None
-        ).invariants()
+        jk = intmat.matmul(c.jmat(deg - c.shift_j), ker_inf)
+        rels = intmat.kernel_mod_lattice(kerk, intmat.hstack(jk, eg.rels))
+        grp = PresentedGroup(kerk.cols, rels).invariants()
         if not grp.is_zero():
             out[deg] = grp
     return out
@@ -476,121 +314,56 @@ def _four_term_exact(c: ExactCouple, r: int) -> bool:
     terms: ker(j, p) = D1 n ker(i^inf) and ker(pi, -jbar) = im(j, p),
     plus surjectivity onto E_inf.
     """
+    kernel = intmat.kernel_mod_lattice
     for deg in c.degrees():
         dg = c.dgroup(deg)
         if dg.ngens == 0:
             continue
         n = dg.ngens
         ker_inf = _iterate_kernel(c, deg, r)
-        d1 = c.imat(deg - c.shift_i)
-        # intersection of im(i) and ker(i^inf): solve membership jointly
-        inter = _subgroup_intersection(dg, _as_lists(d1, n), _as_lists(ker_inf, n))
+        inter = _subgroup_intersection(dg, c.imat(deg - c.shift_i), ker_inf)
 
         e_deg = deg + c.shift_j
         eg = c.egroup(e_deg)
-        kerk = _kernel_mod(c.kmat(e_deg), _d_rels(c, e_deg + c.shift_k))
-        # middle group M = ker(k) + D/ker(i^inf); map (j, p)
-        # coordinates: kerk coords per generator of D, then D coords
-        j_cols = []
-        for b in range(n):
-            jv = c.jmat(deg).column(b) if c.jmat(deg).cols > b else [0] * eg.ngens
-            j_cols.append(_express(kerk, _e_rels(c, e_deg), jv))
-        m_gens = kerk.cols + n
+        kerk = kernel(c.kmat(e_deg), c.dgroup(e_deg + c.shift_k).rels)
+        # middle group M = ker(k) + D/ker(i^inf); map (j, p) on the
+        # generators of D, in kerk coordinates followed by D coordinates
+        j_coords = _coordinates(eg, kerk, c.jmat(deg))
+        dm = Mat(j_coords.a + intmat.identity(n).a, n)
         # relations of M: kerk relations lifted + D relations + ker(i^inf)
-        m_rels = []
-        kerk_rels = _kernel_mod(kerk, _e_rels(c, e_deg))
-        for col in range(kerk_rels.cols):
-            m_rels.append(list(kerk_rels.column(col)) + [0] * n)
-        for col_v in _columns(dg.rels):
-            m_rels.append([0] * kerk.cols + list(col_v))
-        for col in range(ker_inf.cols):
-            m_rels.append([0] * kerk.cols + list(ker_inf.column(col)))
-        m_group = PresentedGroup(m_gens, _transpose_cols(m_rels, m_gens))
-        # map D -> M on generators
-        dm_cols = [j_cols[b] + [1 if t == b else 0 for t in range(n)] for b in range(n)]
-        dm = _cols_to_mat(m_gens, dm_cols)
-        ker_dm = _kernel_mod(dm, _std_rels(m_group))
-        if not dg.subgroups_equal(_as_lists(ker_dm, n), inter):
+        d_rels = intmat.hstack(dg.rels, ker_inf)
+        m_rels = _block_diagonal(kernel(kerk, eg.rels), d_rels)
+        m_group = PresentedGroup(kerk.cols + n, m_rels)
+        if not dg.subgroups_equal(kernel(dm, m_group.rels), inter):
             return False
         # exactness at M: kernel of (pi, -jbar) into E_inf equals im(dm).
         # E_inf = ker(k)/j(ker(i^inf)); map M -> E_inf:
         #   kerk part: identity on kerk coords; Dbar part: -[j(x)]
-        jk_inf = (
-            c.jmat(deg).mul(_iterate_kernel(c, deg, r))
-            if _iterate_kernel(c, deg, r).cols
-            else Mat.of(eg.ngens, 0)
-        )
-        einf_rels_src = jk_inf.hstack(_e_rels(c, e_deg))
-        einf_rels = _kernel_mod(kerk, einf_rels_src)
-        to_einf_cols = []
-        for b in range(kerk.cols):
-            to_einf_cols.append([1 if t == b else 0 for t in range(kerk.cols)])
-        for b in range(n):
-            to_einf_cols.append([-x for x in j_cols[b]])
-        to_einf = _cols_to_mat(kerk.cols, to_einf_cols)
-        einf_group = PresentedGroup(
-            kerk.cols, einf_rels.lists() if einf_rels.cols else None
-        )
-        ker_to = _kernel_mod(to_einf, _std_rels(einf_group))
-        im_dm = _as_lists(dm, m_gens)
-        if not m_group.subgroups_equal(_as_lists(ker_to, m_gens), im_dm):
+        jk_inf = intmat.matmul(c.jmat(deg), ker_inf)
+        einf_rels = kernel(kerk, intmat.hstack(jk_inf, eg.rels))
+        einf_group = PresentedGroup(kerk.cols, einf_rels)
+        to_einf = intmat.hstack(intmat.identity(kerk.cols), _negate(j_coords))
+        if not m_group.subgroups_equal(kernel(to_einf, einf_group.rels), dm):
             return False
         # surjectivity onto E_inf
-        im_cols = [col for col in zip(*to_einf.lists())] if to_einf.cols else []
-        full = intmat.identity(kerk.cols)
-        if not einf_group.contains_subgroup(
-            _as_lists(to_einf, kerk.cols), full
-        ):
+        if not einf_group.contains_subgroup(to_einf, intmat.identity(kerk.cols)):
             return False
     return True
 
 
-def _std_rels(g: PresentedGroup) -> Mat:
-    r = g.rels
-    cols = len(r[0]) if r and r[0] else 0
-    if g.ngens == 0:
-        return Mat.of(0, 0)
-    return Mat.of(g.ngens, cols, r if cols else [[] for _ in range(g.ngens)])
+def _block_diagonal(a: Mat, b: Mat) -> Mat:
+    return Mat(
+        [row + [0] * b.cols for row in a.a] + [[0] * a.cols + row for row in b.a],
+        a.cols + b.cols,
+    )
 
 
-def _columns(rels):
-    if not rels or not rels[0]:
-        return []
-    rows = len(rels)
-    return [[rels[r][c] for r in range(rows)] for c in range(len(rels[0]))]
-
-
-def _transpose_cols(cols, rows):
-    if not cols:
-        return intmat.zeros(rows, 0)
-    return [[col[r] for col in cols] for r in range(rows)]
-
-
-def _subgroup_intersection(g: PresentedGroup, gens_a, gens_b):
+def _subgroup_intersection(g: PresentedGroup, gens_a: Mat, gens_b: Mat) -> Mat:
     """Generators of the intersection of two subgroups of g."""
-    n = g.ngens
-    ca = len(gens_a[0]) if gens_a and gens_a[0] else 0
-    cb = len(gens_b[0]) if gens_b and gens_b[0] else 0
-    if ca == 0 or cb == 0:
-        rels = _columns(g.rels)
-        return _transpose_cols(rels, n) if rels else intmat.zeros(n, 0)
     # solve A x = B y mod rels: kernel of [A | -B | R]
-    rels_cols = _columns(g.rels)
-    block = [
-        gens_a[r]
-        + [-x for x in gens_b[r]]
-        + [col[r] for col in rels_cols]
-        for r in range(n)
-    ]
+    block = intmat.hstack(intmat.hstack(gens_a, _negate(gens_b)), g.rels)
     ker = intmat.kernel_basis(block)
-    out = []
-    for col in range(len(ker[0]) if ker and ker[0] else 0):
-        coeffs = [ker[r][col] for r in range(ca)]
-        vec = [
-            sum(gens_a[r][t] * coeffs[t] for t in range(ca)) for r in range(n)
-        ]
-        out.append(vec)
-    return _transpose_cols(out, n)
+    return intmat.matmul(gens_a, Mat(ker.a[: gens_a.cols], ker.cols))
 
 
 def identification_test(c: ExactCouple, r: int) -> bool:
@@ -602,13 +375,9 @@ def identification_test(c: ExactCouple, r: int) -> bool:
         dg = c.dgroup(deg)
         if dg.ngens == 0:
             continue
-        ker_inf = _iterate_kernel(c, deg, r)
-        vectors = [ker_inf.column(b) for b in range(ker_inf.cols)]
-        vectors.append([0] * dg.ngens)
+        vectors = _iterate_kernel(c, deg, r).columns() + [[0] * dg.ngens]
         for vec in vectors:
-            declared = _declared_zero(c, deg, vec, r)
-            truth = dg.is_zero_element(vec)
-            if declared != truth:
+            if _declared_zero(c, deg, vec, r) != dg.is_zero_element(vec):
                 return False
     return True
 
@@ -622,27 +391,18 @@ def _declared_zero(c: ExactCouple, deg, vec, r) -> bool:
     well defined.  x descends one stage whenever the class vanishes.
     """
     dg = c.dgroup(deg)
-    n_d = dg.ngens
-    eg_deg = deg + c.shift_j
-    eg = c.egroup(eg_deg)
+    eg = c.egroup(deg + c.shift_j)
     jm = c.jmat(deg)
-    power = Mat.identity(n_d)
+    power = intmat.identity(dg.ngens)
     for stage in range(r):
         # y with i^stage(y) = x mod rels
-        y = _express(power, _d_rels(c, deg), list(vec))
-        jy = jm.mul(Mat.of(n_d, 1, [[v] for v in y])).column(0) if n_d else []
-        ker_n = (
-            _iterate_kernel(c, deg, stage) if stage else Mat.of(n_d, 0)
-        )
-        boundary = jm.mul(ker_n) if ker_n.cols else Mat.of(eg.ngens, 0)
-        span = boundary.hstack(_e_rels(c, eg_deg))
-        if span.cols == 0:
-            vanished = all(v == 0 for v in jy)
-        else:
-            vanished = _solve_in(span, jy) is not None
-        if not vanished:
+        y = dg.express(power, vec)
+        if y is None:
+            raise InexactCouple("element does not lie in the expected subgroup")
+        ker_n = _iterate_kernel(c, deg, stage) if stage else intmat.zeros(dg.ngens, 0)
+        if eg.express(intmat.matmul(jm, ker_n), intmat.mat_vec(jm, y)) is None:
             return False
-        power = c.imat(deg).mul(power)
+        power = intmat.matmul(c.imat(deg), power)
     return True
 
 
@@ -683,83 +443,50 @@ def bockstein_couple(complex_: FreeComplex) -> ExactCouple:
     if not weights:
         return ExactCouple({}, {}, {}, {}, {})
     lo, hi = min(weights), max(weights) + 1
-    d_groups = {}
-    e_groups = {}
     kernels = {}
     lattices = {}
     for deg in range(lo, hi + 1):
         n = complex_.rank(deg)
         if n == 0:
             continue
-        n_up = complex_.rank(deg + 1)
-        if n_up == 0:
-            delta = Mat.of(0, n)
-        else:
-            delta = Mat.of(n_up, n, intmat.transpose(complex_.differential(deg)))
-        ker = delta.kernel() if delta.rows else Mat.identity(n)
-        kernels[deg] = ker
+        delta = intmat.transpose(complex_.differential(deg))
+        kernels[deg] = intmat.kernel_basis(delta)
         # lattice {x : delta x in 2 Z}: basis via column span of
         # [kernel-lifts | 2I]
-        if delta.rows:
-            two = Mat.of(
-                delta.rows,
-                delta.rows,
-                [[2 if a == b else 0 for b in range(delta.rows)] for a in range(delta.rows)],
-            )
-            gens = _kernel_mod(delta, two)
-        else:
-            gens = Mat.identity(n)
-        basis = _lattice_basis(gens, n)
-        lattices[deg] = basis
+        two = intmat.scalar(delta.rows, 2)
+        lattices[deg] = _lattice_basis(intmat.kernel_mod_lattice(delta, two))
+    d_groups = {}
+    e_groups = {}
     for deg, ker in kernels.items():
-        n = complex_.rank(deg)
         if ker.cols == 0:
             continue
-        n_dn = complex_.rank(deg - 1)
-        rel_cols = []
-        if n_dn:
-            delta_in = intmat.transpose(complex_.differential(deg - 1))
-            for col in _columns(delta_in):
-                rel_cols.append(_express(ker, Mat.of(n, 0), col))
-        d_groups[deg] = PresentedGroup(ker.cols, _transpose_cols(rel_cols, ker.cols))
+        free = PresentedGroup(ker.rows)
+        delta_in = intmat.transpose(complex_.differential(deg - 1))
+        d_groups[deg] = PresentedGroup(ker.cols, _coordinates(free, ker, delta_in))
     for deg, basis in lattices.items():
-        n = complex_.rank(deg)
-        rel_cols = []
-        for b in range(n):
-            two_e = [2 if r == b else 0 for r in range(n)]
-            rel_cols.append(_express(basis, Mat.of(n, 0), two_e))
-        if complex_.rank(deg - 1):
-            delta_in = intmat.transpose(complex_.differential(deg - 1))
-            for col in _columns(delta_in):
-                rel_cols.append(_express(basis, Mat.of(n, 0), col))
-        e_groups[deg] = PresentedGroup(basis.cols, _transpose_cols(rel_cols, basis.cols))
+        n = basis.rows
+        rel_src = intmat.hstack(
+            intmat.scalar(n, 2), intmat.transpose(complex_.differential(deg - 1))
+        )
+        e_groups[deg] = PresentedGroup(
+            basis.cols, _coordinates(PresentedGroup(n), basis, rel_src)
+        )
     map_i = {}
     map_j = {}
     map_k = {}
     for deg, grp in d_groups.items():
-        map_i[deg] = Mat.identity(grp.ngens).scale(2)
+        map_i[deg] = intmat.scalar(grp.ngens, 2)
         basis = lattices[deg]
-        cols = []
-        ker = kernels[deg]
-        for b in range(ker.cols):
-            cols.append(_express(basis, Mat.of(basis.rows, 0), ker.column(b)))
-        map_j[deg] = _cols_to_mat(basis.cols, cols)
+        map_j[deg] = _coordinates(PresentedGroup(basis.rows), basis, kernels[deg])
     for deg, basis in lattices.items():
-        if deg + 1 not in kernels or kernels[deg + 1].cols == 0:
+        ker_up = kernels.get(deg + 1)
+        if ker_up is None or ker_up.cols == 0:
             continue
-        n = complex_.rank(deg)
-        n_up = complex_.rank(deg + 1)
-        if n_up == 0:
-            continue
-        delta = Mat.of(n_up, n, intmat.transpose(complex_.differential(deg)))
-        cols = []
-        for b in range(basis.cols):
-            image = delta.mul(Mat.of(n, 1, [[x] for x in basis.column(b)]))
-            half = [x // 2 for x in image.column(0)]
-            if any(x % 2 for x in image.column(0)):
-                raise InexactCouple("lattice vector with odd boundary")
-            cols.append(_express(kernels[deg + 1], Mat.of(n_up, 0), half))
-        map_k[deg] = _cols_to_mat(kernels[deg + 1].cols, cols)
+        image = intmat.matmul(intmat.transpose(complex_.differential(deg)), basis)
+        if any(x % 2 for row in image.a for x in row):
+            raise InexactCouple("lattice vector with odd boundary")
+        half = Mat([[x // 2 for x in row] for row in image.a], image.cols)
+        map_k[deg] = _coordinates(PresentedGroup(image.rows), ker_up, half)
     return ExactCouple(
         {d: g for d, g in d_groups.items() if g.ngens},
         {d: g for d, g in e_groups.items() if g.ngens},
@@ -769,14 +496,12 @@ def bockstein_couple(complex_: FreeComplex) -> ExactCouple:
     )
 
 
-def _lattice_basis(gens: Mat, ambient: int) -> Mat:
+def _lattice_basis(gens: Mat) -> Mat:
     """A basis of the full-rank lattice spanned by the columns of gens."""
-    if gens.cols == 0:
-        return Mat.of(ambient, 0)
-    u, s, _v, uinv, _vinv = intmat.smith_with_inverses(gens.lists())
-    cols = []
-    diag = intmat.diagonal(s)
-    for idx, d in enumerate(diag):
-        if d != 0:
-            cols.append([uinv[r][idx] * d for r in range(ambient)])
-    return _cols_to_mat(ambient, cols)
+    _u, s, _v, uinv, _vinv = intmat.smith_with_inverses(gens)
+    cols = [
+        [x * d for x in uinv.column(idx)]
+        for idx, d in enumerate(intmat.diagonal(s))
+        if d != 0
+    ]
+    return Mat.from_columns(cols, gens.rows)

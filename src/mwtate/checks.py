@@ -30,6 +30,7 @@ from .exactalg import (
     graded_kunneth,
     integer_cohomology,
     intmat,
+    split_dyadic,
 )
 from .geometry import hp1_classify, projective_bundle_hp1
 from .motives import (
@@ -92,14 +93,9 @@ def unimodular_twist(c: TateComplex, rng) -> TateComplex:
     auts = {w: intmat.random_unimodular(fc.rank(w), rng) for w in fc.ranks}
     diffs = {}
     for w in fc.weights():
-        m = fc.differential(w)
-        if not (m and m[0]):
-            continue
-        a_w = auts[w][0]
-        m = intmat.matmul(a_w, m)
         if w + 1 in auts:
-            m = intmat.matmul(m, auts[w + 1][1])
-        diffs[w] = m
+            m = intmat.matmul(auts[w][0], fc.differential(w))
+            diffs[w] = intmat.matmul(m, auts[w + 1][1])
     cells = []
     names = {}
     for w in fc.weights():
@@ -109,10 +105,10 @@ def unimodular_twist(c: TateComplex, rng) -> TateComplex:
             cells.append((cid, w))
     attach = {}
     for w, m in diffs.items():
-        for r in range(len(m)):
-            for s in range(len(m[0])):
-                if m[r][s]:
-                    attach[(names[(w + 1, s)], names[(w, r)])] = m[r][s]
+        for r, row in enumerate(m):
+            for s, x in enumerate(row):
+                if x:
+                    attach[(names[(w + 1, s)], names[(w, r)])] = x
     return TateComplex(cells, attach)
 
 
@@ -350,7 +346,7 @@ def random_adjacent_complex(rng, max_cells=8, bound=9) -> FreeComplex:
     for w in range(w0, w0 + spread + 1):
         ranks[w] = rng.randrange(1, 3)
     for w in range(w0, w0 + spread):
-        m = intmat.zeros(ranks[w], ranks[w + 1])
+        m = [[0] * ranks[w + 1] for _ in range(ranks[w])]
         # block-diagonal cones only, so consecutive products vanish
         if rng.random() < 0.7:
             r = rng.randrange(0, ranks[w])
@@ -444,11 +440,7 @@ def suite_hom_cone(seed=0, l_max=24, pq_max=6) -> SuiteResult:
     if hom_cone(6, 3, 2, "MW") != FormalGroup.from_invariants([3, 4]):
         return SuiteResult("hom-cone", False, cases, "spot value l=6 failed")
     for l in range(1, l_max + 1):
-        t = 0
-        s = l
-        while s % 2 == 0:
-            s //= 2
-            t += 1
+        t, s = split_dyadic(l)
         for cat in ("MW", "W"):
             for p in range(-pq_max, pq_max + 1):
                 for q in range(-pq_max, pq_max + 1):

@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 
 from . import __version__, checks, serialize
@@ -30,6 +31,12 @@ VALIDATION_EXIT = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-2:3" as an option unless it looks like a negative
+        # number; a range with a negative start is an argument too
+        self._negative_number_matcher = re.compile(r"^-\d+(:-?\d+)?$|^-\d*\.\d+$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -81,7 +88,7 @@ class _InputError(Exception):
 def _blocks_arg(raw: str) -> NormalForm:
     try:
         return serialize.normal_form_from_json(json.loads(raw))
-    except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError included
         raise _InputError(f"bad blocks JSON: {exc}") from exc
 
 
@@ -95,16 +102,15 @@ def _euler_arg(raw: str) -> GWElement:
         raise _InputError(f"bad Euler class {raw!r}; expected 'rank,signature'") from exc
 
 
-def _page_range(args) -> list[int]:
-    if args.range:
-        try:
-            lo, hi = (int(x) for x in args.range.split(":"))
-        except ValueError as exc:
-            raise _InputError(f"bad range {args.range!r}; expected LO:HI") from exc
-        if hi < lo or hi - lo > 64:
-            raise _InputError("range must be finite and ascending")
-        return list(range(lo, hi + 1))
-    return [args.page]
+def _range_arg(raw: str) -> list[int]:
+    """The integers LO..HI of a ``--range LO:HI`` (at most 65 of them)."""
+    try:
+        lo, hi = (int(x) for x in raw.split(":"))
+    except ValueError as exc:
+        raise _InputError(f"bad range {raw!r}; expected LO:HI") from exc
+    if hi < lo or hi - lo > 64:
+        raise _InputError("range must be ascending and span at most 64")
+    return list(range(lo, hi + 1))
 
 
 def build_parser() -> _Parser:
@@ -189,7 +195,8 @@ def _cmd_pages(args) -> int:
     if len(args.blocks) != 1:
         raise _InputError("pages needs exactly one --blocks argument")
     a = _blocks_arg(args.blocks[0])
-    out = [serialize.page_to_json(pages(a, i)) for i in _page_range(args)]
+    indices = _range_arg(args.range) if args.range else [args.page]
+    out = [serialize.page_to_json(pages(a, i)) for i in indices]
     out = out[0] if len(out) == 1 else out
     _emit(out, args.format)
     return 0
@@ -215,12 +222,11 @@ def _cmd_cohomology(args) -> int:
     else:
         if not args.range:
             raise _InputError("mw-diagonal needs --range LO:HI of weights")
-        lo, hi = (int(x) for x in args.range.split(":"))
         out = {
             "model": serialize.MODEL_TAG,
             "groups": [
                 dict(degree=n, **serialize.formal_group_to_json(mw_diagonal(a, n)))
-                for n in range(lo, hi + 1)
+                for n in _range_arg(args.range)
             ],
         }
         _emit(out, args.format)
@@ -268,15 +274,16 @@ def _cmd_pbundle(args) -> int:
 def _cmd_blowup(args) -> int:
     data = _read_json(args.infile or "-")
     try:
-        x = serialize.complex_from_json(data["ambient"])
-        th = serialize.complex_from_json(data["thom"])
+        if not isinstance(data, dict):
+            raise ValueError("blow-up JSON must be an object")
+        x = serialize.complex_from_json(data.get("ambient"))
+        th = serialize.complex_from_json(data.get("thom"))
         z = serialize.normal_form_from_json(data.get("centre", []))
-        n = int(data["codim"])
-        g = {
-            (str(e["from"]), str(e["to"])): int(e["coeff"])
-            for e in data.get("gysin", [])
-        }
-    except (KeyError, TypeError, ValueError) as exc:
+        n = data.get("codim")
+        if type(n) is not int:
+            raise ValueError(f"'codim' must be an int, not {n!r}")
+        g = serialize.attachments_from_json(data.get("gysin", []))
+    except ValueError as exc:
         raise _InputError(f"bad blow-up input: {exc}") from exc
     blocks = blowup_motive(x, z, n, th, g)
     eta = blowup_eta_check(blocks)

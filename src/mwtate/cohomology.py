@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import FormalGroup, GradedGroup
+from .exactalg import FormalGroup, GradedGroup, split_dyadic
 from .motives import DyadicEta, Free, NormalForm, OddTorsion
 from .wittring import MINIMAL_MODEL, CoefficientModel, fundamental_ideal_power
 
@@ -142,14 +142,6 @@ def eta_inverted(a: NormalForm, p: int, q: int) -> FormalGroup:
     return FormalGroup(h.free_rank, tuple(tors))
 
 
-def _split_dyadic_odd(l: int) -> tuple[int, int]:
-    t = 0
-    while l % 2 == 0:
-        l //= 2
-        t += 1
-    return t, l
-
-
 def hom_cone(
     l: int, p: int, q: int, category: str = "MW", model: CoefficientModel = MINIMAL_MODEL
 ) -> FormalGroup:
@@ -167,7 +159,7 @@ def hom_cone(
         raise NonpositiveL(f"need l >= 1, got {l}")
     if category not in ("MW", "W"):
         raise ValueError(f"category must be 'MW' or 'W', not {category!r}")
-    t, s = _split_dyadic_odd(l)
+    t, s = split_dyadic(l)
     if p == q + 1:
         # I^q / s I^q + I^{q-1} / 2^t I^q, as indices of scaled copies of Z
         iq_mod = FormalGroup.cyclic(s)

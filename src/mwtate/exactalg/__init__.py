@@ -10,7 +10,13 @@ from .complexes import (
     integer_cohomology,
     reassemble,
 )
-from .groups import FormalGroup, GradedGroup, factor_prime_powers, graded_kunneth
+from .groups import (
+    FormalGroup,
+    GradedGroup,
+    factor_prime_powers,
+    graded_kunneth,
+    split_dyadic,
+)
 from .intmat import smith_normal_form
 from .presented import PresentedGroup
 from .rho import RhoComplex, RhoSummand, cone_tower, free_tower, rho_module_tensor
@@ -35,4 +41,5 @@ __all__ = [
     "reassemble",
     "rho_module_tensor",
     "smith_normal_form",
+    "split_dyadic",
 ]

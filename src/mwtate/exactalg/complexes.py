@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intmat
-from .groups import FormalGroup, GradedGroup
+from .groups import GradedGroup
+from .intmat import Mat
 from .presented import PresentedGroup
 
 
@@ -42,8 +43,9 @@ class ConePair:
 class FreeComplex:
     """Free modules ``ranks[w]`` with differentials C_{w+1} -> C_w.
 
-    ``diffs[w]`` is a ranks[w] x ranks[w+1] integer matrix.  Missing
-    entries denote zero modules and zero maps.
+    ``diffs[w]`` is a ranks[w] x ranks[w+1] integer matrix, a
+    :class:`Mat` or a list of rows (copied).  Missing entries denote zero
+    modules and zero maps.
     """
 
     __slots__ = ("ranks", "diffs")
@@ -53,14 +55,15 @@ class FreeComplex:
         self.diffs = {}
         for w, m in (diffs or {}).items():
             w = int(w)
-            rows, cols = intmat.shape(m)
-            if (rows, cols) != (self.ranks.get(w, 0), self.ranks.get(w + 1, 0)):
+            if not isinstance(m, Mat):
+                m = Mat([list(row) for row in m], self.rank(w + 1))
+            if (m.rows, m.cols) != (self.rank(w), self.rank(w + 1)):
                 raise ValueError(
-                    f"differential at weight {w} has shape {rows}x{cols}, "
-                    f"expected {self.ranks.get(w, 0)}x{self.ranks.get(w + 1, 0)}"
+                    f"differential at weight {w} has shape {m.rows}x{m.cols}, "
+                    f"expected {self.rank(w)}x{self.rank(w + 1)}"
                 )
             if not intmat.is_zero_matrix(m):
-                self.diffs[w] = intmat.copy_matrix(m)
+                self.diffs[w] = m
 
     def weights(self) -> list[int]:
         return sorted(self.ranks)
@@ -68,16 +71,15 @@ class FreeComplex:
     def rank(self, w: int) -> int:
         return self.ranks.get(w, 0)
 
-    def differential(self, w: int):
+    def differential(self, w: int) -> Mat:
         if w in self.diffs:
-            return intmat.copy_matrix(self.diffs[w])
+            return self.diffs[w]
         return intmat.zeros(self.rank(w), self.rank(w + 1))
 
     def check_composable(self):
         for w in self.weights():
-            a = self.differential(w)
-            b = self.differential(w + 1)
-            if a and a[0] and b and not intmat.is_zero_matrix(intmat.matmul(a, b)):
+            prod = intmat.matmul(self.differential(w), self.differential(w + 1))
+            if not intmat.is_zero_matrix(prod):
                 raise NonComposable(
                     f"differentials at weights {w + 1} and {w} do not compose to zero"
                 )
@@ -89,20 +91,20 @@ def decompose_free_complex(c: FreeComplex) -> list[FreeCell | ConePair]:
     Sweeps weights from the bottom: Smith normal form of the incoming
     differential splits off one cone per nonzero diagonal entry, and
     composability forces the base-changed next differential to vanish
-    on the consumed generators.
+    on the consumed generators.  The sweep tests exactly that, so a
+    non-composable complex raises NonComposable.
 
     >>> c = FreeComplex({0: 1, 1: 1}, {0: [[6]]})
     >>> decompose_free_complex(c)
     [ConePair(n=6, lower_degree=0)]
     """
-    c.check_composable()
     summands: list[FreeCell | ConePair] = []
     rank_left = dict(c.ranks)
     pending = {w: c.differential(w) for w in c.weights()}
     for w in c.weights():
         n_here = rank_left.get(w, 0)
         n_above = rank_left.get(w + 1, 0)
-        m = pending.get(w, intmat.zeros(n_here, n_above))
+        m = pending[w]
         if n_here == 0:
             continue
         if n_above == 0:
@@ -117,18 +119,12 @@ def decompose_free_complex(c: FreeComplex) -> list[FreeCell | ConePair]:
         summands.extend(FreeCell(w) for _ in range(n_here - r))
         rank_left[w] = 0
         rank_left[w + 1] = n_above - r
-        nxt = pending.get(w + 1)
-        if nxt is not None and nxt and nxt[0]:
-            moved = intmat.matmul(vinv, nxt)
-            for i in range(r):
-                if any(x != 0 for x in moved[i]):
-                    raise NonComposable(
-                        f"differentials at weights {w + 2} and {w + 1} "
-                        "do not compose to zero"
-                    )
-            pending[w + 1] = moved[r:]
-        elif nxt is not None:
-            pending[w + 1] = nxt[r:] if nxt else nxt
+        moved = intmat.matmul(vinv, pending[w + 1])
+        if any(any(row) for row in moved.a[:r]):
+            raise NonComposable(
+                f"differentials at weights {w + 2} and {w + 1} do not compose to zero"
+            )
+        pending[w + 1] = Mat(moved.a[r:], moved.cols)
     return sorted(summands, key=_summand_key)
 
 
@@ -155,7 +151,7 @@ def reassemble(summands) -> FreeComplex:
             ranks[w + 1] = col + 1
             placed.append((w, row, col, s.n))
     diffs = {
-        w: intmat.zeros(ranks.get(w, 0), ranks.get(w + 1, 0))
+        w: [[0] * ranks.get(w + 1, 0) for _ in range(ranks.get(w, 0))]
         for w, _, _, _ in placed
     }
     for w, row, col, n in placed:
@@ -184,38 +180,23 @@ def integer_cohomology(c: FreeComplex, modulus: int = 0) -> GradedGroup:
         n = c.rank(d)
         if n == 0:
             continue
-        mod_cols = [[modulus if i == j else 0 for j in range(n)] for i in range(n)]
-        n_up = c.rank(d + 1)
-        if n_up == 0:
-            # Zero outgoing dual differential: every cochain is a cocycle.
-            gens = intmat.identity(n)
+        delta_out = intmat.transpose(c.differential(d))  # C^d -> C^{d+1}
+        delta_in = intmat.transpose(c.differential(d - 1))  # C^{d-1} -> C^d
+        if modulus == 0:
+            gens = intmat.kernel_basis(delta_out)
+            rel_sources = delta_in
         else:
-            delta_out = intmat.transpose(c.differential(d))  # C^d -> C^{d+1}
-            if modulus == 0:
-                gens = intmat.kernel_basis(delta_out)
-            else:
-                mod_up = [
-                    [modulus if i == j else 0 for j in range(n_up)]
-                    for i in range(n_up)
-                ]
-                gens = intmat.kernel_mod_lattice(delta_out, mod_up)
-        _, k = intmat.shape(gens)
-        if k == 0:
+            gens = intmat.kernel_mod_lattice(
+                delta_out, intmat.scalar(c.rank(d + 1), modulus)
+            )
+            rel_sources = intmat.hstack(delta_in, intmat.scalar(n, modulus))
+        if gens.cols == 0:
             continue
-        if c.rank(d - 1) == 0:
-            delta_in = intmat.zeros(n, 0)
-        else:
-            delta_in = intmat.transpose(c.differential(d - 1))  # C^{d-1} -> C^d
-        rel_sources = delta_in
-        if modulus != 0:
-            rel_sources = intmat.hstack(delta_in, mod_cols)
-        if not (rel_sources and rel_sources[0]):
-            rel_sources = intmat.zeros(n, 0)
         # Relation lattice of <gens> / (image + m*Z^n): coordinates z with
         # gens*z in the span of rel_sources.  Coordinates with gens*z = 0
         # are honest relations too, since gens need not be a basis.
         rels = intmat.kernel_mod_lattice(gens, rel_sources)
-        grp = PresentedGroup(k, rels).invariants()
+        grp = PresentedGroup(gens.cols, rels).invariants()
         if not grp.is_zero():
             out[d] = grp
     return GradedGroup(out)

@@ -9,46 +9,51 @@ degrees.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def factor_prime_powers(n: int) -> list[int]:
-    """The prime-power factors of ``n`` (n >= 2), e.g. 12 -> [4, 3].
+def factor_prime_powers(n: int) -> list[tuple[int, int]]:
+    """The prime factorization of ``n`` >= 1 as (p, e) pairs, p ascending.
 
     >>> factor_prime_powers(360)
-    [8, 9, 5]
+    [(2, 3), (3, 2), (5, 1)]
+    >>> factor_prime_powers(1)
+    []
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    if n < 1:
+        raise ValueError("need n >= 1")
     out = []
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            q = 1
-            while n % p == 0:
-                n //= p
-                q *= p
-            out.append(q)
-    d = 41
-    while d * d <= n and d < 100000:
+    for d in itertools.chain(_SMALL_PRIMES, range(41, 100000, 2)):
+        if d * d > n:
+            break
         if n % d == 0:
-            q = 1
+            e = 0
             while n % d == 0:
                 n //= d
-                q *= d
-            out.append(q)
-        d += 2
+                e += 1
+            out.append((d, e))
     if n > 1:
         if n < 100000 * 100000:
-            out.append(n)  # no factor below 1e5 and n < 1e10, so n is prime
+            out.append((n, 1))  # no factor below min(sqrt(n), 1e5), so n is prime
         else:
             from sympy import factorint  # rare huge cofactors only
 
-            for p, e in factorint(n).items():
-                out.append(int(p) ** int(e))
+            out.extend((int(p), int(e)) for p, e in sorted(factorint(n).items()))
     return out
+
+
+def split_dyadic(n: int) -> tuple[int, int]:
+    """(t, s) with n = 2^t s and s odd, for n >= 1.
+
+    >>> split_dyadic(24)
+    (3, 3)
+    """
+    t = (n & -n).bit_length() - 1
+    return t, n >> t
 
 
 @dataclass(frozen=True)
@@ -79,7 +84,7 @@ class FormalGroup:
             if d == 0:
                 rank += 1
             elif d > 1:
-                tors.extend(factor_prime_powers(d))
+                tors.extend(p**e for p, e in factor_prime_powers(d))
         return cls(rank, tuple(tors))
 
     @classmethod

@@ -1,79 +1,116 @@
 """Exact linear algebra over the integers.
 
-Matrices are plain lists of row lists holding Python ints, so every
-computation is arbitrary precision by construction.  The workhorse is
-Smith normal form with unimodular transforms; kernels, exact solving
-and lattice membership are derived from it.
+:class:`Mat` is the one integer-matrix type: a list of row lists holding
+Python ints plus an explicit column count, so every shape, 0 x n, n x 0
+and 0 x 0 included, is a value like any other and every computation is
+arbitrary precision by construction.  The workhorse is Smith normal form
+with unimodular transforms; kernels, exact solving and lattice
+membership are derived from it.
 """
 
 from __future__ import annotations
 
 
-def zeros(rows: int, cols: int) -> list[list[int]]:
-    return [[0] * cols for _ in range(rows)]
+class Mat:
+    """An integer matrix with an explicit shape; empty shapes allowed.
+
+    ``Mat(rows)`` takes a list of equally long row lists as it is, with
+    no copy and no conversion of entries; ``cols`` gives the width of a
+    matrix without rows.  Matrices are values: nothing mutates one after
+    it is built.  ``len``, indexing and iteration go over the rows.
+
+    >>> Mat([], 3).cols, Mat([[], []]).rows
+    (3, 2)
+    """
+
+    __slots__ = ("a", "rows", "cols")
+
+    def __init__(self, a, cols=0):
+        if a:
+            cols = len(a[0])
+            if any(len(r) != cols for r in a):
+                raise ValueError("rows of a matrix must have equal length")
+        self.a = a
+        self.rows = len(a)
+        self.cols = cols
+
+    @classmethod
+    def from_columns(cls, columns, rows) -> Mat:
+        """The matrix whose columns are the given vectors of length ``rows``."""
+        return cls([[col[r] for col in columns] for r in range(rows)], len(columns))
+
+    def column(self, c) -> list:
+        return [row[c] for row in self.a]
+
+    def columns(self) -> list:
+        return [[row[c] for row in self.a] for c in range(self.cols)]
+
+    def __len__(self):
+        return self.rows
+
+    def __getitem__(self, i):
+        return self.a[i]
+
+    def __iter__(self):
+        return iter(self.a)
+
+    def __eq__(self, other):
+        if not isinstance(other, Mat):
+            return NotImplemented
+        return (self.rows, self.cols, self.a) == (other.rows, other.cols, other.a)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Mat({self.a!r})" if self.a else f"Mat([], {self.cols})"
 
 
-def identity(n: int) -> list[list[int]]:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = 1
-    return m
+def zeros(rows: int, cols: int) -> Mat:
+    return Mat([[0] * cols for _ in range(rows)], cols)
 
 
-def copy_matrix(m):
-    return [row[:] for row in m]
+def scalar(n: int, c: int) -> Mat:
+    """c times the n x n identity."""
+    return Mat([[c if i == j else 0 for j in range(n)] for i in range(n)], n)
 
 
-def shape(m) -> tuple[int, int]:
-    return (len(m), len(m[0]) if m else 0)
+def identity(n: int) -> Mat:
+    return scalar(n, 1)
 
 
-def transpose(m):
-    rows, cols = shape(m)
-    return [[m[i][j] for i in range(rows)] for j in range(cols)]
+def transpose(m: Mat) -> Mat:
+    return Mat.from_columns(m.a, m.cols)
 
 
-def matmul(a, b):
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca != rb:
-        raise ValueError(f"shape mismatch: {ra}x{ca} times {rb}x{cb}")
-    out = zeros(ra, cb)
-    for i in range(ra):
-        ai = a[i]
-        oi = out[i]
-        for k in range(ca):
-            aik = ai[k]
+def matmul(a: Mat, b: Mat) -> Mat:
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    cb = b.cols
+    out = [[0] * cb for _ in range(a.rows)]
+    for ai, oi in zip(a.a, out):
+        for aik, bk in zip(ai, b.a):
             if aik:
-                bk = b[k]
                 for j in range(cb):
                     oi[j] += aik * bk[j]
-    return out
+    return Mat(out, cb)
 
 
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+def mat_vec(a: Mat, v) -> list[int]:
+    return [sum(x * y for x, y in zip(row, v)) for row in a.a]
 
 
-def hstack(a, b):
-    ra, _ = shape(a)
-    rb, _ = shape(b)
-    if a and b and ra != rb:
+def hstack(a: Mat, b: Mat) -> Mat:
+    if a.rows != b.rows:
         raise ValueError("row mismatch in hstack")
-    rows = max(ra, rb)
-    return [
-        (a[i] if a else []) + (b[i] if b else [])
-        for i in range(rows)
-    ]
+    return Mat([x + y for x, y in zip(a.a, b.a)], a.cols + b.cols)
 
 
-def is_zero_matrix(m) -> bool:
-    return all(all(x == 0 for x in row) for row in m)
+def is_zero_matrix(m: Mat) -> bool:
+    return not any(any(row) for row in m.a)
 
 
-def diagonal(m) -> list[int]:
-    rows, cols = shape(m)
-    return [m[i][i] for i in range(min(rows, cols))]
+def diagonal(m: Mat) -> list[int]:
+    return [m.a[i][i] for i in range(min(m.rows, m.cols))]
 
 
 def _smith(m, want_inverses: bool):
@@ -83,12 +120,12 @@ def _smith(m, want_inverses: bool):
     requested.  Invariants maintained throughout: U*M*V == S,
     U*Uinv == I, Vinv*V == I.
     """
-    rows, cols = shape(m)
-    s = copy_matrix(m)
-    u = identity(rows)
-    v = identity(cols)
-    uinv = identity(rows) if want_inverses else None
-    vinv = identity(cols) if want_inverses else None
+    rows, cols = m.rows, m.cols
+    s = [row[:] for row in m.a]
+    u = identity(rows).a
+    v = identity(cols).a
+    uinv = identity(rows).a if want_inverses else None
+    vinv = identity(cols).a if want_inverses else None
 
     def row_add(i, j, q):
         # R_i += q*R_j on S and U; inverse column op on Uinv.
@@ -191,41 +228,47 @@ def _smith(m, want_inverses: bool):
         if s[t][t] < 0:
             row_negate(t)
 
-    return u, s, v, uinv, vinv
+    return (
+        Mat(u, rows),
+        Mat(s, cols),
+        Mat(v, cols),
+        Mat(uinv, rows) if want_inverses else None,
+        Mat(vinv, cols) if want_inverses else None,
+    )
 
 
-def smith_normal_form(m):
+def smith_normal_form(m: Mat):
     """Smith normal form with transforms.
 
     Returns (U, S, V) with U, V unimodular, U*M*V == S diagonal,
     diagonal entries nonnegative with d1 | d2 | ... .  Total on every
     rectangular integer matrix, including empty ones.
 
-    >>> u, s, v = smith_normal_form([[2, 4], [6, 8]])
+    >>> m = Mat([[2, 4], [6, 8]])
+    >>> u, s, v = smith_normal_form(m)
     >>> diagonal(s)
     [2, 4]
-    >>> matmul(matmul(u, [[2, 4], [6, 8]]), v) == s
+    >>> matmul(matmul(u, m), v) == s
     True
     """
     u, s, v, _, _ = _smith(m, want_inverses=False)
     return u, s, v
 
 
-def smith_with_inverses(m):
+def smith_with_inverses(m: Mat):
     """Like :func:`smith_normal_form` but also returns Uinv and Vinv."""
     return _smith(m, want_inverses=True)
 
 
-def column_reduce(m):
+def column_reduce(m: Mat) -> Mat:
     """A column-Hermite generating matrix of the same column lattice.
 
     Unimodular column operations only, zero columns dropped and entries
     of earlier pivots reduced modulo later pivots, so repeated kernel
     and presentation computations do not accumulate huge entries.
     """
-    rows, cols = shape(m)
-    cols_v = [[m[r][c] for r in range(rows)] for c in range(cols)]
-    cols_v = [c for c in cols_v if any(c)]
+    rows = m.rows
+    cols_v = [c for c in m.columns() if any(c)]
     pivots = []
     for r in range(rows):
         while True:
@@ -252,91 +295,76 @@ def column_reduce(m):
                         for i in range(rows):
                             p[i] -= q * piv[i]
             pivots.append(piv)
-    return [[p[r] for p in pivots] for r in range(rows)] if pivots else zeros(rows, 0)
+    return Mat.from_columns(pivots, rows)
 
 
-def kernel_basis(m):
+def kernel_basis(m: Mat) -> Mat:
     """Columns (as a matrix) forming a basis of the integer kernel of ``m``.
 
-    >>> kernel_basis([[1, 2], [2, 4]])
-    [[2], [-1]]
+    >>> kernel_basis(Mat([[1, 2], [2, 4]]))
+    Mat([[2], [-1]])
+    >>> kernel_basis(Mat([], 2))
+    Mat([[1, 0], [0, 1]])
     """
-    rows, cols = shape(m)
-    if cols == 0:
-        return []
-    if rows == 0:
-        return column_reduce(identity(cols))
     _, s, v, _, _ = _smith(m, want_inverses=False)
     diag = diagonal(s)
-    free = [j for j in range(cols) if j >= len(diag) or diag[j] == 0]
-    return column_reduce([[v[r][j] for j in free] for r in range(cols)])
+    free = [j for j in range(m.cols) if j >= len(diag) or diag[j] == 0]
+    return column_reduce(Mat.from_columns([v.column(j) for j in free], m.cols))
 
 
-def solve_columns(m, b):
+def solve_columns(m: Mat, b: Mat) -> Mat | None:
     """Exact solutions X of M*X == B, or None if no integer solution.
 
-    ``b`` is given column-wise as a matrix with the same number of rows
-    as ``m``; one particular solution is returned per column.
+    ``b`` has the same number of rows as ``m``; one particular solution
+    is returned per column.
     """
-    rows, cols = shape(m)
-    rb, cb = shape(b)
-    if rows != rb and not (rows == 0 and all(not row for row in b)):
-        if rows != rb:
-            raise ValueError("row mismatch in solve")
-    if cb == 0:
-        return zeros(cols, 0)
+    if m.rows != b.rows:
+        raise ValueError("row mismatch in solve")
     u, s, v, _, _ = _smith(m, want_inverses=False)
     diag = diagonal(s)
-    ub = matmul(u, b) if rows else zeros(0, cb)
-    xs = zeros(cols, cb)
-    for c in range(cb):
-        z = [0] * cols
-        for i in range(rows):
-            rhs = ub[i][c]
+    ub = matmul(u, b)
+    solutions = []
+    for rhs in ub.columns():
+        z = [0] * m.cols
+        for i, x in enumerate(rhs):
             d = diag[i] if i < len(diag) else 0
             if d == 0:
-                if rhs != 0:
+                if x != 0:
                     return None
+            elif x % d != 0:
+                return None
             else:
-                if rhs % d != 0:
-                    return None
-                if i < cols:
-                    z[i] = rhs // d
-        x = mat_vec(v, z)
-        for r in range(cols):
-            xs[r][c] = x[r]
-    return xs
+                z[i] = x // d
+        solutions.append(mat_vec(v, z))
+    return Mat.from_columns(solutions, m.cols)
 
 
-def solve(m, vec):
+def solve(m: Mat, vec) -> list[int] | None:
     """One integer solution x of M x == vec, or None."""
-    res = solve_columns(m, [[x] for x in vec])
+    res = solve_columns(m, Mat([[x] for x in vec], 1))
     if res is None:
         return None
-    return [row[0] for row in res]
+    return res.column(0)
 
 
-def lattice_contains(gens, vec) -> bool:
+def lattice_contains(gens: Mat, vec) -> bool:
     """Whether ``vec`` lies in the column span of ``gens`` over Z."""
     return solve(gens, vec) is not None
 
 
-def kernel_mod_lattice(a, rels):
+def kernel_mod_lattice(a: Mat, rels: Mat) -> Mat:
     """Generators of {x : A x in colspan(rels)}.
 
     ``a`` and ``rels`` must have the same number of rows.  The result
     is a matrix whose columns generate the preimage lattice; it always
     contains the kernel of ``a`` itself.
+
+    >>> kernel_mod_lattice(Mat([], 2), Mat([], 0))
+    Mat([[1, 0], [0, 1]])
     """
-    rows, cols = shape(a)
-    _, rc = shape(rels)
-    if rc == 0:
-        return kernel_basis(a)
-    block = hstack(a, rels)
-    ker = kernel_basis(block)
+    ker = kernel_basis(hstack(a, rels))
     # Project solutions (x; y) onto the x part.
-    proj = [ker[r] for r in range(cols)] if ker else zeros(cols, 0)
-    return column_reduce(proj)
+    return column_reduce(Mat(ker.a[: a.cols], ker.cols))
 
 
 def random_unimodular(n: int, rng, steps: int | None = None):
@@ -345,10 +373,10 @@ def random_unimodular(n: int, rng, steps: int | None = None):
     Built from elementary shears, swaps and sign flips so the inverse
     is tracked exactly.
     """
-    a = identity(n)
-    ainv = identity(n)
+    a = identity(n).a
+    ainv = identity(n).a
     if n == 0:
-        return a, ainv
+        return Mat(a), Mat(ainv)
     if steps is None:
         steps = 3 * n + 4
     for _ in range(steps):
@@ -369,4 +397,4 @@ def random_unimodular(n: int, rng, steps: int | None = None):
             a[i] = [-x for x in a[i]]
             for r in range(n):
                 ainv[r][i] = -ainv[r][i]
-    return a, ainv
+    return Mat(a, n), Mat(ainv, n)

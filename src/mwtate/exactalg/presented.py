@@ -8,23 +8,30 @@ and integer kernels from :mod:`mwtate.exactalg.intmat`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import intmat
 from .groups import FormalGroup
+from .intmat import Mat
 
 
 @dataclass
 class PresentedGroup:
-    """Z^ngens / colspan(rels); rels has ngens rows."""
+    """Z^ngens / colspan(rels); rels has ngens rows (none: a free group).
+
+    ``rels`` may also come as a list of rows; it is stored as a
+    column-reduced :class:`Mat`.
+    """
 
     ngens: int
-    rels: list = field(default_factory=list)
+    rels: Mat | None = None
 
     def __post_init__(self):
-        if not self.rels:
+        if self.rels is None:
             self.rels = intmat.zeros(self.ngens, 0)
-        if len(self.rels) != self.ngens:
+        elif not isinstance(self.rels, Mat):
+            self.rels = Mat(self.rels)
+        if self.rels.rows != self.ngens:
             raise ValueError("relation matrix must have one row per generator")
         # keep relation entries small; the column lattice is unchanged
         self.rels = intmat.column_reduce(self.rels)
@@ -39,35 +46,28 @@ class PresentedGroup:
     def is_zero_element(self, vec) -> bool:
         return intmat.lattice_contains(self.rels, vec)
 
-    def contains_subgroup(self, gens_a, gens_b) -> bool:
+    def contains_subgroup(self, gens_a: Mat, gens_b: Mat) -> bool:
         """Whether every column of gens_b lies in <gens_a> + rels."""
-        _, cb = intmat.shape(gens_b)
-        if cb == 0:
-            return True
         span = intmat.hstack(gens_a, self.rels)
-        cols = [[row[c] for row in gens_b] for c in range(cb)]
-        return all(intmat.solve(span, col) is not None for col in cols)
+        return all(intmat.solve(span, col) is not None for col in gens_b.columns())
 
-    def subgroups_equal(self, gens_a, gens_b) -> bool:
+    def subgroups_equal(self, gens_a: Mat, gens_b: Mat) -> bool:
         return self.contains_subgroup(gens_a, gens_b) and self.contains_subgroup(
             gens_b, gens_a
         )
 
-    def subgroup_presentation(self, gens) -> PresentedGroup:
+    def subgroup_presentation(self, gens: Mat) -> PresentedGroup:
         """The subgroup generated by the columns of ``gens`` as an
         abstract group (relations pulled back through the generators)."""
-        _, k = intmat.shape(gens)
-        rels = intmat.kernel_mod_lattice(gens, self.rels)
-        return PresentedGroup(k, rels)
+        return PresentedGroup(gens.cols, intmat.kernel_mod_lattice(gens, self.rels))
 
-    def quotient_presentation(self, gens) -> PresentedGroup:
+    def quotient_presentation(self, gens: Mat) -> PresentedGroup:
         return PresentedGroup(self.ngens, intmat.hstack(self.rels, gens))
 
-    def express(self, gens, vec):
+    def express(self, gens: Mat, vec):
         """Coordinates of ``vec`` in the columns of ``gens`` modulo the
         relations, or None if it is not in that subgroup."""
-        _, k = intmat.shape(gens)
         sol = intmat.solve(intmat.hstack(gens, self.rels), vec)
         if sol is None:
             return None
-        return sol[:k]
+        return sol[: gens.cols]

@@ -21,7 +21,7 @@ is why no such operation exists here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .exactalg import (
@@ -32,6 +32,7 @@ from .exactalg import (
     decompose_free_complex,
     factor_prime_powers,
     intmat,
+    split_dyadic,
 )
 
 
@@ -83,7 +84,7 @@ class OddTorsion:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("odd torsion exponent must be positive")
-        if self.p < 3 or self.p % 2 == 0 or not _is_prime(self.p):
+        if self.p < 3 or self.p % 2 == 0 or factor_prime_powers(self.p) != [(self.p, 1)]:
             raise ValueError(f"{self.p} is not an odd prime")
 
     def twisted(self, q: int) -> OddTorsion:
@@ -91,17 +92,6 @@ class OddTorsion:
 
 
 AtomicBlock = Union[Free, DyadicEta, OddTorsion]
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
 
 
 def _block_key(b: AtomicBlock):
@@ -162,6 +152,8 @@ class Violation:
 @dataclass(frozen=True)
 class ValidationReport:
     violations: tuple
+    # the attachment data as a FreeComplex, once ids and weights are valid
+    free_complex: FreeComplex | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -241,24 +233,22 @@ def validate_complex(c: TateComplex) -> ValidationReport:
                     f"weights {weight[hi]} -> {weight[lo]} are not adjacent",
                 )
             )
-    if not violations:
-        fc, index = _to_free_complex(c)
-        for w in fc.weights():
-            a = fc.differential(w)
-            b = fc.differential(w + 1)
-            if a and a[0] and b and b[0]:
-                prod = intmat.matmul(a, b)
-                for r in range(len(prod)):
-                    for s in range(len(prod[0])):
-                        if prod[r][s]:
-                            violations.append(
-                                Violation(
-                                    "NonComposable",
-                                    (index[w + 2][s], index[w][r]),
-                                    "consecutive attachments compose nonzero",
-                                )
-                            )
-    return ValidationReport(tuple(violations))
+    if violations:
+        return ValidationReport(tuple(violations))
+    fc, index = _to_free_complex(c)
+    for w in fc.weights():
+        prod = intmat.matmul(fc.differential(w), fc.differential(w + 1))
+        for r, row in enumerate(prod):
+            for s, x in enumerate(row):
+                if x:
+                    violations.append(
+                        Violation(
+                            "NonComposable",
+                            (index[w + 2][s], index[w][r]),
+                            "consecutive attachments compose nonzero",
+                        )
+                    )
+    return ValidationReport(tuple(violations), fc)
 
 
 def _to_free_complex(c: TateComplex):
@@ -271,11 +261,7 @@ def _to_free_complex(c: TateComplex):
         hi = index.get(w + 1, [])
         if not lo or not hi:
             continue
-        m = [[0] * len(hi) for _ in lo]
-        for i, cl in enumerate(lo):
-            for j, ch in enumerate(hi):
-                m[i][j] = c.attach.get((ch, cl), 0)
-        diffs[w] = m
+        diffs[w] = intmat.Mat([[c.attach.get((ch, cl), 0) for ch in hi] for cl in lo])
     return FreeComplex(ranks, diffs), index
 
 
@@ -292,9 +278,8 @@ def decompose(c: TateComplex) -> NormalForm:
     report = validate_complex(c)
     if not report.ok:
         raise InvalidComplex(report)
-    fc, _ = _to_free_complex(c)
     try:
-        summands = decompose_free_complex(fc)
+        summands = decompose_free_complex(report.free_complex)
     except NonComposable as exc:  # defensive; validation already checks
         raise InvalidComplex(
             ValidationReport((Violation("NonComposable", (), str(exc)),))
@@ -308,27 +293,11 @@ def blocks_of_summands(summands) -> list[AtomicBlock]:
         if isinstance(s, FreeCell):
             blocks.append(Free(s.degree))
             continue
-        n, w = s.n, s.lower_degree
-        t = 0
-        while n % 2 == 0:
-            n //= 2
-            t += 1
-        blocks.append(DyadicEta(t, w))
-        for q in factor_prime_powers(n) if n > 1 else []:
-            p, r = _prime_power_parts(q)
-            blocks.append(OddTorsion(p, r, w))
+        t, odd = split_dyadic(s.n)
+        blocks.append(DyadicEta(t, s.lower_degree))
+        for p, r in factor_prime_powers(odd):
+            blocks.append(OddTorsion(p, r, s.lower_degree))
     return blocks
-
-
-def _prime_power_parts(q: int) -> tuple[int, int]:
-    for p in range(3, q + 1, 2):
-        if q % p == 0:
-            r = 0
-            while q % p == 0:
-                q //= p
-                r += 1
-            return p, r
-    raise ValueError(f"{q} is not an odd prime power")
 
 
 def realize(a: NormalForm) -> TateComplex:

@@ -9,6 +9,9 @@ Graded groups: [{"degree": int, "free": int, "torsion": [int]}], wrapped
 with a model tag for integral hom answers.
 Pages:        {"page": i, "towers": [{"p", "q", "height", "label"}],
                "differential": [{"from": idx, "to": idx, "rho_power": j}]}
+
+Decoders are strict: a wrong shape, a missing field, or a non-integer
+(bools and floats included) where an integer belongs raises ValueError.
 """
 
 from __future__ import annotations
@@ -31,14 +34,40 @@ def complex_to_json(c: TateComplex) -> dict:
     }
 
 
+def _field(entry, key, kind, what):
+    if not isinstance(entry, dict):
+        raise ValueError(f"{what} must be an object, not {entry!r}")
+    if key not in entry:
+        raise ValueError(f"{what} has no {key!r} field")
+    value = entry[key]
+    if type(value) is not kind:  # exact type: rejects bools as ints
+        raise ValueError(f"{what} field {key!r} must be {kind.__name__}, not {value!r}")
+    return value
+
+
+def _list(value, what):
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, not {value!r}")
+    return value
+
+
+def attachments_from_json(data) -> dict:
+    """{(from id, to id): coeff} of a list of {"from", "to", "coeff"}."""
+    return {
+        (_field(e, "from", str, "attachment"), _field(e, "to", str, "attachment")):
+            _field(e, "coeff", int, "attachment")
+        for e in _list(data, "attachments")
+    }
+
+
 def complex_from_json(data) -> TateComplex:
     if not isinstance(data, dict) or "cells" not in data:
         raise ValueError("complex JSON needs a 'cells' list")
-    cells = [(str(c["id"]), int(c["weight"])) for c in data["cells"]]
-    attach = {}
-    for entry in data.get("attach", []):
-        attach[(str(entry["from"]), str(entry["to"]))] = int(entry["coeff"])
-    return TateComplex(cells, attach)
+    cells = [
+        (_field(c, "id", str, "cell"), _field(c, "weight", int, "cell"))
+        for c in _list(data["cells"], "cells")
+    ]
+    return TateComplex(cells, attachments_from_json(data.get("attach", [])))
 
 
 def normal_form_to_json(a: NormalForm) -> list:
@@ -58,18 +87,19 @@ def normal_form_from_json(data) -> NormalForm:
         raise ValueError("normal form JSON must be a list of blocks")
     blocks = []
     for entry in data:
-        kind = entry.get("kind")
-        if kind == "free":
-            blocks.append(Free(int(entry["weight"])))
-        elif kind == "dyadic":
-            blocks.append(DyadicEta(int(entry["t"]), int(entry["weight"])))
-        elif kind == "odd":
-            blocks.append(
-                OddTorsion(int(entry["p"]), int(entry["r"]), int(entry["shift"]))
-            )
-        else:
+        kind = _field(entry, "kind", str, "block")
+        if kind not in _BLOCK_FIELDS:
             raise ValueError(f"unknown block kind {kind!r}")
+        cls, keys = _BLOCK_FIELDS[kind]
+        blocks.append(cls(*(_field(entry, k, int, f"{kind} block") for k in keys)))
     return NormalForm(blocks)
+
+
+_BLOCK_FIELDS = {
+    "free": (Free, ("weight",)),
+    "dyadic": (DyadicEta, ("t", "weight")),
+    "odd": (OddTorsion, ("p", "r", "shift")),
+}
 
 
 def formal_group_to_json(g: FormalGroup) -> dict:
@@ -91,7 +121,10 @@ def gw_to_json(e: GWElement) -> dict:
 
 
 def gw_from_json(data) -> GWElement:
-    return GWElement(int(data["rank"]), int(data["signature"]))
+    return GWElement(
+        _field(data, "rank", int, "GW element"),
+        _field(data, "signature", int, "GW element"),
+    )
 
 
 def page_to_json(pg: Page) -> dict:

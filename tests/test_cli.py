@@ -100,10 +100,68 @@ class TestCLI:
         assert "NonAdjacent" in out
 
     def test_malformed_input_exit_one(self, tmp_path, capsys):
+        cases = [
+            "{not json",
+            json.dumps({"cells": [{"weight": 0}]}),
+            json.dumps({"cells": 5}),
+            json.dumps({"cells": [{"id": "a", "weight": 0.5}]}),
+            json.dumps({"cells": [{"id": "a", "weight": True}]}),
+            json.dumps({"cells": [{"id": "a", "weight": 0}], "attach": [5]}),
+            json.dumps(
+                {
+                    "cells": [{"id": "a", "weight": 0}, {"id": "b", "weight": 1}],
+                    "attach": [{"from": "b", "to": "a", "coeff": 2.0}],
+                }
+            ),
+        ]
         path = tmp_path / "junk.json"
-        path.write_text("{not json")
-        code, _, err = run(capsys, "decompose", "--in", str(path))
-        assert code == 1
+        for text in cases:
+            path.write_text(text)
+            code, out, err = run(capsys, "decompose", "--in", str(path))
+            assert code == 1, text
+            assert out == "" and err.startswith("error: "), text
+        for blocks in (
+            "[5]",
+            '{"kind": "free", "weight": 0}',
+            '[{"kind": "free", "weight": 0.5}]',
+            '[{"kind": "free", "weight": true}]',
+            '[{"kind": "dyadic", "t": 1}]',
+            '[{"kind": "odd", "p": 9, "r": 1, "shift": 0}]',
+        ):
+            code, out, err = run(capsys, "cohomology", "--blocks", blocks)
+            assert code == 1, blocks
+            assert out == "" and err.startswith("error: "), blocks
+        for payload in (
+            [],
+            {"ambient": {"cells": []}, "thom": {"cells": []}, "codim": 2.0},
+            {"ambient": {"cells": []}, "thom": {"cells": []}, "codim": 2, "gysin": [3]},
+            {"thom": {"cells": []}, "codim": 2},
+        ):
+            path.write_text(json.dumps(payload))
+            code, out, err = run(capsys, "blowup", "--in", str(path))
+            assert code == 1, payload
+            assert out == "" and err.startswith("error: "), payload
+
+    @pytest.mark.parametrize(
+        "verb, code",
+        [
+            (["pages", "--blocks", '[{"kind":"dyadic","t":2,"weight":0}]'], 1),
+            (["cohomology", "--blocks", '[{"kind":"free","weight":0}]', "--theory",
+              "mw-diagonal"], 0),
+        ],
+    )
+    def test_negative_range_forms_agree(self, capsys, verb, code):
+        # pages start at 2, so there the negative range is refused cleanly
+        spaced = run(capsys, *verb, "--range", "-2:3")
+        assert spaced[0] == code
+        assert spaced == run(capsys, *verb, "--range=-2:3")
+
+    @pytest.mark.parametrize("bad", ["3:2", "0:65", "a:b", "1"])
+    def test_bad_range_exit_one(self, capsys, bad):
+        blocks = '[{"kind":"free","weight":0}]'
+        code, _, err = run(capsys, "cohomology", "--blocks", blocks,
+                           "--theory", "mw-diagonal", f"--range={bad}")
+        assert code == 1 and err.startswith("error: ")
 
     def test_usage_error_exit_64(self, capsys):
         with pytest.raises(SystemExit) as exc:

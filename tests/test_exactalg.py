@@ -22,13 +22,14 @@ from mwtate.exactalg import (
     smith_normal_form,
 )
 from mwtate.exactalg import intmat
+from mwtate.exactalg.intmat import Mat
 
 from tests._f2 import f2_rank
 
 
 def is_unimodular(m):
-    n, c = intmat.shape(m)
-    if n != c:
+    n = m.rows
+    if n != m.cols:
         return False
     inv = intmat.solve_columns(m, intmat.identity(n))
     return inv is not None
@@ -42,11 +43,11 @@ class TestSmithNormalForm:
     def test_zero_rectangular(self):
         u, s, v = smith_normal_form(intmat.zeros(2, 3))
         assert intmat.is_zero_matrix(s)
-        assert intmat.shape(s) == (2, 3)
+        assert (s.rows, s.cols) == (2, 3)
 
     def test_worked_example(self):
         # gcd of the entries is 2 and |det| = 8, so the form is diag(2, 4)
-        m = [[2, 4], [6, 8]]
+        m = Mat([[2, 4], [6, 8]])
         u, s, v = smith_normal_form(m)
         assert intmat.diagonal(s) == [2, 4]
         assert intmat.matmul(intmat.matmul(u, m), v) == s
@@ -56,7 +57,7 @@ class TestSmithNormalForm:
         rng = random.Random(seed)
         rows = rng.randrange(1, 6)
         cols = rng.randrange(1, 6)
-        m = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
+        m = Mat([[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)])
         u, s, v = smith_normal_form(m)
         assert intmat.matmul(intmat.matmul(u, m), v) == s
         assert is_unimodular(u)
@@ -138,12 +139,9 @@ def random_complex(rng, max_cells=8, bound=9):
     auts = {w: intmat.random_unimodular(base.rank(w), rng) for w in base.ranks}
     twisted = {}
     for w in list(diffs):
-        a_w = auts.get(w)
         a_up = auts.get(w + 1)
-        m = diffs[w]
-        if a_w is not None and m and m[0]:
-            m = intmat.matmul(a_w[0], m)
-        if a_up is not None and m and m[0]:
+        m = intmat.matmul(auts[w][0], diffs[w])
+        if a_up is not None:
             m = intmat.matmul(m, a_up[1])
         twisted[w] = m
     return FreeComplex(base.ranks, twisted), summands
@@ -195,7 +193,7 @@ def elementary_data(summands):
             units.append(s.lower_degree)
         else:
             units.append(s.lower_degree)
-            pps.extend((q, s.lower_degree) for q in factor_prime_powers(s.n))
+            pps.extend((p**e, s.lower_degree) for p, e in factor_prime_powers(s.n))
     return (multiset(frees), multiset(units), multiset(pps))
 
 
@@ -360,7 +358,7 @@ def bruteforce_tor_invariants(a, b, n_max=8):
 
 class TestFormalGroups:
     def test_crt_split(self):
-        assert factor_prime_powers(12) == [4, 3]
+        assert factor_prime_powers(12) == [(2, 2), (3, 1)]
         assert FormalGroup.from_invariants([6]) == FormalGroup.from_invariants([2, 3])
 
     def test_tensor_tor(self):

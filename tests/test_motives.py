@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -74,6 +75,18 @@ class TestDecompose:
     def test_invalid_raises(self):
         with pytest.raises(InvalidComplex):
             decompose(TateComplex([("a", 0), ("b", 2)], {("b", "a"): 1}))
+
+    def test_large_prime_cone_is_fast(self):
+        c = TateComplex([("a", 0), ("b", 1)], {("b", "a"): 1000000007})
+        start = time.perf_counter()
+        got = decompose(c)
+        assert time.perf_counter() - start < 1.0
+        assert got == NormalForm([DyadicEta(0, 0), OddTorsion(1000000007, 1, 0)])
+
+    @pytest.mark.parametrize("p", [9, 15, 3 * 1000000007])
+    def test_odd_torsion_needs_odd_prime(self, p):
+        with pytest.raises(ValueError):
+            OddTorsion(p, 1, 0)
 
 
 class TestRealize:
