@@ -1,12 +1,10 @@
 """Page-level analysis: Kunneth comparison, truncated sequences, the
 Leibniz identity on product pages, and the V-group fiber products.
 
-The Kunneth comparison re-expresses every page as a sum of standard
-Z/2[rho]-pieces: a lone free tower R, the two-term complexes S and S_j,
-and (after a cone's differential has fired) a lone truncated tower
-R/rho^j.  Pages without truncated pieces are compared strictly as
-complexes; pages with them are compared in the derived sense, where S_j
-collapses to its top homology R/rho^j.
+The Kunneth comparison reads every page as a sum of the standard
+Z/2[rho]-pieces of ``pages``.  Pages without truncated pieces are
+compared strictly as complexes; pages with them are compared in the
+derived sense, where S_j collapses to its top homology R/rho^j.
 """
 
 from __future__ import annotations
@@ -15,89 +13,21 @@ from dataclasses import dataclass
 
 from ..exactalg import FormalGroup, PresentedGroup, intmat
 from ..motives import DyadicEta, Free, NormalForm, tensor
-from .fibers import FiberModel, TowerGen, f2_dim, f2_insert, f2_reduce
-from .pages import degeneracy_page, pages
-
-R_PIECE = "R"
-S_PIECE = "S"
-SJ_PIECE = "Sj"
-T_PIECE = "T"
+from .fibers import FiberModel, f2_insert, f2_reduce
+from .pages import (
+    T_PIECE,
+    block_piece,
+    degeneracy_page,
+    derived_pieces,
+    pages,
+    tensor_pieces,
+    tower,
+)
 
 
 def _page_pieces(a: NormalForm, i: int):
     """E_i of a normal form as standard pieces (kind, exponent, degree)."""
-    out = []
-    for b in a.blocks:
-        if isinstance(b, Free):
-            out.append((R_PIECE, 0, b.weight))
-        elif isinstance(b, DyadicEta) and b.t >= 1:
-            if i <= b.t:
-                out.append((S_PIECE, 0, b.weight))
-            elif i == b.t + 1:
-                out.append((SJ_PIECE, b.t, b.weight))
-            else:
-                out.append((T_PIECE, b.t, b.weight + 1))
-    return sorted(out)
-
-
-def _tensor_pieces_complex(xs, ys):
-    """Strict complex-level tensor; defined only without T pieces."""
-    out = []
-    for kx, jx, dx in xs:
-        for ky, jy, dy in ys:
-            d = dx + dy
-            if kx == R_PIECE and ky == R_PIECE:
-                out.append((R_PIECE, 0, d))
-            elif kx == R_PIECE:
-                out.append((ky, jy, d))
-            elif ky == R_PIECE:
-                out.append((kx, jx, d))
-            else:
-                # two two-term complexes: S x S = S + S[1], and a cone
-                # against anything two-term keeps the smaller exponent
-                if kx == S_PIECE and ky == S_PIECE:
-                    kind, j = S_PIECE, 0
-                else:
-                    js = [j for k, j in ((kx, jx), (ky, jy)) if k == SJ_PIECE]
-                    kind, j = SJ_PIECE, min(js)
-                out.append((kind, j, d))
-                out.append((kind, j, d + 1))
-    return sorted(out)
-
-
-def _derived_pieces(xs):
-    """Collapse to lone pieces: S = R + R[1], S_j = R/rho^j on top."""
-    out = []
-    for k, j, d in xs:
-        if k == R_PIECE:
-            out.append((R_PIECE, 0, d))
-        elif k == S_PIECE:
-            out.append((R_PIECE, 0, d))
-            out.append((R_PIECE, 0, d + 1))
-        elif k == SJ_PIECE:
-            out.append((T_PIECE, j, d + 1))
-        else:
-            out.append((T_PIECE, j, d))
-    return sorted(out)
-
-
-def _tensor_pieces_derived(xs, ys):
-    out = []
-    for kx, jx, dx in _derived_pieces(xs):
-        for ky, jy, dy in _derived_pieces(ys):
-            d = dx + dy
-            if kx == R_PIECE and ky == R_PIECE:
-                out.append((R_PIECE, 0, d))
-            elif kx == R_PIECE:
-                out.append((T_PIECE, jy, d))
-            elif ky == R_PIECE:
-                out.append((T_PIECE, jx, d))
-            else:
-                m = min(jx, jy)
-                # Tor_0 in the sum degree, Tor_1 one below
-                out.append((T_PIECE, m, d))
-                out.append((T_PIECE, m, d - 1))
-    return sorted(out)
+    return sorted(p for p in (block_piece(b, i) for b in a.blocks) if p is not None)
 
 
 @dataclass(frozen=True)
@@ -128,13 +58,10 @@ def kunneth_e2(a: NormalForm, b: NormalForm) -> KunnethReport:
         xs = _page_pieces(a, i)
         ys = _page_pieces(b, i)
         rhs = _page_pieces(t, i)
-        strict_ok = not any(k == T_PIECE for k, _, _ in xs + ys + rhs)
-        if strict_ok:
-            lhs = _tensor_pieces_complex(xs, ys)
-            mode = "complex"
-        else:
-            lhs = _tensor_pieces_derived(xs, ys)
-            rhs = _derived_pieces(rhs)
+        lhs = tensor_pieces(xs, ys)
+        mode = "complex"
+        if any(k == T_PIECE for k, _, _ in xs + ys + rhs):
+            lhs, rhs = derived_pieces(lhs), derived_pieces(rhs)
             mode = "derived"
         checked.append((i, mode))
         if lhs != rhs:
@@ -215,15 +142,15 @@ def _product_fiber_model(blocks, j: int):
     for idx, b in enumerate(blocks):
         if isinstance(b, Free):
             w = b.weight
-            gens.append(TowerGen(f"{idx}:x*u", 2 * w, w))
-            gens.append(TowerGen(f"{idx}:x*v", 2 * w + 2, w + 1))
+            gens.append(tower(2 * w, w, label=f"{idx}:x*u"))
+            gens.append(tower(2 * w + 2, w + 1, label=f"{idx}:x*v"))
             arrow(j + 1, f"{idx}:x*u", f"{idx}:x*v", j)
         elif isinstance(b, DyadicEta) and b.t >= 1:
             t, w = b.t, b.weight
-            gens.append(TowerGen(f"{idx}:u*u", 2 * w, w))
-            gens.append(TowerGen(f"{idx}:u*v", 2 * w + 2, w + 1))
-            gens.append(TowerGen(f"{idx}:v*u", 2 * w + 2, w + 1))
-            gens.append(TowerGen(f"{idx}:v*v", 2 * w + 4, w + 2))
+            gens.append(tower(2 * w, w, label=f"{idx}:u*u"))
+            gens.append(tower(2 * w + 2, w + 1, label=f"{idx}:u*v"))
+            gens.append(tower(2 * w + 2, w + 1, label=f"{idx}:v*u"))
+            gens.append(tower(2 * w + 4, w + 2, label=f"{idx}:v*v"))
             arrow(t + 1, f"{idx}:u*u", f"{idx}:v*u", t)
             arrow(j + 1, f"{idx}:u*u", f"{idx}:u*v", j)
             arrow(t + 1, f"{idx}:u*v", f"{idx}:v*v", t)
@@ -237,11 +164,11 @@ def _block_fiber_model(blocks):
     arrows: dict[int, list] = {}
     for idx, b in enumerate(blocks):
         if isinstance(b, Free):
-            gens.append(TowerGen(f"{idx}:x", 2 * b.weight, b.weight))
+            gens.append(tower(2 * b.weight, b.weight, label=f"{idx}:x"))
         elif isinstance(b, DyadicEta) and b.t >= 1:
             t, w = b.t, b.weight
-            gens.append(TowerGen(f"{idx}:u", 2 * w, w))
-            gens.append(TowerGen(f"{idx}:v", 2 * w + 2, w + 1))
+            gens.append(tower(2 * w, w, label=f"{idx}:u"))
+            gens.append(tower(2 * w + 2, w + 1, label=f"{idx}:v"))
             arrows.setdefault(t + 1, []).append((f"{idx}:u", f"{idx}:v", t))
     return FiberModel(gens, arrows)
 
@@ -360,7 +287,7 @@ def v_group(a: NormalForm, j: int, n: int) -> VGroupResult:
             pivots.sort(key=lambda r: -r[0])
         elif combo:
             f2_insert(combo, v_basis)
-    dim_v = f2_dim(v_basis)
+    dim_v = len(v_basis)
     v_pairs = [(vec & ((1 << width) - 1), vec >> width) for vec in v_basis]
     fp = _fiber_product(a, j, n, amodel, v_pairs, fib_x, fib_y)
     return VGroupResult(dim_v, fp)

@@ -254,14 +254,21 @@ def _iterate_kernel(c: ExactCouple, deg, n) -> Mat:
 
 
 def torsion_order(c: ExactCouple, cap: int = 64) -> int:
-    """Least r >= 1 with ker(i^{r+1}) = ker(i^r) in every degree."""
+    """Least r >= 1 with ker(i^{r+1}) = ker(i^r) in every degree.
+
+    The ker(i^{r+1}) of one step is kept as the ker(i^r) of the next.
+    """
+    kernels = {}  # degree -> (n, ker(i^n))
     for r in range(1, cap + 1):
         stable = True
         for deg in c.degrees():
             if c.dgroup(deg).ngens == 0:
                 continue
-            k_r = _iterate_kernel(c, deg, r)
+            n, k_r = kernels.get(deg, (None, None))
+            if n != r:
+                k_r = _iterate_kernel(c, deg, r)
             k_r1 = _iterate_kernel(c, deg, r + 1)
+            kernels[deg] = (r + 1, k_r1)
             if not c.dgroup(deg).subgroups_equal(k_r, k_r1):
                 stable = False
                 break
@@ -281,11 +288,8 @@ class CoupleAnalysis:
 
 
 def _page_invariants(c: ExactCouple) -> dict:
-    return {
-        deg: c.egroup(deg).invariants()
-        for deg in c.degrees()
-        if not c.egroup(deg).invariants().is_zero()
-    }
+    groups = {deg: c.egroup(deg).invariants() for deg in c.degrees()}
+    return {deg: g for deg, g in groups.items() if not g.is_zero()}
 
 
 def e_infinity(c: ExactCouple, r: int) -> dict:

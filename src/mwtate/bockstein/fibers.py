@@ -1,9 +1,10 @@
 """Second-page fiber models with cycle/boundary tracking.
 
-A fiber model is a list of infinite rho-tower generators at the second
-page, together with lifted higher differentials: at page i a generator
-may map to rho-power multiples of other generators.  Pages are then
-computed per bidegree by the standard subspace recursion
+A fiber model is a list of uniquely labelled infinite rho-towers (made
+with ``pages.tower``) at the second page, together with lifted higher
+differentials: at page i a generator may map to rho-power multiples of
+other generators.  Pages are then computed per bidegree by the standard
+subspace recursion
 
     Z(i+1) = { z in Z(i) : d_i(z) in B(i) },
     B(i+1) = B(i) + d_i(Z(i)),
@@ -16,19 +17,6 @@ dyadic cone firing on a single page.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class TowerGen:
-    """An infinite rho-tower generator based at (p, q)."""
-
-    label: str
-    p: int
-    q: int
-
-    def covers(self, p: int, q: int) -> bool:
-        k = q - self.q
-        return k >= 0 and p - self.p == k
 
 
 def f2_reduce(vec: int, basis: list[int]) -> int:
@@ -44,10 +32,6 @@ def f2_insert(vec: int, basis: list[int]) -> bool:
         basis.sort(reverse=True)
         return True
     return False
-
-
-def f2_dim(basis: list[int]) -> int:
-    return len(basis)
 
 
 @dataclass
@@ -143,7 +127,7 @@ class FiberModel:
 
     def dims(self, states, page: int, b) -> int:
         z, bb, _ = states[page][b]
-        return f2_dim(z) - f2_dim(bb)
+        return len(z) - len(bb)
 
     def induced_rank(self, states, page: int, b) -> int:
         """Rank of the page differential out of bidegree b on classes."""
@@ -153,7 +137,7 @@ class FiberModel:
             return 0
         tz, tb, _tfib = states[page][tgt]
         img = tb[:]
-        before = f2_dim(img)
+        before = len(img)
         for vec in z:
             f2_insert(self._apply(page, b, vec, fib, tgt), img)
-        return f2_dim(img) - before
+        return len(img) - before

@@ -1,4 +1,4 @@
-"""Closed-form Bockstein page tables for block normal forms.
+"""Closed-form Bockstein page tables and the Z/2[rho] piece calculus.
 
 Every page of every block is a direct sum of rho-cyclic towers: a tower
 based at bidegree (p, q) with height h occupies (p+k, q+k) for
@@ -6,6 +6,13 @@ based at bidegree (p, q) with height h occupies (p+k, q+k) for
 tower.  The only differentials live on the page matching a dyadic
 exponent: at page j+1 the u-tower of a 2^j cone maps onto rho^j times
 its v-tower; everything else is zero.
+
+Over R = Z/2[rho] each block contributes one standard piece per page, a
+tuple (kind, exponent, degree): a lone free tower R, the two-term
+complexes S (R, R with zero differential) and S_j (R --rho^j--> R) in
+degrees (d, d+1), or a lone truncated tower T = R/rho^j in degree d.
+The degree d of a piece is the weight of its lowest tower, based at
+(2d, d).
 """
 
 from __future__ import annotations
@@ -65,15 +72,6 @@ class Page:
     def dim(self, p: int, q: int) -> int:
         return sum(1 for t in self.towers if t.covers(p, q))
 
-    def nonzero_positions(self, window) -> set:
-        (p_lo, p_hi), (q_lo, q_hi) = window
-        out = set()
-        for p in range(p_lo, p_hi + 1):
-            for q in range(q_lo, q_hi + 1):
-                if self.dim(p, q):
-                    out.add((p, q))
-        return out
-
     def differential_rank(self, p: int, q: int) -> int:
         """Rank of the page differential out of bidegree (p, q).
 
@@ -88,9 +86,6 @@ class Page:
                 if dst.covers(dst.p + k + power, dst.q + k + power):
                     rank += 1
         return rank
-
-    def is_zero_differential(self) -> bool:
-        return not self.arrows
 
     def canonical(self) -> tuple:
         return (
@@ -108,8 +103,34 @@ class Page:
         return hash(self.canonical())
 
 
+R_PIECE = "R"
+S_PIECE = "S"
+SJ_PIECE = "Sj"
+T_PIECE = "T"
+
+
+def block_piece(block, i: int):
+    """The piece (kind, exponent, degree) one atomic block is on page i,
+    or None when the block vanishes mod 2.
+
+    >>> block_piece(DyadicEta(2, 0), 3), block_piece(DyadicEta(2, 0), 4)
+    (('Sj', 2, 0), ('T', 2, 1))
+    """
+    if isinstance(block, Free):
+        return (R_PIECE, 0, block.weight)
+    if not isinstance(block, DyadicEta) or block.t == 0:
+        # odd blocks vanish mod 2; Sq2 is an isomorphism on the plain eta cone
+        return None
+    j, w = block.t, block.weight
+    if i <= j:
+        return (S_PIECE, 0, w)
+    if i == j + 1:
+        return (SJ_PIECE, j, w)
+    return (T_PIECE, j, w + 1)
+
+
 def block_pages(block, i: int) -> Page:
-    """The page-i table of one atomic block.
+    """The page-i table of one atomic block: its piece as towers and arrows.
 
     >>> pg = block_pages(DyadicEta(2, 0), 4)
     >>> pg.towers
@@ -117,20 +138,74 @@ def block_pages(block, i: int) -> Page:
     """
     if i < 2:
         raise PageTooSmall(f"pages start at 2, got {i}")
-    if isinstance(block, Free):
-        return Page(i, (tower(2 * block.weight, block.weight),), ())
-    if not isinstance(block, DyadicEta):
-        return Page(i, (), ())  # odd blocks vanish mod 2
-    j, w = block.t, block.weight
-    if j == 0:
-        return Page(i, (), ())  # Sq2 is an isomorphism on the plain eta cone
-    u = tower(2 * w, w, INF, "u")
-    v = tower(2 * w + 2, w + 1, INF, "v")
-    if i <= j:
-        return Page(i, (u, v), ())
-    if i == j + 1:
-        return Page(i, (u, v), ((u, v, j),))
-    return Page(i, (tower(2 * w + 2, w + 1, j, "v"),), ())
+    piece = block_piece(block, i)
+    if piece is None:
+        return Page(i, (), ())
+    kind, j, d = piece
+    if kind == R_PIECE:
+        return Page(i, (tower(2 * d, d),), ())
+    if kind == T_PIECE:
+        return Page(i, (tower(2 * d, d, j, "v"),), ())
+    u = tower(2 * d, d, INF, "u")
+    v = tower(2 * d + 2, d + 1, INF, "v")
+    return Page(i, (u, v), ((u, v, j),) if kind == SJ_PIECE else ())
+
+
+def _resolved(piece):
+    """T_j(d) = R/rho^j as its free resolution S_j(d-1); others unchanged."""
+    kind, j, d = piece
+    return (SJ_PIECE, j, d - 1) if kind == T_PIECE else piece
+
+
+def tensor_pieces(xs, ys):
+    """Tensor product over Z/2[rho] of two sums of pieces, as pieces.
+
+    R is the unit, S (x) S = S + S[1], and a cone against anything
+    two-term gives S_m + S_m[1] with m the smallest cone exponent.  A
+    truncated T_j(d) enters through its free resolution S_j(d-1), so
+    with T pieces the result computes the derived tensor product.
+
+    >>> tensor_pieces([(S_PIECE, 0, 0)], [(S_PIECE, 0, 0)])
+    [('S', 0, 0), ('S', 0, 1)]
+    >>> tensor_pieces([(SJ_PIECE, 1, 0)], [(SJ_PIECE, 1, 0)])
+    [('Sj', 1, 0), ('Sj', 1, 1)]
+    """
+    xs = [_resolved(x) for x in xs]
+    ys = [_resolved(y) for y in ys]
+    out = []
+    for kx, jx, dx in xs:
+        for ky, jy, dy in ys:
+            d = dx + dy
+            if kx == R_PIECE:
+                out.append((ky, jy, d))
+            elif ky == R_PIECE:
+                out.append((kx, jx, d))
+            else:
+                js = [j for k, j in ((kx, jx), (ky, jy)) if k == SJ_PIECE]
+                kind, j = (SJ_PIECE, min(js)) if js else (S_PIECE, 0)
+                out.append((kind, j, d))
+                out.append((kind, j, d + 1))
+    return sorted(out)
+
+
+def derived_pieces(xs):
+    """Homology as lone pieces: S = R + R[1], S_j = R/rho^j on top.
+
+    >>> derived_pieces([(S_PIECE, 0, 0), (S_PIECE, 0, 1)])
+    [('R', 0, 0), ('R', 0, 1), ('R', 0, 1), ('R', 0, 2)]
+    >>> derived_pieces([(SJ_PIECE, 1, 0), (SJ_PIECE, 1, 1)])
+    [('T', 1, 1), ('T', 1, 2)]
+    """
+    out = []
+    for k, j, d in xs:
+        if k == S_PIECE:
+            out.append((R_PIECE, 0, d))
+            out.append((R_PIECE, 0, d + 1))
+        elif k == SJ_PIECE:
+            out.append((T_PIECE, j, d + 1))
+        else:
+            out.append((k, j, d))
+    return sorted(out)
 
 
 def pages(a: NormalForm, i: int) -> Page:

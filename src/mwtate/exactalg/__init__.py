@@ -1,4 +1,5 @@
-"""Exact linear algebra over Z and over Z/2[rho]."""
+"""Exact linear algebra over Z: integer matrices, free cochain complexes,
+presented and formal abelian groups."""
 
 from .complexes import (
     ConePair,
@@ -19,7 +20,6 @@ from .groups import (
 )
 from .intmat import smith_normal_form
 from .presented import PresentedGroup
-from .rho import RhoComplex, RhoSummand, cone_tower, free_tower, rho_module_tensor
 
 __all__ = [
     "ConePair",
@@ -29,17 +29,12 @@ __all__ = [
     "GradedGroup",
     "NonComposable",
     "PresentedGroup",
-    "RhoComplex",
-    "RhoSummand",
     "cohomology_of_summands",
-    "cone_tower",
     "decompose_free_complex",
     "factor_prime_powers",
-    "free_tower",
     "graded_kunneth",
     "integer_cohomology",
     "reassemble",
-    "rho_module_tensor",
     "smith_normal_form",
     "split_dyadic",
 ]

@@ -9,20 +9,25 @@ from mwtate.exactalg import (
     FreeComplex,
     GradedGroup,
     NonComposable,
-    RhoComplex,
     cohomology_of_summands,
-    cone_tower,
     decompose_free_complex,
     factor_prime_powers,
-    free_tower,
     graded_kunneth,
     integer_cohomology,
     reassemble,
-    rho_module_tensor,
     smith_normal_form,
+)
+from mwtate.bockstein.analysis import kunneth_e2
+from mwtate.bockstein.pages import (
+    R_PIECE,
+    S_PIECE,
+    SJ_PIECE,
+    derived_pieces,
+    tensor_pieces,
 )
 from mwtate.exactalg import intmat
 from mwtate.exactalg.intmat import Mat
+from mwtate.motives import DyadicEta, Free, NormalForm
 
 from tests._f2 import f2_rank
 
@@ -199,37 +204,31 @@ def elementary_data(summands):
 
 class TestRhoTensor:
     def test_free_square(self):
-        s = RhoComplex([free_tower(0)])
-        assert rho_module_tensor(s, s) == RhoComplex([free_tower(0), free_tower(1)])
+        s = [(S_PIECE, 0, 0)]
+        assert tensor_pieces(s, s) == [(S_PIECE, 0, 0), (S_PIECE, 0, 1)]
 
     def test_free_with_cone(self):
-        s = RhoComplex([free_tower(0)])
-        s2 = RhoComplex([cone_tower(2, 0)])
-        assert rho_module_tensor(s, s2) == RhoComplex(
-            [cone_tower(2, 0), cone_tower(2, 1)]
-        )
+        s = [(S_PIECE, 0, 0)]
+        s2 = [(SJ_PIECE, 2, 0)]
+        assert tensor_pieces(s, s2) == [(SJ_PIECE, 2, 0), (SJ_PIECE, 2, 1)]
 
     def test_cone_square(self):
-        s1 = RhoComplex([cone_tower(1, 0)])
-        assert rho_module_tensor(s1, s1) == RhoComplex(
-            [cone_tower(1, 0), cone_tower(1, 1)]
-        )
+        s1 = [(SJ_PIECE, 1, 0)]
+        assert tensor_pieces(s1, s1) == [(SJ_PIECE, 1, 0), (SJ_PIECE, 1, 1)]
 
     def test_mixed_cones_use_minimum(self):
-        a = RhoComplex([cone_tower(2, 1)])
-        b = RhoComplex([cone_tower(3, 0)])
-        assert rho_module_tensor(a, b) == RhoComplex(
-            [cone_tower(2, 1), cone_tower(2, 2)]
-        )
+        a = [(SJ_PIECE, 2, 1)]
+        b = [(SJ_PIECE, 3, 0)]
+        assert tensor_pieces(a, b) == [(SJ_PIECE, 2, 1), (SJ_PIECE, 2, 2)]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_commutative_associative(self, seed):
         rng = random.Random(300 + seed)
         xs = [random_rho(rng) for _ in range(3)]
         a, b, c = xs
-        assert rho_module_tensor(a, b) == rho_module_tensor(b, a)
-        assert rho_module_tensor(rho_module_tensor(a, b), c) == rho_module_tensor(
-            a, rho_module_tensor(b, c)
+        assert tensor_pieces(a, b) == tensor_pieces(b, a)
+        assert tensor_pieces(tensor_pieces(a, b), c) == tensor_pieces(
+            a, tensor_pieces(b, c)
         )
 
     @pytest.mark.parametrize("seed", range(12))
@@ -237,44 +236,64 @@ class TestRhoTensor:
         rng = random.Random(400 + seed)
         a = random_rho(rng)
         b = random_rho(rng)
-        got = rho_module_tensor(a, b)
-        assert claimed_module_invariants(got) == bruteforce_tor_invariants(a, b)
+        got = derived_pieces(tensor_pieces(a, b))
+        assert piece_invariants(got) == bruteforce_tor_invariants(a, b)
+
+    def test_kunneth_pages_checked_pinned(self):
+        a = NormalForm([Free(0), DyadicEta(2, 0), DyadicEta(1, 1)])
+        b = NormalForm([DyadicEta(3, -1), Free(1), DyadicEta(0, 2)])
+        report = kunneth_e2(a, b)
+        assert report.equal
+        assert report.pages_checked == (
+            (2, "complex"),
+            (3, "derived"),
+            (4, "derived"),
+            (5, "derived"),
+            (6, "derived"),
+        )
 
 
 def random_rho(rng, max_summands=3):
+    """A sum of R, S and S_j pieces (kind, exponent, degree)."""
     out = []
     for _ in range(rng.randrange(1, max_summands + 1)):
         d = rng.randrange(-2, 3)
-        if rng.random() < 0.4:
-            out.append(free_tower(d))
+        u = rng.random()
+        if u < 0.2:
+            out.append((R_PIECE, 0, d))
+        elif u < 0.5:
+            out.append((S_PIECE, 0, d))
         else:
-            out.append(cone_tower(rng.randrange(1, 5), d))
-    return RhoComplex(out)
+            out.append((SJ_PIECE, rng.randrange(1, 5), d))
+    return sorted(out)
 
 
-def claimed_module_invariants(rc):
+def piece_invariants(pieces):
     """Per chain degree (free rank, sorted torsion exponents) of a sum of
-    S / S_j summands: S is R in two degrees, S_j has homology R/rho^j in
-    its upper degree only."""
-    frees = {}
-    tors = {}
-    for s in rc.summands:
-        if s.shape == "free":
-            frees[s.degree] = frees.get(s.degree, 0) + 1
-            frees[s.degree + 1] = frees.get(s.degree + 1, 0) + 1
+    lone R and R/rho^j pieces."""
+    out = {}
+    for kind, j, d in pieces:
+        f, tors = out.get(d, (0, ()))
+        if kind == R_PIECE:
+            out[d] = (f + 1, tors)
         else:
-            tors.setdefault(s.degree + 1, []).append(s.j)
-    return {
-        d: (frees.get(d, 0), tuple(sorted(tors.get(d, []))))
-        for d in set(frees) | set(tors)
-        if frees.get(d, 0) or tors.get(d)
-    }
+            out[d] = (f, tuple(sorted(tors + (j,))))
+    return out
+
+
+def piece_complex(piece):
+    """Generators (chain degrees) and arrows (src, dst, rho_power) of one
+    piece: R is one generator, S and S_j are two in degrees d, d+1."""
+    kind, j, d = piece
+    if kind == R_PIECE:
+        return [d], []
+    return [d, d + 1], [(0, 1, j)] if kind == SJ_PIECE else []
 
 
 def bruteforce_tor_invariants(a, b, n_max=8):
-    """Brute-force oracle: build the honest tensor complex of the two-term
-    free F2[rho] complexes and recover the homology R-module invariants
-    per chain degree from its F2-homology with truncated coefficients
+    """Brute-force oracle: build the honest tensor complex of the one- and
+    two-term free F2[rho] complexes and recover the homology R-module
+    invariants per chain degree from its F2-homology with truncated coefficients
     F2[rho]/rho^N for N = 1..n_max.
 
     dim H^d(C x R_N) = f_d*N + sum min(j, N) over torsion exponents at
@@ -283,18 +302,19 @@ def bruteforce_tor_invariants(a, b, n_max=8):
     """
     chain = []  # chain degree per generator
     arrows = []  # (src, dst, rho_power)
-    for sa in a.summands:
-        for sb in b.summands:
+    for pa in a:
+        for pb in b:
+            ga, da = piece_complex(pa)
+            gb, db = piece_complex(pb)
             base = len(chain)
-            d = sa.degree + sb.degree
-            # generators: a0b0, a1b0, a0b1, a1b1
-            chain.extend([d, d + 1, d + 1, d + 2])
-            if sa.shape == "cone":
-                arrows.append((base, base + 1, sa.j))
-                arrows.append((base + 2, base + 3, sa.j))
-            if sb.shape == "cone":
-                arrows.append((base, base + 2, sb.j))
-                arrows.append((base + 1, base + 3, sb.j))
+            w = len(gb)  # generator x_m (x) y_n sits at base + m * w + n
+            chain.extend(x + y for x in ga for y in gb)
+            for src, dst, p in da:
+                for n in range(w):
+                    arrows.append((base + src * w + n, base + dst * w + n, p))
+            for src, dst, p in db:
+                for m in range(len(ga)):
+                    arrows.append((base + m * w + src, base + m * w + dst, p))
     out_of = {}
     for src, dst, p in arrows:
         out_of.setdefault(src, []).append((dst, p))

@@ -26,6 +26,11 @@ PAGES = (
     '[{"kind":"dyadic","t":3,"weight":0},{"kind":"free","weight":1},'
     '{"kind":"dyadic","t":1,"weight":-1}]'
 )
+# a plain eta cone and an odd block, both invisible mod 2, beside a cone
+PAGES_INVISIBLE = (
+    '[{"kind":"dyadic","t":0,"weight":1},{"kind":"odd","p":3,"r":1,"shift":0},'
+    '{"kind":"dyadic","t":2,"weight":0},{"kind":"free","weight":-1}]'
+)
 
 # case name: argv, with "@name" standing for the input file tests/golden/name
 CASES = {
@@ -41,7 +46,13 @@ CASES = {
         "cohomology", "--blocks", MIXED, "--theory", "mw-diagonal", "--range=-2:3",
     ],
     "blowup": ["blowup", "--in", "@blowup.json"],
+    "pages-invisible": ["pages", "--blocks", PAGES_INVISIBLE, "--range", "2:8"],
 }
+# the check suites that read the page tables
+CASES.update(
+    (f"check-{s}", ["check", "--suite", s, "--seed", "0"])
+    for s in ("block-pages", "torsion-profile", "kunneth", "leibniz", "truncated")
+)
 
 
 def run_case(name) -> tuple[int, bytes]:
