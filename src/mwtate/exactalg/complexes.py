@@ -92,7 +92,9 @@ def decompose_free_complex(c: FreeComplex) -> list[FreeCell | ConePair]:
     differential splits off one cone per nonzero diagonal entry, and
     composability forces the base-changed next differential to vanish
     on the consumed generators.  The sweep tests exactly that, so a
-    non-composable complex raises NonComposable.
+    non-composable complex raises NonComposable.  Where the next
+    differential is zero no base change is read, and the invariant
+    factors alone are computed.
 
     >>> c = FreeComplex({0: 1, 1: 1}, {0: [[6]]})
     >>> decompose_free_complex(c)
@@ -111,15 +113,18 @@ def decompose_free_complex(c: FreeComplex) -> list[FreeCell | ConePair]:
             summands.extend(FreeCell(w) for _ in range(n_here))
             rank_left[w] = 0
             continue
-        _, s, _, _, vinv = intmat.smith_with_inverses(m)
-        diag = intmat.diagonal(s)
-        r = sum(1 for d in diag if d != 0)
-        for i in range(r):
-            summands.append(ConePair(diag[i], w))
+        moved = pending[w + 1]
+        if intmat.is_zero_matrix(moved):
+            diag = intmat.invariant_factors(m)
+        else:
+            _, s, _, _, vinv = intmat._smith(m, vinv=True)
+            diag = [d for d in intmat.diagonal(s) if d]
+            moved = intmat.matmul(vinv, moved)
+        r = len(diag)
+        summands.extend(ConePair(d, w) for d in diag)
         summands.extend(FreeCell(w) for _ in range(n_here - r))
         rank_left[w] = 0
         rank_left[w + 1] = n_above - r
-        moved = intmat.matmul(vinv, pending[w + 1])
         if any(any(row) for row in moved.a[:r]):
             raise NonComposable(
                 f"differentials at weights {w + 2} and {w + 1} do not compose to zero"

@@ -4,11 +4,16 @@
 Python ints plus an explicit column count, so every shape, 0 x n, n x 0
 and 0 x 0 included, is a value like any other and every computation is
 arbitrary precision by construction.  The workhorse is Smith normal form
-with unimodular transforms; kernels, exact solving and lattice
-membership are derived from it.
+by Euclidean row and column steps; each caller asks for just the
+unimodular transforms it reads (kernels, exact solving and lattice
+membership need V or U and V), and the others are never built.
+Invariant factors alone come from :func:`invariant_factors`, which
+works modulo a determinant, so no entry outgrows it.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 
 class Mat:
@@ -113,76 +118,68 @@ def diagonal(m: Mat) -> list[int]:
     return [m.a[i][i] for i in range(min(m.rows, m.cols))]
 
 
-def _smith(m, want_inverses: bool):
+def _smith(m: Mat, *, u=False, v=False, uinv=False, vinv=False):
     """Diagonalize ``m`` by unimodular row/column operations.
 
-    Returns (U, S, V, Uinv, Vinv); the inverse slots are None unless
-    requested.  Invariants maintained throughout: U*M*V == S,
-    U*Uinv == I, Vinv*V == I.
+    Returns (U, S, V, Uinv, Vinv) with U*M*V == S, U*Uinv == I and
+    Vinv*V == I.  Only the transforms whose keyword is true are tracked;
+    the other slots are None.  Which transforms are tracked never
+    changes S or any returned transform.
     """
     rows, cols = m.rows, m.cols
     s = [row[:] for row in m.a]
-    u = identity(rows).a
-    v = identity(cols).a
-    uinv = identity(rows).a if want_inverses else None
-    vinv = identity(cols).a if want_inverses else None
+    # Column operations on V and Uinv are row operations on their
+    # transposes, so those two are kept as transposed rows.
+    u_rows = identity(rows).a if u else None
+    uinv_t = identity(rows).a if uinv else None
+    v_t = identity(cols).a if v else None
+    vinv_rows = identity(cols).a if vinv else None
+
+    def add(a, i, j, q):
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+
+    def swap(a, i, j):
+        a[i], a[j] = a[j], a[i]
 
     def row_add(i, j, q):
         # R_i += q*R_j on S and U; inverse column op on Uinv.
-        si, sj = s[i], s[j]
-        for c in range(cols):
-            si[c] += q * sj[c]
-        ui, uj = u[i], u[j]
-        for c in range(rows):
-            ui[c] += q * uj[c]
-        if uinv is not None:
-            for r in range(rows):
-                uinv[r][j] -= q * uinv[r][i]
+        add(s, i, j, q)
+        if u_rows is not None:
+            add(u_rows, i, j, q)
+        if uinv_t is not None:
+            add(uinv_t, j, i, -q)
 
-    def col_add(j, i, q):
-        # C_j += q*C_i on S and V; inverse row op on Vinv.
-        for r in range(rows):
-            s[r][j] += q * s[r][i]
-        for r in range(cols):
-            v[r][j] += q * v[r][i]
-        if vinv is not None:
-            vi, vj = vinv[i], vinv[j]
-            for c in range(cols):
-                vi[c] -= q * vj[c]
+    def col_add(j, i, q, t):
+        # C_j += q*C_i on S and V; inverse row op on Vinv.  Rows above t
+        # of S are zero outside the diagonal.
+        for r in range(t, rows):
+            sr = s[r]
+            sr[j] += q * sr[i]
+        if v_t is not None:
+            add(v_t, j, i, q)
+        if vinv_rows is not None:
+            add(vinv_rows, i, j, -q)
 
     def row_swap(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-        if uinv is not None:
-            for r in range(rows):
-                uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
+        swap(s, i, j)
+        for a in (u_rows, uinv_t):
+            if a is not None:
+                swap(a, i, j)
 
     def col_swap(i, j):
-        for r in range(rows):
-            s[r][i], s[r][j] = s[r][j], s[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-        if vinv is not None:
-            vinv[i], vinv[j] = vinv[j], vinv[i]
+        for sr in s:
+            sr[i], sr[j] = sr[j], sr[i]
+        for a in (v_t, vinv_rows):
+            if a is not None:
+                swap(a, i, j)
 
     def row_negate(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-        if uinv is not None:
-            for r in range(rows):
-                uinv[r][i] = -uinv[r][i]
+        for a in (s, u_rows, uinv_t):
+            if a is not None:
+                a[i] = [-x for x in a[i]]
 
-    n = min(rows, cols)
-    for t in range(n):
-        # Pivot: smallest nonzero |entry| in the trailing block.
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = s[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
+    for t in range(min(rows, cols)):
+        pivot = _smallest_entry(s, t, rows, cols)
         if pivot is None:
             break
         if pivot[0] != t:
@@ -195,33 +192,25 @@ def _smith(m, want_inverses: bool):
             dirty = False
             for i in range(t + 1, rows):
                 if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    row_add(i, t, -q)
+                    row_add(i, t, -(s[i][t] // s[t][t]))
                     if s[i][t] != 0:
                         row_swap(i, t)
                         dirty = True
             if dirty:
                 continue
             # Clear row t with Euclidean column steps.
+            st = s[t]
             for j in range(t + 1, cols):
-                if s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    col_add(j, t, -q)
-                    if s[t][j] != 0:
+                if st[j] != 0:
+                    col_add(j, t, -(st[j] // st[t]), t)
+                    if st[j] != 0:
                         col_swap(j, t)
                         dirty = True
             if dirty:
                 continue
             # Fold in any entry the pivot does not divide yet.
-            d = s[t][t]
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if s[i][j] % d != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            d = st[t]
+            offender = None if d in (1, -1) else _non_multiple_row(s, t, rows, d)
             if offender is None:
                 break
             row_add(t, offender, 1)
@@ -229,12 +218,36 @@ def _smith(m, want_inverses: bool):
             row_negate(t)
 
     return (
-        Mat(u, rows),
+        Mat(u_rows, rows) if u else None,
         Mat(s, cols),
-        Mat(v, cols),
-        Mat(uinv, rows) if want_inverses else None,
-        Mat(vinv, cols) if want_inverses else None,
+        transpose(Mat(v_t, cols)) if v else None,
+        transpose(Mat(uinv_t, rows)) if uinv else None,
+        Mat(vinv_rows, cols) if vinv else None,
     )
+
+
+def _smallest_entry(s, t, rows, cols):
+    """Position of the first smallest nonzero |entry| of the block s[t:, t:]."""
+    pivot = None
+    best = None
+    for i in range(t, rows):
+        si = s[i]
+        for j in range(t, cols):
+            x = si[j]
+            if x and (best is None or abs(x) < best):
+                best = abs(x)
+                pivot = (i, j)
+                if best == 1:
+                    return pivot
+    return pivot
+
+
+def _non_multiple_row(s, t, rows, d):
+    """First row of s[t+1:, t+1:] holding an entry that d does not divide."""
+    for i in range(t + 1, rows):
+        if any(x % d for x in s[i][t + 1 :]):
+            return i
+    return None
 
 
 def smith_normal_form(m: Mat):
@@ -251,13 +264,115 @@ def smith_normal_form(m: Mat):
     >>> matmul(matmul(u, m), v) == s
     True
     """
-    u, s, v, _, _ = _smith(m, want_inverses=False)
-    return u, s, v
+    return _smith(m, u=True, v=True)[:3]
 
 
 def smith_with_inverses(m: Mat):
     """Like :func:`smith_normal_form` but also returns Uinv and Vinv."""
-    return _smith(m, want_inverses=True)
+    return _smith(m, u=True, v=True, uinv=True, vinv=True)
+
+
+def invariant_factors(m: Mat) -> list[int]:
+    """The nonzero invariant factors d1 | d2 | ... of ``m``, no transforms.
+
+    The nonzero part of the Smith diagonal, computed modulo a determinant
+    so that no entry outgrows it (Domich-Kannan-Trotter; Cohen, GTM 138,
+    Alg. 2.4.14).  Let r be the rank of ``m`` and D one of its nonzero
+    r x r minors.  A full-row-rank r x n matrix A with the invariants of
+    ``m`` is ``m`` itself, its transpose, or the transposed
+    column-Hermite form; its columns span a lattice L of rank r in Z^r
+    whose index divides D, so D*Z^r lies in L and every entry may be
+    reduced mod D.  Each diagonal entry d = gcd(pivot, R) splits off
+    Z/d, and the order of the rest divides R/d, so the modulus R shrinks
+    to R/d as the elimination goes on.
+
+    >>> invariant_factors(Mat([[2, 4], [6, 8]]))
+    [2, 4]
+    >>> invariant_factors(Mat([[1, 2], [2, 4]])), invariant_factors(Mat([], 3))
+    ([1], [])
+    """
+    rank, modulus = _rank_and_minor(m)
+    if rank == m.rows:
+        s = [row[:] for row in m.a]
+    else:  # the columns of a basis of the column lattice
+        s = (m if rank == m.cols else column_reduce(m)).columns()
+    cols = len(s[0]) if s else 0
+    out = []
+    for t in range(rank):
+        if modulus == 1:
+            return out + [1] * (rank - t)
+        for i in range(t, rank):
+            s[i] = [x % modulus for x in s[i]]
+        pivot = _smallest_entry(s, t, rank, cols)
+        if pivot is not None:
+            _clear_mod(s, t, pivot, modulus, rank, cols)
+        d = gcd(s[t][t], modulus)
+        out.append(d)
+        modulus //= d
+    return out
+
+
+def _rank_and_minor(m: Mat) -> tuple[int, int]:
+    """Rank r of ``m`` and the absolute value of one nonzero r x r minor
+    (1 for rank 0), by fraction-free (Bareiss) elimination: every
+    intermediate entry is itself a minor, so none outgrows the input's
+    Hadamard bound."""
+    a = [row[:] for row in m.a]
+    rank, prev = 0, 1
+    for c in range(m.cols):
+        if rank == m.rows:
+            break
+        piv = next((i for i in range(rank, m.rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        p = top[c]
+        for i in range(rank + 1, m.rows):
+            x = a[i][c]
+            a[i] = [(p * y - x * z) // prev for y, z in zip(a[i], top)]
+        prev = p
+        rank += 1
+    return rank, abs(prev)
+
+
+def _clear_mod(s, t, pivot, modulus, rows, cols):
+    """Euclidean elimination of row and column t of ``s`` modulo
+    ``modulus``, as in :func:`_smith`, until gcd(pivot, modulus) divides
+    every entry of the trailing block."""
+    i0, j0 = pivot
+    s[t], s[i0] = s[i0], s[t]
+    if j0 != t:
+        for sr in s[t:]:
+            sr[t], sr[j0] = sr[j0], sr[t]
+    while True:
+        dirty = False
+        for i in range(t + 1, rows):
+            if s[i][t]:
+                q = s[i][t] // s[t][t]
+                s[i] = [(x - q * y) % modulus for x, y in zip(s[i], s[t])]
+                if s[i][t]:
+                    s[t], s[i] = s[i], s[t]
+                    dirty = True
+        if dirty:
+            continue
+        st = s[t]
+        for j in range(t + 1, cols):
+            if st[j]:
+                q = st[j] // st[t]
+                for sr in s[t:]:
+                    sr[j] = (sr[j] - q * sr[t]) % modulus
+                if st[j]:
+                    for sr in s[t:]:
+                        sr[t], sr[j] = sr[j], sr[t]
+                    dirty = True
+        if dirty:
+            continue
+        d = gcd(st[t], modulus)
+        offender = None if d == 1 else _non_multiple_row(s, t, rows, d)
+        if offender is None:
+            return
+        s[t] = [(x + y) % modulus for x, y in zip(st, s[offender])]
 
 
 def column_reduce(m: Mat) -> Mat:
@@ -306,7 +421,7 @@ def kernel_basis(m: Mat) -> Mat:
     >>> kernel_basis(Mat([], 2))
     Mat([[1, 0], [0, 1]])
     """
-    _, s, v, _, _ = _smith(m, want_inverses=False)
+    _, s, v, _, _ = _smith(m, v=True)
     diag = diagonal(s)
     free = [j for j in range(m.cols) if j >= len(diag) or diag[j] == 0]
     return column_reduce(Mat.from_columns([v.column(j) for j in free], m.cols))
@@ -320,7 +435,7 @@ def solve_columns(m: Mat, b: Mat) -> Mat | None:
     """
     if m.rows != b.rows:
         raise ValueError("row mismatch in solve")
-    u, s, v, _, _ = _smith(m, want_inverses=False)
+    u, s, v, _, _ = _smith(m, u=True, v=True)
     diag = diagonal(s)
     ub = matmul(u, b)
     solutions = []
@@ -367,34 +482,35 @@ def kernel_mod_lattice(a: Mat, rels: Mat) -> Mat:
     return column_reduce(Mat(ker.a[: a.cols], ker.cols))
 
 
+_SHEARS = (-2, -1, 1, 2)
+
+
 def random_unimodular(n: int, rng, steps: int | None = None):
     """A random unimodular matrix together with its inverse.
 
     Built from elementary shears, swaps and sign flips so the inverse
-    is tracked exactly.
+    is tracked exactly.  The inverse is kept as transposed rows, so the
+    column operation matching each row operation is a row operation too.
     """
     a = identity(n).a
-    ainv = identity(n).a
+    inv_t = identity(n).a
     if n == 0:
-        return Mat(a), Mat(ainv)
+        return Mat(a), Mat(inv_t)
     if steps is None:
         steps = 3 * n + 4
+    randrange = rng.randrange
     for _ in range(steps):
-        kind = rng.randrange(3)
-        i = rng.randrange(n)
-        j = rng.randrange(n)
+        kind = randrange(3)
+        i = randrange(n)
+        j = randrange(n)
         if kind == 0 and i != j:
-            q = rng.choice([-2, -1, 1, 2])
-            for c in range(n):
-                a[i][c] += q * a[j][c]
-            for r in range(n):
-                ainv[r][j] -= q * ainv[r][i]
+            q = rng.choice(_SHEARS)
+            a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+            inv_t[j] = [x - q * y for x, y in zip(inv_t[j], inv_t[i])]
         elif kind == 1 and i != j:
             a[i], a[j] = a[j], a[i]
-            for r in range(n):
-                ainv[r][i], ainv[r][j] = ainv[r][j], ainv[r][i]
+            inv_t[i], inv_t[j] = inv_t[j], inv_t[i]
         elif kind == 2:
             a[i] = [-x for x in a[i]]
-            for r in range(n):
-                ainv[r][i] = -ainv[r][i]
-    return Mat(a, n), Mat(ainv, n)
+            inv_t[i] = [-x for x in inv_t[i]]
+    return Mat(a, n), transpose(Mat(inv_t, n))

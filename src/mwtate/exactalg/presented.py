@@ -37,9 +37,7 @@ class PresentedGroup:
         self.rels = intmat.column_reduce(self.rels)
 
     def invariants(self) -> FormalGroup:
-        _, s, _ = intmat.smith_normal_form(self.rels)
-        diag = intmat.diagonal(s)
-        nonzero = [d for d in diag if d != 0]
+        nonzero = intmat.invariant_factors(self.rels)
         free = self.ngens - len(nonzero)
         return FormalGroup.from_invariants([0] * free + nonzero)
 

@@ -183,12 +183,6 @@ class TateComplex:
             if int(v) != 0
         }
 
-    def weight_of(self, cell_id: str) -> int:
-        for c, w in self.cells:
-            if c == cell_id:
-                return w
-        raise KeyError(cell_id)
-
     def cells_at(self, weight: int) -> list[str]:
         return [c for c, w in self.cells if w == weight]
 

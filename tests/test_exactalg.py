@@ -1,6 +1,12 @@
+import hashlib
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from mwtate.exactalg import (
     ConePair,
@@ -80,6 +86,137 @@ class TestSmithNormalForm:
             for j in range(cols):
                 if i != j:
                     assert s[i][j] == 0
+
+
+def sympy_invariants(m):
+    """The nonzero invariant factors of m by sympy, the independent oracle."""
+    entries = [x for row in m for x in row]
+    factors = sympy_invariant_factors(Matrix(m.rows, m.cols, entries))
+    return [abs(int(d)) for d in factors if d != 0]
+
+
+def random_mat(rng, rows, cols, density=1.0, bound=9):
+    def entry():
+        return rng.randint(-bound, bound) if rng.random() < density else 0
+
+    return Mat([[entry() for _ in range(cols)] for _ in range(rows)], cols)
+
+
+def rank_deficient_mat(rng, rows, cols, rank):
+    """A rows x rank matrix times a rank x cols one: rank at most ``rank``."""
+    left = random_mat(rng, rows, rank, bound=4)
+    return intmat.matmul(left, random_mat(rng, rank, cols, bound=4))
+
+
+class TestInvariantFactors:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_dense_matches_sympy(self, seed):
+        rng = random.Random(300 + seed)
+        m = random_mat(rng, rng.randrange(1, 8), rng.randrange(1, 8))
+        assert intmat.invariant_factors(m) == sympy_invariants(m)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sparse_matches_sympy(self, seed):
+        rng = random.Random(400 + seed)
+        rows, cols = rng.randrange(1, 10), rng.randrange(1, 10)
+        m = random_mat(rng, rows, cols, density=0.25, bound=30)
+        assert intmat.invariant_factors(m) == sympy_invariants(m)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rank_deficient_matches_sympy(self, seed):
+        rng = random.Random(500 + seed)
+        rows, cols = rng.randrange(2, 9), rng.randrange(2, 9)
+        m = rank_deficient_mat(rng, rows, cols, rng.randrange(1, min(rows, cols)))
+        assert intmat.invariant_factors(m) == sympy_invariants(m)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (2, 2)])
+    def test_empty_and_zero(self, shape):
+        m = intmat.zeros(*shape)
+        assert intmat.invariant_factors(m) == sympy_invariants(m) == []
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_dense_square_sizes_the_transforms_cannot_reach(self, n):
+        m = random_mat(random.Random(n), n, n)
+        assert intmat.invariant_factors(m) == sympy_invariants(m)
+
+    def test_dense_40_product_is_determinant(self):
+        # sympy's invariant_factors took minutes on this matrix, so only the
+        # product is checked against sympy, through its determinant
+        m = random_mat(random.Random(40), 40, 40)
+        got = intmat.invariant_factors(m)
+        assert len(got) == 40
+        assert all(b % a == 0 for a, b in zip(got, got[1:]))
+        product = 1
+        for d in got:
+            product *= d
+        assert product == abs(int(Matrix(m.a).det(method="bareiss")))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_smith_diagonal(self, seed):
+        rng = random.Random(600 + seed)
+        m = random_mat(rng, rng.randrange(0, 7), rng.randrange(0, 7), density=0.6)
+        _, s, _ = smith_normal_form(m)
+        assert intmat.invariant_factors(m) == [d for d in intmat.diagonal(s) if d]
+
+
+@st.composite
+def int_matrices(draw, max_dim=6, bound=20):
+    rows = draw(st.integers(0, max_dim))
+    cols = draw(st.integers(0, max_dim))
+    entry = st.integers(-bound, bound) | st.just(0)
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    return Mat(draw(st.lists(row, min_size=rows, max_size=rows)), cols)
+
+
+TRANSFORMS = ("u", "v", "uinv", "vinv")
+PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+
+class TestSmithProperties:
+    @PROPERTY
+    @given(int_matrices())
+    def test_every_transform_request_gives_the_same_form(self, m):
+        full = intmat.smith_with_inverses(m)
+        for k in range(len(TRANSFORMS) + 1):
+            for asked in itertools.combinations(TRANSFORMS, k):
+                u, s, v, uinv, vinv = intmat._smith(m, **dict.fromkeys(asked, True))
+                assert s == full[1]
+                wanted = (full[0], full[2], full[3], full[4])
+                for name, got, want in zip(TRANSFORMS, (u, v, uinv, vinv), wanted):
+                    assert (got == want) if name in asked else got is None
+        u, s, v, uinv, vinv = full
+        assert intmat.matmul(intmat.matmul(u, m), v) == s
+        assert intmat.matmul(u, uinv) == intmat.identity(m.rows)
+        assert intmat.matmul(vinv, v) == intmat.identity(m.cols)
+
+    @PROPERTY
+    @given(int_matrices(max_dim=7))
+    def test_invariant_factors_match_sympy(self, m):
+        assert intmat.invariant_factors(m) == sympy_invariants(m)
+
+
+class TestRandomUnimodular:
+    # sha256 prefixes of (matrix, inverse, next draw of the rng), pinned
+    # before the row operations were rewritten: the same rng stream must
+    # give the same matrices and leave the rng in the same state.
+    PINNED = [
+        (0, 1, None, "7c4a998c1ebfe952"),
+        (1, 2, None, "a70e5d9f147360d0"),
+        (3, 3, None, "d1a0b3918eab6acb"),
+        (5, 4, 7, "de36864df3dcf850"),
+        (8, 5, None, "1c814482ea615ef8"),
+        (12, 6, 40, "24bc3dd67460d686"),
+        (20, 7, None, "058b4027a336a1f5"),
+        (30, 8, 200, "5731a434d3fcdc1f"),
+    ]
+
+    @pytest.mark.parametrize("n, seed, steps, digest", PINNED)
+    def test_same_stream_same_matrices(self, n, seed, steps, digest):
+        rng = random.Random(seed)
+        a, ainv = intmat.random_unimodular(n, rng, steps)
+        state = (a.rows, a.cols, a.a, ainv.rows, ainv.cols, ainv.a, rng.random())
+        assert hashlib.sha256(repr(state).encode()).hexdigest()[:16] == digest
+        assert intmat.matmul(a, ainv) == intmat.identity(n)
 
 
 class TestDecompose:
