@@ -87,7 +87,7 @@ def _diag_normalize(group: PresentedGroup):
     into the new presentation, and maps conjugate accordingly.
     """
     n = group.ngens
-    u, s, _v, uinv, _vinv = intmat._smith(group.rels, u=True, uinv=True)
+    u, s, _v, uinv = intmat._smith(group.rels, u=True, uinv=True)
     diag = intmat.diagonal(s)
     keep = [i for i in range(n) if i >= len(diag) or diag[i] != 1]
     orders = [diag[i] if i < len(diag) else 0 for i in keep]
@@ -502,7 +502,7 @@ def bockstein_couple(complex_: FreeComplex) -> ExactCouple:
 
 def _lattice_basis(gens: Mat) -> Mat:
     """A basis of the full-rank lattice spanned by the columns of gens."""
-    _u, s, _v, uinv, _vinv = intmat._smith(gens, uinv=True)
+    _u, s, _v, uinv = intmat._smith(gens, uinv=True)
     cols = [
         [x * d for x in uinv.column(idx)]
         for idx, d in enumerate(intmat.diagonal(s))

@@ -274,18 +274,10 @@ def _cmd_pbundle(args) -> int:
 def _cmd_blowup(args) -> int:
     data = _read_json(args.infile or "-")
     try:
-        if not isinstance(data, dict):
-            raise ValueError("blow-up JSON must be an object")
-        x = serialize.complex_from_json(data.get("ambient"))
-        th = serialize.complex_from_json(data.get("thom"))
-        z = serialize.normal_form_from_json(data.get("centre", []))
-        n = data.get("codim")
-        if type(n) is not int:
-            raise ValueError(f"'codim' must be an int, not {n!r}")
-        g = serialize.attachments_from_json(data.get("gysin", []))
+        parts = serialize.blowup_from_json(data)
     except ValueError as exc:
         raise _InputError(f"bad blow-up input: {exc}") from exc
-    blocks = blowup_motive(x, z, n, th, g)
+    blocks = blowup_motive(*parts)
     eta = blowup_eta_check(blocks)
     out = {
         "blocks": serialize.normal_form_to_json(blocks),

@@ -2,9 +2,10 @@
 
 The only complexes handled here have a differential from degree w+1
 into degree w and nothing else, which is exactly the shape cell
-attachments produce.  Such a complex splits, by an iterated Smith
-normal form sweep from the bottom degree up, into lone free cells and
-two-term cones [Z --n--> Z]; cones with n = 1 are kept, never dropped.
+attachments produce.  Such a complex splits, degree by degree, into
+lone free cells and two-term cones [Z --n--> Z], one cone per nonzero
+invariant factor of each differential; cones with n = 1 are kept,
+never dropped.
 """
 
 from __future__ import annotations
@@ -48,11 +49,12 @@ class FreeComplex:
     modules and zero maps.
     """
 
-    __slots__ = ("ranks", "diffs")
+    __slots__ = ("ranks", "diffs", "_defects")
 
     def __init__(self, ranks, diffs=None):
         self.ranks = {int(w): int(r) for w, r in ranks.items() if r}
         self.diffs = {}
+        self._defects = None
         for w, m in (diffs or {}).items():
             w = int(w)
             if not isinstance(m, Mat):
@@ -76,60 +78,61 @@ class FreeComplex:
             return self.diffs[w]
         return intmat.zeros(self.rank(w), self.rank(w + 1))
 
+    def composition_defects(self) -> list[tuple[int, int, int]]:
+        """(w, r, s) for each nonzero entry (r, s) of diffs[w] * diffs[w+1],
+        by ascending w, then r, then s; computed once, on sparse rows."""
+        if self._defects is None:
+            chained = [w for w in sorted(self.diffs) if w + 1 in self.diffs]
+            rows = {v: intmat.sparse_rows(self.diffs[v]) for w in chained for v in (w, w + 1)}
+            self._defects = [
+                (w, r, s)
+                for w in chained
+                for r, s in _product_support(rows[w], rows[w + 1])
+            ]
+        return self._defects
+
     def check_composable(self):
-        for w in self.weights():
-            prod = intmat.matmul(self.differential(w), self.differential(w + 1))
-            if not intmat.is_zero_matrix(prod):
-                raise NonComposable(
-                    f"differentials at weights {w + 1} and {w} do not compose to zero"
-                )
+        for w, _, _ in self.composition_defects()[:1]:
+            raise NonComposable(
+                f"differentials at weights {w + 1} and {w} do not compose to zero"
+            )
+
+
+def _product_support(lower, upper):
+    """Positions (r, s) of the nonzero entries of the product of two
+    matrices given as sparse rows ({column: entry} dicts), row by row."""
+    for r, row in enumerate(lower):
+        acc = {}
+        for j, x in row.items():
+            for s, y in upper[j].items():
+                acc[s] = acc.get(s, 0) + x * y
+        nonzero = [s for s, x in acc.items() if x]
+        if nonzero:
+            yield from ((r, s) for s in sorted(nonzero))
 
 
 def decompose_free_complex(c: FreeComplex) -> list[FreeCell | ConePair]:
     """Split ``c`` into FreeCell and ConePair summands.
 
-    Sweeps weights from the bottom: Smith normal form of the incoming
-    differential splits off one cone per nonzero diagonal entry, and
-    composability forces the base-changed next differential to vanish
-    on the consumed generators.  The sweep tests exactly that, so a
-    non-composable complex raises NonComposable.  Where the next
-    differential is zero no base change is read, and the invariant
-    factors alone are computed.
+    Over Z the image of diffs[w] lies in the kernel of diffs[w-1], which
+    is a direct summand, so the complex splits weight by weight: the
+    cones at weight w are the nonzero invariant factors of diffs[w]
+    alone, and the free cells at w number rank_w - r_w - r_{w-1}, where
+    r_w is the rank of diffs[w].  No base change is carried between
+    weights.  A non-composable complex raises NonComposable.
 
     >>> c = FreeComplex({0: 1, 1: 1}, {0: [[6]]})
     >>> decompose_free_complex(c)
     [ConePair(n=6, lower_degree=0)]
     """
+    c.check_composable()
+    cones = {w: intmat.invariant_factors(m) for w, m in c.diffs.items()}
     summands: list[FreeCell | ConePair] = []
-    rank_left = dict(c.ranks)
-    pending = {w: c.differential(w) for w in c.weights()}
     for w in c.weights():
-        n_here = rank_left.get(w, 0)
-        n_above = rank_left.get(w + 1, 0)
-        m = pending[w]
-        if n_here == 0:
-            continue
-        if n_above == 0:
-            summands.extend(FreeCell(w) for _ in range(n_here))
-            rank_left[w] = 0
-            continue
-        moved = pending[w + 1]
-        if intmat.is_zero_matrix(moved):
-            diag = intmat.invariant_factors(m)
-        else:
-            _, s, _, _, vinv = intmat._smith(m, vinv=True)
-            diag = [d for d in intmat.diagonal(s) if d]
-            moved = intmat.matmul(vinv, moved)
-        r = len(diag)
-        summands.extend(ConePair(d, w) for d in diag)
-        summands.extend(FreeCell(w) for _ in range(n_here - r))
-        rank_left[w] = 0
-        rank_left[w + 1] = n_above - r
-        if any(any(row) for row in moved.a[:r]):
-            raise NonComposable(
-                f"differentials at weights {w + 2} and {w + 1} do not compose to zero"
-            )
-        pending[w + 1] = Mat(moved.a[r:], moved.cols)
+        here = cones.get(w, [])
+        summands.extend(ConePair(d, w) for d in here)
+        free = c.rank(w) - len(here) - len(cones.get(w - 1, ()))
+        summands.extend(FreeCell(w) for _ in range(free))
     return sorted(summands, key=_summand_key)
 
 

@@ -13,11 +13,31 @@ import itertools
 import math
 from dataclasses import dataclass
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below ``n``, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(itertools.compress(range(n), sieve))
+
+
+_TRIAL_PRIMES = _primes_below(1000)
+# Miller-Rabin to the first 13 prime bases, 2 to 41, is exact below this
+# bound (Sorenson and Webster, Math. Comp. 86, 2017); the first 12 reach
+# only 3.2e23.
+_MR_BASES = _TRIAL_PRIMES[:13]
+_MR_LIMIT = 3317044064679887385961981
 
 
 def factor_prime_powers(n: int) -> list[tuple[int, int]]:
     """The prime factorization of ``n`` >= 1 as (p, e) pairs, p ascending.
+
+    Trial division by the primes below 1000, then a deterministic
+    Miller-Rabin test of the cofactor below 3.3e24, and Pollard rho for
+    composite cofactors below 2^64; sympy, imported only then, factors
+    what is left.
 
     >>> factor_prime_powers(360)
     [(2, 3), (3, 2), (5, 1)]
@@ -26,24 +46,74 @@ def factor_prime_powers(n: int) -> list[tuple[int, int]]:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    out = []
-    for d in itertools.chain(_SMALL_PRIMES, range(41, 100000, 2)):
-        if d * d > n:
+    exps: dict[int, int] = {}
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
             break
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-    if n > 1:
-        if n < 100000 * 100000:
-            out.append((n, 1))  # no factor below min(sqrt(n), 1e5), so n is prime
+        while n % p == 0:
+            n //= p
+            exps[p] = exps.get(p, 0) + 1
+    todo = [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        if m < 1000 * 1000 or (m < _MR_LIMIT and _is_prime(m)):
+            exps[m] = exps.get(m, 0) + 1
+        elif m < 1 << 64:
+            f = _rho_factor(m)
+            todo += [f, m // f]
         else:
-            from sympy import factorint  # rare huge cofactors only
+            from sympy import factorint  # rare huge composites only
 
-            out.extend((int(p), int(e)) for p, e in sorted(factorint(n).items()))
-    return out
+            for p, e in factorint(m).items():
+                exps[int(p)] = exps.get(int(p), 0) + int(e)
+    return sorted(exps.items())
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases _MR_BASES, for odd n > 41; exact below
+    _MR_LIMIT."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite ``n``: Pollard rho with
+    Brent's cycle finding and batched gcds, a new constant on failure."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step through it one by one
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def split_dyadic(n: int) -> tuple[int, int]:

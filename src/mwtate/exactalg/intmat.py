@@ -8,11 +8,13 @@ by Euclidean row and column steps; each caller asks for just the
 unimodular transforms it reads (kernels, exact solving and lattice
 membership need V or U and V), and the others are never built.
 Invariant factors alone come from :func:`invariant_factors`, which
-works modulo a determinant, so no entry outgrows it.
+eliminates exact pivots on sparse rows and works modulo a determinant on
+what is left, so no entry outgrows the input's Hadamard bound.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd
 
 
@@ -118,13 +120,13 @@ def diagonal(m: Mat) -> list[int]:
     return [m.a[i][i] for i in range(min(m.rows, m.cols))]
 
 
-def _smith(m: Mat, *, u=False, v=False, uinv=False, vinv=False):
+def _smith(m: Mat, *, u=False, v=False, uinv=False):
     """Diagonalize ``m`` by unimodular row/column operations.
 
-    Returns (U, S, V, Uinv, Vinv) with U*M*V == S, U*Uinv == I and
-    Vinv*V == I.  Only the transforms whose keyword is true are tracked;
-    the other slots are None.  Which transforms are tracked never
-    changes S or any returned transform.
+    Returns (U, S, V, Uinv) with U*M*V == S and U*Uinv == I.  Only the
+    transforms whose keyword is true are tracked; the other slots are
+    None.  Which transforms are tracked never changes S or any returned
+    transform.
     """
     rows, cols = m.rows, m.cols
     s = [row[:] for row in m.a]
@@ -133,7 +135,6 @@ def _smith(m: Mat, *, u=False, v=False, uinv=False, vinv=False):
     u_rows = identity(rows).a if u else None
     uinv_t = identity(rows).a if uinv else None
     v_t = identity(cols).a if v else None
-    vinv_rows = identity(cols).a if vinv else None
 
     def add(a, i, j, q):
         a[i] = [x + q * y for x, y in zip(a[i], a[j])]
@@ -150,15 +151,13 @@ def _smith(m: Mat, *, u=False, v=False, uinv=False, vinv=False):
             add(uinv_t, j, i, -q)
 
     def col_add(j, i, q, t):
-        # C_j += q*C_i on S and V; inverse row op on Vinv.  Rows above t
-        # of S are zero outside the diagonal.
+        # C_j += q*C_i on S and V.  Rows above t of S are zero outside
+        # the diagonal.
         for r in range(t, rows):
             sr = s[r]
             sr[j] += q * sr[i]
         if v_t is not None:
             add(v_t, j, i, q)
-        if vinv_rows is not None:
-            add(vinv_rows, i, j, -q)
 
     def row_swap(i, j):
         swap(s, i, j)
@@ -169,9 +168,8 @@ def _smith(m: Mat, *, u=False, v=False, uinv=False, vinv=False):
     def col_swap(i, j):
         for sr in s:
             sr[i], sr[j] = sr[j], sr[i]
-        for a in (v_t, vinv_rows):
-            if a is not None:
-                swap(a, i, j)
+        if v_t is not None:
+            swap(v_t, i, j)
 
     def row_negate(i):
         for a in (s, u_rows, uinv_t):
@@ -222,7 +220,6 @@ def _smith(m: Mat, *, u=False, v=False, uinv=False, vinv=False):
         Mat(s, cols),
         transpose(Mat(v_t, cols)) if v else None,
         transpose(Mat(uinv_t, rows)) if uinv else None,
-        Mat(vinv_rows, cols) if vinv else None,
     )
 
 
@@ -269,47 +266,147 @@ def smith_normal_form(m: Mat):
 
 def smith_with_inverses(m: Mat):
     """Like :func:`smith_normal_form` but also returns Uinv and Vinv."""
-    return _smith(m, u=True, v=True, uinv=True, vinv=True)
+    u, s, v, uinv = _smith(m, u=True, v=True, uinv=True)
+    return u, s, v, uinv, solve_columns(v, identity(m.cols))
+
+
+def sparse_rows(m: Mat) -> list[dict]:
+    """The rows of ``m`` as {column: entry} dicts of their nonzero entries."""
+    return [dict(compress(enumerate(row), row)) for row in m.a]
 
 
 def invariant_factors(m: Mat) -> list[int]:
     """The nonzero invariant factors d1 | d2 | ... of ``m``, no transforms.
 
-    The nonzero part of the Smith diagonal, computed modulo a determinant
-    so that no entry outgrows it (Domich-Kannan-Trotter; Cohen, GTM 138,
-    Alg. 2.4.14).  Let r be the rank of ``m`` and D one of its nonzero
-    r x r minors.  A full-row-rank r x n matrix A with the invariants of
-    ``m`` is ``m`` itself, its transpose, or the transposed
-    column-Hermite form; its columns span a lattice L of rank r in Z^r
-    whose index divides D, so D*Z^r lies in L and every entry may be
-    reduced mod D.  Each diagonal entry d = gcd(pivot, R) splits off
-    Z/d, and the order of the rest divides R/d, so the modulus R shrinks
-    to R/d as the elimination goes on.
+    Exact pivots are eliminated on sparse rows first (Dumas, Saunders and
+    Villard, J. Symb. Comput. 32, 2001), the residual is eliminated
+    modulo a determinant, and the combined diagonal is brought into the
+    chain d1 | d2 | ... by pairwise gcd and lcm.
 
     >>> invariant_factors(Mat([[2, 4], [6, 8]]))
     [2, 4]
     >>> invariant_factors(Mat([[1, 2], [2, 4]])), invariant_factors(Mat([], 3))
     ([1], [])
     """
+    pivots, rest = _exact_pivots([r for r in sparse_rows(m) if r])
+    if rest:
+        cols = sorted({j for r in rest for j in r})
+        pivots += _modular_invariants([[r.get(j, 0) for j in cols] for r in rest], len(cols))
+    return _divisor_chain(pivots)
+
+
+def _exact_pivots(rows: list[dict]) -> tuple[list[int], list[dict]]:
+    """Eliminate exact pivots from the nonzero sparse ``rows``.
+
+    Returns the absolute values of the pivots and the nonzero rows of the
+    residual, which has no exact pivot left.  A pivot x at (i, j) is
+    exact when |x| is the gcd of row i and of column j; row steps then
+    clear column j, and column steps clear row i without touching any
+    other row, so x splits off as a diagonal entry and every entry left
+    is a quotient of minors of the input.  Each scan ranks the exact
+    pivots by (|x|, Markowitz cost), so units come first, and eliminates
+    them in that order while the scan's earlier eliminations leave their
+    row and column untouched.
+    """
+    rows = dict(enumerate(rows))
+    cols: dict[int, set] = {}
+    for i, r in rows.items():
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+    pivots = []
+    while True:
+        found = []
+        col_gcd = {}
+        for i, r in rows.items():
+            g = gcd(*r.values())
+            for j in [j for j, x in r.items() if x == g or x == -g]:
+                if g != 1:
+                    if j not in col_gcd:
+                        col_gcd[j] = gcd(*[rows[k][j] for k in cols[j]])
+                    if col_gcd[j] != g:
+                        continue
+                found.append((g, (len(r) - 1) * (len(cols[j]) - 1), i, j))
+        if not found:
+            return pivots, list(rows.values())
+        found.sort()
+        touched_rows, touched_cols = set(), set()
+        for g, _, i, j in found:
+            if i in touched_rows or (g != 1 and j in touched_cols):
+                continue
+            prow = rows.pop(i)
+            x = prow.pop(j)
+            below = cols.pop(j)
+            below.discard(i)
+            for k in below:
+                rk = rows[k]
+                q = rk.pop(j) // x
+                for l, y in prow.items():
+                    v = rk.get(l, 0) - q * y
+                    if v:
+                        rk[l] = v
+                        cols[l].add(k)
+                    elif l in rk:
+                        del rk[l]
+                        cols[l].discard(k)
+                if not rk:
+                    del rows[k]
+            for l in prow:
+                cols[l].discard(i)
+                if not cols[l]:
+                    del cols[l]
+            pivots.append(g)
+            touched_rows |= below
+            touched_rows.add(i)
+            touched_cols.update(prow)
+            touched_cols.add(j)
+
+
+def _modular_invariants(a: list[list[int]], cols: int) -> list[int]:
+    """The nonzero invariant factors of the dense ``a``, modulo a
+    determinant.
+
+    Let r be the rank and D one nonzero r x r minor.  The invariants
+    d1 | ... | dr divide D, so they are the first r entries of the Smith
+    form over Z/DZ, where every entry may be reduced mod D and a zero
+    pivot reads as D.  When ``a`` or its transpose has full row rank r,
+    its rows span a lattice of rank r in Z^r whose index divides D; each
+    diagonal entry d = gcd(pivot, R) then splits off Z/d and the order of
+    the rest divides R/d, so the modulus R shrinks to R/d as the
+    elimination goes on.
+    """
+    m = Mat(a, cols)
     rank, modulus = _rank_and_minor(m)
-    if rank == m.rows:
-        s = [row[:] for row in m.a]
-    else:  # the columns of a basis of the column lattice
-        s = (m if rank == m.cols else column_reduce(m)).columns()
-    cols = len(s[0]) if s else 0
+    if rank == cols < len(a):
+        a, cols = transpose(m).a, len(a)
+    shrink = rank == len(a)
     out = []
     for t in range(rank):
         if modulus == 1:
             return out + [1] * (rank - t)
-        for i in range(t, rank):
-            s[i] = [x % modulus for x in s[i]]
-        pivot = _smallest_entry(s, t, rank, cols)
-        if pivot is not None:
-            _clear_mod(s, t, pivot, modulus, rank, cols)
-        d = gcd(s[t][t], modulus)
+        for i in range(t, len(a)):
+            a[i] = [x % modulus for x in a[i]]
+        pivot = _smallest_entry(a, t, len(a), cols)
+        if pivot is None:
+            return out + [modulus] * (rank - t)
+        _clear_mod(a, t, pivot, modulus, len(a), cols)
+        d = gcd(a[t][t], modulus)
         out.append(d)
-        modulus //= d
+        if shrink:
+            modulus //= d
     return out
+
+
+def _divisor_chain(ds: list[int]) -> list[int]:
+    """The Smith form d1 | d2 | ... of diag(ds), positive ``ds``, by
+    pairwise gcd and lcm; the units stay in front untouched."""
+    rest = sorted(d for d in ds if d != 1)
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            a, b = rest[i], rest[j]
+            if b % a:
+                g = gcd(a, b)
+                rest[i], rest[j] = g, a // g * b
+    return [1] * (len(ds) - len(rest)) + rest
 
 
 def _rank_and_minor(m: Mat) -> tuple[int, int]:
@@ -421,7 +518,7 @@ def kernel_basis(m: Mat) -> Mat:
     >>> kernel_basis(Mat([], 2))
     Mat([[1, 0], [0, 1]])
     """
-    _, s, v, _, _ = _smith(m, v=True)
+    _, s, v, _ = _smith(m, v=True)
     diag = diagonal(s)
     free = [j for j in range(m.cols) if j >= len(diag) or diag[j] == 0]
     return column_reduce(Mat.from_columns([v.column(j) for j in free], m.cols))
@@ -435,7 +532,7 @@ def solve_columns(m: Mat, b: Mat) -> Mat | None:
     """
     if m.rows != b.rows:
         raise ValueError("row mismatch in solve")
-    u, s, v, _, _ = _smith(m, u=True, v=True)
+    u, s, v, _ = _smith(m, u=True, v=True)
     diag = diagonal(s)
     ub = matmul(u, b)
     solutions = []

@@ -12,8 +12,9 @@ into three species of atomic blocks:
                             shift s; odd blocks absorb Tate twists into
                             shifts, so they carry no weight.
 
-The decomposition runs the integer Smith normal form sweep and then
-splits each cone order n = 2^t s dyadically and odd-prime by prime.
+The decomposition reads the cones off the invariant factors of each
+attachment matrix and splits each cone order n = 2^t s dyadically and
+odd-prime by prime.
 Tensor products are computed on normal forms by the bilinear fusion
 table; the naive complex-level tensor is wrong in this calculus, which
 is why no such operation exists here.
@@ -28,7 +29,6 @@ from .exactalg import (
     ConePair,
     FreeCell,
     FreeComplex,
-    NonComposable,
     decompose_free_complex,
     factor_prime_powers,
     intmat,
@@ -230,39 +230,46 @@ def validate_complex(c: TateComplex) -> ValidationReport:
     if violations:
         return ValidationReport(tuple(violations))
     fc, index = _to_free_complex(c)
-    for w in fc.weights():
-        prod = intmat.matmul(fc.differential(w), fc.differential(w + 1))
-        for r, row in enumerate(prod):
-            for s, x in enumerate(row):
-                if x:
-                    violations.append(
-                        Violation(
-                            "NonComposable",
-                            (index[w + 2][s], index[w][r]),
-                            "consecutive attachments compose nonzero",
-                        )
-                    )
+    violations = [
+        Violation(
+            "NonComposable",
+            (index[w + 2][s], index[w][r]),
+            "consecutive attachments compose nonzero",
+        )
+        for w, r, s in fc.composition_defects()
+    ]
     return ValidationReport(tuple(violations), fc)
 
 
 def _to_free_complex(c: TateComplex):
-    """FreeComplex of the attachment data plus the cell-id bookkeeping."""
-    index = {w: c.cells_at(w) for w in c.weights()}
-    ranks = {w: len(cs) for w, cs in index.items()}
-    diffs = {}
-    for w in sorted(index):
-        lo = index[w]
-        hi = index.get(w + 1, [])
-        if not lo or not hi:
-            continue
-        diffs[w] = intmat.Mat([[c.attach.get((ch, cl), 0) for ch in hi] for cl in lo])
+    """FreeComplex of the attachment data plus the cell-id bookkeeping.
+
+    The cells must have distinct ids and every attachment must join known
+    cells of adjacent weights, as :func:`validate_complex` checks.
+    """
+    index: dict[int, list[str]] = {}
+    pos = {}
+    for cid, w in c.cells:
+        ids = index.setdefault(w, [])
+        pos[cid] = (w, len(ids))
+        ids.append(cid)
+    rows = {
+        w: [[0] * len(index[w + 1]) for _ in ids]
+        for w, ids in index.items()
+        if w + 1 in index
+    }
+    for (hi, lo), x in c.attach.items():
+        w, r = pos[lo]
+        rows[w][r][pos[hi][1]] = x
+    ranks = {w: len(ids) for w, ids in index.items()}
+    diffs = {w: intmat.Mat(a, ranks[w + 1]) for w, a in rows.items()}
     return FreeComplex(ranks, diffs), index
 
 
 def decompose(c: TateComplex) -> NormalForm:
     """The canonical block normal form of a valid complex.
 
-    Each Smith cone of order n = 2^t s (s odd) contributes DyadicEta(t)
+    Each cone of order n = 2^t s (s odd) contributes DyadicEta(t)
     plus one odd block per prime power of s; unit cones survive as
     DyadicEta(0), the plain eta cone.
 
@@ -272,13 +279,7 @@ def decompose(c: TateComplex) -> NormalForm:
     report = validate_complex(c)
     if not report.ok:
         raise InvalidComplex(report)
-    try:
-        summands = decompose_free_complex(report.free_complex)
-    except NonComposable as exc:  # defensive; validation already checks
-        raise InvalidComplex(
-            ValidationReport((Violation("NonComposable", (), str(exc)),))
-        ) from exc
-    return NormalForm(blocks_of_summands(summands))
+    return NormalForm(blocks_of_summands(decompose_free_complex(report.free_complex)))
 
 
 def blocks_of_summands(summands) -> list[AtomicBlock]:

@@ -10,8 +10,12 @@ with a model tag for integral hom answers.
 Pages:        {"page": i, "towers": [{"p", "q", "height", "label"}],
                "differential": [{"from": idx, "to": idx, "rho_power": j}]}
 
-Decoders are strict: a wrong shape, a missing field, or a non-integer
-(bools and floats included) where an integer belongs raises ValueError.
+Blow-ups:     {"ambient": complex, "thom": complex, "centre": normal form,
+               "codim": int, "gysin": attachments}
+
+Decoders are strict: a wrong shape, a missing or unknown field, a
+repeated (from, to) attachment pair, or a non-integer (bools and floats
+included) where an integer belongs raises ValueError.
 """
 
 from __future__ import annotations
@@ -34,6 +38,16 @@ def complex_to_json(c: TateComplex) -> dict:
     }
 
 
+def _object(entry, keys, what):
+    """``entry`` itself, checked to be an object with no field outside ``keys``."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{what} must be an object, not {entry!r}")
+    unknown = sorted(set(entry) - set(keys))
+    if unknown:
+        raise ValueError(f"{what} has unknown field(s) {', '.join(map(repr, unknown))}")
+    return entry
+
+
 def _field(entry, key, kind, what):
     if not isinstance(entry, dict):
         raise ValueError(f"{what} must be an object, not {entry!r}")
@@ -53,21 +67,38 @@ def _list(value, what):
 
 def attachments_from_json(data) -> dict:
     """{(from id, to id): coeff} of a list of {"from", "to", "coeff"}."""
-    return {
-        (_field(e, "from", str, "attachment"), _field(e, "to", str, "attachment")):
-            _field(e, "coeff", int, "attachment")
-        for e in _list(data, "attachments")
-    }
+    out = {}
+    for e in _list(data, "attachments"):
+        _object(e, ("from", "to", "coeff"), "attachment")
+        pair = (_field(e, "from", str, "attachment"), _field(e, "to", str, "attachment"))
+        if pair in out:
+            raise ValueError(f"attachment {pair[0]!r} -> {pair[1]!r} is repeated")
+        out[pair] = _field(e, "coeff", int, "attachment")
+    return out
 
 
 def complex_from_json(data) -> TateComplex:
     if not isinstance(data, dict) or "cells" not in data:
         raise ValueError("complex JSON needs a 'cells' list")
-    cells = [
-        (_field(c, "id", str, "cell"), _field(c, "weight", int, "cell"))
-        for c in _list(data["cells"], "cells")
-    ]
+    _object(data, ("cells", "attach"), "complex")
+    cells = []
+    for c in _list(data["cells"], "cells"):
+        _object(c, ("id", "weight"), "cell")
+        cells.append((_field(c, "id", str, "cell"), _field(c, "weight", int, "cell")))
     return TateComplex(cells, attachments_from_json(data.get("attach", [])))
+
+
+def blowup_from_json(data):
+    """(ambient, centre, codim, thom, gysin) of a blow-up object, in the
+    order :func:`mwtate.geometry.blowup_motive` takes them."""
+    _object(data, ("ambient", "thom", "centre", "codim", "gysin"), "blow-up JSON")
+    return (
+        complex_from_json(data.get("ambient")),
+        normal_form_from_json(data.get("centre", [])),
+        _field(data, "codim", int, "blow-up JSON"),
+        complex_from_json(data.get("thom")),
+        attachments_from_json(data.get("gysin", [])),
+    )
 
 
 def normal_form_to_json(a: NormalForm) -> list:
@@ -91,6 +122,7 @@ def normal_form_from_json(data) -> NormalForm:
         if kind not in _BLOCK_FIELDS:
             raise ValueError(f"unknown block kind {kind!r}")
         cls, keys = _BLOCK_FIELDS[kind]
+        _object(entry, ("kind",) + keys, f"{kind} block")
         blocks.append(cls(*(_field(entry, k, int, f"{kind} block") for k in keys)))
     return NormalForm(blocks)
 
@@ -121,6 +153,7 @@ def gw_to_json(e: GWElement) -> dict:
 
 
 def gw_from_json(data) -> GWElement:
+    _object(data, ("rank", "signature"), "GW element")
     return GWElement(
         _field(data, "rank", int, "GW element"),
         _field(data, "signature", int, "GW element"),

@@ -113,6 +113,30 @@ class TestCLI:
                     "attach": [{"from": "b", "to": "a", "coeff": 2.0}],
                 }
             ),
+            # unknown keys: a misspelled "attach" must not read as no attachments
+            json.dumps(
+                {
+                    "cells": [{"id": "a", "weight": 0}, {"id": "b", "weight": 1}],
+                    "attachments": [{"from": "b", "to": "a", "coeff": 6}],
+                }
+            ),
+            json.dumps({"cells": [{"id": "a", "weight": 0, "wieght": 1}]}),
+            json.dumps(
+                {
+                    "cells": [{"id": "a", "weight": 0}, {"id": "b", "weight": 1}],
+                    "attach": [{"from": "b", "to": "a", "coeff": 6, "scale": 2}],
+                }
+            ),
+            # a repeated (from, to) pair is refused, not last-wins
+            json.dumps(
+                {
+                    "cells": [{"id": "a", "weight": 0}, {"id": "b", "weight": 1}],
+                    "attach": [
+                        {"from": "b", "to": "a", "coeff": 6},
+                        {"from": "b", "to": "a", "coeff": 1},
+                    ],
+                }
+            ),
         ]
         path = tmp_path / "junk.json"
         for text in cases:
@@ -127,6 +151,8 @@ class TestCLI:
             '[{"kind": "free", "weight": true}]',
             '[{"kind": "dyadic", "t": 1}]',
             '[{"kind": "odd", "p": 9, "r": 1, "shift": 0}]',
+            '[{"kind": "free", "weight": 0, "t": 1}]',
+            '[{"kind": "dyadic", "t": 1, "weight": 0, "shift": 0}]',
         ):
             code, out, err = run(capsys, "cohomology", "--blocks", blocks)
             assert code == 1, blocks
@@ -136,6 +162,17 @@ class TestCLI:
             {"ambient": {"cells": []}, "thom": {"cells": []}, "codim": 2.0},
             {"ambient": {"cells": []}, "thom": {"cells": []}, "codim": 2, "gysin": [3]},
             {"thom": {"cells": []}, "codim": 2},
+            {"ambient": {"cells": []}, "thom": {"cells": []}, "codim": 2, "center": []},
+            {"ambient": {"cells": [], "extra": 1}, "thom": {"cells": []}, "codim": 2},
+            {
+                "ambient": {"cells": [{"id": "x", "weight": 1}]},
+                "thom": {"cells": [{"id": "t", "weight": 0}]},
+                "codim": 2,
+                "gysin": [
+                    {"from": "x", "to": "t", "coeff": 2},
+                    {"from": "x", "to": "t", "coeff": 2},
+                ],
+            },
         ):
             path.write_text(json.dumps(payload))
             code, out, err = run(capsys, "blowup", "--in", str(path))

@@ -1,11 +1,12 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
-from sympy import Matrix
+from sympy import Matrix, factorint, nextprime
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from mwtate.exactalg import (
@@ -168,31 +169,90 @@ def int_matrices(draw, max_dim=6, bound=20):
     return Mat(draw(st.lists(row, min_size=rows, max_size=rows)), cols)
 
 
-TRANSFORMS = ("u", "v", "uinv", "vinv")
-PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+TRANSFORMS = ("u", "v", "uinv")
 
 
 class TestSmithProperties:
-    @PROPERTY
     @given(int_matrices())
     def test_every_transform_request_gives_the_same_form(self, m):
         full = intmat.smith_with_inverses(m)
         for k in range(len(TRANSFORMS) + 1):
             for asked in itertools.combinations(TRANSFORMS, k):
-                u, s, v, uinv, vinv = intmat._smith(m, **dict.fromkeys(asked, True))
+                u, s, v, uinv = intmat._smith(m, **dict.fromkeys(asked, True))
                 assert s == full[1]
-                wanted = (full[0], full[2], full[3], full[4])
-                for name, got, want in zip(TRANSFORMS, (u, v, uinv, vinv), wanted):
+                wanted = (full[0], full[2], full[3])
+                for name, got, want in zip(TRANSFORMS, (u, v, uinv), wanted):
                     assert (got == want) if name in asked else got is None
         u, s, v, uinv, vinv = full
         assert intmat.matmul(intmat.matmul(u, m), v) == s
         assert intmat.matmul(u, uinv) == intmat.identity(m.rows)
         assert intmat.matmul(vinv, v) == intmat.identity(m.cols)
 
-    @PROPERTY
     @given(int_matrices(max_dim=7))
     def test_invariant_factors_match_sympy(self, m):
         assert intmat.invariant_factors(m) == sympy_invariants(m)
+
+
+# entries of the kind cell attachments carry: mostly zero, units, powers of 2
+SPARSE_ENTRY = st.sampled_from([0] * 8 + [1, -1, 1, -1, 2, -2, 4, -8, 16, 3, -6])
+
+
+@st.composite
+def sparse_matrices(draw, max_dim=8):
+    """Sparse matrices rich in +-1 and 2^t; half of them are a product
+    through a narrower middle, so rank-deficient."""
+    rows = draw(st.integers(0, max_dim))
+    cols = draw(st.integers(0, max_dim))
+
+    def mat(r, c):
+        row = st.lists(SPARSE_ENTRY, min_size=c, max_size=c)
+        return Mat(draw(st.lists(row, min_size=r, max_size=r)), c)
+
+    if draw(st.booleans()):
+        return mat(rows, cols)
+    inner = draw(st.integers(0, max(0, min(rows, cols) - 1)))
+    return intmat.matmul(mat(rows, inner), mat(inner, cols))
+
+
+class TestSparseInvariantFactors:
+    @given(sparse_matrices())
+    def test_match_sympy(self, m):
+        assert intmat.invariant_factors(m) == sympy_invariants(m)
+
+    @given(sparse_matrices(max_dim=10))
+    def test_never_column_reduce(self, m):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intmat, "column_reduce", _refuse)
+            got = intmat.invariant_factors(m)
+        assert got == sympy_invariants(m)
+
+    def test_dense_rank_deficient_40(self, monkeypatch):
+        # U * diag(d, 0) * V with U, V dense unimodular: rank 20, every
+        # entry divisible by 6, and the invariant factors known exactly
+        monkeypatch.setattr(intmat, "column_reduce", _refuse)
+        rng = random.Random(6)
+        d = [6] * 10 + [12] * 5 + [36] * 4 + [72]
+        core = Mat([[d[i] if i == j < 20 else 0 for j in range(40)] for i in range(40)], 40)
+        u, _ = intmat.random_unimodular(40, rng, 400)
+        v, _ = intmat.random_unimodular(40, rng, 400)
+        m = intmat.matmul(intmat.matmul(u, core), v)
+        assert all(x % 6 == 0 for row in m for x in row)
+        assert intmat.invariant_factors(m) == d
+
+    def test_dense_rank_deficient_40_without_exact_pivots(self, monkeypatch):
+        # 6 * A * B with A 40 x 30 and B 30 x 40 dense: row and column
+        # gcds are 6 and entries of +-6 are rare, so one exact pivot is
+        # found and a rank-deficient 39 x 39 residual is left to the
+        # elimination modulo a determinant
+        monkeypatch.setattr(intmat, "column_reduce", _refuse)
+        rng = random.Random(1)
+        ab = intmat.matmul(random_mat(rng, 40, 30), random_mat(rng, 30, 40))
+        m = Mat([[6 * x for x in row] for row in ab], 40)
+        assert intmat.invariant_factors(m) == sympy_invariants(m)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this path must not be taken")
 
 
 class TestRandomUnimodular:
@@ -314,6 +374,26 @@ class TestReassemblyInvariants:
         summands = decompose_free_complex(c)
         for m in (0, 2, 3, 4, 5, 8, 12):
             assert integer_cohomology(c, m) == cohomology_of_summands(summands, m)
+
+
+class TestDecomposeAgainstSympy:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_cones_are_the_invariant_factors_of_each_differential(self, seed):
+        # ConePair(d, w) for each of sympy's nonzero invariants of diffs[w];
+        # the rest of each weight's rank is free cells
+        c, _ = random_complex(random.Random(1300 + seed), max_cells=14)
+        cones = {w: sympy_invariants(c.differential(w)) for w in c.weights()}
+        want = [ConePair(d, w) for w, ds in cones.items() for d in ds]
+        for w in c.weights():
+            free = c.rank(w) - len(cones[w]) - len(cones.get(w - 1, []))
+            want += [FreeCell(w)] * free
+        assert Counter(decompose_free_complex(c)) == Counter(want)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_never_calls_smith(self, seed, monkeypatch):
+        monkeypatch.setattr(intmat, "_smith", _refuse)
+        c, summands = random_complex(random.Random(1400 + seed), max_cells=14)
+        assert elementary_data(decompose_free_complex(c)) == elementary_data(summands)
 
 
 def multiset(xs):
@@ -511,6 +591,54 @@ def bruteforce_tor_invariants(a, b, n_max=8):
         if f or t:
             out[d] = (f, t)
     return out
+
+
+def sympy_factors(n):
+    return sorted((int(p), int(e)) for p, e in factorint(n).items())
+
+
+class TestFactorPrimePowers:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_below_1e15(self, seed):
+        rng = random.Random(seed)
+        for n in [rng.randrange(1, 10**15) for _ in range(100)]:
+            assert factor_prime_powers(n) == sympy_factors(n), n
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_squares_of_primes_past_trial_division(self, seed):
+        rng = random.Random(seed)
+        for _ in range(5):
+            p = nextprime(rng.randrange(10**5, 10**6))
+            assert factor_prime_powers(p * p) == [(p, 2)]
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            # strong pseudoprimes to the first 4, 5, 6 and 7 prime bases
+            3215031751, 2152302898747, 3474749660383, 341550071728321,
+            # Carmichael numbers
+            561, 41041, 825265,
+            # 73^2 * 72337 * 899429
+            346715374408517,
+            # strong pseudoprimes to the first 9 and 12 prime bases
+            3825123056546413051, 318665857834031151167461,
+            # two primes near 2^32, two Mersenne primes, primes past 2^64
+            4294967291 * 4294967279, (2**31 - 1) * (2**61 - 1), 2**89 - 1,
+            nextprime(2**70), 3 * nextprime(2**80),
+        ],
+    )
+    def test_hard_cases(self, n):
+        assert factor_prime_powers(n) == sympy_factors(n)
+
+    @pytest.mark.parametrize(
+        "n", [4294967291 * 4294967279, 346715374408517, nextprime(2**70), nextprime(3 * 10**24)]
+    )
+    def test_sympy_only_for_composites_past_2_64(self, n, monkeypatch):
+        import sympy
+
+        want = sympy_factors(n)
+        monkeypatch.setattr(sympy, "factorint", _refuse)
+        assert factor_prime_powers(n) == want
 
 
 class TestFormalGroups:

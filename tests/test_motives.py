@@ -54,6 +54,33 @@ class TestValidation:
         report = validate_complex(TateComplex([("a", 0), ("a", 1)]))
         assert any(v.kind == "DuplicateCell" for v in report.violations)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_non_composable_cells_in_dense_product_order(self, seed):
+        # every nonzero entry of the dense product diffs[w] * diffs[w+1],
+        # by ascending w and then row-major, names (cell above, cell below)
+        rng = random.Random(seed)
+        cells = [(f"c{k}", rng.randrange(0, 4)) for k in range(rng.randrange(2, 14))]
+        rng.shuffle(cells)
+        attach = {
+            (hi, lo): rng.choice((1, -1, 2, 3))
+            for hi, wh in cells
+            for lo, wl in cells
+            if wh == wl + 1 and rng.random() < 0.5
+        }
+        c = TateComplex(cells, attach)
+        at = {w: [cid for cid, v in cells if v == w] for w in range(4)}
+        want = []
+        for w in range(2):
+            for lo in at[w]:
+                for top in at[w + 2]:
+                    x = sum(attach.get((top, mid), 0) * attach.get((mid, lo), 0)
+                            for mid in at[w + 1])
+                    if x:
+                        want.append((top, lo))
+        got = [v.cells for v in validate_complex(c).violations]
+        assert all(v.kind == "NonComposable" for v in validate_complex(c).violations)
+        assert got == want
+
 
 class TestDecompose:
     def test_six_attachment(self):
@@ -75,6 +102,20 @@ class TestDecompose:
     def test_invalid_raises(self):
         with pytest.raises(InvalidComplex):
             decompose(TateComplex([("a", 0), ("b", 2)], {("b", "a"): 1}))
+
+    def test_large_twisted_realization_is_fast(self):
+        # 264 cells over 7 weights, each weight mixed by 3n + 4 elementary
+        # steps as in the decompose suite; a base-changing Smith sweep did
+        # not finish this input in a minute
+        rng = random.Random(31)
+        a = random_odd_free_normal_form(rng, max_blocks=160)
+        while len(a) < 150:
+            a = random_odd_free_normal_form(rng, max_blocks=160)
+        c = unimodular_twist(realize(a), rng)
+        start = time.perf_counter()
+        got = decompose(c)
+        assert time.perf_counter() - start < 1.0
+        assert got == a and len(c.cells) > 240
 
     def test_large_prime_cone_is_fast(self):
         c = TateComplex([("a", 0), ("b", 1)], {("b", "a"): 1000000007})
