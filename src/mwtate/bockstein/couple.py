@@ -64,15 +64,12 @@ def _map(maps, deg, target: PresentedGroup, source: PresentedGroup) -> Mat:
 
 
 def _coordinates(group: PresentedGroup, gens: Mat, images: Mat) -> Mat:
-    """Coordinates, column by column, of ``images`` in the columns of
-    ``gens`` modulo the relations of ``group``."""
-    cols = []
-    for vec in images.columns():
-        coords = group.express(gens, vec)
-        if coords is None:
-            raise InexactCouple("element does not lie in the expected subgroup")
-        cols.append(coords)
-    return Mat.from_columns(cols, gens.cols)
+    """Coordinates of the columns of ``images`` in the columns of ``gens``
+    modulo the relations of ``group``, one column each."""
+    coords = group.express(gens, images)
+    if coords is None:
+        raise InexactCouple("element does not lie in the expected subgroup")
+    return coords
 
 
 def _negate(m: Mat) -> Mat:
@@ -292,20 +289,26 @@ def _page_invariants(c: ExactCouple) -> dict:
     return {deg: g for deg, g in groups.items() if not g.is_zero()}
 
 
+def _e_infinity_presentation(c: ExactCouple, deg, r):
+    """(ker(i^r) in D(deg - shift_j), ker(k) in E(deg), E_inf(deg)).
+
+    E_inf = ker(k)/j(ker(i^r)) is presented on the columns of ker(k).
+    """
+    eg = c.egroup(deg)
+    kerk = intmat.kernel_mod_lattice(c.kmat(deg), c.dgroup(deg + c.shift_k).rels)
+    ker_inf = _iterate_kernel(c, deg - c.shift_j, r)
+    jk = intmat.matmul(c.jmat(deg - c.shift_j), ker_inf)
+    rels = intmat.kernel_mod_lattice(kerk, intmat.hstack(jk, eg.rels))
+    return ker_inf, kerk, PresentedGroup(kerk.cols, rels)
+
+
 def e_infinity(c: ExactCouple, r: int) -> dict:
     """ker(k)/j(ker(i^r)) per degree as FormalGroups."""
     out = {}
     for deg in c.degrees():
-        eg = c.egroup(deg)
-        if eg.ngens == 0:
+        if c.egroup(deg).ngens == 0:
             continue
-        kerk = intmat.kernel_mod_lattice(c.kmat(deg), c.dgroup(deg + c.shift_k).rels)
-        if kerk.cols == 0:
-            continue
-        ker_inf = _iterate_kernel(c, deg - c.shift_j, r)
-        jk = intmat.matmul(c.jmat(deg - c.shift_j), ker_inf)
-        rels = intmat.kernel_mod_lattice(kerk, intmat.hstack(jk, eg.rels))
-        grp = PresentedGroup(kerk.cols, rels).invariants()
+        grp = _e_infinity_presentation(c, deg, r)[2].invariants()
         if not grp.is_zero():
             out[deg] = grp
     return out
@@ -324,12 +327,10 @@ def _four_term_exact(c: ExactCouple, r: int) -> bool:
         if dg.ngens == 0:
             continue
         n = dg.ngens
-        ker_inf = _iterate_kernel(c, deg, r)
-        inter = _subgroup_intersection(dg, c.imat(deg - c.shift_i), ker_inf)
-
         e_deg = deg + c.shift_j
         eg = c.egroup(e_deg)
-        kerk = kernel(c.kmat(e_deg), c.dgroup(e_deg + c.shift_k).rels)
+        ker_inf, kerk, einf_group = _e_infinity_presentation(c, e_deg, r)
+        inter = _subgroup_intersection(dg, c.imat(deg - c.shift_i), ker_inf)
         # middle group M = ker(k) + D/ker(i^inf); map (j, p) on the
         # generators of D, in kerk coordinates followed by D coordinates
         j_coords = _coordinates(eg, kerk, c.jmat(deg))
@@ -340,12 +341,9 @@ def _four_term_exact(c: ExactCouple, r: int) -> bool:
         m_group = PresentedGroup(kerk.cols + n, m_rels)
         if not dg.subgroups_equal(kernel(dm, m_group.rels), inter):
             return False
-        # exactness at M: kernel of (pi, -jbar) into E_inf equals im(dm).
-        # E_inf = ker(k)/j(ker(i^inf)); map M -> E_inf:
-        #   kerk part: identity on kerk coords; Dbar part: -[j(x)]
-        jk_inf = intmat.matmul(c.jmat(deg), ker_inf)
-        einf_rels = kernel(kerk, intmat.hstack(jk_inf, eg.rels))
-        einf_group = PresentedGroup(kerk.cols, einf_rels)
+        # exactness at M: kernel of (pi, -jbar) into E_inf equals im(dm);
+        # the map M -> E_inf is the identity on kerk coordinates and
+        # -[j(x)] on the Dbar part
         to_einf = intmat.hstack(intmat.identity(kerk.cols), _negate(j_coords))
         if not m_group.subgroups_equal(kernel(to_einf, einf_group.rels), dm):
             return False
@@ -379,56 +377,61 @@ def identification_test(c: ExactCouple, r: int) -> bool:
         dg = c.dgroup(deg)
         if dg.ngens == 0:
             continue
+        jm = c.jmat(deg)
+        # (i^n, j(ker(i^n))) for the stages n < r, built once for all vectors
+        stages = [(intmat.identity(dg.ngens), intmat.zeros(jm.rows, 0))]
+        for stage in range(1, r):
+            power = intmat.matmul(c.imat(deg), stages[-1][0])
+            stages.append((power, intmat.matmul(jm, _iterate_kernel(c, deg, stage))))
+        eg = c.egroup(deg + c.shift_j)
         vectors = _iterate_kernel(c, deg, r).columns() + [[0] * dg.ngens]
         for vec in vectors:
-            if _declared_zero(c, deg, vec, r) != dg.is_zero_element(vec):
+            if _declared_zero(dg, eg, jm, stages, vec) != dg.is_zero_element(vec):
                 return False
     return True
 
 
-def _declared_zero(c: ExactCouple, deg, vec, r) -> bool:
-    """Run the staged membership chain in the original couple.
+def _declared_zero(dg, eg, jm: Mat, stages, vec) -> bool:
+    """Run the staged membership chain on the element ``vec`` of D = ``dg``
+    in the original couple, with j = ``jm`` into E = ``eg`` and the
+    ``stages`` (i^n, j(ker i^n)) built by :func:`identification_test`.
 
     Stage n tests the class of j on an i^n-preimage y of x inside
     E_{n+1} = Z_n / B_n, i.e. membership of j(y) in j(ker i^n) plus the
     relations; different preimages differ by ker(i^n), so the test is
-    well defined.  x descends one stage whenever the class vanishes.
+    well defined.  x descends one stage whenever the class vanishes, and
+    only then is it looked at in the next stage.
     """
-    dg = c.dgroup(deg)
-    eg = c.egroup(deg + c.shift_j)
-    jm = c.jmat(deg)
-    power = intmat.identity(dg.ngens)
-    for stage in range(r):
-        # y with i^stage(y) = x mod rels
-        y = dg.express(power, vec)
+    x = Mat.from_columns([vec], dg.ngens)
+    for power, j_ker in stages:
+        # y with i^n(y) = x mod rels
+        y = dg.express(power, x)
         if y is None:
             raise InexactCouple("element does not lie in the expected subgroup")
-        ker_n = _iterate_kernel(c, deg, stage) if stage else intmat.zeros(dg.ngens, 0)
-        if eg.express(intmat.matmul(jm, ker_n), intmat.mat_vec(jm, y)) is None:
+        if eg.express(j_ker, intmat.matmul(jm, y)) is None:
             return False
-        power = intmat.matmul(c.imat(deg), power)
     return True
 
 
-def couple_analyze(c: ExactCouple, r_pages: int | None = None) -> CoupleAnalysis:
+def couple_analyze(c: ExactCouple) -> CoupleAnalysis:
     """Derive pages, detect degeneration, and run the structure checks.
 
     Returns pages E_1..E_{r+1}, the limit term, the least r with
     ker(i^{r+1}) = ker(i^r), the four-term exactness verdict, and the
-    membership-criterion verdict.
+    membership-criterion verdict.  E_{r+2} is derived only to test
+    degeneration.
     """
     verify_exactness(c)
     r = torsion_order(c)
-    n_pages = r_pages if r_pages is not None else r + 1
-    pages = []
+    pages = [_page_invariants(c)]
     level = c
-    for _ in range(max(n_pages, r + 2)):
-        pages.append(_page_invariants(level))
+    for _ in range(r + 1):
         level = couple_derive(level)
+        pages.append(_page_invariants(level))
     einf = e_infinity(c, r)
     degeneration = pages[r] == einf and pages[r + 1] == pages[r]
     return CoupleAnalysis(
-        pages=tuple(pages[:n_pages]),
+        pages=tuple(pages[: r + 1]),
         e_infinity=einf,
         torsion_order=r,
         four_term_exact=_four_term_exact(c, r),

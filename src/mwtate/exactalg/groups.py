@@ -187,7 +187,7 @@ class FormalGroup:
         tors.extend(list(other.torsion) * self.free_rank)
         for a in self.torsion:
             for b in other.torsion:
-                g = _pp_gcd(a, b)
+                g = math.gcd(a, b)
                 if g > 1:
                     tors.append(g)
         return FormalGroup(rank, tuple(tors))
@@ -197,7 +197,7 @@ class FormalGroup:
         tors = []
         for a in self.torsion:
             for b in other.torsion:
-                g = _pp_gcd(a, b)
+                g = math.gcd(a, b)
                 if g > 1:
                     tors.append(g)
         return FormalGroup(0, tuple(tors))
@@ -213,11 +213,6 @@ class FormalGroup:
     def __str__(self):
         parts = ["Z"] * self.free_rank + [f"Z/{q}" for q in self.torsion]
         return " + ".join(parts) if parts else "0"
-
-
-def _pp_gcd(a: int, b: int) -> int:
-    # a, b prime powers: gcd is the smaller iff they share the prime.
-    return math.gcd(a, b)
 
 
 class GradedGroup:

@@ -102,10 +102,6 @@ def matmul(a: Mat, b: Mat) -> Mat:
     return Mat(out, cb)
 
 
-def mat_vec(a: Mat, v) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a.a]
-
-
 def hstack(a: Mat, b: Mat) -> Mat:
     if a.rows != b.rows:
         raise ValueError("row mismatch in hstack")
@@ -525,30 +521,28 @@ def kernel_basis(m: Mat) -> Mat:
 
 
 def solve_columns(m: Mat, b: Mat) -> Mat | None:
-    """Exact solutions X of M*X == B, or None if no integer solution.
+    """Exact solutions X of M*X == B, or None if some column of B has no
+    integer solution.
 
-    ``b`` has the same number of rows as ``m``; one particular solution
-    is returned per column.
+    ``b`` has the same number of rows as ``m``.  With U*M*V == S, one
+    Smith form serves every column: U*B is divided row by row by the
+    diagonal of S, and V carries the quotients back.  U and V depend on
+    ``m`` alone, so each column gets the particular solution it would get
+    by itself.
     """
     if m.rows != b.rows:
         raise ValueError("row mismatch in solve")
     u, s, v, _ = _smith(m, u=True, v=True)
     diag = diagonal(s)
-    ub = matmul(u, b)
-    solutions = []
-    for rhs in ub.columns():
-        z = [0] * m.cols
-        for i, x in enumerate(rhs):
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if x != 0:
-                    return None
-            elif x % d != 0:
-                return None
-            else:
-                z[i] = x // d
-        solutions.append(mat_vec(v, z))
-    return Mat.from_columns(solutions, m.cols)
+    z = []
+    for i, row in enumerate(matmul(u, b).a):
+        d = diag[i] if i < len(diag) else 0
+        if any(x % d for x in row) if d else any(row):
+            return None
+        if i < m.cols:
+            z.append([x // d for x in row] if d else [0] * b.cols)
+    z += [[0] * b.cols for _ in range(m.cols - len(z))]
+    return matmul(v, Mat(z, b.cols))
 
 
 def solve(m: Mat, vec) -> list[int] | None:

@@ -2,8 +2,11 @@
 
 A group is Z^n modulo the column span of an n x r relation matrix.
 Subgroups are carried around as generator matrices inside an ambient
-presentation; everything reduces to Smith normal form, exact solving
-and integer kernels from :mod:`mwtate.exactalg.intmat`.
+presentation.  Every membership question (is an element zero, do
+elements lie in a subgroup, what are their coordinates in it) is one
+linear system [gens | rels] X = B, one column of B per element asked
+about, solved exactly by :mod:`mwtate.exactalg.intmat`; invariants and
+subgroup presentations come from its invariant factors and kernels.
 """
 
 from __future__ import annotations
@@ -45,9 +48,9 @@ class PresentedGroup:
         return intmat.lattice_contains(self.rels, vec)
 
     def contains_subgroup(self, gens_a: Mat, gens_b: Mat) -> bool:
-        """Whether every column of gens_b lies in <gens_a> + rels."""
-        span = intmat.hstack(gens_a, self.rels)
-        return all(intmat.solve(span, col) is not None for col in gens_b.columns())
+        """Whether every column of gens_b lies in <gens_a> + rels, by one
+        solve of [gens_a | rels] X = gens_b."""
+        return self.express(gens_a, gens_b) is not None
 
     def subgroups_equal(self, gens_a: Mat, gens_b: Mat) -> bool:
         return self.contains_subgroup(gens_a, gens_b) and self.contains_subgroup(
@@ -62,10 +65,13 @@ class PresentedGroup:
     def quotient_presentation(self, gens: Mat) -> PresentedGroup:
         return PresentedGroup(self.ngens, intmat.hstack(self.rels, gens))
 
-    def express(self, gens: Mat, vec):
-        """Coordinates of ``vec`` in the columns of ``gens`` modulo the
-        relations, or None if it is not in that subgroup."""
-        sol = intmat.solve(intmat.hstack(gens, self.rels), vec)
+    def express(self, gens: Mat, images: Mat) -> Mat | None:
+        """Coordinates of the columns of ``images`` in the columns of
+        ``gens`` modulo the relations, one column each, or None if some
+        column is not in that subgroup.  One solve of
+        [gens | rels] X = images; the top ``gens.cols`` rows of X are the
+        coordinates."""
+        sol = intmat.solve_columns(intmat.hstack(gens, self.rels), images)
         if sol is None:
             return None
-        return sol[: gens.cols]
+        return Mat(sol.a[: gens.cols], sol.cols)

@@ -16,6 +16,7 @@ from mwtate.exactalg import (
     FreeComplex,
     GradedGroup,
     NonComposable,
+    PresentedGroup,
     cohomology_of_summands,
     decompose_free_complex,
     factor_prime_powers,
@@ -253,6 +254,52 @@ class TestSparseInvariantFactors:
 
 def _refuse(*args, **kwargs):
     raise AssertionError("this path must not be taken")
+
+
+@st.composite
+def express_systems(draw, max_dim=4, bound=6):
+    """(group, gens, images) with about half of the image columns built as
+    gens*x + rels*y, so they lie in <gens> + rels; the rest are free draws."""
+    n = draw(st.integers(0, max_dim))
+    entry = st.integers(-bound, bound)
+
+    def mat(r, c):
+        row = st.lists(entry, min_size=c, max_size=c)
+        return Mat(draw(st.lists(row, min_size=r, max_size=r)), c)
+
+    group = PresentedGroup(n, mat(n, draw(st.integers(0, 3))))
+    gens = mat(n, draw(st.integers(0, max_dim)))
+    span = intmat.hstack(gens, group.rels)
+    cols = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            cols.append(intmat.matmul(span, mat(span.cols, 1)).column(0))
+        else:
+            cols.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    return group, gens, Mat.from_columns(cols, n)
+
+
+class TestPresentedGroup:
+    @given(express_systems())
+    def test_express_is_the_per_column_solve(self, system):
+        group, gens, images = system
+        span = intmat.hstack(gens, group.rels)
+        per_column = [intmat.solve(span, col) for col in images.columns()]
+        got = group.express(gens, images)
+        if any(x is None for x in per_column):
+            assert got is None
+        else:
+            want = Mat.from_columns([x[: gens.cols] for x in per_column], gens.cols)
+            assert got == want
+        assert group.contains_subgroup(gens, images) == (got is not None)
+
+    def test_subgroups_equal_is_one_solve_per_side(self, smith_calls):
+        # both sides generate Z + Z + 3Z inside Z^3 / <(4, 0, 0), (0, 6, 0)>
+        group = PresentedGroup(3, Mat([[4, 0], [0, 6], [0, 0]]))
+        a = Mat([[1, 2, 0], [0, 1, 0], [0, 0, 3]])
+        b = Mat([[1, 0, 0], [1, 1, 0], [0, 0, 3]])
+        assert group.subgroups_equal(a, b)
+        assert len(smith_calls) == 2
 
 
 class TestRandomUnimodular:

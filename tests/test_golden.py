@@ -48,10 +48,12 @@ CASES = {
     "blowup": ["blowup", "--in", "@blowup.json"],
     "pages-invisible": ["pages", "--blocks", PAGES_INVISIBLE, "--range", "2:8"],
 }
-# the check suites that read the page tables
+# the check suites that read the page tables, and the exact-couple engine's
 CASES.update(
     (f"check-{s}", ["check", "--suite", s, "--seed", "0"])
-    for s in ("block-pages", "torsion-profile", "kunneth", "leibniz", "truncated")
+    for s in (
+        "block-pages", "torsion-profile", "kunneth", "leibniz", "truncated", "couple",
+    )
 )
 
 
