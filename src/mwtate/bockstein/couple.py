@@ -7,11 +7,15 @@ homology of j o k, with all induced maps computed by exact integer
 solving.  The classical fixture is the multiplication-by-2 couple on
 the integer cohomology of an attachment complex, whose E_1 is mod-2
 cohomology and whose first differential is the integral Bockstein.
+
+Couples are values, so a couple keeps what it builds: i^n, ker(i^n),
+ker(k) and E_inf of a degree are built once each, by one method each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 from ..exactalg import FreeComplex, PresentedGroup, intmat
 from ..exactalg.intmat import Mat
@@ -19,6 +23,19 @@ from ..exactalg.intmat import Mat
 
 class InexactCouple(ValueError):
     """The given triangle fails exactness somewhere."""
+
+
+_ZERO = PresentedGroup(0)  # the group of every missing degree
+
+
+def _kept(build):
+    """A couple method whose values the couple keeps, one per argument tuple."""
+    def method(self, *args):
+        key = (build.__name__, *args)
+        if key not in self._store:
+            self._store[key] = build(self, *args)
+        return self._store[key]
+    return functools.wraps(build)(method)
 
 
 @dataclass
@@ -38,15 +55,16 @@ class ExactCouple:
     shift_i: int = 0
     shift_j: int = 0
     shift_k: int = 1
+    _store: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def degrees(self):
         return sorted(set(self.d_groups) | set(self.e_groups))
 
     def dgroup(self, deg) -> PresentedGroup:
-        return self.d_groups.get(deg, PresentedGroup(0))
+        return self.d_groups.get(deg, _ZERO)
 
     def egroup(self, deg) -> PresentedGroup:
-        return self.e_groups.get(deg, PresentedGroup(0))
+        return self.e_groups.get(deg, _ZERO)
 
     def imat(self, deg) -> Mat:
         return _map(self.map_i, deg, self.dgroup(deg + self.shift_i), self.dgroup(deg))
@@ -56,6 +74,36 @@ class ExactCouple:
 
     def kmat(self, deg) -> Mat:
         return _map(self.map_k, deg, self.dgroup(deg + self.shift_k), self.egroup(deg))
+
+    @_kept
+    def i_power(self, deg, n) -> Mat:
+        """i^n on D(deg) as one matrix into D(deg + n * shift_i)."""
+        if n == 0:
+            return intmat.identity(self.dgroup(deg).ngens)
+        last = self.imat(deg + (n - 1) * self.shift_i)
+        return intmat.matmul(last, self.i_power(deg, n - 1))
+
+    @_kept
+    def ker_i(self, deg, n) -> Mat:
+        """Generators of ker(i^n) in D(deg); no columns for n = 0."""
+        if n == 0:
+            return intmat.zeros(self.dgroup(deg).ngens, 0)
+        rels = self.dgroup(deg + n * self.shift_i).rels
+        return intmat.kernel_mod_lattice(self.i_power(deg, n), rels)
+
+    @_kept
+    def ker_k(self, deg) -> Mat:
+        """Generators of ker(k) in E(deg)."""
+        rels = self.dgroup(deg + self.shift_k).rels
+        return intmat.kernel_mod_lattice(self.kmat(deg), rels)
+
+    @_kept
+    def e_inf(self, deg, r) -> PresentedGroup:
+        """E_inf(deg) = ker(k)/j(ker(i^r)), presented on the columns of ker(k)."""
+        src, kerk = deg - self.shift_j, self.ker_k(deg)
+        jk = intmat.matmul(self.jmat(src), self.ker_i(src, r))
+        rels = intmat.kernel_mod_lattice(kerk, intmat.hstack(jk, self.egroup(deg).rels))
+        return PresentedGroup(kerk.cols, rels)
 
 
 def _map(maps, deg, target: PresentedGroup, source: PresentedGroup) -> Mat:
@@ -151,22 +199,19 @@ def normalize_couple(c: ExactCouple) -> ExactCouple:
 
 def verify_exactness(c: ExactCouple) -> None:
     """Exactness of ... -k-> D -i-> D -j-> E -k-> D ... at every node."""
-    kernel = intmat.kernel_mod_lattice
     for deg in c.degrees():
         dg = c.dgroup(deg)
         if dg.ngens:
             # at D(deg) between i (incoming from deg - shift_i) and j
-            ker_j = kernel(c.jmat(deg), c.egroup(deg + c.shift_j).rels)
+            ker_j = intmat.kernel_mod_lattice(c.jmat(deg), c.egroup(deg + c.shift_j).rels)
             if not dg.subgroups_equal(c.imat(deg - c.shift_i), ker_j):
                 raise InexactCouple(f"im(i) != ker(j) at D degree {deg}")
             # at D(deg) between k (incoming from deg - shift_k) and i
-            ker_i = kernel(c.imat(deg), c.dgroup(deg + c.shift_i).rels)
-            if not dg.subgroups_equal(c.kmat(deg - c.shift_k), ker_i):
+            if not dg.subgroups_equal(c.kmat(deg - c.shift_k), c.ker_i(deg, 1)):
                 raise InexactCouple(f"im(k) != ker(i) at D degree {deg}")
         eg = c.egroup(deg)
         if eg.ngens:
-            ker_k = kernel(c.kmat(deg), c.dgroup(deg + c.shift_k).rels)
-            if not eg.subgroups_equal(c.jmat(deg - c.shift_j), ker_k):
+            if not eg.subgroups_equal(c.jmat(deg - c.shift_j), c.ker_k(deg)):
                 raise InexactCouple(f"im(j) != ker(k) at E degree {deg}")
 
 
@@ -185,15 +230,14 @@ def couple_derive(c: ExactCouple) -> ExactCouple:
     e_cycles: dict = {}
 
     for deg in c.degrees():
-        tgt = c.dgroup(deg)
-        gens = c.imat(deg - c.shift_i) if tgt.ngens else empty  # columns i(e_b)
-        d_gens[deg] = gens
-        d2[deg] = PresentedGroup(gens.cols, intmat.kernel_mod_lattice(gens, tgt.rels))
+        # D' = im(i) on the columns i(e_b), with relations ker(i)
+        d_gens[deg] = c.imat(deg) if c.dgroup(deg).ngens else empty
+        d2[deg] = PresentedGroup(d_gens[deg].cols, c.ker_i(deg, 1))
 
     for deg in c.degrees():
         eg = c.egroup(deg)
         e_cycles[deg] = empty
-        e2[deg] = PresentedGroup(0)
+        e2[deg] = _ZERO
         if eg.ngens == 0:
             continue
         dd = c.shift_k + c.shift_j  # degree of the differential j o k
@@ -240,36 +284,14 @@ def couple_derive(c: ExactCouple) -> ExactCouple:
     return normalize_couple(raw)
 
 
-def _iterate_kernel(c: ExactCouple, deg, n) -> Mat:
-    """Generators of ker(i^n) in D(deg) (shift_i assumed 0 for chains)."""
-    m = intmat.identity(c.dgroup(deg).ngens)
-    cur = deg
-    for _ in range(n):
-        m = intmat.matmul(c.imat(cur), m)
-        cur += c.shift_i
-    return intmat.kernel_mod_lattice(m, c.dgroup(cur).rels)
-
-
 def torsion_order(c: ExactCouple, cap: int = 64) -> int:
-    """Least r >= 1 with ker(i^{r+1}) = ker(i^r) in every degree.
-
-    The ker(i^{r+1}) of one step is kept as the ker(i^r) of the next.
-    """
-    kernels = {}  # degree -> (n, ker(i^n))
+    """Least r >= 1 with ker(i^{r+1}) = ker(i^r) in every degree."""
     for r in range(1, cap + 1):
-        stable = True
-        for deg in c.degrees():
-            if c.dgroup(deg).ngens == 0:
-                continue
-            n, k_r = kernels.get(deg, (None, None))
-            if n != r:
-                k_r = _iterate_kernel(c, deg, r)
-            k_r1 = _iterate_kernel(c, deg, r + 1)
-            kernels[deg] = (r + 1, k_r1)
-            if not c.dgroup(deg).subgroups_equal(k_r, k_r1):
-                stable = False
-                break
-        if stable:
+        if all(
+            c.dgroup(deg).subgroups_equal(c.ker_i(deg, r), c.ker_i(deg, r + 1))
+            for deg in c.degrees()
+            if c.dgroup(deg).ngens
+        ):
             return r
     raise InexactCouple(f"kernel chain did not stabilize within {cap} steps")
 
@@ -289,29 +311,12 @@ def _page_invariants(c: ExactCouple) -> dict:
     return {deg: g for deg, g in groups.items() if not g.is_zero()}
 
 
-def _e_infinity_presentation(c: ExactCouple, deg, r):
-    """(ker(i^r) in D(deg - shift_j), ker(k) in E(deg), E_inf(deg)).
-
-    E_inf = ker(k)/j(ker(i^r)) is presented on the columns of ker(k).
-    """
-    eg = c.egroup(deg)
-    kerk = intmat.kernel_mod_lattice(c.kmat(deg), c.dgroup(deg + c.shift_k).rels)
-    ker_inf = _iterate_kernel(c, deg - c.shift_j, r)
-    jk = intmat.matmul(c.jmat(deg - c.shift_j), ker_inf)
-    rels = intmat.kernel_mod_lattice(kerk, intmat.hstack(jk, eg.rels))
-    return ker_inf, kerk, PresentedGroup(kerk.cols, rels)
-
-
 def e_infinity(c: ExactCouple, r: int) -> dict:
     """ker(k)/j(ker(i^r)) per degree as FormalGroups."""
-    out = {}
-    for deg in c.degrees():
-        if c.egroup(deg).ngens == 0:
-            continue
-        grp = _e_infinity_presentation(c, deg, r)[2].invariants()
-        if not grp.is_zero():
-            out[deg] = grp
-    return out
+    groups = {
+        deg: c.e_inf(deg, r).invariants() for deg in c.degrees() if c.egroup(deg).ngens
+    }
+    return {deg: g for deg, g in groups.items() if not g.is_zero()}
 
 
 def _four_term_exact(c: ExactCouple, r: int) -> bool:
@@ -329,7 +334,7 @@ def _four_term_exact(c: ExactCouple, r: int) -> bool:
         n = dg.ngens
         e_deg = deg + c.shift_j
         eg = c.egroup(e_deg)
-        ker_inf, kerk, einf_group = _e_infinity_presentation(c, e_deg, r)
+        ker_inf, kerk, einf_group = c.ker_i(deg, r), c.ker_k(e_deg), c.e_inf(e_deg, r)
         inter = _subgroup_intersection(dg, c.imat(deg - c.shift_i), ker_inf)
         # middle group M = ker(k) + D/ker(i^inf); map (j, p) on the
         # generators of D, in kerk coordinates followed by D coordinates
@@ -372,43 +377,33 @@ def identification_test(c: ExactCouple, r: int) -> bool:
     """The membership criterion on the i-power-torsion part: an element
     of ker(i^inf) is zero iff the staged classes j^(n) vanish for all
     0 <= n < r.  Checked on every generator of ker(i^inf) per degree,
-    and on zero itself."""
+    and on zero itself.
+
+    Stage n tests whether j(y), for y with i^n(y) = x, lies in
+    j(ker i^n) plus the relations, i.e. whether the class of x vanishes
+    in E_{n+1} = Z_n / B_n; preimages differ by ker(i^n), so the test is
+    well defined.  Only the elements whose class vanished at stage n are
+    looked at in stage n + 1, all of them in one solve and one
+    membership test.
+    """
     for deg in c.degrees():
         dg = c.dgroup(deg)
         if dg.ngens == 0:
             continue
         jm = c.jmat(deg)
-        # (i^n, j(ker(i^n))) for the stages n < r, built once for all vectors
-        stages = [(intmat.identity(dg.ngens), intmat.zeros(jm.rows, 0))]
-        for stage in range(1, r):
-            power = intmat.matmul(c.imat(deg), stages[-1][0])
-            stages.append((power, intmat.matmul(jm, _iterate_kernel(c, deg, stage))))
-        eg = c.egroup(deg + c.shift_j)
-        vectors = _iterate_kernel(c, deg, r).columns() + [[0] * dg.ngens]
-        for vec in vectors:
-            if _declared_zero(dg, eg, jm, stages, vec) != dg.is_zero_element(vec):
-                return False
-    return True
-
-
-def _declared_zero(dg, eg, jm: Mat, stages, vec) -> bool:
-    """Run the staged membership chain on the element ``vec`` of D = ``dg``
-    in the original couple, with j = ``jm`` into E = ``eg`` and the
-    ``stages`` (i^n, j(ker i^n)) built by :func:`identification_test`.
-
-    Stage n tests the class of j on an i^n-preimage y of x inside
-    E_{n+1} = Z_n / B_n, i.e. membership of j(y) in j(ker i^n) plus the
-    relations; different preimages differ by ker(i^n), so the test is
-    well defined.  x descends one stage whenever the class vanishes, and
-    only then is it looked at in the next stage.
-    """
-    x = Mat.from_columns([vec], dg.ngens)
-    for power, j_ker in stages:
-        # y with i^n(y) = x mod rels
-        y = dg.express(power, x)
-        if y is None:
-            raise InexactCouple("element does not lie in the expected subgroup")
-        if eg.express(j_ker, intmat.matmul(jm, y)) is None:
+        e_rels = c.egroup(deg + c.shift_j).rels
+        vectors = intmat.hstack(c.ker_i(deg, r), intmat.zeros(dg.ngens, 1))
+        alive = list(range(vectors.cols))
+        for n in range(r):
+            x = Mat([[row[a] for a in alive] for row in vectors.a], len(alive))
+            y = _coordinates(dg, c.i_power(deg, n), x)  # i^n(y) = x mod rels
+            bound = intmat.hstack(intmat.matmul(jm, c.ker_i(deg, n)), e_rels)
+            vanish = intmat.lattice_contains(bound, intmat.matmul(jm, y))
+            alive = [a for a, v in zip(alive, vanish) if v]
+            if not alive:
+                break
+        declared = [a in alive for a in range(vectors.cols)]
+        if declared != intmat.lattice_contains(dg.rels, vectors):
             return False
     return True
 

@@ -5,8 +5,8 @@ Python ints plus an explicit column count, so every shape, 0 x n, n x 0
 and 0 x 0 included, is a value like any other and every computation is
 arbitrary precision by construction.  The workhorse is Smith normal form
 by Euclidean row and column steps; each caller asks for just the
-unimodular transforms it reads (kernels, exact solving and lattice
-membership need V or U and V), and the others are never built.
+unimodular transforms it reads (kernels need V, exact solving U and V,
+lattice membership U alone), and the others are never built.
 Invariant factors alone come from :func:`invariant_factors`, which
 eliminates exact pivots on sparse rows and works modulo a determinant on
 what is left, so no entry outgrows the input's Hadamard bound.
@@ -553,9 +553,18 @@ def solve(m: Mat, vec) -> list[int] | None:
     return res.column(0)
 
 
-def lattice_contains(gens: Mat, vec) -> bool:
-    """Whether ``vec`` lies in the column span of ``gens`` over Z."""
-    return solve(gens, vec) is not None
+def lattice_contains(gens: Mat, vecs: Mat) -> list[bool]:
+    """Whether each column of ``vecs`` lies in the column span of ``gens``
+    over Z.  With U*M*V == S, a column b does when every row of U*b is a
+    multiple of its diagonal entry of S (zero past it); V is never built.
+
+    >>> lattice_contains(Mat([[2, 0], [0, 3]]), Mat([[4, 1], [3, 3]]))
+    [True, False]
+    """
+    u, s, _, _ = _smith(gens, u=True)
+    diag = diagonal(s) + [0] * gens.rows
+    cols = matmul(u, vecs).columns()
+    return [all((x % d if d else x) == 0 for x, d in zip(c, diag)) for c in cols]
 
 
 def kernel_mod_lattice(a: Mat, rels: Mat) -> Mat:

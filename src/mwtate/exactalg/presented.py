@@ -2,11 +2,12 @@
 
 A group is Z^n modulo the column span of an n x r relation matrix.
 Subgroups are carried around as generator matrices inside an ambient
-presentation.  Every membership question (is an element zero, do
-elements lie in a subgroup, what are their coordinates in it) is one
-linear system [gens | rels] X = B, one column of B per element asked
-about, solved exactly by :mod:`mwtate.exactalg.intmat`; invariants and
-subgroup presentations come from its invariant factors and kernels.
+presentation.  Every question about elements is asked of all of them
+at once, one column each, against the one matrix [gens | rels] by
+:mod:`mwtate.exactalg.intmat`: membership (do they lie in a subgroup)
+reads the U of its Smith form alone, and coordinates in the subgroup
+solve [gens | rels] X = B with U and V.  Invariants and subgroup
+presentations come from its invariant factors and kernels.
 """
 
 from __future__ import annotations
@@ -44,13 +45,10 @@ class PresentedGroup:
         free = self.ngens - len(nonzero)
         return FormalGroup.from_invariants([0] * free + nonzero)
 
-    def is_zero_element(self, vec) -> bool:
-        return intmat.lattice_contains(self.rels, vec)
-
     def contains_subgroup(self, gens_a: Mat, gens_b: Mat) -> bool:
         """Whether every column of gens_b lies in <gens_a> + rels, by one
-        solve of [gens_a | rels] X = gens_b."""
-        return self.express(gens_a, gens_b) is not None
+        lattice membership test against [gens_a | rels]."""
+        return all(intmat.lattice_contains(intmat.hstack(gens_a, self.rels), gens_b))
 
     def subgroups_equal(self, gens_a: Mat, gens_b: Mat) -> bool:
         return self.contains_subgroup(gens_a, gens_b) and self.contains_subgroup(
@@ -61,9 +59,6 @@ class PresentedGroup:
         """The subgroup generated by the columns of ``gens`` as an
         abstract group (relations pulled back through the generators)."""
         return PresentedGroup(gens.cols, intmat.kernel_mod_lattice(gens, self.rels))
-
-    def quotient_presentation(self, gens: Mat) -> PresentedGroup:
-        return PresentedGroup(self.ngens, intmat.hstack(self.rels, gens))
 
     def express(self, gens: Mat, images: Mat) -> Mat | None:
         """Coordinates of the columns of ``images`` in the columns of

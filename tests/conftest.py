@@ -18,14 +18,29 @@ settings.load_profile("mwtate")
 
 
 @pytest.fixture
-def smith_calls(monkeypatch) -> list:
-    """The matrices ``intmat._smith`` is called on during the test."""
-    calls = []
-    smith = intmat._smith
+def intmat_calls(monkeypatch):
+    """Records calls into :mod:`mwtate.exactalg.intmat` by name.
 
-    def counted(m, **transforms):
-        calls.append(m)
-        return smith(m, **transforms)
+    ``intmat_calls("column_reduce")`` starts recording that function and
+    returns the list its calls go to, one ``(args, kwargs)`` pair each;
+    callers inside intmat and in other modules are both seen.
+    """
 
-    monkeypatch.setattr(intmat, "_smith", counted)
-    return calls
+    def record(name) -> list:
+        calls = []
+        func = getattr(intmat, name)
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return func(*args, **kwargs)
+
+        monkeypatch.setattr(intmat, name, counted)
+        return calls
+
+    return record
+
+
+@pytest.fixture
+def smith_calls(intmat_calls) -> list:
+    """The calls of ``intmat._smith`` during the test."""
+    return intmat_calls("_smith")

@@ -13,13 +13,14 @@ from mwtate.bockstein.couple import (
     couple_analyze,
     couple_derive,
     e_infinity,
+    identification_test,
     normalize_couple,
     torsion_order,
     verify_exactness,
 )
 from mwtate.checks import random_adjacent_complex
 from mwtate.exactalg import FormalGroup, FreeComplex, PresentedGroup, integer_cohomology
-from mwtate.exactalg.intmat import Mat, kernel_mod_lattice
+from mwtate.exactalg.intmat import Mat, hstack, kernel_mod_lattice
 
 
 def classical(complex_):
@@ -145,11 +146,9 @@ def _kernel_rank(cpl, deg):
 
 
 def _dbar_rank(cpl, deg):
-    from mwtate.bockstein.couple import _iterate_kernel
-
     dg = cpl.dgroup(deg)
     r = torsion_order(cpl)
-    quot = dg.quotient_presentation(_iterate_kernel(cpl, deg, r))
+    quot = PresentedGroup(dg.ngens, hstack(dg.rels, cpl.ker_i(deg, r)))
     return quot.invariants().free_rank
 
 
@@ -264,16 +263,31 @@ class TestPinnedAnalyses:
         (7, "5be2fc2882ffb6f8", "fda6d7fc2017d260"),
     ]
 
+    # the same for each DEEP_TORSION fixture (torsion orders 4, 3, 5 and 1),
+    # whose deep membership stages the random draws rarely reach
+    PINNED_DEEP = [
+        (0, "4a19b080f2d883c8", "078662016f13684d"),
+        (1, "bcc8b26edda124c3", "900b86e75e1f73e7"),
+        (2, "5b8e2363731f36ee", "e940a81127907cf2"),
+        (3, "fc4a563525659974", "2021e1fcef98c538"),
+    ]
+
+    @staticmethod
+    def digest(objs):
+        return hashlib.sha256(repr(objs).encode()).hexdigest()[:16]
+
     @pytest.mark.parametrize("seed, analyses, derived", PINNED)
     def test_same_analyses(self, seed, analyses, derived):
         rng = random.Random(seed)
         couples = [bockstein_couple(random_adjacent_complex(rng)) for _ in range(5)]
+        assert self.digest([couple_analyze(c) for c in couples]) == analyses
+        assert self.digest([couple_derive(c) for c in couples]) == derived
 
-        def digest(objs):
-            return hashlib.sha256(repr(objs).encode()).hexdigest()[:16]
-
-        assert digest([couple_analyze(c) for c in couples]) == analyses
-        assert digest([couple_derive(c) for c in couples]) == derived
+    @pytest.mark.parametrize("index, analysis, derived", PINNED_DEEP)
+    def test_same_deep_analyses(self, index, analysis, derived):
+        cpl = bockstein_couple(DEEP_TORSION[index])
+        assert self.digest(couple_analyze(cpl)) == analysis
+        assert self.digest(couple_derive(cpl)) == derived
 
 
 def test_coordinates_is_one_solve(smith_calls):
@@ -286,3 +300,40 @@ def test_coordinates_is_one_solve(smith_calls):
     with pytest.raises(InexactCouple):
         _coordinates(group, gens, Mat([[1], [1], [0]]))
     assert len(smith_calls) == 2
+
+
+def test_identification_is_one_solve_per_stage(smith_calls):
+    # Z --16--> Z: D is Z/16 in degree 1 and r = 4.  Once the kernel chain
+    # exists, each stage n < r is one express and one membership question
+    # over all vectors still alive, and the zero test one more: 2r + 1.
+    cpl = bockstein_couple(DEEP_TORSION[0])
+    r = torsion_order(cpl)
+    nonzero = [d for d in cpl.degrees() if cpl.dgroup(d).ngens]
+    assert r == 4 and len(nonzero) == 1
+    smith_calls.clear()
+    assert identification_test(cpl, r)
+    assert len(smith_calls) <= (2 * r + 1) * len(nonzero) == 9
+
+
+def test_missing_degrees_build_no_group(intmat_calls):
+    cpl = bockstein_couple(DEEP_TORSION[0])
+    calls = intmat_calls("column_reduce")
+    assert cpl.dgroup(7).ngens == 0 == cpl.egroup(-7).ngens
+    assert cpl.dgroup(0).ngens == 0
+    assert calls == []
+
+
+def test_analysis_builds_each_kernel_once(intmat_calls):
+    # ker(i^n) of D(deg) is the kernel of the stored matrix i^n, so each
+    # (deg, n) shows up as exactly one kernel_mod_lattice call on it
+    calls = intmat_calls("kernel_mod_lattice")
+    for complex_ in DEEP_TORSION:
+        cpl = bockstein_couple(complex_)
+        calls.clear()
+        r = couple_analyze(cpl).torsion_order
+        for deg in cpl.degrees():
+            if cpl.dgroup(deg).ngens == 0:
+                continue
+            for n in range(1, r + 2):
+                power = cpl.i_power(deg, n)
+                assert sum(args[0] is power for args, _kwargs in calls) == 1

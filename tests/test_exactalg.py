@@ -292,6 +292,7 @@ class TestPresentedGroup:
             want = Mat.from_columns([x[: gens.cols] for x in per_column], gens.cols)
             assert got == want
         assert group.contains_subgroup(gens, images) == (got is not None)
+        assert intmat.lattice_contains(span, images) == [x is not None for x in per_column]
 
     def test_subgroups_equal_is_one_solve_per_side(self, smith_calls):
         # both sides generate Z + Z + 3Z inside Z^3 / <(4, 0, 0), (0, 6, 0)>
@@ -300,6 +301,14 @@ class TestPresentedGroup:
         b = Mat([[1, 0, 0], [1, 1, 0], [0, 0, 3]])
         assert group.subgroups_equal(a, b)
         assert len(smith_calls) == 2
+
+    def test_lattice_contains_is_one_smith_form_without_v(self, smith_calls):
+        gens = Mat([[2, 0], [0, 3], [1, 1]])
+        vecs = Mat([[2, 2, 0], [3, 0, 0], [2, 1, 0]])
+        assert intmat.lattice_contains(gens, vecs) == [True, True, True]
+        assert intmat.lattice_contains(gens, Mat([[1], [0], [0]])) == [False]
+        assert len(smith_calls) == 2
+        assert not any(kwargs.get("v") for _args, kwargs in smith_calls)
 
 
 class TestRandomUnimodular:
