@@ -114,6 +114,8 @@ def _map(maps, deg, target: PresentedGroup, source: PresentedGroup) -> Mat:
 def _coordinates(group: PresentedGroup, gens: Mat, images: Mat) -> Mat:
     """Coordinates of the columns of ``images`` in the columns of ``gens``
     modulo the relations of ``group``, one column each."""
+    if group.ngens == 0:  # every image is zero
+        return intmat.zeros(gens.cols, images.cols)
     coords = group.express(gens, images)
     if coords is None:
         raise InexactCouple("element does not lie in the expected subgroup")
@@ -132,6 +134,8 @@ def _diag_normalize(group: PresentedGroup):
     into the new presentation, and maps conjugate accordingly.
     """
     n = group.ngens
+    if group.rels.cols == 0:  # already diagonal, with no unit generator
+        return group, intmat.identity(n), intmat.identity(n)
     u, s, _v, uinv = intmat._smith(group.rels, u=True, uinv=True)
     diag = intmat.diagonal(s)
     keep = [i for i in range(n) if i >= len(diag) or diag[i] != 1]
@@ -231,8 +235,9 @@ def couple_derive(c: ExactCouple) -> ExactCouple:
 
     for deg in c.degrees():
         # D' = im(i) on the columns i(e_b), with relations ker(i)
-        d_gens[deg] = c.imat(deg) if c.dgroup(deg).ngens else empty
-        d2[deg] = PresentedGroup(d_gens[deg].cols, c.ker_i(deg, 1))
+        if c.dgroup(deg).ngens:
+            d_gens[deg] = c.imat(deg)
+            d2[deg] = PresentedGroup(d_gens[deg].cols, c.ker_i(deg, 1))
 
     for deg in c.degrees():
         eg = c.egroup(deg)
@@ -241,9 +246,13 @@ def couple_derive(c: ExactCouple) -> ExactCouple:
         if eg.ngens == 0:
             continue
         dd = c.shift_k + c.shift_j  # degree of the differential j o k
-        dmat = intmat.matmul(c.jmat(deg + c.shift_k), c.kmat(deg))
         prev = intmat.matmul(c.jmat(deg - dd + c.shift_k), c.kmat(deg - dd))
-        cycles = intmat.kernel_mod_lattice(dmat, c.egroup(deg + dd).rels)
+        target = c.egroup(deg + dd)
+        if target.ngens:
+            dmat = intmat.matmul(c.jmat(deg + c.shift_k), c.kmat(deg))
+            cycles = intmat.kernel_mod_lattice(dmat, target.rels)
+        else:  # j o k lands in a zero group
+            cycles = intmat.identity(eg.ngens)
         e_cycles[deg] = cycles
         if cycles.cols == 0:
             continue
@@ -252,7 +261,7 @@ def couple_derive(c: ExactCouple) -> ExactCouple:
 
     for deg in c.degrees():
         # i': restriction of i to the image
-        gens = d_gens[deg]
+        gens = d_gens.get(deg, empty)
         tgt = deg + c.shift_i
         i2[deg] = _coordinates(
             c.dgroup(tgt), d_gens.get(tgt, empty), intmat.matmul(c.imat(deg), gens)

@@ -4,26 +4,23 @@ Verbs: decompose, tensor, pages, cohomology, classify-hp1, pbundle-hp1,
 blowup, check.  Input is a JSON file (--in, '-' for stdin) or inline
 JSON (--blocks); output is deterministic JSON (sorted keys) or a plain
 table.  Exit codes: 0 success, 1 malformed input, 2 validation or check
-failure, 64 usage error.  MWTATE_LOG sets the log level.
+failure, 64 usage error.  MWTATE_LOG names a logging level (DEBUG,
+INFO, WARNING, ...); any other value is a usage error.  A verb imports
+only the layers it runs, so decompose and tensor load no Bockstein,
+geometry or check code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import re
 import sys
 
-from . import __version__, checks, serialize
-from .bockstein import degeneracy_page, pages
-from .cohomology import chow, mod2_motivic, mw_diagonal, witt_cohomology
-from .geometry import blowup_eta_check, blowup_motive, hp1_classify, projective_bundle_hp1
+from . import __version__, serialize
 from .motives import InvalidComplex, NormalForm, decompose, tensor, validate_complex
 from .wittring import GWElement, InvalidParity
-
-log = logging.getLogger("mwtate")
 
 USAGE_EXIT = 64
 INPUT_EXIT = 1
@@ -166,8 +163,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("check", help="run a named verification suite")
     common(sp)
-    sp.add_argument("--suite", default="all",
-                    help=f"one of {sorted(checks.SUITES)} or 'all'")
+    sp.add_argument("--suite", default="all", help="a suite name or 'all'")
     return p
 
 
@@ -192,6 +188,8 @@ def _cmd_tensor(args) -> int:
 
 
 def _cmd_pages(args) -> int:
+    from .bockstein import pages
+
     if len(args.blocks) != 1:
         raise _InputError("pages needs exactly one --blocks argument")
     a = _blocks_arg(args.blocks[0])
@@ -203,6 +201,8 @@ def _cmd_pages(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
+    from .cohomology import chow, mod2_motivic, mw_diagonal, witt_cohomology
+
     if len(args.blocks) != 1:
         raise _InputError("cohomology needs exactly one --blocks argument")
     a = _blocks_arg(args.blocks[0])
@@ -234,6 +234,8 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .geometry import hp1_classify
+
     if args.rank == 2:
         if not args.euler:
             raise _InputError("rank 2 needs --euler rank,signature")
@@ -259,6 +261,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_pbundle(args) -> int:
+    from .bockstein import degeneracy_page
+    from .geometry import projective_bundle_hp1
+
     e = _euler_arg(args.euler)
     c = projective_bundle_hp1(e)
     blocks = decompose(c)
@@ -272,6 +277,8 @@ def _cmd_pbundle(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
+    from .geometry import blowup_eta_check, blowup_motive
+
     data = _read_json(args.infile or "-")
     try:
         parts = serialize.blowup_from_json(data)
@@ -288,11 +295,13 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import checks
+
     names = sorted(checks.SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for name in names:
         if name not in checks.SUITES:
-            raise _InputError(f"unknown suite {name!r}")
+            raise _InputError(f"unknown suite {name!r}; choose from {sorted(checks.SUITES)}")
         result = checks.run_suite(name, seed=args.seed)
         print(result.line())
         failed = failed or not result.passed
@@ -311,8 +320,25 @@ _COMMANDS = {
 }
 
 
+def _logger():
+    """The ``mwtate`` logger at the level MWTATE_LOG names, or None when
+    MWTATE_LOG is unset: at the default level no debug record prints, so
+    a default run neither imports nor configures logging."""
+    name = os.environ.get("MWTATE_LOG")
+    if not name:
+        return None
+    import logging
+
+    level = logging.getLevelName(name.upper())
+    if not isinstance(level, int):
+        print(f"error: MWTATE_LOG must name a logging level, not {name!r}", file=sys.stderr)
+        raise SystemExit(USAGE_EXIT)
+    logging.basicConfig(level=level)
+    return logging.getLogger("mwtate")
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("MWTATE_LOG", "WARNING").upper())
+    log = _logger()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.model != "minimal-euclidean":
@@ -321,7 +347,8 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.verb](args)
     except _InputError as exc:
-        log.debug("input error", exc_info=True)
+        if log:
+            log.debug("input error", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_EXIT
     except (InvalidComplex, InvalidParity) as exc:

@@ -20,10 +20,14 @@ included) where an integer belongs raises ValueError.
 
 from __future__ import annotations
 
-from .bockstein.pages import Page
+from typing import TYPE_CHECKING
+
 from .exactalg import FormalGroup, GradedGroup
 from .motives import DyadicEta, Free, NormalForm, OddTorsion, TateComplex
 from .wittring import GWElement
+
+if TYPE_CHECKING:
+    from .bockstein.pages import Page
 
 MODEL_TAG = "minimal-euclidean"
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mwtate
 from mwtate import serialize
 from mwtate.cli import main
 from mwtate.motives import DyadicEta, Free, NormalForm, OddTorsion, TateComplex, decompose
@@ -200,6 +205,12 @@ class TestCLI:
                            "--theory", "mw-diagonal", f"--range={bad}")
         assert code == 1 and err.startswith("error: ")
 
+    def test_unknown_suite_exit_one(self, capsys):
+        code, out, err = run(capsys, "check", "--suite", "nope")
+        assert code == 1 and out == ""
+        assert err.startswith("error: unknown suite 'nope'; choose from [")
+        assert "'couple'" in err
+
     def test_usage_error_exit_64(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["pages", "--bogus"])
@@ -262,3 +273,64 @@ class TestCLI:
         )
         assert code == 0
         assert json.loads(out)["model"] == "minimal-euclidean"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+SRC = str(Path(mwtate.__file__).resolve().parents[1])
+
+# runs main(argv) in a fresh interpreter; the last stderr line lists
+# which of the modules named in PROBE_MODULES the verb loaded
+PROBE = """
+import json, os, sys
+from mwtate.cli import main
+code = main(sys.argv[1:])
+names = os.environ["PROBE_MODULES"].split(",")
+print(json.dumps([n for n in names if n in sys.modules]), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_fresh(argv, probe=(), **env):
+    """(exit code, stdout, stderr) of ``main(argv)`` in a new process."""
+    full = {k: v for k, v in os.environ.items() if k != "MWTATE_LOG"}
+    full.update(env, PROBE_MODULES=",".join(probe))
+    full["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, full.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True,
+                         text=True, env=full, timeout=60)
+    return res.returncode, res.stdout, res.stderr
+
+
+class TestVerbImports:
+    # a verb imports only the layers it runs: these are the cheap verbs
+    LAYERS = ("mwtate.checks", "mwtate.bockstein", "mwtate.geometry",
+              "mwtate.cohomology", "logging")
+
+    def test_decompose_loads_no_other_layer(self):
+        code, out, err = run_fresh(
+            ["decompose", "--in", str(GOLDEN / "decompose_small.json")], self.LAYERS
+        )
+        assert code == 0
+        assert out == (GOLDEN / "decompose-small.out").read_text()
+        assert json.loads(err.splitlines()[-1]) == []
+
+    def test_tensor_loads_no_bockstein_or_checks(self):
+        from tests.test_golden import CASES
+
+        code, out, err = run_fresh(CASES["tensor"], self.LAYERS)
+        assert code == 0
+        assert out == (GOLDEN / "tensor.out").read_text()
+        assert not {"mwtate.bockstein", "mwtate.checks"} & set(json.loads(err.splitlines()[-1]))
+
+
+class TestLogLevel:
+    def test_bad_level_exit_64(self):
+        code, out, err = run_fresh(["classify-hp1", "--rank", "2", "--euler", "0,4"],
+                                   MWTATE_LOG="foo")
+        assert code == 64 and out == ""
+        assert err.startswith("error: MWTATE_LOG") and "Traceback" not in err
+
+    def test_debug_prints_input_error_traceback(self):
+        code, _, err = run_fresh(["classify-hp1", "--rank", "2"], MWTATE_LOG="DEBUG")
+        assert code == 1  # rank 2 without --euler
+        assert "DEBUG:mwtate:input error" in err and "Traceback" in err
+        assert "error: rank 2 needs --euler rank,signature" in err

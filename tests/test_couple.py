@@ -337,3 +337,17 @@ def test_analysis_builds_each_kernel_once(intmat_calls):
             for n in range(1, r + 2):
                 power = cpl.i_power(deg, n)
                 assert sum(args[0] is power for args, _kwargs in calls) == 1
+
+
+def test_derive_skips_zero_groups(smith_calls):
+    # a degree where D or E is zero needs no linear algebra: deriving (and
+    # the normalization inside it) makes no Smith form of an empty shape
+    shapes = []
+    for complex_ in DEEP_TORSION:
+        level = bockstein_couple(complex_)
+        r = torsion_order(level)
+        for _ in range(r + 1):  # the derivations couple_analyze makes
+            smith_calls.clear()
+            level = couple_derive(level)
+            shapes += [(args[0].rows, args[0].cols) for args, _kwargs in smith_calls]
+    assert shapes and all(rows and cols for rows, cols in shapes), shapes
