@@ -1,5 +1,5 @@
 """Bockstein spectral sequence machinery: page tables, page analysis,
-the generic exact-couple engine, and the symbolic square-zero check."""
+the Bockstein exact couple, and the symbolic square-zero check."""
 
 from .analysis import (
     CheckReport,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exactalg import FormalGroup, PresentedGroup, intmat
-from ..motives import DyadicEta, Free, NormalForm, tensor
+from ..motives import DyadicEta, Free, NormalForm, quotient_by_dyadic_eta, tensor
 from .fibers import FiberModel, f2_insert, f2_reduce
 from .pages import (
     T_PIECE,
@@ -102,7 +102,7 @@ def truncated_check(a: NormalForm, j: int) -> CheckReport:
     """
     if j < 1:
         raise ValueError("need j >= 1")
-    quot = tensor(a, NormalForm([DyadicEta(j, 0)]))
+    quot = quotient_by_dyadic_eta(a, j)
     failures = []
     for i in range(2, j + 2):
         pa = pages(a, i)

@@ -1,12 +1,12 @@
-"""A generic exact-couple engine over finitely generated abelian groups.
+"""The Bockstein exact couple over finitely generated abelian groups.
 
 Groups are finite presentations (Z^n modulo integer relation columns),
-graded by an integer degree; the three structure maps carry fixed
-degree shifts.  Deriving replaces D by the image of i and E by the
+graded by an integer degree, with i: D^d -> D^d, j: D^d -> E^d and
+k: E^d -> D^{d+1}.  Deriving replaces D by the image of i and E by the
 homology of j o k, with all induced maps computed by exact integer
-solving.  The classical fixture is the multiplication-by-2 couple on
-the integer cohomology of an attachment complex, whose E_1 is mod-2
-cohomology and whose first differential is the integral Bockstein.
+solving.  The couple of an attachment complex is the multiplication-by-2
+couple on its integer cohomology, whose E_1 is mod-2 cohomology and
+whose first differential is the integral Bockstein.
 
 Couples are values, so a couple keeps what it builds: i^n, ker(i^n),
 ker(k) and E_inf of a degree are built once each, by one method each.
@@ -40,7 +40,8 @@ def _kept(build):
 
 @dataclass
 class ExactCouple:
-    """Graded couple (D, E, i, j, k) with degree shifts for the maps.
+    """Graded couple (D, E, i, j, k) with i: D^d -> D^d, j: D^d -> E^d
+    and k: E^d -> D^{d+1}.
 
     ``d_groups`` and ``e_groups`` map degree -> PresentedGroup; the map
     dictionaries hold one Mat per source degree.  Missing degrees are
@@ -52,9 +53,6 @@ class ExactCouple:
     map_i: dict
     map_j: dict
     map_k: dict
-    shift_i: int = 0
-    shift_j: int = 0
-    shift_k: int = 1
     _store: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def degrees(self):
@@ -67,41 +65,38 @@ class ExactCouple:
         return self.e_groups.get(deg, _ZERO)
 
     def imat(self, deg) -> Mat:
-        return _map(self.map_i, deg, self.dgroup(deg + self.shift_i), self.dgroup(deg))
+        return _map(self.map_i, deg, self.dgroup(deg), self.dgroup(deg))
 
     def jmat(self, deg) -> Mat:
-        return _map(self.map_j, deg, self.egroup(deg + self.shift_j), self.dgroup(deg))
+        return _map(self.map_j, deg, self.egroup(deg), self.dgroup(deg))
 
     def kmat(self, deg) -> Mat:
-        return _map(self.map_k, deg, self.dgroup(deg + self.shift_k), self.egroup(deg))
+        return _map(self.map_k, deg, self.dgroup(deg + 1), self.egroup(deg))
 
     @_kept
     def i_power(self, deg, n) -> Mat:
-        """i^n on D(deg) as one matrix into D(deg + n * shift_i)."""
+        """i^n on D(deg) as one matrix."""
         if n == 0:
             return intmat.identity(self.dgroup(deg).ngens)
-        last = self.imat(deg + (n - 1) * self.shift_i)
-        return intmat.matmul(last, self.i_power(deg, n - 1))
+        return intmat.matmul(self.imat(deg), self.i_power(deg, n - 1))
 
     @_kept
     def ker_i(self, deg, n) -> Mat:
         """Generators of ker(i^n) in D(deg); no columns for n = 0."""
         if n == 0:
             return intmat.zeros(self.dgroup(deg).ngens, 0)
-        rels = self.dgroup(deg + n * self.shift_i).rels
-        return intmat.kernel_mod_lattice(self.i_power(deg, n), rels)
+        return intmat.kernel_mod_lattice(self.i_power(deg, n), self.dgroup(deg).rels)
 
     @_kept
     def ker_k(self, deg) -> Mat:
         """Generators of ker(k) in E(deg)."""
-        rels = self.dgroup(deg + self.shift_k).rels
-        return intmat.kernel_mod_lattice(self.kmat(deg), rels)
+        return intmat.kernel_mod_lattice(self.kmat(deg), self.dgroup(deg + 1).rels)
 
     @_kept
     def e_inf(self, deg, r) -> PresentedGroup:
         """E_inf(deg) = ker(k)/j(ker(i^r)), presented on the columns of ker(k)."""
-        src, kerk = deg - self.shift_j, self.ker_k(deg)
-        jk = intmat.matmul(self.jmat(src), self.ker_i(src, r))
+        kerk = self.ker_k(deg)
+        jk = intmat.matmul(self.jmat(deg), self.ker_i(deg, r))
         rels = intmat.kernel_mod_lattice(kerk, intmat.hstack(jk, self.egroup(deg).rels))
         return PresentedGroup(kerk.cols, rels)
 
@@ -179,25 +174,23 @@ def normalize_couple(c: ExactCouple) -> ExactCouple:
         g, to, frm = _diag_normalize(c.egroup(deg))
         e_new[deg], e_to[deg], e_frm[deg] = g, to, frm
 
-    def conv(mat_of, src_frm, dst_to, dst_grp, shift):
+    def conv(mat_of, src_frm, dst_to, dst_grp, step):
+        # step is the degree the map raises: 1 for k, 0 for i and j
         out = {}
         for deg in c.degrees():
-            dst = dst_to.get(deg + shift)
+            dst = dst_to.get(deg + step)
             if dst is None:
                 continue
             m = intmat.matmul(intmat.matmul(dst, mat_of(deg)), src_frm[deg])
-            out[deg] = _reduce_mod_orders(m, _orders_of(dst_grp[deg + shift]))
+            out[deg] = _reduce_mod_orders(m, _orders_of(dst_grp[deg + step]))
         return out
 
     return ExactCouple(
         {d: g for d, g in d_new.items() if g.ngens},
         {d: g for d, g in e_new.items() if g.ngens},
-        conv(c.imat, d_frm, d_to, d_new, c.shift_i),
-        conv(c.jmat, d_frm, e_to, e_new, c.shift_j),
-        conv(c.kmat, e_frm, d_to, d_new, c.shift_k),
-        c.shift_i,
-        c.shift_j,
-        c.shift_k,
+        conv(c.imat, d_frm, d_to, d_new, 0),
+        conv(c.jmat, d_frm, e_to, e_new, 0),
+        conv(c.kmat, e_frm, d_to, d_new, 1),
     )
 
 
@@ -206,24 +199,22 @@ def verify_exactness(c: ExactCouple) -> None:
     for deg in c.degrees():
         dg = c.dgroup(deg)
         if dg.ngens:
-            # at D(deg) between i (incoming from deg - shift_i) and j
-            ker_j = intmat.kernel_mod_lattice(c.jmat(deg), c.egroup(deg + c.shift_j).rels)
-            if not dg.subgroups_equal(c.imat(deg - c.shift_i), ker_j):
+            # at D(deg) between i (incoming from D(deg)) and j
+            ker_j = intmat.kernel_mod_lattice(c.jmat(deg), c.egroup(deg).rels)
+            if not dg.subgroups_equal(c.imat(deg), ker_j):
                 raise InexactCouple(f"im(i) != ker(j) at D degree {deg}")
-            # at D(deg) between k (incoming from deg - shift_k) and i
-            if not dg.subgroups_equal(c.kmat(deg - c.shift_k), c.ker_i(deg, 1)):
+            # at D(deg) between k (incoming from E(deg - 1)) and i
+            if not dg.subgroups_equal(c.kmat(deg - 1), c.ker_i(deg, 1)):
                 raise InexactCouple(f"im(k) != ker(i) at D degree {deg}")
         eg = c.egroup(deg)
         if eg.ngens:
-            if not eg.subgroups_equal(c.jmat(deg - c.shift_j), c.ker_k(deg)):
+            if not eg.subgroups_equal(c.jmat(deg), c.ker_k(deg)):
                 raise InexactCouple(f"im(j) != ker(k) at E degree {deg}")
 
 
 def couple_derive(c: ExactCouple) -> ExactCouple:
     """The derived couple: D' = im(i), E' = ker(jk)/im(jk), with the
     structure maps induced by exact solving."""
-    if c.shift_i != 0:
-        raise NotImplementedError("derivation assumes a degree-preserving i")
     empty = intmat.zeros(0, 0)
     d2: dict = {}
     e2: dict = {}
@@ -245,11 +236,11 @@ def couple_derive(c: ExactCouple) -> ExactCouple:
         e2[deg] = _ZERO
         if eg.ngens == 0:
             continue
-        dd = c.shift_k + c.shift_j  # degree of the differential j o k
-        prev = intmat.matmul(c.jmat(deg - dd + c.shift_k), c.kmat(deg - dd))
-        target = c.egroup(deg + dd)
+        # the differential j o k raises the degree by one
+        prev = intmat.matmul(c.jmat(deg), c.kmat(deg - 1))
+        target = c.egroup(deg + 1)
         if target.ngens:
-            dmat = intmat.matmul(c.jmat(deg + c.shift_k), c.kmat(deg))
+            dmat = intmat.matmul(c.jmat(deg + 1), c.kmat(deg))
             cycles = intmat.kernel_mod_lattice(dmat, target.rels)
         else:  # j o k lands in a zero group
             cycles = intmat.identity(eg.ngens)
@@ -262,23 +253,13 @@ def couple_derive(c: ExactCouple) -> ExactCouple:
     for deg in c.degrees():
         # i': restriction of i to the image
         gens = d_gens.get(deg, empty)
-        tgt = deg + c.shift_i
-        i2[deg] = _coordinates(
-            c.dgroup(tgt), d_gens.get(tgt, empty), intmat.matmul(c.imat(deg), gens)
-        )
-        # j': i(x) -> [j(x)] in E'; generator b of D' is i(e_b) with e_b
-        # standard in D(deg - shift_i)
-        tgt = deg + c.shift_j
-        jx = c.jmat(deg - c.shift_i + c.shift_j)
-        images = Mat.from_columns(
-            [jx.column(b) if b < jx.cols else [0] * jx.rows for b in range(gens.cols)],
-            jx.rows,
-        )
-        j2[deg] = _coordinates(c.egroup(tgt), e_cycles.get(tgt, empty), images)
+        i2[deg] = _coordinates(c.dgroup(deg), gens, intmat.matmul(c.imat(deg), gens))
+        # j': i(x) -> [j(x)] in E'; generator b of D' is i(e_b), so its
+        # image is column b of j
+        j2[deg] = _coordinates(c.egroup(deg), e_cycles[deg], c.jmat(deg))
         # k': cycle z -> k(z) expressed in D'
-        tgt = deg + c.shift_k
         images = intmat.matmul(c.kmat(deg), e_cycles[deg])
-        k2[deg] = _coordinates(c.dgroup(tgt), d_gens.get(tgt, empty), images)
+        k2[deg] = _coordinates(c.dgroup(deg + 1), d_gens.get(deg + 1, empty), images)
 
     raw = ExactCouple(
         {d: g for d, g in d2.items() if g.ngens},
@@ -286,9 +267,6 @@ def couple_derive(c: ExactCouple) -> ExactCouple:
         {d: m for d, m in i2.items() if m.cols},
         {d: m for d, m in j2.items() if m.cols},
         {d: m for d, m in k2.items() if m.cols},
-        c.shift_i,
-        c.shift_j,
-        c.shift_k,
     )
     return normalize_couple(raw)
 
@@ -341,10 +319,9 @@ def _four_term_exact(c: ExactCouple, r: int) -> bool:
         if dg.ngens == 0:
             continue
         n = dg.ngens
-        e_deg = deg + c.shift_j
-        eg = c.egroup(e_deg)
-        ker_inf, kerk, einf_group = c.ker_i(deg, r), c.ker_k(e_deg), c.e_inf(e_deg, r)
-        inter = _subgroup_intersection(dg, c.imat(deg - c.shift_i), ker_inf)
+        eg = c.egroup(deg)
+        ker_inf, kerk, einf_group = c.ker_i(deg, r), c.ker_k(deg), c.e_inf(deg, r)
+        inter = _subgroup_intersection(dg, c.imat(deg), ker_inf)
         # middle group M = ker(k) + D/ker(i^inf); map (j, p) on the
         # generators of D, in kerk coordinates followed by D coordinates
         j_coords = _coordinates(eg, kerk, c.jmat(deg))
@@ -400,7 +377,7 @@ def identification_test(c: ExactCouple, r: int) -> bool:
         if dg.ngens == 0:
             continue
         jm = c.jmat(deg)
-        e_rels = c.egroup(deg + c.shift_j).rels
+        e_rels = c.egroup(deg).rels
         vectors = intmat.hstack(c.ker_i(deg, r), intmat.zeros(dg.ngens, 1))
         alive = list(range(vectors.cols))
         for n in range(r):

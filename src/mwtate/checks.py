@@ -1,9 +1,8 @@
 """Named verification suites behind both `mwtate check` and the
 acceptance tests, so desk verification and CI run identical code.
 
-Every suite is deterministic for a fixed seed; corpus sizes default to
-the acceptance-grade values but are parameters so the CLI can run
-lighter sweeps.
+Every suite takes only a seed and is deterministic for it; the corpus
+sizes are the acceptance-grade values, written into each suite.
 """
 
 from __future__ import annotations
@@ -64,9 +63,10 @@ class SuiteResult:
 
 
 ODD_PRIMES = (3, 5, 7)
+MAX_T = 4  # the largest dyadic exponent t of a random block
 
 
-def random_normal_form(rng, max_blocks=8, allow_odd=True, max_t=4) -> NormalForm:
+def random_normal_form(rng, max_blocks=8, allow_odd=True) -> NormalForm:
     blocks = []
     for _ in range(rng.randrange(1, max_blocks + 1)):
         w = rng.randrange(-3, 4)
@@ -74,16 +74,12 @@ def random_normal_form(rng, max_blocks=8, allow_odd=True, max_t=4) -> NormalForm
         if roll < 0.35:
             blocks.append(Free(w))
         elif roll < 0.85 or not allow_odd:
-            blocks.append(DyadicEta(rng.randrange(0, max_t + 1), w))
+            blocks.append(DyadicEta(rng.randrange(0, MAX_T + 1), w))
         else:
             blocks.append(
                 OddTorsion(rng.choice(ODD_PRIMES), rng.randrange(1, 3), w)
             )
     return NormalForm(blocks)
-
-
-def random_odd_free_normal_form(rng, max_blocks=8, max_t=4) -> NormalForm:
-    return random_normal_form(rng, max_blocks, allow_odd=False, max_t=max_t)
 
 
 def unimodular_twist(c: TateComplex, rng) -> TateComplex:
@@ -131,14 +127,14 @@ def witt_direct(c: TateComplex, modulus: int = 0) -> GradedGroup:
 # ----------------------------------------------------------------- suites
 
 
-def suite_block_pages(seed=0, j_range=(1, 2, 3), q_lo=-2, q_hi=10) -> SuiteResult:
+def suite_block_pages(seed) -> SuiteResult:
     """Block tables against a direct transcription of the four cases."""
     cases = 0
-    for j in j_range:
+    for j in (1, 2, 3):
         for w in (-1, 0, 2):
             for i in range(2, j + 4):
                 pg = block_pages(DyadicEta(j, w), i)
-                for qq in range(q_lo, q_hi + 1):
+                for qq in range(-2, 11):
                     for line in (-1, 0, 1, 2, 3):
                         q = qq + w
                         p = q + line + w  # p - 2w ranges around the diagonal
@@ -175,11 +171,11 @@ def _oracle_dim(j, i, p, q):
     return 0
 
 
-def suite_torsion_profile(seed=7, samples=300, max_blocks=12) -> SuiteResult:
+def suite_torsion_profile(seed) -> SuiteResult:
     rng = random.Random(seed)
     cases = 0
-    for _ in range(samples):
-        a = random_normal_form(rng, max_blocks)
+    for _ in range(300):
+        a = random_normal_form(rng, 12)
         h = witt_cohomology(a, 0)
         for i in range(2, degeneracy_page(a) + 3):
             cases += 1
@@ -190,11 +186,11 @@ def suite_torsion_profile(seed=7, samples=300, max_blocks=12) -> SuiteResult:
     return SuiteResult("torsion-profile", True, cases)
 
 
-def suite_degeneracy(seed=7, samples=300, max_blocks=12) -> SuiteResult:
+def suite_degeneracy(seed) -> SuiteResult:
     rng = random.Random(seed)
     cases = 0
-    for _ in range(samples):
-        a = random_normal_form(rng, max_blocks)
+    for _ in range(300):
+        a = random_normal_form(rng, 12)
         d = degeneracy_page(a)
         r = d - 2
         cases += 1
@@ -213,19 +209,17 @@ def _page_content(pg):
     return pg.canonical()[1:]
 
 
-def suite_decompose(
-    seed=11, samples=500, autos_per_complex=100, max_blocks=12
-) -> SuiteResult:
+def suite_decompose(seed) -> SuiteResult:
     rng = random.Random(seed)
     cases = 0
-    for _ in range(samples):
-        a = random_odd_free_normal_form(rng, max_blocks)
+    for _ in range(500):
+        a = random_normal_form(rng, 12, allow_odd=False)
         c = realize(a)
         cases += 1
         if decompose(c) != a:
             return SuiteResult("decompose", False, cases, f"round trip failed: {a}")
         base = decompose(c)
-        for _k in range(autos_per_complex):
+        for _k in range(100):
             cases += 1
             twisted = unimodular_twist(c, rng)
             if decompose(twisted) != base:
@@ -239,9 +233,9 @@ def suite_decompose(
     return SuiteResult("decompose", True, cases)
 
 
-def suite_pbundle(seed=0, n_range=(1, 2, 3, 4, 5, 6)) -> SuiteResult:
+def suite_pbundle(seed) -> SuiteResult:
     cases = 0
-    for n in n_range:
+    for n in range(1, 7):
         cases += 1
         blocks = decompose(projective_bundle_hp1(GWElement(0, 2**n)))
         w = witt_cohomology(blocks, 0)
@@ -258,11 +252,11 @@ def suite_pbundle(seed=0, n_range=(1, 2, 3, 4, 5, 6)) -> SuiteResult:
     return SuiteResult("pbundle", True, cases)
 
 
-def suite_kunneth(seed=5, samples=100, max_blocks=8, t_max=4) -> SuiteResult:
+def suite_kunneth(seed) -> SuiteResult:
     rng = random.Random(seed)
     cases = 0
-    for t1 in range(0, t_max + 1):
-        for t2 in range(0, t_max + 1):
+    for t1 in range(0, 5):
+        for t2 in range(0, 5):
             cases += 1
             rep = kunneth_e2(
                 NormalForm([DyadicEta(t1, 0)]), NormalForm([DyadicEta(t2, 0)])
@@ -271,23 +265,23 @@ def suite_kunneth(seed=5, samples=100, max_blocks=8, t_max=4) -> SuiteResult:
                 return SuiteResult(
                     "kunneth", False, cases, f"block pair ({t1},{t2})"
                 )
-    for _ in range(samples):
+    for _ in range(100):
         cases += 1
-        a = random_normal_form(rng, max_blocks)
-        b = random_normal_form(rng, max_blocks)
+        a = random_normal_form(rng, 8)
+        b = random_normal_form(rng, 8)
         rep = kunneth_e2(a, b)
         if not rep.equal:
             return SuiteResult("kunneth", False, cases, f"{a} x {b}")
     return SuiteResult("kunneth", True, cases)
 
 
-def suite_tensor_witt(seed=3, samples=200, max_blocks=8) -> SuiteResult:
+def suite_tensor_witt(seed) -> SuiteResult:
     rng = random.Random(seed)
     cases = 0
-    for _ in range(samples):
+    for _ in range(200):
         cases += 1
-        a = random_normal_form(rng, max_blocks)
-        b = random_normal_form(rng, max_blocks)
+        a = random_normal_form(rng, 8)
+        b = random_normal_form(rng, 8)
         got = witt_cohomology(tensor(a, b), 0)
         want = graded_kunneth(witt_cohomology(a, 0), witt_cohomology(b, 0))
         if got != want:
@@ -295,16 +289,16 @@ def suite_tensor_witt(seed=3, samples=200, max_blocks=8) -> SuiteResult:
     return SuiteResult("tensor-witt", True, cases)
 
 
-def suite_bounded(seed=9, samples=100, max_blocks=8, window=20) -> SuiteResult:
+def suite_bounded(seed) -> SuiteResult:
     rng = random.Random(seed)
     cases = 0
-    for _ in range(samples):
-        a = random_normal_form(rng, max_blocks)
+    for _ in range(100):
+        a = random_normal_form(rng, 8)
         pg = pages(a, 2)
         wmod2 = witt_cohomology(a, 2)
         qs = [t.q for t in pg.towers] or [0]
         q0 = min(qs) - 2
-        for q in range(q0, q0 + window):
+        for q in range(q0, q0 + 20):
             for p in range(q - 3, 2 * q + 4):
                 cases += 1
                 dim = pg.dim(p, q)
@@ -323,8 +317,12 @@ def suite_bounded(seed=9, samples=100, max_blocks=8, window=20) -> SuiteResult:
     return SuiteResult("bounded", True, cases)
 
 
-def random_adjacent_complex(rng, max_cells=8, bound=9) -> FreeComplex:
-    """Random small composable complex with entries in [-bound, bound].
+MAX_CELLS = 8  # cells of a random adjacent complex, at most
+BOUND = 9  # the largest absolute entry of its differentials
+
+
+def random_adjacent_complex(rng) -> FreeComplex:
+    """Random small composable complex with entries in [-BOUND, BOUND].
 
     Either a single random differential between two adjacent weights
     (composability is vacuous) or a stack of elementary cones whose
@@ -332,10 +330,10 @@ def random_adjacent_complex(rng, max_cells=8, bound=9) -> FreeComplex:
     """
     if rng.random() < 0.7:
         lo = rng.randrange(-2, 2)
-        n_lo = rng.randrange(1, max_cells // 2 + 1)
-        n_hi = rng.randrange(1, max_cells - n_lo + 1)
+        n_lo = rng.randrange(1, MAX_CELLS // 2 + 1)
+        n_hi = rng.randrange(1, MAX_CELLS - n_lo + 1)
         m = [
-            [rng.randrange(-bound, bound + 1) for _ in range(n_hi)]
+            [rng.randrange(-BOUND, BOUND + 1) for _ in range(n_hi)]
             for _ in range(n_lo)
         ]
         return FreeComplex({lo: n_lo, lo + 1: n_hi}, {lo: m})
@@ -352,17 +350,17 @@ def random_adjacent_complex(rng, max_cells=8, bound=9) -> FreeComplex:
             r = rng.randrange(0, ranks[w])
             s = rng.randrange(0, ranks[w + 1])
             if (w - w0) % 2 == 0:
-                m[r][s] = rng.randrange(1, bound + 1)
+                m[r][s] = rng.randrange(1, BOUND + 1)
         diffs[w] = m
     return FreeComplex(ranks, diffs)
 
 
-def suite_couple(seed=13, samples=100, max_cells=8, bound=9) -> SuiteResult:
+def suite_couple(seed) -> SuiteResult:
     rng = random.Random(seed)
     cases = 0
-    for _ in range(samples):
+    for _ in range(100):
         cases += 1
-        c = random_adjacent_complex(rng, max_cells, bound)
+        c = random_adjacent_complex(rng)
         res = couple_analyze(bockstein_couple(c))
         h = integer_cohomology(c, 0)
         expected = {
@@ -381,7 +379,7 @@ def suite_couple(seed=13, samples=100, max_cells=8, bound=9) -> SuiteResult:
     return SuiteResult("couple", True, cases)
 
 
-def suite_steenrod(seed=0) -> SuiteResult:
+def suite_steenrod(seed) -> SuiteResult:
     """The quoted-set reductions, the mutation sanity check, and the
     extended Cartan closure.  The (2,2) entry is irreducible under the
     exact quoted set; see the extended mode for the full square."""
@@ -409,12 +407,12 @@ def suite_steenrod(seed=0) -> SuiteResult:
     return SuiteResult("steenrod", True, cases)
 
 
-def suite_truncated(seed=17, samples=50, max_blocks=6, j_max=3) -> SuiteResult:
+def suite_truncated(seed) -> SuiteResult:
     rng = random.Random(seed)
     cases = 0
-    for _ in range(samples):
-        a = random_normal_form(rng, max_blocks)
-        for j in range(1, j_max + 1):
+    for _ in range(50):
+        a = random_normal_form(rng, 6)
+        for j in range(1, 4):
             cases += 1
             rep = truncated_check(a, j)
             if not rep.holds:
@@ -424,10 +422,10 @@ def suite_truncated(seed=17, samples=50, max_blocks=6, j_max=3) -> SuiteResult:
     return SuiteResult("truncated", True, cases)
 
 
-def suite_leibniz(seed=0, e_max=3) -> SuiteResult:
+def suite_leibniz(seed) -> SuiteResult:
     cases = 0
-    for j in range(1, e_max + 1):
-        for k in range(1, e_max + 1):
+    for j in range(1, 4):
+        for k in range(1, 4):
             cases += 1
             rep = leibniz_check(j, k)
             if not rep.holds:
@@ -435,15 +433,15 @@ def suite_leibniz(seed=0, e_max=3) -> SuiteResult:
     return SuiteResult("leibniz", True, cases)
 
 
-def suite_hom_cone(seed=0, l_max=24, pq_max=6) -> SuiteResult:
+def suite_hom_cone(seed) -> SuiteResult:
     cases = 1
     if hom_cone(6, 3, 2, "MW") != FormalGroup.from_invariants([3, 4]):
         return SuiteResult("hom-cone", False, cases, "spot value l=6 failed")
-    for l in range(1, l_max + 1):
+    for l in range(1, 25):
         t, s = split_dyadic(l)
         for cat in ("MW", "W"):
-            for p in range(-pq_max, pq_max + 1):
-                for q in range(-pq_max, pq_max + 1):
+            for p in range(-6, 7):
+                for q in range(-6, 7):
                     cases += 1
                     lhs = hom_cone(l, p, q, cat).direct_sum(hom_cone(1, p, q, cat))
                     rhs = hom_cone(1 << t, p, q, cat).direct_sum(
@@ -456,10 +454,10 @@ def suite_hom_cone(seed=0, l_max=24, pq_max=6) -> SuiteResult:
     return SuiteResult("hom-cone", True, cases)
 
 
-def suite_hp1(seed=0, grid=5) -> SuiteResult:
+def suite_hp1(seed) -> SuiteResult:
     cases = 0
-    for rank in range(-grid, grid + 1):
-        for sig in range(-grid, grid + 1):
+    for rank in range(-5, 6):
+        for sig in range(-5, 6):
             if (rank - sig) % 2:
                 continue
             e = GWElement(rank, sig)
@@ -499,7 +497,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0, **kwargs) -> SuiteResult:
+def run_suite(name: str, seed: int) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](seed=seed, **kwargs)
+    return SUITES[name](seed)

@@ -5,9 +5,10 @@ blowup, check.  Input is a JSON file (--in, '-' for stdin) or inline
 JSON (--blocks); output is deterministic JSON (sorted keys) or a plain
 table.  Exit codes: 0 success, 1 malformed input, 2 validation or check
 failure, 64 usage error.  MWTATE_LOG names a logging level (DEBUG,
-INFO, WARNING, ...); any other value is a usage error.  A verb imports
-only the layers it runs, so decompose and tensor load no Bockstein,
-geometry or check code.
+INFO, WARNING, ...); any other value is a usage error.  Layers are
+imported inside the verbs that use them: decompose and tensor load no
+Bockstein, geometry or check code.  pages and pbundle-hp1 load the whole
+bockstein package, exact couples included, and check loads every layer.
 """
 
 from __future__ import annotations
@@ -119,7 +120,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--format", choices=("json", "table"), default="json")
         sp.add_argument("--model", default="minimal-euclidean",
                         help="coefficient model (only minimal-euclidean exists)")
-        sp.add_argument("--seed", type=int, default=0)
         if blocks:
             sp.add_argument("--blocks", action="append", default=[],
                             help="inline JSON normal form (repeatable)")
@@ -146,7 +146,6 @@ def build_parser() -> _Parser:
     )
     sp.add_argument("--modulus", type=int, default=0, help="0 or a power of 2")
     sp.add_argument("--range", help="diagonal degree range LO:HI", default=None)
-    sp.add_argument("--page", type=int, default=0, help=argparse.SUPPRESS)
 
     sp = sub.add_parser("classify-hp1", help="classify a rank-n bundle on HP^1")
     common(sp)
@@ -164,6 +163,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("check", help="run a named verification suite")
     common(sp)
     sp.add_argument("--suite", default="all", help="a suite name or 'all'")
+    sp.add_argument("--seed", type=int, default=0)
     return p
 
 
@@ -302,7 +302,7 @@ def _cmd_check(args) -> int:
     for name in names:
         if name not in checks.SUITES:
             raise _InputError(f"unknown suite {name!r}; choose from {sorted(checks.SUITES)}")
-        result = checks.run_suite(name, seed=args.seed)
+        result = checks.run_suite(name, args.seed)
         print(result.line())
         failed = failed or not result.passed
     return VALIDATION_EXIT if failed else 0

@@ -1,10 +1,11 @@
 """Cohomological invariants of block normal forms.
 
 All integral answers are minimal-model answers: hom tables evaluate the
-motivic cohomology of the base point in the minimal Euclidean model of
-:class:`mwtate.wittring.CoefficientModel`.  Witt cohomology follows the
-cochain convention, so the torsion of a dyadic cone in weight i sits in
-degree i + 1.
+motivic cohomology of the base point in the minimal Euclidean model,
+where the 2-divisible summands of Milnor K-theory vanish in positive
+weights (``_h_mod2``, ``_h_integral`` and ``_two_torsion_free_milnor``).
+Witt cohomology follows the cochain convention, so the torsion of a
+dyadic cone in weight i sits in degree i + 1.
 """
 
 from __future__ import annotations
@@ -13,11 +14,34 @@ from dataclasses import dataclass
 
 from .exactalg import FormalGroup, GradedGroup, split_dyadic
 from .motives import DyadicEta, Free, NormalForm, OddTorsion
-from .wittring import MINIMAL_MODEL, CoefficientModel, fundamental_ideal_power
+from .wittring import fundamental_ideal_power
 
 
 class NonpositiveL(ValueError):
     """hom tables against the cone of l*eta need l >= 1."""
+
+
+def _h_mod2(a: int, b: int) -> FormalGroup:
+    """H^{a,b}(pt; Z/2) = Z/2 exactly for 0 <= a <= b (rho^a tau^(b-a))."""
+    if 0 <= a <= b:
+        return FormalGroup.cyclic(2)
+    return FormalGroup.zero()
+
+
+def _h_integral(a: int, b: int) -> FormalGroup:
+    """H^{a,b}(pt; Z): Z at (0, 0) and Z/2 on the diagonal a = b >= 1."""
+    if a == b == 0:
+        return FormalGroup.free(1)
+    if a == b and a >= 1:
+        return FormalGroup.cyclic(2)
+    return FormalGroup.zero()
+
+
+def _two_torsion_free_milnor(q: int) -> FormalGroup:
+    """The 2-divisible summand 2K^M_q: Z for q = 0, zero otherwise."""
+    if q == 0:
+        return FormalGroup.free(1)
+    return FormalGroup.zero()
 
 
 def chow(a: NormalForm, mod2: bool = False) -> GradedGroup:
@@ -142,9 +166,7 @@ def eta_inverted(a: NormalForm, p: int, q: int) -> FormalGroup:
     return FormalGroup(h.free_rank, tuple(tors))
 
 
-def hom_cone(
-    l: int, p: int, q: int, category: str = "MW", model: CoefficientModel = MINIMAL_MODEL
-) -> FormalGroup:
+def hom_cone(l: int, p: int, q: int, category: str = "MW") -> FormalGroup:
     """Maps from the cone of l*eta into the twist (q)[p], minimal model.
 
     Three rows: away from p = q, q+1 the answer is the two-summand
@@ -168,22 +190,18 @@ def hom_cone(
         iq1_mod = FormalGroup.cyclic(upper // lower)
         out = iq_mod.direct_sum(iq1_mod)
         if category == "MW":
-            out = out.direct_sum(model.two_torsion_free_milnor(q - 1))
+            out = out.direct_sum(_two_torsion_free_milnor(q - 1))
         return out
     if p == q:
         if category == "MW":
-            return model.two_torsion_free_milnor(q).direct_sum(
-                model.h_integral(p - 2, q - 1)
-            )
-        return model.h_mod2(p - 2, q - 1)
+            return _two_torsion_free_milnor(q).direct_sum(_h_integral(p - 2, q - 1))
+        return _h_mod2(p - 2, q - 1)
     if category == "MW":
-        return model.h_integral(p, q).direct_sum(model.h_integral(p - 2, q - 1))
-    return model.h_mod2(p, q).direct_sum(model.h_mod2(p - 2, q - 1))
+        return _h_integral(p, q).direct_sum(_h_integral(p - 2, q - 1))
+    return _h_mod2(p, q).direct_sum(_h_mod2(p - 2, q - 1))
 
 
-def mw_diagonal(
-    a: NormalForm, n: int, model: CoefficientModel = MINIMAL_MODEL
-) -> FormalGroup:
+def mw_diagonal(a: NormalForm, n: int) -> FormalGroup:
     """The diagonal (2n, n) group of the refined theory, block by block.
 
     Free(i) contributes the Milnor-Witt K-group of weight n - i: the
@@ -206,11 +224,11 @@ def mw_diagonal(
                 # pullback of K^M_m -> Z/2 <- I^m = Z is Z + 2K^M_m, and
                 # the 2-divisible summand is zero in the minimal model.
                 total = total.direct_sum(FormalGroup.free(1)).direct_sum(
-                    model.two_torsion_free_milnor(m)
+                    _two_torsion_free_milnor(m)
                 )
         elif isinstance(b, DyadicEta):
             m = n - b.weight
-            total = total.direct_sum(hom_cone(1 << b.t, 2 * m, m, "MW", model))
+            total = total.direct_sum(hom_cone(1 << b.t, 2 * m, m, "MW"))
         else:
             if n == b.shift + 1:
                 total = total.direct_sum(FormalGroup.cyclic(b.p**b.r))

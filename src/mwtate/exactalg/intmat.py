@@ -514,6 +514,8 @@ def kernel_basis(m: Mat) -> Mat:
     >>> kernel_basis(Mat([], 2))
     Mat([[1, 0], [0, 1]])
     """
+    if m.rows == 0:  # every vector is in the kernel
+        return identity(m.cols)
     _, s, v, _ = _smith(m, v=True)
     diag = diagonal(s)
     free = [j for j in range(m.cols) if j >= len(diag) or diag[j] == 0]
@@ -560,7 +562,11 @@ def lattice_contains(gens: Mat, vecs: Mat) -> list[bool]:
 
     >>> lattice_contains(Mat([[2, 0], [0, 3]]), Mat([[4, 1], [3, 3]]))
     [True, False]
+    >>> lattice_contains(Mat([[], []]), Mat([[0, 1], [0, 0]]))
+    [True, False]
     """
+    if gens.cols == 0:  # the zero lattice holds only the zero vector
+        return [not any(c) for c in vecs.columns()]
     u, s, _, _ = _smith(gens, u=True)
     diag = diagonal(s) + [0] * gens.rows
     cols = matmul(u, vecs).columns()

@@ -138,10 +138,6 @@ class NormalForm:
         return NormalForm(self.blocks + other.blocks)
 
 
-ZERO = NormalForm()
-UNIT = NormalForm([Free(0)])
-
-
 @dataclass(frozen=True)
 class Violation:
     kind: str
@@ -182,9 +178,6 @@ class TateComplex:
             for (a, b), v in (attach or {}).items()
             if int(v) != 0
         }
-
-    def cells_at(self, weight: int) -> list[str]:
-        return [c for c, w in self.cells if w == weight]
 
     def weights(self) -> list[int]:
         return sorted({w for _, w in self.cells})

@@ -3,28 +3,16 @@
 Over a Euclidean field the Witt ring is Z via the signature, and the
 Grothendieck-Witt ring is the subring of Z x Z of pairs (rank,
 signature) with equal parity.  The fundamental ideal I^q corresponds to
-2^q Z inside W = Z (with I^m = W for m <= 0).  The coefficient model
-for motivic hom tables is the minimal one: the 2-divisible summands of
-Milnor K-theory in positive weights are taken to be zero.
+2^q Z inside W = Z (with I^m = W for m <= 0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import FormalGroup
-
 
 class InvalidParity(ValueError):
     """rank and signature of a GW class must have equal parity."""
-
-
-class EvenInput(ValueError):
-    """p-bold is defined for odd p only."""
-
-
-class EvenS(ValueError):
-    """the odd part s of l = 2^t s must be odd."""
 
 
 @dataclass(frozen=True)
@@ -61,94 +49,14 @@ class GWElement:
     def is_zero(self) -> bool:
         return self.rank == 0 and self.signature == 0
 
-    def witt_class(self) -> WittClass:
-        return WittClass(self.signature)
 
-
-GW_ZERO = GWElement(0, 0)
 GW_ONE = GWElement(1, 1)
 EPSILON = GWElement(-1, 1)  # -<-1>
-MINUS_FORM = GWElement(1, -1)  # <-1>
-HYPERBOLIC = GWElement(2, 0)
-
-
-@dataclass(frozen=True)
-class WittClass:
-    """The signature image in W(k) = Z."""
-
-    value: int
-
-    def __add__(self, other: WittClass) -> WittClass:
-        return WittClass(self.value + other.value)
-
-    def __mul__(self, other: WittClass) -> WittClass:
-        return WittClass(self.value * other.value)
-
-
-def gw_ring(op: str, a: GWElement, b: GWElement | None = None) -> GWElement:
-    """Ring operations on GW(k), componentwise on (rank, signature)."""
-    if op == "neg":
-        return -a
-    if b is None:
-        raise ValueError(f"operation {op!r} needs two operands")
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def p_bold(p: int) -> GWElement:
-    """The sum of the first p powers of epsilon, for odd p >= 1.
-
-    Even powers contribute the unit and odd powers epsilon, so the sum
-    collapses to rank 1, signature p.
-
-    >>> p_bold(7)
-    GWElement(rank=1, signature=7)
-    """
-    if p < 1 or p % 2 == 0:
-        raise EvenInput(f"need odd p >= 1, got {p}")
-    total = GW_ZERO
-    power = GW_ONE
-    for _ in range(p):
-        total = total + power
-        power = power * EPSILON
-    assert total == GWElement(1, p)
-    return total
 
 
 def fundamental_ideal_power(q: int) -> int:
     """I^q = 2^max(q,0) Z inside W(k) = Z; I^m is all of W for m <= 0."""
     return 1 << max(q, 0)
-
-
-@dataclass(frozen=True)
-class IdealFiltration:
-    in_Iq: bool
-    Iq_mod_sIq: FormalGroup
-    Iq1_mod_2tIq: FormalGroup
-
-
-def ideal_filtration(w: WittClass, q: int, s: int, t: int) -> IdealFiltration:
-    """Membership of w in I^q and the two cyclic quotients of the hom
-    tables: I^q / s I^q = Z/s and I^{q-1} / 2^t I^q = Z/2^{t+1} for
-    q >= 1 (index of 2^{q+t} Z in 2^{q-1} Z).
-
-    >>> ideal_filtration(WittClass(4), 2, 3, 1)
-    IdealFiltration(in_Iq=True, Iq_mod_sIq=FormalGroup(free_rank=0, torsion=(3,)), Iq1_mod_2tIq=FormalGroup(free_rank=0, torsion=(4,)))
-    """
-    if s % 2 == 0:
-        raise EvenS(f"s must be odd, got {s}")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    in_iq = w.value % fundamental_ideal_power(q) == 0
-    iq_mod = FormalGroup.cyclic(abs(s))
-    # index of 2^t I^q inside I^{q-1}
-    lower = fundamental_ideal_power(q - 1)
-    upper = (1 << t) * fundamental_ideal_power(q)
-    iq1_mod = FormalGroup.cyclic(upper // lower)
-    return IdealFiltration(in_iq, iq_mod, iq1_mod)
 
 
 def kx_orbit_canonical(e: GWElement) -> GWElement:
@@ -164,41 +72,3 @@ def kx_orbit_canonical(e: GWElement) -> GWElement:
     if e.signature < 0:
         return GWElement(e.rank, -e.signature)
     return e
-
-
-@dataclass(frozen=True)
-class CoefficientModel:
-    """Motivic cohomology of the base point in the minimal Euclidean model.
-
-    mod 2: H^{a,b} = Z/2 exactly for 0 <= a <= b (the monomial
-    rho^a tau^{b-a}); integrally: Z at (0,0) and Z/2 on the diagonal
-    a = b >= 1; the 2-divisible part of Milnor K-theory vanishes in
-    positive weights.
-    """
-
-    name: str = "minimal-euclidean"
-
-    def __post_init__(self):
-        if self.name != "minimal-euclidean":
-            raise ValueError(f"unsupported coefficient model {self.name!r}")
-
-    def h_mod2(self, a: int, b: int) -> FormalGroup:
-        if 0 <= a <= b:
-            return FormalGroup.cyclic(2)
-        return FormalGroup.zero()
-
-    def h_integral(self, a: int, b: int) -> FormalGroup:
-        if a == b == 0:
-            return FormalGroup.free(1)
-        if a == b and a >= 1:
-            return FormalGroup.cyclic(2)
-        return FormalGroup.zero()
-
-    def two_torsion_free_milnor(self, q: int) -> FormalGroup:
-        """The 2-divisible summand 2K^M_q: Z for q = 0, zero otherwise."""
-        if q == 0:
-            return FormalGroup.free(1)
-        return FormalGroup.zero()
-
-
-MINIMAL_MODEL = CoefficientModel()

@@ -15,6 +15,25 @@ from mwtate import checks
 from mwtate.bockstein.steenrod import steenrod_dsquare_check
 
 
+# the case count of each suite at its acceptance seed: a corpus cannot
+# shrink without a test failing
+CASES = {
+    "block-pages": 2340,
+    "torsion-profile": 1722,
+    "degeneracy": 300,
+    "decompose": 51000,
+    "pbundle": 7,
+    "kunneth": 125,
+    "tensor-witt": 200,
+    "bounded": 25500,
+    "couple": 100,
+    "steenrod": 7,
+    "truncated": 150,
+    "hom-cone": 8113,
+    "hp1": 61,
+}
+
+
 def record(result):
     status = "PASS" if result.passed else "FAIL"
     line = f"criterion[{result.name}] {status} ({result.cases} cases)"
@@ -22,42 +41,41 @@ def record(result):
         line += f" :: {result.detail}"
     print(line)
     assert result.passed, line
+    assert result.cases == CASES[result.name], line
 
 
 class TestAcceptance:
     def test_criterion_01_block_page_tables(self):
-        record(checks.suite_block_pages(j_range=(1, 2, 3), q_lo=-2, q_hi=10))
+        record(checks.suite_block_pages(0))
 
     def test_criterion_02_torsion_profile_formula(self):
-        record(checks.suite_torsion_profile(seed=7, samples=300, max_blocks=12))
+        record(checks.suite_torsion_profile(7))
 
     def test_criterion_03_degeneration(self):
-        record(checks.suite_degeneracy(seed=7, samples=300, max_blocks=12))
+        record(checks.suite_degeneracy(7))
 
     def test_criterion_04_decomposition_soundness(self):
-        record(
-            checks.suite_decompose(seed=11, samples=500, autos_per_complex=100)
-        )
+        record(checks.suite_decompose(11))
 
     def test_criterion_05_projective_bundle_reproduction(self):
-        record(checks.suite_pbundle(n_range=(1, 2, 3, 4, 5, 6)))
+        record(checks.suite_pbundle(0))
 
     def test_criterion_06_kunneth_second_page(self):
-        record(checks.suite_kunneth(seed=5, samples=100, max_blocks=8, t_max=4))
+        record(checks.suite_kunneth(5))
 
     def test_criterion_07_tensor_witt_consistency(self):
-        record(checks.suite_tensor_witt(seed=3, samples=200, max_blocks=8))
+        record(checks.suite_tensor_witt(3))
 
     def test_criterion_08_second_page_is_mod2_witt(self):
-        record(checks.suite_bounded(seed=9, samples=100, max_blocks=8, window=20))
+        record(checks.suite_bounded(9))
 
     def test_criterion_09_exact_couple_engine(self):
-        record(checks.suite_couple(seed=13, samples=100, max_cells=8, bound=9))
+        record(checks.suite_couple(13))
 
     def test_criterion_10_steenrod_check(self):
         # the attainable content: the three entries the proof reduces,
         # the mutation sanity, and the extended closure of the square
-        record(checks.suite_steenrod())
+        record(checks.suite_steenrod(0))
 
     @pytest.mark.xfail(
         strict=True,
@@ -73,10 +91,10 @@ class TestAcceptance:
         assert rep.all_zero, line
 
     def test_criterion_11_truncated_sequences(self):
-        record(checks.suite_truncated(seed=17, samples=50, max_blocks=6, j_max=3))
+        record(checks.suite_truncated(17))
 
     def test_criterion_12_hom_cone_values(self):
-        record(checks.suite_hom_cone(l_max=24, pq_max=6))
+        record(checks.suite_hom_cone(0))
 
     def test_criterion_13_hp1_classification(self):
-        record(checks.suite_hp1(grid=5))
+        record(checks.suite_hp1(0))

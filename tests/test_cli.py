@@ -217,6 +217,23 @@ class TestCLI:
         assert exc.value.code == 64
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--in", "-", "--seed", "1"],
+        ["cohomology", "--blocks", '[{"kind":"free","weight":0}]', "--page", "3"],
+    ])
+    def test_flags_nothing_reads_exit_64(self, capsys, argv):
+        # only check draws random input, and cohomology has no pages
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        capsys.readouterr()
+
+    def test_unknown_model_exit_64(self, capsys):
+        code, out, err = run(capsys, "tensor", "--model", "other", "--blocks", "[]",
+                             "--blocks", "[]")
+        assert code == 64 and out == ""
+        assert err == "error: unsupported model 'other'\n"
+
     def test_tensor_round_trip_determinism(self, capsys):
         args = (
             "tensor",

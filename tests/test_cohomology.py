@@ -5,6 +5,9 @@ import pytest
 from mwtate.checks import random_normal_form
 from mwtate.cohomology import (
     NonpositiveL,
+    _h_integral,
+    _h_mod2,
+    _two_torsion_free_milnor,
     chow,
     eta_inverted,
     hom_cone,
@@ -175,3 +178,23 @@ class TestMWDiagonal:
         assert got == FormalGroup.from_invariants([0, 8])
         assert mw_diagonal(NormalForm([DyadicEta(2, 0)]), 0) == Z
         assert mw_diagonal(NormalForm([DyadicEta(2, 0)]), 3).is_zero()
+
+
+class TestCoefficientModel:
+    # motivic cohomology of the base point in the minimal Euclidean model
+
+    def test_mod2_monomials(self):
+        assert _h_mod2(0, 0) == FormalGroup.cyclic(2)
+        assert _h_mod2(2, 5) == FormalGroup.cyclic(2)
+        assert _h_mod2(3, 2).is_zero()
+        assert _h_mod2(-1, 0).is_zero()
+
+    def test_integral_values(self):
+        assert _h_integral(0, 0) == FormalGroup.free(1)
+        assert _h_integral(2, 2) == FormalGroup.cyclic(2)
+        assert _h_integral(1, 2).is_zero()
+
+    def test_divisible_milnor_part(self):
+        assert _two_torsion_free_milnor(0) == FormalGroup.free(1)
+        assert _two_torsion_free_milnor(1).is_zero()
+        assert _two_torsion_free_milnor(-2).is_zero()

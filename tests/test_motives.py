@@ -7,7 +7,6 @@ import pytest
 from mwtate.checks import (
     chow_direct,
     random_normal_form,
-    random_odd_free_normal_form,
     unimodular_twist,
     witt_direct,
 )
@@ -108,9 +107,9 @@ class TestDecompose:
         # steps as in the decompose suite; a base-changing Smith sweep did
         # not finish this input in a minute
         rng = random.Random(31)
-        a = random_odd_free_normal_form(rng, max_blocks=160)
+        a = random_normal_form(rng, 160, allow_odd=False)
         while len(a) < 150:
-            a = random_odd_free_normal_form(rng, max_blocks=160)
+            a = random_normal_form(rng, 160, allow_odd=False)
         c = unimodular_twist(realize(a), rng)
         start = time.perf_counter()
         got = decompose(c)
@@ -147,13 +146,13 @@ class TestRealize:
     @pytest.mark.parametrize("seed", range(30))
     def test_round_trip(self, seed):
         rng = random.Random(1000 + seed)
-        a = random_odd_free_normal_form(rng)
+        a = random_normal_form(rng, allow_odd=False)
         assert decompose(realize(a)) == a
 
     @pytest.mark.parametrize("seed", range(10))
     def test_unimodular_invariance(self, seed):
         rng = random.Random(2000 + seed)
-        a = random_odd_free_normal_form(rng, max_blocks=6)
+        a = random_normal_form(rng, 6, allow_odd=False)
         c = realize(a)
         for _ in range(10):
             assert decompose(unimodular_twist(c, rng)) == a
@@ -281,7 +280,7 @@ class TestConservativity:
     @pytest.mark.parametrize("seed", range(15))
     def test_block_invariants_match_direct(self, seed):
         rng = random.Random(5000 + seed)
-        a = random_odd_free_normal_form(rng, 6)
+        a = random_normal_form(rng, 6, allow_odd=False)
         c = unimodular_twist(realize(a), rng)
         blocks = decompose(c)
         assert chow(blocks) == chow_direct(c)

@@ -2,20 +2,12 @@ import random
 
 import pytest
 
-from mwtate.exactalg import FormalGroup
 from mwtate.wittring import (
     EPSILON,
-    EvenInput,
-    EvenS,
     GW_ONE,
     GWElement,
     InvalidParity,
-    MINIMAL_MODEL,
-    WittClass,
-    gw_ring,
-    ideal_filtration,
     kx_orbit_canonical,
-    p_bold,
 )
 
 
@@ -28,9 +20,9 @@ class TestGWElement:
         assert EPSILON * EPSILON == GW_ONE
 
     def test_ring_ops(self):
-        assert gw_ring("mul", p_bold(3), p_bold(5)) == GWElement(1, 15)
-        assert gw_ring("add", GWElement(1, -1), GWElement(1, -1)) == GWElement(2, -2)
-        assert gw_ring("neg", GWElement(3, 1)) == GWElement(-3, -1)
+        assert GWElement(1, 3) * GWElement(1, 5) == GWElement(1, 15)
+        assert GWElement(1, -1) + GWElement(1, -1) == GWElement(2, -2)
+        assert -GWElement(3, 1) == GWElement(-3, -1)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_rank_signature_are_ring_maps(self, seed):
@@ -49,49 +41,6 @@ class TestGWElement:
         assert (a + b).signature == a.signature + b.signature
 
 
-class TestPBold:
-    def test_values(self):
-        assert p_bold(1) == GWElement(1, 1)
-        assert p_bold(3) == GWElement(1, 3)
-        assert p_bold(7) == GWElement(1, 7)
-
-    def test_rejects_even(self):
-        with pytest.raises(EvenInput):
-            p_bold(4)
-
-    def test_multiplicative_on_odds(self):
-        for p in (1, 3, 5, 7, 9):
-            for q in (1, 3, 5):
-                assert p_bold(p) * p_bold(q) == p_bold(p * q)
-
-    def test_witt_image_scales_eta(self):
-        # the eta coefficient of p-bold is p itself
-        for p in (1, 3, 5, 11):
-            assert p_bold(p).witt_class() == WittClass(p)
-
-
-class TestIdealFiltration:
-    def test_membership(self):
-        assert ideal_filtration(WittClass(4), 2, 3, 0).in_Iq
-        assert not ideal_filtration(WittClass(4), 3, 3, 0).in_Iq
-        assert ideal_filtration(WittClass(5), 0, 3, 0).in_Iq  # I^0 = W
-
-    def test_quotients(self):
-        rec = ideal_filtration(WittClass(0), 2, 3, 1)
-        assert rec.Iq_mod_sIq == FormalGroup.cyclic(3)
-        assert rec.Iq1_mod_2tIq == FormalGroup.cyclic(4)
-
-    def test_rejects_even_s(self):
-        with pytest.raises(EvenS):
-            ideal_filtration(WittClass(0), 1, 2, 0)
-
-    def test_membership_chain(self):
-        for value in range(-16, 17):
-            for q in range(0, 5):
-                if ideal_filtration(WittClass(value), q + 1, 1, 0).in_Iq:
-                    assert ideal_filtration(WittClass(value), q, 1, 0).in_Iq
-
-
 class TestOrbit:
     def test_examples(self):
         assert kx_orbit_canonical(GWElement(0, -4)) == GWElement(0, 4)
@@ -107,21 +56,3 @@ class TestOrbit:
                 c = kx_orbit_canonical(e)
                 assert kx_orbit_canonical(c) == c
                 assert kx_orbit_canonical(GWElement(rank, -sig)) == c
-
-
-class TestCoefficientModel:
-    def test_mod2_monomials(self):
-        assert MINIMAL_MODEL.h_mod2(0, 0) == FormalGroup.cyclic(2)
-        assert MINIMAL_MODEL.h_mod2(2, 5) == FormalGroup.cyclic(2)
-        assert MINIMAL_MODEL.h_mod2(3, 2).is_zero()
-        assert MINIMAL_MODEL.h_mod2(-1, 0).is_zero()
-
-    def test_integral_values(self):
-        assert MINIMAL_MODEL.h_integral(0, 0) == FormalGroup.free(1)
-        assert MINIMAL_MODEL.h_integral(2, 2) == FormalGroup.cyclic(2)
-        assert MINIMAL_MODEL.h_integral(1, 2).is_zero()
-
-    def test_divisible_milnor_part(self):
-        assert MINIMAL_MODEL.two_torsion_free_milnor(0) == FormalGroup.free(1)
-        assert MINIMAL_MODEL.two_torsion_free_milnor(1).is_zero()
-        assert MINIMAL_MODEL.two_torsion_free_milnor(-2).is_zero()
