@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import FormalGroup, GradedGroup, split_dyadic
+from .exactalg import FormalGroup, GradedGroup, graded_kunneth, split_dyadic
 from .motives import DyadicEta, Free, NormalForm, OddTorsion
 from .wittring import fundamental_ideal_power
 
@@ -74,9 +74,10 @@ def witt_cohomology(a: NormalForm, modulus: int = 0) -> GradedGroup:
 
     Cochain convention: Free(i) gives Z in degree i; DyadicEta(t, i)
     gives Z/2^t in degree i+1 (nothing for t = 0); OddTorsion(p, r, s)
-    gives Z/p^r in degree s+1.  A modulus 2^j applies the coefficient
-    sequence: the quotient stays in place and the 2^j-torsion of degree
-    d feeds degree d-1.
+    gives Z/p^r in degree s+1.  A modulus 2^j applies universal
+    coefficients, ``graded_kunneth(h, Z/2^j in degree 0)``: the quotient
+    by 2^j stays in place and the 2^j-torsion of degree d lands in
+    degree d-1.
 
     >>> witt_cohomology(NormalForm([DyadicEta(2, 0)]), 2).items()
     [(0, FormalGroup(free_rank=0, torsion=(2,))), (1, FormalGroup(free_rank=0, torsion=(2,)))]
@@ -97,18 +98,10 @@ def witt_cohomology(a: NormalForm, modulus: int = 0) -> GradedGroup:
                 add(b.weight + 1, FormalGroup.cyclic(1 << b.t))
         else:
             add(b.shift + 1, FormalGroup.cyclic(b.p**b.r))
+    h = GradedGroup(data)
     if modulus == 0:
-        return GradedGroup(data)
-    coeff = FormalGroup.cyclic(modulus)
-    out: dict[int, FormalGroup] = {}
-    for deg, grp in data.items():
-        q = grp.tensor(coeff)
-        t = grp.tor(coeff)
-        if not q.is_zero():
-            out[deg] = out.get(deg, FormalGroup.zero()).direct_sum(q)
-        if not t.is_zero():
-            out[deg - 1] = out.get(deg - 1, FormalGroup.zero()).direct_sum(t)
-    return GradedGroup(out)
+        return h
+    return graded_kunneth(h, GradedGroup({0: FormalGroup.cyclic(modulus)}))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from .complexes import (
     cohomology_of_summands,
     decompose_free_complex,
     integer_cohomology,
-    reassemble,
 )
 from .groups import (
     FormalGroup,
@@ -34,7 +33,6 @@ __all__ = [
     "factor_prime_powers",
     "graded_kunneth",
     "integer_cohomology",
-    "reassemble",
     "smith_normal_form",
     "split_dyadic",
 ]

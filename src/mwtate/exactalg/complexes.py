@@ -5,7 +5,7 @@ into degree w and nothing else, which is exactly the shape cell
 attachments produce.  Such a complex splits, degree by degree, into
 lone free cells and two-term cones [Z --n--> Z], one cone per nonzero
 invariant factor of each differential; cones with n = 1 are kept,
-never dropped.
+never dropped.  Cohomology is read off that split.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intmat
-from .groups import GradedGroup
+from .groups import FormalGroup, GradedGroup, graded_kunneth
 from .intmat import Mat
-from .presented import PresentedGroup
 
 
 class NonComposable(ValueError):
@@ -142,36 +141,14 @@ def _summand_key(s):
     return (1, s.lower_degree, s.n)
 
 
-def reassemble(summands) -> FreeComplex:
-    """Direct sum of summands as a FreeComplex in canonical block form."""
-    ranks: dict[int, int] = {}
-    placed: list[tuple[int, int, int, int]] = []  # (weight, row, col, n)
-    ordered = sorted(summands, key=_summand_key)
-    for s in ordered:
-        if isinstance(s, FreeCell):
-            ranks[s.degree] = ranks.get(s.degree, 0) + 1
-    for s in ordered:
-        if isinstance(s, ConePair):
-            w = s.lower_degree
-            row = ranks.get(w, 0)
-            col = ranks.get(w + 1, 0)
-            ranks[w] = row + 1
-            ranks[w + 1] = col + 1
-            placed.append((w, row, col, s.n))
-    diffs = {
-        w: [[0] * ranks.get(w + 1, 0) for _ in range(ranks.get(w, 0))]
-        for w, _, _, _ in placed
-    }
-    for w, row, col, n in placed:
-        diffs[w][row][col] = n
-    return FreeComplex(ranks, diffs)
-
-
 def integer_cohomology(c: FreeComplex, modulus: int = 0) -> GradedGroup:
-    """Cohomology of the dual complex with Z (modulus 0) or Z/m coefficients.
+    """Cohomology of the dual complex with Z (modulus 0) or Z/m coefficients,
+    read off the split: ``cohomology_of_summands(decompose_free_complex(c), m)``.
 
-    Cochain convention: a ConePair(n, w) summand contributes Z/n in
-    degree w+1 integrally, and a FreeCell(w) contributes Z in degree w.
+    So H^d(C; Z) is Z^(n_d - r_d - r_(d-1)) plus Z/e for each invariant
+    factor e of diffs[d-1], and Z/m coefficients follow by universal
+    coefficients.  Only invariant factors are computed: no kernel and no
+    presented group.  A non-composable complex raises NonComposable.
 
     >>> c = FreeComplex({0: 1, 1: 1}, {0: [[2]]})
     >>> integer_cohomology(c).items()
@@ -179,37 +156,30 @@ def integer_cohomology(c: FreeComplex, modulus: int = 0) -> GradedGroup:
     """
     if modulus < 0:
         raise ValueError("modulus must be nonnegative")
-    c.check_composable()
-    if not c.ranks:
-        return GradedGroup({})
-    weights = c.weights()
-    out = {}
-    for d in range(min(weights), max(weights) + 1):
-        n = c.rank(d)
-        if n == 0:
-            continue
-        delta_out = intmat.transpose(c.differential(d))  # C^d -> C^{d+1}
-        delta_in = intmat.transpose(c.differential(d - 1))  # C^{d-1} -> C^d
-        if modulus == 0:
-            gens = intmat.kernel_basis(delta_out)
-            rel_sources = delta_in
-        else:
-            gens = intmat.kernel_mod_lattice(
-                delta_out, intmat.scalar(c.rank(d + 1), modulus)
-            )
-            rel_sources = intmat.hstack(delta_in, intmat.scalar(n, modulus))
-        if gens.cols == 0:
-            continue
-        # Relation lattice of <gens> / (image + m*Z^n): coordinates z with
-        # gens*z in the span of rel_sources.  Coordinates with gens*z = 0
-        # are honest relations too, since gens need not be a basis.
-        rels = intmat.kernel_mod_lattice(gens, rel_sources)
-        grp = PresentedGroup(gens.cols, rels).invariants()
-        if not grp.is_zero():
-            out[d] = grp
-    return GradedGroup(out)
+    return cohomology_of_summands(decompose_free_complex(c), modulus)
 
 
 def cohomology_of_summands(summands, modulus: int = 0) -> GradedGroup:
-    """integer_cohomology of the reassembled direct sum."""
-    return integer_cohomology(reassemble(summands), modulus)
+    """Cohomology of the direct sum of ``summands``, in closed form.
+
+    Cochain convention: FreeCell(w) gives Z in degree w and ConePair(n, w)
+    gives Z/n in degree w+1 (nothing for n = 1).  A modulus m != 0 applies
+    universal coefficients, ``graded_kunneth(h, Z/m in degree 0)``: H^d
+    tensor Z/m stays in degree d, and Tor(H^d, Z/m) lands in degree d-1.
+
+    >>> cohomology_of_summands([ConePair(4, 1)], 2).items()
+    [(1, FormalGroup(free_rank=0, torsion=(2,))), (2, FormalGroup(free_rank=0, torsion=(2,)))]
+    """
+    if modulus < 0:
+        raise ValueError("modulus must be nonnegative")
+    data: dict[int, FormalGroup] = {}
+    for s in summands:
+        if isinstance(s, FreeCell):
+            deg, grp = s.degree, FormalGroup.free(1)
+        else:
+            deg, grp = s.lower_degree + 1, FormalGroup.cyclic(s.n)
+        data[deg] = data.get(deg, FormalGroup.zero()).direct_sum(grp)
+    h = GradedGroup(data)
+    if modulus == 0:
+        return h
+    return graded_kunneth(h, GradedGroup({0: FormalGroup.cyclic(modulus)}))

@@ -19,7 +19,7 @@ from mwtate.bockstein.couple import (
     verify_exactness,
 )
 from mwtate.bockstein import pages
-from mwtate.checks import random_adjacent_complex, random_normal_form
+from mwtate.checks import random_adjacent_complex, random_normal_form, unimodular_twist
 from mwtate.exactalg import FormalGroup, FreeComplex, PresentedGroup, integer_cohomology
 from mwtate.exactalg.intmat import Mat, hstack, kernel_mod_lattice
 from mwtate.motives import _to_free_complex, realize
@@ -378,7 +378,28 @@ def test_couple_pages_count_the_infinite_towers(seed):
     # of the integer couple of realize(A) is the number of infinite towers
     # in row q = d of the closed-form page pages(A, i)
     a = random_normal_form(random.Random(seed), 5, allow_odd=False)
-    res = classical(_to_free_complex(realize(a))[0])
+    _assert_pages_count_the_infinite_towers(classical(_to_free_complex(realize(a))[0]), a)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_twisted_realization(seed):
+    # the couple of a non-diagonal differential: realize(A) under a random
+    # unimodular base change per weight
+    rng = random.Random(500 + seed)
+    a = random_normal_form(rng, 5, allow_odd=False)
+    c = _to_free_complex(unimodular_twist(realize(a), rng))[0]
+    res = classical(c)
+    assert res.four_term_exact
+    assert res.identification_holds
+    assert res.degeneration_holds
+    h = integer_cohomology(c, 0)
+    assert res.e_infinity == {
+        d: FormalGroup.from_invariants([2] * g.free_rank) for d, g in h.items() if g.free_rank
+    }
+    _assert_pages_count_the_infinite_towers(res, a)
+
+
+def _assert_pages_count_the_infinite_towers(res, a):
     for i in range(2, len(res.pages) + 2):
         dims = {}
         for deg, g in res.pages[i - 2].items():
