@@ -5,6 +5,13 @@ The Kunneth comparison reads every page as a sum of the standard
 Z/2[rho]-pieces of ``pages``.  Pages without truncated pieces are
 compared strictly as complexes; pages with them are compared in the
 derived sense, where S_j collapses to its top homology R/rho^j.
+
+The Leibniz check and the V-groups work on fiber models (``fibers``).
+The model of a normal form has one tower per free block and a u/v pair
+per dyadic cone, keyed by (block index, kind); the model of a product,
+such as A/2^j eta = A (x) cone(2^j eta), is the product of the factors'
+models, whose differentials follow the Leibniz rule.  Both compare or
+read its pages through one F2 elimination, ``fibers.f2_kernel``.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 
 from ..exactalg import FormalGroup, PresentedGroup, intmat
 from ..motives import DyadicEta, Free, NormalForm, quotient_by_dyadic_eta, tensor
-from .fibers import FiberModel, f2_insert, f2_reduce
+from .fibers import FiberModel, f2_image, f2_kernel, f2_reduce
 from .pages import (
     T_PIECE,
     block_piece,
@@ -130,95 +137,84 @@ def truncated_check(a: NormalForm, j: int) -> CheckReport:
     return CheckReport(not failures, tuple(failures[:5]) or None)
 
 
-def _product_fiber_model(blocks, j: int):
-    """Fiber model of (sum of blocks) (x) cone(2^j eta) in the Kunneth
-    product basis; labels record the factor basis vectors."""
-    gens = []
+def _block_fiber_model(blocks) -> FiberModel:
+    """Fiber model of a normal form: an x tower per free block and a u/v
+    tower pair per dyadic cone, keyed by (block index, kind), with the
+    u -> v arrow of a 2^t cone on page t + 1."""
+    gens = {}
     arrows: dict[int, list] = {}
-
-    def arrow(i, s, d, power):
-        arrows.setdefault(i, []).append((s, d, power))
-
     for idx, b in enumerate(blocks):
         if isinstance(b, Free):
+            gens[idx, "x"] = tower(2 * b.weight, b.weight)
+        elif isinstance(b, DyadicEta) and b.t >= 1:
             w = b.weight
-            gens.append(tower(2 * w, w, label=f"{idx}:x*u"))
-            gens.append(tower(2 * w + 2, w + 1, label=f"{idx}:x*v"))
-            arrow(j + 1, f"{idx}:x*u", f"{idx}:x*v", j)
-        elif isinstance(b, DyadicEta) and b.t >= 1:
-            t, w = b.t, b.weight
-            gens.append(tower(2 * w, w, label=f"{idx}:u*u"))
-            gens.append(tower(2 * w + 2, w + 1, label=f"{idx}:u*v"))
-            gens.append(tower(2 * w + 2, w + 1, label=f"{idx}:v*u"))
-            gens.append(tower(2 * w + 4, w + 2, label=f"{idx}:v*v"))
-            arrow(t + 1, f"{idx}:u*u", f"{idx}:v*u", t)
-            arrow(j + 1, f"{idx}:u*u", f"{idx}:u*v", j)
-            arrow(t + 1, f"{idx}:u*v", f"{idx}:v*v", t)
-            arrow(j + 1, f"{idx}:v*u", f"{idx}:v*v", j)
+            gens[idx, "u"] = tower(2 * w, w)
+            gens[idx, "v"] = tower(2 * w + 2, w + 1)
+            arrows.setdefault(b.t + 1, []).append(((idx, "u"), (idx, "v")))
     return FiberModel(gens, arrows)
 
 
-def _block_fiber_model(blocks):
-    """Fiber model of a normal form itself (u/v towers per dyadic cone)."""
-    gens = []
-    arrows: dict[int, list] = {}
-    for idx, b in enumerate(blocks):
-        if isinstance(b, Free):
-            gens.append(tower(2 * b.weight, b.weight, label=f"{idx}:x"))
-        elif isinstance(b, DyadicEta) and b.t >= 1:
-            t, w = b.t, b.weight
-            gens.append(tower(2 * w, w, label=f"{idx}:u"))
-            gens.append(tower(2 * w + 2, w + 1, label=f"{idx}:v"))
-            arrows.setdefault(t + 1, []).append((f"{idx}:u", f"{idx}:v", t))
-    return FiberModel(gens, arrows)
+_U, _V = (0, "u"), (0, "v")
+
+
+def _cone_model(j: int) -> FiberModel:
+    """Fiber model of cone(2^j eta), with generators _U and _V."""
+    return _block_fiber_model([DyadicEta(j, 0)])
 
 
 def _model_window(model: FiberModel, q_lo: int, q_hi: int):
     out = []
-    lines = sorted({g.p - g.q for g in model.gens}) or [0]
+    lines = sorted({g.p - g.q for g in model.gens.values()}) or [0]
     for a_line in range(min(lines), max(lines) + 2):
         for q in range(q_lo, q_hi + 1):
             out.append((q + a_line, q))
     return out
 
 
+def _page_failures(model: FiberModel, nf: NormalForm, i_max: int, q_lo: int, q_top: int):
+    """Where pages 2..i_max of a fiber model differ from the block tables
+    of nf in dimension or differential rank, as (kind, i, p, q, got,
+    want), over rows q_lo..q_top.
+
+    The window runs i_max rows above q_top, so every differential out of
+    a checked bidegree lands inside it, and its rank on classes is
+    dim Z_i - dim Z_{i+1} there.
+    """
+    window = _model_window(model, q_lo, q_top + i_max)
+    states = model.page_states(i_max + 1, window)
+    failures = []
+    for i in range(2, i_max + 1):
+        pg = pages(nf, i)
+        for p, q in window:
+            if q > q_top:
+                continue
+            z, bb = states[i][p, q]
+            got, want = len(z) - len(bb), pg.dim(p, q)
+            if got != want:
+                failures.append(("dim", i, p, q, got, want))
+                continue
+            got, want = len(z) - len(states[i + 1][p, q][0]), pg.differential_rank(p, q)
+            if got != want:
+                failures.append(("rank", i, p, q, got, want))
+    return failures
+
+
 def leibniz_check(j: int, k: int) -> CheckReport:
     """Verify the Leibniz differentials on cone(2^j eta) (x) cone(2^k eta).
 
-    The product fiber model carries exactly the differentials dictated
-    by the Leibniz rule on u x u, u x v, v x u, v x v; its pages and
-    their ranks must reproduce the block tables of the fused normal
-    form on every page through degeneration.
+    The product of the two cones' fiber models carries exactly the
+    differentials dictated by the Leibniz rule on u x u, u x v, v x u,
+    v x v; its pages and their ranks must reproduce the block tables of
+    the fused normal form on every page through degeneration.
 
     >>> leibniz_check(1, 1).holds
     True
     """
     if j < 1 or k < 1:
         raise ValueError("need j, k >= 1")
-    a = NormalForm([DyadicEta(j, 0)])
-    b = NormalForm([DyadicEta(k, 0)])
-    t = tensor(a, b)
-    model = _product_fiber_model([DyadicEta(j, 0)], k)
-    i_max = max(j, k) + 3
-    q_hi = j + k + i_max + 4
-    window = _model_window(model, -1, q_hi)
-    states = model.page_states(i_max + 1, window)
-    failures = []
-    for i in range(2, i_max + 1):
-        pg = pages(t, i)
-        for bdeg in window:
-            p, q = bdeg
-            if q > j + k + 4:
-                continue
-            got = model.dims(states, i, bdeg)
-            want = pg.dim(p, q)
-            if got != want:
-                failures.append(("dim", i, p, q, got, want))
-                continue
-            got_rank = model.induced_rank(states, i, bdeg)
-            want_rank = pg.differential_rank(p, q)
-            if got_rank != want_rank:
-                failures.append(("rank", i, p, q, got_rank, want_rank))
+    model = _cone_model(j) * _cone_model(k)
+    t = tensor(NormalForm([DyadicEta(j, 0)]), NormalForm([DyadicEta(k, 0)]))
+    failures = _page_failures(model, t, max(j, k) + 3, -1, j + k + 4)
     return CheckReport(not failures, tuple(failures[:5]) or None)
 
 
@@ -226,6 +222,17 @@ def leibniz_check(j: int, k: int) -> CheckReport:
 class VGroupResult:
     dim_V: int
     fiber_product: FormalGroup
+
+
+def _v_states(model: FiberModel, j: int, n: int):
+    """Page states 2..j+3 on a window around the Chow corner (2n, n)."""
+    qs = [g.q for g in model.gens.values()] + [n, n + j + 1]
+    return model.page_states(j + 3, _model_window(model, min(qs) - 2, max(qs) + 2 * j + 10))
+
+
+def _bits(fib: dict, vec: int) -> list:
+    """The generators of a fiber that a bitmask vector over it contains."""
+    return [g for g, k in fib.items() if (vec >> k) & 1]
 
 
 def v_group(a: NormalForm, j: int, n: int) -> VGroupResult:
@@ -241,144 +248,63 @@ def v_group(a: NormalForm, j: int, n: int) -> VGroupResult:
     """
     if j < 1:
         raise ValueError("need j >= 1")
-    blocks = list(a.blocks)
-    amodel = _block_fiber_model(blocks)
-    qs = [g.q for g in amodel.gens] + [n, n + j + 1]
-    window = _model_window(amodel, min(qs) - 2, max(qs) + 2 * j + 10)
-    states = amodel.page_states(j + 3, window)
-
-    b_x = (2 * n, n)
-    b_y = (2 * n + 2, n + 1)
-    b_t = (2 * n + j + 2, n + j + 1)
-    zx, _, fib_x = states[j + 1].get(b_x, ([], [], amodel.fiber(*b_x)))
-    zy, _, fib_y = states[j + 2].get(b_y, ([], [], amodel.fiber(*b_y)))
-    _, bt, fib_t = states[j + 1].get(b_t, ([], [], amodel.fiber(*b_t)))
-
-    col_t = {g: i for i, g in enumerate(fib_t)}
-
-    def beta_image(vec):
-        return amodel._apply(j + 1, b_x, vec, fib_x, b_t)
-
-    def rho_image(vec):
-        # rho^j within a tower: the same generator one page window over
-        out = 0
-        for pos, gidx in enumerate(fib_y):
-            if (vec >> pos) & 1 and gidx in col_t:
-                out ^= 1 << col_t[gidx]
-        return out
-
-    # solve beta(x) + rho^j y in B_j at the target over F2; pairs are
-    # packed as y-bits shifted above the x fiber width
+    amodel = _block_fiber_model(a.blocks)
+    states = _v_states(amodel, j, n)
+    b_x, b_y, b_t = (2 * n, n), (2 * n + 2, n + 1), (2 * n + j + 2, n + j + 1)
+    zx = states[j + 1].get(b_x, ([], []))[0]
+    zy = states[j + 2].get(b_y, ([], []))[0]
+    bt = states[j + 1].get(b_t, ([], []))[1]
+    fib_x, fib_y, fib_t = amodel.fiber(*b_x), amodel.fiber(*b_y), amodel.fiber(*b_t)
+    # solve beta(x) + rho^j y in B_j at the target over F2; a pair is packed
+    # as its y-bits shifted above the x fiber width, and rho^j sends a tower
+    # generator to itself j rows up
     width = len(fib_x)
-    pairs = [vec for vec in zx] + [vec << width for vec in zy]
-    pivots = []
-    v_basis = []
-    for packed in pairs:
-        xv = packed & ((1 << width) - 1)
-        yv = packed >> width
-        img = f2_reduce(beta_image(xv) ^ rho_image(yv), bt)
-        combo = packed
-        for pimg, pcombo in pivots:
-            if img ^ pimg < img:
-                img ^= pimg
-                combo ^= pcombo
-        if img:
-            pivots.append((img, combo))
-            pivots.sort(key=lambda r: -r[0])
-        elif combo:
-            f2_insert(combo, v_basis)
-    dim_v = len(v_basis)
+    cols = amodel.differential(j + 1, b_x) + [1 << fib_t[g] for g in fib_y]
+    packed = zx + [y << width for y in zy]
+    v_basis = f2_kernel([(vec, f2_image(cols, vec)) for vec in packed], bt)
     v_pairs = [(vec & ((1 << width) - 1), vec >> width) for vec in v_basis]
-    fp = _fiber_product(a, j, n, amodel, v_pairs, fib_x, fib_y)
-    return VGroupResult(dim_v, fp)
+    return VGroupResult(len(v_basis), _fiber_product(a, j, n, amodel, v_pairs, fib_x, fib_y))
 
 
-def _fiber_product(a, j, n, amodel, v_basis, fib_x, fib_y):
+def _fiber_product(a, j, n, amodel, v_pairs, fib_x, fib_y):
     """ker of V + H^n(A, W/2^j) -> E_{j+2}^{(2n+2, n+1)}(A/2^j eta)."""
-    blocks = list(a.blocks)
-    tmodel = _product_fiber_model(blocks, j)
-    qs = [g.q for g in tmodel.gens] + [n, n + j + 1]
-    window = _model_window(tmodel, min(qs) - 2, max(qs) + 2 * j + 10)
-    tstates = tmodel.page_states(j + 3, window)
+    tmodel = amodel * _cone_model(j)
     b_e = (2 * n + 2, n + 1)
-    ez, eb, efib = tstates[j + 2].get(b_e, ([], [], tmodel.fiber(*b_e)))
-    ecol = {g: i for i, g in enumerate(efib)}
-    label_of = {i: g.label for i, g in enumerate(tmodel.gens)}
-    index_of = {g.label: i for i, g in enumerate(tmodel.gens)}
+    eb = _v_states(tmodel, j, n)[j + 2].get(b_e, ([], []))[1]
+    efib = tmodel.fiber(*b_e)
 
-    def evec_of_label(label):
-        gi = index_of.get(label)
-        if gi is None or gi not in ecol:
-            return 0
-        return 1 << ecol[gi]
-
-    def phi(xv, yv):
-        # x*v + y*u in the product basis
+    def e_class(keys):
+        """The class at b_e of the sum of these product generators."""
         out = 0
-        for pos, gidx in enumerate(fib_x):
-            if (xv >> pos) & 1:
-                lbl = amodel.gens[gidx].label
-                idx, kind = lbl.split(":")
-                prod = f"{idx}:{'x*v' if kind == 'x' else kind + '*v'}"
-                out ^= evec_of_label(prod)
-        for pos, gidx in enumerate(fib_y):
-            if (yv >> pos) & 1:
-                lbl = amodel.gens[gidx].label
-                idx, kind = lbl.split(":")
-                prod = f"{idx}:{'x*u' if kind == 'x' else kind + '*u'}"
-                out ^= evec_of_label(prod)
+        for key in keys:
+            if key in efib:
+                out ^= 1 << efib[key]
         return f2_reduce(out, eb)
 
+    # (order, class) per generator: V pairs map to x*v + y*u
+    gens = [
+        (2, e_class([(g, _V) for g in _bits(fib_x, xv)] + [(g, _U) for g in _bits(fib_y, yv)]))
+        for xv, yv in v_pairs
+    ]
     # mod-2^j Witt summands map onto the surviving v-tower classes of
     # their product pair: the partner of the u-differential, which is
     # v*u, u*v or their sum according to how t compares with j
-    def v_partner(idx, t):
-        if t < j:
-            return evec_of_label(f"{idx}:v*u")
-        if t > j:
-            return evec_of_label(f"{idx}:u*v")
-        return evec_of_label(f"{idx}:u*v") ^ evec_of_label(f"{idx}:v*u")
-
-    h_orders = []
-    h_vecs = []
-    for idx, b in enumerate(blocks):
+    for idx, b in enumerate(a.blocks):
         if isinstance(b, Free) and b.weight == n:
-            h_orders.append(1 << j)
-            h_vecs.append(f2_reduce(evec_of_label(f"{idx}:x*v"), eb))
+            gens.append((1 << j, e_class([((idx, "x"), _V)])))
         elif isinstance(b, DyadicEta) and b.t >= 1:
-            m = min(b.t, j)
+            order = 1 << min(b.t, j)
             if b.weight + 1 == n:  # quotient part of the degree-n group
-                h_orders.append(1 << m)
-                h_vecs.append(f2_reduce(evec_of_label(f"{idx}:v*v"), eb))
+                gens.append((order, e_class([((idx, "v"), _V)])))
             if b.weight == n:  # torsion part fed by the degree-(n+1) group
-                h_orders.append(1 << m)
-                h_vecs.append(f2_reduce(v_partner(idx, b.t), eb))
+                partner = [((idx, "v"), _U)] if b.t <= j else []
+                partner += [((idx, "u"), _V)] if b.t >= j else []
+                gens.append((order, e_class(partner)))
 
-    e_dim = len(efib)
-    gens_count = len(v_basis) + len(h_orders)
-    if gens_count == 0:
+    if not gens:
         return FormalGroup.zero()
-    theta = [[0] * gens_count for _ in range(e_dim)]
-    orders = []
-    for cidx, (xv, yv) in enumerate(v_basis):
-        orders.append(2)
-        img = phi(xv, yv)
-        for rbit in range(e_dim):
-            if (img >> rbit) & 1:
-                theta[rbit][cidx] = 1
-    for hidx, vec in enumerate(h_vecs):
-        cidx = len(v_basis) + hidx
-        orders.append(h_orders[hidx])
-        for rbit in range(e_dim):
-            if (vec >> rbit) & 1:
-                theta[rbit][cidx] = 1
-    kernel = intmat.kernel_mod_lattice(
-        intmat.Mat(theta, gens_count), intmat.scalar(e_dim, 2)
-    )
-    order_cols = [
-        [orders[r] if r == c else 0 for c in range(gens_count)]
-        for r in range(gens_count)
-    ]
-    group = PresentedGroup(gens_count, order_cols)
-    sub = group.subgroup_presentation(kernel)
-    return sub.invariants()
+    size = len(gens)
+    theta = [[(vec >> r) & 1 for _, vec in gens] for r in range(len(efib))]
+    kernel = intmat.kernel_mod_lattice(intmat.Mat(theta, size), intmat.scalar(len(efib), 2))
+    orders = [[order if r == c else 0 for c in range(size)] for r, (order, _) in enumerate(gens)]
+    return PresentedGroup(size, orders).subgroup_presentation(kernel).invariants()

@@ -1,10 +1,18 @@
 """Second-page fiber models with cycle/boundary tracking.
 
-A fiber model is a list of uniquely labelled infinite rho-towers (made
-with ``pages.tower``) at the second page, together with lifted higher
-differentials: at page i a generator may map to rho-power multiples of
-other generators.  Pages are then computed per bidegree by the standard
-subspace recursion
+A fiber model is a set of infinite rho-towers at the second page (made
+with ``pages.tower``), one per generator key, together with lifted
+higher differentials: per page, a list of arrows (source key, target
+key).  An arrow of page i sends the class of its source at (p, q) to the
+class of its target at (p+i+1, q+i).  Which rho-multiple of the target
+that is follows from the two bidegrees, so arrows carry no rho power.
+
+The model of a product has one generator (g, h) per pair of factor
+generators, based at the sum of their bases, and each arrow of either
+factor acts on its own side of every pair: the Leibniz rule
+d(gh) = d(g)h + g d(h), which needs no signs over F2.
+
+Pages are then computed per bidegree by the standard subspace recursion
 
     Z(i+1) = { z in Z(i) : d_i(z) in B(i) },
     B(i+1) = B(i) + d_i(Z(i)),
@@ -18,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .pages import tower
+
 
 def f2_reduce(vec: int, basis: list[int]) -> int:
     for b in basis:
@@ -25,119 +35,140 @@ def f2_reduce(vec: int, basis: list[int]) -> int:
     return vec
 
 
-def f2_insert(vec: int, basis: list[int]) -> bool:
+def f2_insert(vec: int, basis: list[int]) -> None:
     vec = f2_reduce(vec, basis)
     if vec:
         basis.append(vec)
         basis.sort(reverse=True)
-        return True
-    return False
+
+
+def f2_image(cols: list[int], vec: int) -> int:
+    """Image of a bitmask vector under the matrix with these columns."""
+    out = 0
+    for k, col in enumerate(cols):
+        if (vec >> k) & 1:
+            out ^= col
+    return out
+
+
+def f2_kernel(pairs, modulo: list[int]) -> list[int]:
+    """Basis of the vectors in the span of ``pairs`` whose image lies in
+    the span of ``modulo``.
+
+    ``pairs`` are (vector, image) with independent vectors; ``modulo`` is
+    a basis kept by ``f2_insert``.  Each image is reduced against
+    ``modulo`` and the earlier pivots, carrying its vector along.
+
+    >>> f2_kernel([(0b01, 0b1), (0b10, 0b1), (0b100, 0b10)], [0b10])
+    [3, 4]
+    """
+    pivots = []  # (reduced image, vector), images decreasing
+    kernel = []
+    for vec, img in pairs:
+        img = f2_reduce(img, modulo)
+        for pimg, pvec in pivots:
+            if img ^ pimg < img:
+                img ^= pimg
+                vec ^= pvec
+        if img:
+            pivots.append((img, vec))
+            pivots.sort(reverse=True)
+        else:
+            kernel.append(vec)
+    return kernel
 
 
 @dataclass
 class FiberModel:
-    """Generators plus per-page arrows (source label -> (target, power))."""
+    """Generators (key -> infinite tower) plus per-page arrows
+    (page -> list of (source key, target key))."""
 
-    gens: list
-    arrows: dict  # page index -> list of (src_label, dst_label, rho_power)
-    _index: dict = field(default_factory=dict)
+    gens: dict
+    arrows: dict
+    _targets: dict = field(init=False, repr=False)  # page -> source -> targets
+    _fibers: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        self._index = {g.label: k for k, g in enumerate(self.gens)}
-        if len(self._index) != len(self.gens):
-            raise ValueError("generator labels must be unique")
+        self._targets = {}
+        for i, pairs in self.arrows.items():
+            out = self._targets.setdefault(i, {})
+            for src, dst in pairs:
+                out.setdefault(src, []).append(dst)
 
-    def fiber(self, p: int, q: int) -> list[int]:
-        return [k for k, g in enumerate(self.gens) if g.covers(p, q)]
+    def __mul__(self, other: FiberModel) -> FiberModel:
+        """The product model, with differentials by the Leibniz rule."""
+        gens = {
+            (g, h): tower(s.p + t.p, s.q + t.q)
+            for g, s in self.gens.items()
+            for h, t in other.gens.items()
+        }
+        arrows: dict[int, list] = {}
+        for i, pairs in self.arrows.items():
+            arrows.setdefault(i, []).extend(
+                ((s, h), (d, h)) for s, d in pairs for h in other.gens
+            )
+        for i, pairs in other.arrows.items():
+            arrows.setdefault(i, []).extend(
+                ((g, s), (g, d)) for s, d in pairs for g in self.gens
+            )
+        return FiberModel(gens, arrows)
+
+    def fiber(self, p: int, q: int) -> dict:
+        """The generators covering (p, q), each with its bit position;
+        the generators are scanned once per bidegree."""
+        fib = self._fibers.get((p, q))
+        if fib is None:
+            covering = [g for g, t in self.gens.items() if t.covers(p, q)]
+            fib = self._fibers[p, q] = {g: k for k, g in enumerate(covering)}
+        return fib
+
+    def differential(self, i: int, b) -> list[int]:
+        """The page-i arrows out of bidegree b as columns: per fiber
+        generator, the bitmask of its targets in the fiber at
+        (p+i+1, q+i)."""
+        tgt = self.fiber(b[0] + i + 1, b[1] + i)
+        out = self._targets.get(i, {})
+        cols = []
+        for g in self.fiber(*b):
+            col = 0
+            for d in out.get(g, ()):
+                if d in tgt:
+                    col ^= 1 << tgt[d]
+            cols.append(col)
+        return cols
 
     def page_states(self, up_to: int, window):
         """Z/B bases per bidegree for pages 2..up_to.
 
-        Returns {page: {(p, q): (Z basis, B basis, fiber gen indices)}}.
-        The window is an iterable of bidegrees; differentials whose
-        target leaves the window are resolved by extending on demand,
+        Returns {page: {(p, q): (Z basis, B basis)}}.  The window is an
+        iterable of bidegrees; boundaries landing outside it are dropped,
         so callers should pass a window closed under the arrows they
         care about.
         """
-        window = list(window)
-        states = {}
-        current = {}
-        for b in window:
-            fib = self.fiber(*b)
-            full = [1 << k for k in range(len(fib))]
-            current[b] = (full, [], fib)
-        states[2] = {b: (z[:], bb[:], f) for b, (z, bb, f) in current.items()}
+        current = {b: ([1 << k for k in range(len(self.fiber(*b)))], []) for b in window}
+        states = {2: current}
         for i in range(2, up_to):
-            nxt = {}
-            images = {}
-            for b, (z, bb, fib) in current.items():
-                tgt = (b[0] + i + 1, b[1] + i)
-                tgt_state = current.get(tgt)
-                tgt_b = tgt_state[1] if tgt_state is not None else []
-                img_vecs = images.setdefault(tgt, [])
-                # kernel of z -> fiber(tgt)/B(tgt), tracking combinations
-                pivots = []  # (reduced image, combination over z)
-                new_z = []
-                for k, vec in enumerate(z):
-                    img = self._apply(i, b, vec, fib, tgt)
-                    if img:
-                        img_vecs.append(img)
-                    img = f2_reduce(img, tgt_b)
-                    combo = 1 << k
-                    for pimg, pcombo in pivots:
-                        if img ^ pimg < img:
-                            img ^= pimg
-                            combo ^= pcombo
-                    if img:
-                        pivots.append((img, combo))
-                        pivots.sort(key=lambda t: -t[0])
-                    else:
-                        kernel_vec = 0
-                        for bit in range(len(z)):
-                            if (combo >> bit) & 1:
-                                kernel_vec ^= z[bit]
-                        f2_insert(kernel_vec, new_z)
-                nxt[b] = (new_z, fib)
-            out = {}
-            for b, (z, fib) in nxt.items():
-                old_b = current[b][1][:]
-                for img in images.get(b, ()):
-                    f2_insert(img, old_b)
-                # boundaries are always cycles; keep B inside Z
-                out[b] = (z, old_b, fib)
-            current = out
-            states[i + 1] = {b: (z[:], bb[:], f) for b, (z, bb, f) in current.items()}
-        return states
-
-    def _apply(self, i: int, b, vec: int, fib, tgt) -> int:
-        """Image bitmask of a fiber vector under the page-i arrows."""
-        tgt_fib = self.fiber(*tgt)
-        col = {g: k for k, g in enumerate(tgt_fib)}
-        out = 0
-        for pos, gidx in enumerate(fib):
-            if not (vec >> pos) & 1:
+            if i not in self._targets:  # d_i = 0: the page repeats
+                states[i + 1] = current
                 continue
-            src = self.gens[gidx]
-            for s, d, _power in self.arrows.get(i, ()):  # power fixed by bidegree
-                if s == src.label:
-                    didx = self._index[d]
-                    if didx in col:
-                        out ^= 1 << col[didx]
-        return out
-
-    def dims(self, states, page: int, b) -> int:
-        z, bb, _ = states[page][b]
-        return len(z) - len(bb)
-
-    def induced_rank(self, states, page: int, b) -> int:
-        """Rank of the page differential out of bidegree b on classes."""
-        z, bb, fib = states[page][b]
-        tgt = (b[0] + page + 1, b[1] + page)
-        if tgt not in states[page]:
-            return 0
-        tz, tb, _tfib = states[page][tgt]
-        img = tb[:]
-        before = len(img)
-        for vec in z:
-            f2_insert(self._apply(page, b, vec, fib, tgt), img)
-        return len(img) - before
+            cycles = {}
+            images: dict = {}
+            for b, (z, _) in current.items():
+                if not z:
+                    cycles[b] = z
+                    continue
+                tgt = (b[0] + i + 1, b[1] + i)
+                cols = self.differential(i, b)
+                pairs = [(vec, f2_image(cols, vec)) for vec in z]
+                cycles[b] = f2_kernel(pairs, current.get(tgt, ([], []))[1])
+                images.setdefault(tgt, []).extend(img for _, img in pairs if img)
+            nxt = {}
+            for b, z in cycles.items():
+                bb = current[b][1]
+                if images.get(b):
+                    bb = bb[:]
+                    for img in images[b]:
+                        f2_insert(img, bb)
+                nxt[b] = (z, bb)  # boundaries are always cycles; B stays inside Z
+            states[i + 1] = current = nxt
+        return states

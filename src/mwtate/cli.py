@@ -134,8 +134,9 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("pages", help="Bockstein page tables of a normal form")
     common(sp, blocks=True)
-    sp.add_argument("--page", type=int, default=2)
-    sp.add_argument("--range", help="page range LO:HI")
+    which = sp.add_mutually_exclusive_group()
+    which.add_argument("--page", type=int, help="one page (default 2)")
+    which.add_argument("--range", help="page range LO:HI")
 
     sp = sub.add_parser("cohomology", help="invariants of a normal form")
     common(sp, blocks=True)
@@ -144,8 +145,8 @@ def build_parser() -> _Parser:
         choices=("chow", "chow2", "witt", "mod2", "mw-diagonal"),
         default="witt",
     )
-    sp.add_argument("--modulus", type=int, default=0, help="0 or a power of 2")
-    sp.add_argument("--range", help="diagonal degree range LO:HI", default=None)
+    sp.add_argument("--modulus", type=int, help="witt only: 0 (default) or a power of 2")
+    sp.add_argument("--range", help="mw-diagonal only: diagonal degree range LO:HI")
 
     sp = sub.add_parser("classify-hp1", help="classify a rank-n bundle on HP^1")
     common(sp)
@@ -193,7 +194,7 @@ def _cmd_pages(args) -> int:
     if len(args.blocks) != 1:
         raise _InputError("pages needs exactly one --blocks argument")
     a = _blocks_arg(args.blocks[0])
-    indices = _range_arg(args.range) if args.range else [args.page]
+    indices = _range_arg(args.range) if args.range else [2 if args.page is None else args.page]
     out = [serialize.page_to_json(pages(a, i)) for i in indices]
     out = out[0] if len(out) == 1 else out
     _emit(out, args.format)
@@ -212,7 +213,7 @@ def _cmd_cohomology(args) -> int:
         _emit(serialize.graded_group_to_json(chow(a, mod2=True)), args.format)
     elif args.theory == "witt":
         try:
-            g = witt_cohomology(a, args.modulus)
+            g = witt_cohomology(a, args.modulus or 0)
         except ValueError as exc:
             raise _InputError(str(exc)) from exc
         _emit(serialize.graded_group_to_json(g, model=True), args.format)
@@ -341,6 +342,12 @@ def main(argv=None) -> int:
     log = _logger()
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.verb == "cohomology":
+        # each of these flags is read by one theory only
+        for flag, value, theory in (("--modulus", args.modulus, "witt"),
+                                    ("--range", args.range, "mw-diagonal")):
+            if value is not None and args.theory != theory:
+                parser.error(f"{flag} is read only by --theory {theory}")
     if args.model != "minimal-euclidean":
         print(f"error: unsupported model {args.model!r}", file=sys.stderr)
         return USAGE_EXIT

@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from mwtate.bockstein import (
     PageTooSmall,
+    Tower,
     WittProfile,
     block_pages,
     degeneracy_page,
@@ -15,10 +17,25 @@ from mwtate.bockstein import (
     truncated_check,
     v_group,
 )
+from mwtate.bockstein.analysis import (
+    _block_fiber_model,
+    _cone_model,
+    _page_failures,
+    _U,
+    _V,
+)
+from mwtate.bockstein.fibers import FiberModel
 from mwtate.checks import _page_content, random_normal_form
 from mwtate.cohomology import witt_cohomology
 from mwtate.exactalg import FormalGroup, GradedGroup
-from mwtate.motives import DyadicEta, Free, NormalForm, OddTorsion, tensor
+from mwtate.motives import (
+    DyadicEta,
+    Free,
+    NormalForm,
+    OddTorsion,
+    quotient_by_dyadic_eta,
+    tensor,
+)
 
 
 class TestBlockPages:
@@ -175,6 +192,127 @@ class TestVGroup:
         n = rng.randrange(-1, 2)
         dims = [v_group(a, j, n).dim_V for j in range(1, 5)]
         assert all(dims[i] >= dims[i + 1] for i in range(len(dims) - 1))
+
+
+class TestPinnedFibers:
+    # sha256 prefixes of (dim_V, fiber_product) over j in 1..3 and n in
+    # -2..2 for one random_normal_form draw per seed, and of the leibniz
+    # reports for j, k <= 4, all computed before the fiber model was built
+    # as a product of block models: every V-group must come out the same
+    PINNED_V = [
+        (0, "80eff7c63974f9cb"), (1, "ffd822050d911ad4"), (2, "1901ca6190ee7097"),
+        (3, "2a9a3d0ab96de35c"), (4, "7d22a190ec4dc959"), (5, "ea46c83759e5583c"),
+        (6, "08ccd6de4f273b91"), (7, "71f7bbeae376be98"), (8, "423e9103e38fdedd"),
+        (9, "394416581d6d31d3"), (10, "08ccd6de4f273b91"), (11, "6a8b8698a3b7fa31"),
+        (12, "f53e7646a9510346"), (13, "654e8f3628201b62"), (14, "5f74c285990046a3"),
+        (15, "59dccbaa04409f94"), (16, "052907cb197c9d18"), (17, "08ccd6de4f273b91"),
+        (18, "5cfce9523c9646f6"), (19, "95070ec44fc69c00"),
+    ]
+
+    @staticmethod
+    def digest(objs):
+        return hashlib.sha256(repr(objs).encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("seed, pinned", PINNED_V)
+    def test_same_v_groups(self, seed, pinned):
+        a = random_normal_form(random.Random(1200 + seed), 6)
+        results = [v_group(a, j, n) for j in (1, 2, 3) for n in range(-2, 3)]
+        assert self.digest([(r.dim_V, r.fiber_product) for r in results]) == pinned
+
+    def test_same_leibniz_reports(self):
+        reports = [leibniz_check(j, k) for j in range(1, 5) for k in range(1, 5)]
+        assert self.digest(reports) == "79ff55ea951d5f2a"
+
+    @pytest.mark.parametrize("blocks, j, n, dim_v, torsion", [
+        ([Free(0)], 2, 0, 1, (4,)),
+        ([DyadicEta(1, 0)], 3, 1, 1, (2,)),
+        ([DyadicEta(2, -1)], 3, -1, 1, (4,)),
+        ([Free(0), DyadicEta(3, 0)], 2, 0, 2, (4, 4)),
+        ([DyadicEta(2, 0), DyadicEta(1, 1)], 3, 1, 2, (2, 4)),
+        ([DyadicEta(2, 0), DyadicEta(1, 1)], 1, -1, 0, ()),
+    ])
+    def test_small_fiber_products(self, blocks, j, n, dim_v, torsion):
+        res = v_group(NormalForm(blocks), j, n)
+        assert res.dim_V == dim_v
+        assert res.fiber_product == FormalGroup(0, torsion)
+
+
+def _quotient_failures(a, j, model):
+    """Where a fiber model of A/2^j eta differs from its block tables, on
+    every page through degeneration and up to 2 rows above its top tower."""
+    quot = quotient_by_dyadic_eta(a, j)
+    qs = [t.q for t in model.gens.values()] or [0]
+    return _page_failures(model, quot, degeneracy_page(quot) + 1, min(qs) - 1, max(qs) + 2)
+
+
+def _without_each_first_arrow(model):
+    """The model without one arrow, for each arrow that is the only one
+    touching its two towers on its page or before.  Pages and ranks see
+    no other arrow alone: in cone(4 eta) x cone(8 eta) the page-4 arrow
+    u*u -> u*v leaves a tower that page 3 already maps away, and in
+    cone(2 eta) x cone(2 eta) only the sum u*u -> u*v + v*u shows."""
+    touches = {}
+    for i, pairs in model.arrows.items():
+        for end in (g for arrow in pairs for g in arrow):
+            touches.setdefault(end, []).append(i)
+    for i, pairs in model.arrows.items():
+        for k, arrow in enumerate(pairs):
+            if all(min(touches[g]) == i and touches[g].count(i) == 1 for g in arrow):
+                yield FiberModel(model.gens, {**model.arrows, i: pairs[:k] + pairs[k + 1:]})
+
+
+class TestFiberModel:
+    def test_product_keys_and_leibniz_arrows(self):
+        model = _cone_model(2) * _cone_model(1)
+        uu, uv, vu, vv = (_U, _U), (_U, _V), (_V, _U), (_V, _V)
+        assert list(model.gens) == [uu, uv, vu, vv]
+        assert [(t.p, t.q) for t in model.gens.values()] == [(0, 0), (2, 1), (2, 1), (4, 2)]
+        assert model.arrows == {3: [(uu, vu), (uv, vv)], 2: [(uu, uv), (vu, vv)]}
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_product_model_matches_quotient_pages(self, seed):
+        # the model v_group reads E_{j+2} of A/2^j eta from
+        a = random_normal_form(random.Random(1300 + seed), 6, allow_odd=False)
+        for j in (1, 2, 3):
+            model = _block_fiber_model(a.blocks) * _cone_model(j)
+            assert _quotient_failures(a, j, model) == []
+
+    def test_dropping_a_leibniz_arrow_fails(self):
+        a = NormalForm([Free(0), DyadicEta(3, 1), DyadicEta(1, -1)])
+        for j in (1, 2, 3):
+            model = _block_fiber_model(a.blocks) * _cone_model(j)
+            mutants = list(_without_each_first_arrow(model))
+            assert len(mutants) == {1: 3, 2: 5, 3: 3}[j]
+            for mutant in mutants:
+                assert _quotient_failures(a, j, mutant)
+
+    def test_leibniz_check_fails_without_an_arrow(self):
+        a, b = NormalForm([DyadicEta(2, 0)]), NormalForm([DyadicEta(3, 0)])
+        mutants = list(_without_each_first_arrow(_cone_model(2) * _cone_model(3)))
+        assert len(mutants) == 2  # u*u -> v*u and u*v -> v*v of page 3
+        for mutant in mutants:
+            assert _page_failures(mutant, tensor(a, b), 6, -1, 9)
+
+    def test_v_group_scans_each_fiber_once(self, monkeypatch):
+        # a fiber is one scan of the generators per bidegree, however
+        # often the pages ask for it
+        covers, fiber = Tower.covers, FiberModel.fiber
+        calls = []
+        asked = {}
+
+        def counted(self, p, q):
+            calls.append(None)
+            return covers(self, p, q)
+
+        def recorded(self, p, q):
+            asked.setdefault(id(self), (self, set()))[1].add((p, q))
+            return fiber(self, p, q)
+
+        monkeypatch.setattr(Tower, "covers", counted)
+        monkeypatch.setattr(FiberModel, "fiber", recorded)
+        v_group(NormalForm([Free(0), DyadicEta(2, 1), DyadicEta(1, -1)]), 2, 0)
+        bound = sum(len(model.gens) * len(bidegrees) for model, bidegrees in asked.values())
+        assert 0 < len(calls) <= bound
 
 
 class TestProp2Restated:

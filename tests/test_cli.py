@@ -228,6 +228,39 @@ class TestCLI:
         assert exc.value.code == 64
         capsys.readouterr()
 
+    @staticmethod
+    def refused(capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 64 and out == ""
+        return err
+
+    FREE = '[{"kind":"free","weight":0}]'
+
+    @pytest.mark.parametrize("theory", [["chow"], ["chow2"], ["mod2"],
+                                        ["mw-diagonal", "--range", "0:1"]])
+    def test_modulus_outside_witt_exit_64(self, capsys, theory):
+        err = self.refused(capsys, ["cohomology", "--blocks", self.FREE, "--theory", *theory,
+                                    "--modulus", "4"])
+        assert err.endswith("error: --modulus is read only by --theory witt\n")
+
+    @pytest.mark.parametrize("theory", ["chow", "chow2", "witt", "mod2"])
+    def test_range_outside_mw_diagonal_exit_64(self, capsys, theory):
+        err = self.refused(capsys, ["cohomology", "--blocks", self.FREE, "--theory", theory,
+                                    "--range", "0:1"])
+        assert err.endswith("error: --range is read only by --theory mw-diagonal\n")
+
+    def test_page_with_range_exit_64(self, capsys):
+        err = self.refused(capsys, ["pages", "--blocks", self.FREE, "--page", "3",
+                                    "--range", "2:3"])
+        assert err.endswith("error: argument --range: not allowed with argument --page\n")
+
+    def test_the_read_flags_still_run(self, capsys):
+        assert run(capsys, "cohomology", "--blocks", self.FREE, "--theory", "witt",
+                   "--modulus", "4")[0] == 0
+        assert run(capsys, "pages", "--blocks", self.FREE, "--page", "3")[0] == 0
+
     def test_unknown_model_exit_64(self, capsys):
         code, out, err = run(capsys, "tensor", "--model", "other", "--blocks", "[]",
                              "--blocks", "[]")
