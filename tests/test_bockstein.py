@@ -17,6 +17,7 @@ from mwtate.bockstein import (
     truncated_check,
     v_group,
 )
+from mwtate.bockstein import analysis
 from mwtate.bockstein.analysis import (
     _block_fiber_model,
     _cone_model,
@@ -160,6 +161,28 @@ class TestTruncated:
         a = random_normal_form(rng, 5)
         for j in (1, 2, 3):
             assert truncated_check(a, j).holds
+
+    # sha256 prefixes of the reports of truncated_check(A, j), j in 1..3,
+    # for 20 random_normal_form draws, with A/2^(j+1) eta or A/2^(j-1) eta
+    # in place of A/2^j eta: the first breaks the rho^j kernel and cokernel
+    # count of page j+2, the second the additivity of pages 2..j+1
+    @pytest.mark.parametrize("shift, failing, pinned", [
+        (1, 58, "b72d1721410e288f"),
+        (-1, 60, "6ae5a1057e3c90d8"),
+    ])
+    def test_same_failure_details(self, monkeypatch, shift, failing, pinned):
+        quotient = analysis.quotient_by_dyadic_eta
+        monkeypatch.setattr(analysis, "quotient_by_dyadic_eta", lambda a, j: quotient(a, j + shift))
+        reports = []
+        for seed in range(20):
+            a = random_normal_form(random.Random(1400 + seed), 6)
+            for j in (1, 2, 3):
+                report = truncated_check(a, j)
+                reports.append(report)
+                pages_hit = {i for i, *_ in report.detail or ()}
+                assert pages_hit <= ({j + 2} if shift > 0 else set(range(2, j + 2)))
+        assert sum(not r.holds for r in reports) == failing
+        assert hashlib.sha256(repr(reports).encode()).hexdigest()[:16] == pinned
 
 
 class TestLeibniz:
