@@ -6,17 +6,25 @@ Z/2[rho]-pieces of ``pages``.  Pages without truncated pieces are
 compared strictly as complexes; pages with them are compared in the
 derived sense, where S_j collapses to its top homology R/rho^j.
 
+The truncated check tallies both sides of each page from the towers of
+A and A/2^j eta and compares them only where one of them is nonzero.
+
 The Leibniz check and the V-groups work on fiber models (``fibers``).
 The model of a normal form has one tower per free block and a u/v pair
 per dyadic cone, keyed by (block index, kind); the model of a product,
 such as A/2^j eta = A (x) cone(2^j eta), is the product of the factors'
 models, whose differentials follow the Leibniz rule.  Both compare or
-read its pages through one F2 elimination, ``fibers.f2_kernel``.
+read its pages through one F2 elimination, ``fibers.f2_kernel``.  The
+Leibniz check scans every bidegree of a window of rows, and checks
+dimensions, ranks and d_i o d_i = 0 there; a V-group computes page
+states only on the bidegrees its three targets depend on.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from ..exactalg import FormalGroup, PresentedGroup, intmat
 from ..motives import DyadicEta, Free, NormalForm, quotient_by_dyadic_eta, tensor
@@ -94,9 +102,10 @@ def _page_window(pg, margin: int):
     )
 
 
-def _rho_pair_count(pg, p, q, j):
-    """Towers covering both (p, q) and (p+j, q+j): the rank of rho^j."""
-    return sum(1 for t in pg.towers if t.covers(p, q) and t.covers(p + j, q + j))
+def _cells(towers, offsets, dp, dq):
+    """The bidegrees at the given offsets of each tower, moved by (dp, dq);
+    ``offsets(t)`` is a range of offsets k of tower t."""
+    return ((t.p + k + dp, t.q + k + dq) for t in towers for k in offsets(t))
 
 
 def truncated_check(a: NormalForm, j: int) -> CheckReport:
@@ -106,34 +115,38 @@ def truncated_check(a: NormalForm, j: int) -> CheckReport:
     -> E(A) -> 0 forces dimension additivity per bidegree; on page j+2
     the rho^j long exact sequence forces dim E(A/2^j eta) to equal the
     kernel of rho^j plus the cokernel of rho^j two columns over.
+
+    Both sides are read off the towers in one pass: a tower adds to the
+    dimension at each of its cells, infinite ones up to the top row of
+    the window around the quotient's towers; on page j+2 the kernel of
+    rho^j is the top j cells of each finite tower and its cokernel the
+    bottom j cells of each tower.  Only bidegrees where either side is
+    nonzero are compared, in (p, q) order.
     """
     if j < 1:
         raise ValueError("need j >= 1")
     quot = quotient_by_dyadic_eta(a, j)
     failures = []
-    for i in range(2, j + 2):
+    for i in range(2, j + 3):
         pa = pages(a, i)
         pq = pages(quot, i)
         prange, qrange = _page_window(pq, j + i + 4)
-        for p in prange:
-            for q in qrange:
-                want = pa.dim(p - 2, q - 1) + pa.dim(p, q)
-                got = pq.dim(p, q)
-                if got != want:
-                    failures.append((i, p, q, got, want))
-    i = j + 2
-    pa = pages(a, i)
-    pq = pages(quot, i)
-    prange, qrange = _page_window(pq, j + i + 4)
-    for p in prange:
-        for q in qrange:
-            ker = pa.dim(p, q) - _rho_pair_count(pa, p, q, j)
-            coker = pa.dim(p - 2, q - 1) - _rho_pair_count(
-                pa, p - 2 - j, q - 1 - j, j
-            )
-            got = pq.dim(p, q)
-            if got != ker + coker:
-                failures.append((i, p, q, got, ker + coker))
+
+        def rows(t):
+            return range(t.height_key or max(qrange[-1] - t.q + 1, 0))
+
+        if i <= j + 1:  # dim E(A) at (p-2, q-1) plus at (p, q)
+            want = Counter(chain(_cells(pa.towers, rows, 0, 0), _cells(pa.towers, rows, 2, 1)))
+        else:  # ker rho^j at (p, q) plus coker rho^j at (p-2, q-1)
+            want = Counter(chain(
+                _cells(pa.towers, lambda t: range(max(t.height_key - j, 0), t.height_key), 0, 0),
+                _cells(pa.towers, lambda t: range(min(t.height_key or j, j)), 2, 1),
+            ))
+        got = Counter(_cells(pq.towers, rows, 0, 0))
+        for b in sorted(want.keys() | got.keys()):
+            g, w = got.get(b, 0), want.get(b, 0)
+            if g != w and b[0] in prange and b[1] in qrange:
+                failures.append((i, *b, g, w))
     return CheckReport(not failures, tuple(failures[:5]) or None)
 
 
@@ -173,14 +186,16 @@ def _model_window(model: FiberModel, q_lo: int, q_hi: int):
 
 def _page_failures(model: FiberModel, nf: NormalForm, i_max: int, q_lo: int, q_top: int):
     """Where pages 2..i_max of a fiber model differ from the block tables
-    of nf in dimension or differential rank, as (kind, i, p, q, got,
-    want), over rows q_lo..q_top.
+    of nf in dimension or differential rank, or where d_i o d_i is not
+    zero on the page, as (kind, i, p, q, got, want), over rows
+    q_lo..q_top.
 
-    The window runs i_max rows above q_top, so every differential out of
-    a checked bidegree lands inside it, and its rank on classes is
-    dim Z_i - dim Z_{i+1} there.
+    The window runs 2 i_max rows above q_top, so d_i and d_i o d_i out
+    of every checked bidegree land inside it or on a line without
+    generators; the rank of d_i on classes is dim Z_i - dim Z_{i+1},
+    and d_i o d_i must send Z_i into B_i two steps up.
     """
-    window = _model_window(model, q_lo, q_top + i_max)
+    window = _model_window(model, q_lo, q_top + 2 * i_max)
     states = model.page_states(i_max + 1, window)
     failures = []
     for i in range(2, i_max + 1):
@@ -189,6 +204,14 @@ def _page_failures(model: FiberModel, nf: NormalForm, i_max: int, q_lo: int, q_t
             if q > q_top:
                 continue
             z, bb = states[i][p, q]
+            if z and model.arrows.get(i):
+                d = model.differential(i, (p, q))
+                d_next = model.differential(i, (p + i + 1, q + i))
+                bb2 = states[i].get((p + 2 * i + 2, q + 2 * i), ([], []))[1]
+                twice = [(v, f2_image(d_next, f2_image(d, v))) for v in z]
+                got = len(z) - len(f2_kernel(twice, bb2))
+                if got:
+                    failures.append(("dd", i, p, q, got, 0))
             got, want = len(z) - len(bb), pg.dim(p, q)
             if got != want:
                 failures.append(("dim", i, p, q, got, want))
@@ -224,10 +247,22 @@ class VGroupResult:
     fiber_product: FormalGroup
 
 
-def _v_states(model: FiberModel, j: int, n: int):
-    """Page states 2..j+3 on a window around the Chow corner (2n, n)."""
-    qs = [g.q for g in model.gens.values()] + [n, n + j + 1]
-    return model.page_states(j + 3, _model_window(model, min(qs) - 2, max(qs) + 2 * j + 10))
+def _v_states(model: FiberModel, targets):
+    """Page states on the bidegrees that the (page, bidegree) targets
+    depend on: a page-i bidegree needs, on page i-1, itself and, when
+    d_(i-1) is nonzero, its target (p+i, q+i-1) and its source
+    (p-i, q-i+1).  Bidegrees with an empty fiber are left out: Z and B
+    are empty there and take no image."""
+    top = max(i for i, _ in targets)
+    window: set = set()
+    layer: set = set()
+    for i in range(top, 1, -1):
+        layer |= {b for page, b in targets if page == i}
+        layer = {b for b in layer if model.fiber(*b)}
+        window |= layer
+        if model.arrows.get(i - 1):
+            layer |= {(p + s * i, q + s * (i - 1)) for p, q in layer for s in (1, -1)}
+    return model.page_states(top, sorted(window))
 
 
 def _bits(fib: dict, vec: int) -> list:
@@ -239,6 +274,10 @@ def v_group(a: NormalForm, j: int, n: int) -> VGroupResult:
     """The constrained cycle pairs at the Chow corner and their fiber
     product with mod-2^j Witt cohomology.
 
+    It reads Z_(j+1) at (2n, n), Z_(j+2) at (2n+2, n+1) and B_(j+1) at
+    (2n+j+2, n+j+1) of A, and B_(j+2) at (2n+2, n+1) of A/2^j eta, and
+    computes page states only on the bidegrees those depend on.
+
     V collects pairs (x, y) of a page-(j+1) cycle x at (2n, n) and a
     page-(j+2) cycle y at (2n+2, n+1) with beta^{j+1}(x) = rho^j y; the
     result also carries the fiber product of V with H^n(A, W/2^j) over
@@ -249,8 +288,8 @@ def v_group(a: NormalForm, j: int, n: int) -> VGroupResult:
     if j < 1:
         raise ValueError("need j >= 1")
     amodel = _block_fiber_model(a.blocks)
-    states = _v_states(amodel, j, n)
     b_x, b_y, b_t = (2 * n, n), (2 * n + 2, n + 1), (2 * n + j + 2, n + j + 1)
+    states = _v_states(amodel, [(j + 1, b_x), (j + 2, b_y), (j + 1, b_t)])
     zx = states[j + 1].get(b_x, ([], []))[0]
     zy = states[j + 2].get(b_y, ([], []))[0]
     bt = states[j + 1].get(b_t, ([], []))[1]
@@ -270,7 +309,7 @@ def _fiber_product(a, j, n, amodel, v_pairs, fib_x, fib_y):
     """ker of V + H^n(A, W/2^j) -> E_{j+2}^{(2n+2, n+1)}(A/2^j eta)."""
     tmodel = amodel * _cone_model(j)
     b_e = (2 * n + 2, n + 1)
-    eb = _v_states(tmodel, j, n)[j + 2].get(b_e, ([], []))[1]
+    eb = _v_states(tmodel, [(j + 2, b_e)])[j + 2].get(b_e, ([], []))[1]
     efib = tmodel.fiber(*b_e)
 
     def e_class(keys):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,6 +22,7 @@ from mwtate.bockstein import analysis
 from mwtate.bockstein.analysis import (
     _block_fiber_model,
     _cone_model,
+    _model_window,
     _page_failures,
     _U,
     _V,
@@ -172,7 +174,9 @@ class TestTruncated:
     ])
     def test_same_failure_details(self, monkeypatch, shift, failing, pinned):
         quotient = analysis.quotient_by_dyadic_eta
-        monkeypatch.setattr(analysis, "quotient_by_dyadic_eta", lambda a, j: quotient(a, j + shift))
+        monkeypatch.setattr(
+            analysis, "quotient_by_dyadic_eta", lambda a, j: quotient(a, j + shift)
+        )
         reports = []
         for seed in range(20):
             a = random_normal_form(random.Random(1400 + seed), 6)
@@ -183,6 +187,32 @@ class TestTruncated:
                 assert pages_hit <= ({j + 2} if shift > 0 else set(range(2, j + 2)))
         assert sum(not r.holds for r in reports) == failing
         assert hashlib.sha256(repr(reports).encode()).hexdigest()[:16] == pinned
+
+    def test_reads_each_tower_once(self, monkeypatch):
+        # the two sides of each page are tallied from the towers, with no
+        # scan of the window: towers x pages x window rows bounds the work
+        a, j = NormalForm([Free(0), DyadicEta(2, 1), DyadicEta(1, -1)]), 2
+        quot = quotient_by_dyadic_eta(a, j)
+        bound = 0
+        for i in range(2, j + 3):
+            rows = analysis._page_window(pages(quot, i), j + i + 4)[1]
+            bound += (len(pages(a, i).towers) + len(pages(quot, i).towers)) * len(rows)
+        covers = Tower.covers
+        work = []
+
+        def counted(self, p, q):
+            work.append(1)
+            return covers(self, p, q)
+
+        class Table(Counter):
+            def __init__(self, cells):
+                super().__init__(cells)
+                work.append(len(self))
+
+        monkeypatch.setattr(Tower, "covers", counted)
+        monkeypatch.setattr(analysis, "Counter", Table)
+        assert truncated_check(a, j).holds
+        assert 0 < sum(work) <= bound
 
 
 class TestLeibniz:
@@ -316,6 +346,33 @@ class TestFiberModel:
         for mutant in mutants:
             assert _page_failures(mutant, tensor(a, b), 6, -1, 9)
 
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_dropping_any_arrow_of_equal_cones_fails(self, j):
+        # d(u*u) = v*u + u*v and d(v*u + u*v) = 2 v*v: without one of the
+        # four arrows every dimension and rank still matches, but d o d
+        # no longer vanishes
+        cone = NormalForm([DyadicEta(j, 0)])
+        model = _cone_model(j) * _cone_model(j)
+        arrows = model.arrows[j + 1]
+        assert len(arrows) == 4
+        for k in range(4):
+            mutant = FiberModel(model.gens, {j + 1: arrows[:k] + arrows[k + 1:]})
+            failures = _page_failures(mutant, tensor(cone, cone), j + 3, -1, 2 * j + 4)
+            assert failures and {kind for kind, *_ in failures} == {"dd"}
+
+    def test_d_squared_is_read_modulo_boundaries(self):
+        # d_3(g) = h and d_3(h) = e, where d_2(c) = e has already made e a
+        # boundary: d_3 o d_3 vanishes on the page only through B_3
+        gens = {"g": tower(0, 0), "h": tower(4, 3), "c": tower(5, 4), "e": tower(8, 6)}
+        arrows = {2: [("c", "e")], 3: [("g", "h"), ("h", "e")]}
+
+        def dd_failures(arrows):
+            failures = _page_failures(FiberModel(gens, arrows), NormalForm([]), 3, 0, 2)
+            return [f for f in failures if f[0] == "dd"]
+
+        assert dd_failures(arrows) == []
+        assert dd_failures({3: arrows[3]}) == [("dd", 3, k, k, 1, 0) for k in range(3)]
+
     def test_v_group_scans_each_fiber_once(self, monkeypatch):
         # a fiber is one scan of the generators per bidegree, however
         # often the pages ask for it
@@ -336,6 +393,64 @@ class TestFiberModel:
         v_group(NormalForm([Free(0), DyadicEta(2, 1), DyadicEta(1, -1)]), 2, 0)
         bound = sum(len(model.gens) * len(bidegrees) for model, bidegrees in asked.values())
         assert 0 < len(calls) <= bound
+
+
+def _v_rectangle(model, j, n):
+    """Every bidegree of (generator lines + 1) x (q spread + 2j + 14)
+    around the Chow corner (2n, n): the window v_group once scanned."""
+    qs = [g.q for g in model.gens.values()] + [n, n + j + 1]
+    return _model_window(model, min(qs) - 2, max(qs) + 2 * j + 10)
+
+
+def _v_group_calls(monkeypatch):
+    """Record (model, window, states) of each page_states call."""
+    page_states, calls = FiberModel.page_states, []
+
+    def recorded(self, up_to, window):
+        window = list(window)
+        states = page_states(self, up_to, window)
+        calls.append((self, window, states))
+        return states
+
+    monkeypatch.setattr(FiberModel, "page_states", recorded)
+    return calls
+
+
+class TestVGroupWindow:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_reads_as_the_rectangle(self, monkeypatch, seed):
+        # the states v_group reads, of A and of A/2^j eta, come out the same
+        # on the dependency window as on the whole rectangle
+        a = random_normal_form(random.Random(1600 + seed), 6)
+        page_states = FiberModel.page_states
+        calls = _v_group_calls(monkeypatch)
+        for j in range(1, 6):
+            for n in range(-2, 3):
+                calls.clear()
+                v_group(a, j, n)
+                b_x, b_y, b_t = (2 * n, n), (2 * n + 2, n + 1), (2 * n + j + 2, n + j + 1)
+                (amodel, _, astates), (tmodel, _, tstates) = calls
+                reads = [(amodel, astates, [(j + 1, b_x), (j + 2, b_y), (j + 1, b_t)]),
+                         (tmodel, tstates, [(j + 2, b_y)])]
+                for model, states, targets in reads:
+                    oracle = page_states(model, j + 2, _v_rectangle(model, j, n))
+                    for i, b in targets:
+                        assert states[i].get(b, ([], [])) == oracle[i].get(b, ([], []))
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4, 5, 6])
+    def test_window_within_the_rectangle(self, monkeypatch, j):
+        # never more than the rectangle, and for j <= 2 a quarter of it
+        calls = _v_group_calls(monkeypatch)
+        for seed in range(20):
+            a = random_normal_form(random.Random(1700 + seed), 6)
+            for n in range(-2, 3):
+                calls.clear()
+                v_group(a, j, n)
+                for model, window, _ in calls:
+                    rect = _v_rectangle(model, j, n)
+                    assert set(window) <= set(rect)
+                    if j <= 2:
+                        assert 4 * len(window) <= len(rect)
 
 
 class TestProp2Restated:
