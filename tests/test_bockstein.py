@@ -108,6 +108,19 @@ class TestDegeneracy:
         assert degeneracy_page(NormalForm([Free(0), DyadicEta(2, 1), Free(3)])) == 4
         assert degeneracy_page(NormalForm([OddTorsion(3, 1, 0), Free(0)])) == 2
 
+    def test_reads_the_largest_witt_torsion(self):
+        # the reference: r + 2 for the largest Z/2^r summand of the Witt
+        # cohomology, r = 0 when there is none
+        rng = random.Random(3000)
+        for _ in range(2000):
+            a = random_normal_form(rng, 12)
+            r = max(
+                (q.bit_length() - 1 for _, g in witt_cohomology(a, 0).items()
+                 for q in g.torsion if q % 2 == 0),
+                default=0,
+            )
+            assert degeneracy_page(a) == r + 2, a
+
     @pytest.mark.parametrize("seed", range(20))
     def test_exact_stabilization(self, seed):
         rng = random.Random(50 + seed)

@@ -48,11 +48,13 @@ CASES = {
     "blowup": ["blowup", "--in", "@blowup.json"],
     "pages-invisible": ["pages", "--blocks", PAGES_INVISIBLE, "--range", "2:8"],
 }
-# the check suites that read the page tables, and the exact-couple engine's
+# every check suite but decompose, whose 51,000 cases take seconds; its
+# count is pinned in tests/test_acceptance.py
 CASES.update(
     (f"check-{s}", ["check", "--suite", s, "--seed", "0"])
     for s in (
-        "block-pages", "torsion-profile", "kunneth", "leibniz", "truncated", "couple",
+        "block-pages", "bounded", "couple", "degeneracy", "hom-cone", "hp1", "kunneth",
+        "leibniz", "pbundle", "steenrod", "tensor-witt", "torsion-profile", "truncated",
     )
 )
 
