@@ -124,13 +124,14 @@ def _negate(m: Mat) -> Mat:
 def _diag_normalize(group: PresentedGroup):
     """Equivalent diagonal presentation with unit generators dropped.
 
-    Returns (new_group, to_new, from_new) with to_new * from_new the
-    identity on surviving coordinates; to_new carries old coordinates
-    into the new presentation, and maps conjugate accordingly.
+    Returns (new_group, to_new, from_new, orders) with to_new * from_new
+    the identity on surviving coordinates; to_new carries old coordinates
+    into the new presentation, and maps conjugate accordingly.  orders
+    holds the order of each new generator, 0 for a free one.
     """
     n = group.ngens
     if group.rels.cols == 0:  # already diagonal, with no unit generator
-        return group, intmat.identity(n), intmat.identity(n)
+        return group, intmat.identity(n), intmat.identity(n), [0] * n
     u, s, _v, uinv = intmat._smith(group.rels, u=True, uinv=True)
     diag = intmat.diagonal(s)
     keep = [i for i in range(n) if i >= len(diag) or diag[i] != 1]
@@ -144,18 +145,7 @@ def _diag_normalize(group: PresentedGroup):
     new_group = PresentedGroup(k, Mat.from_columns(new_rels, k))
     to_new = Mat([u[i] for i in keep], n)
     from_new = Mat([[row[i] for i in keep] for row in uinv], k)
-    return new_group, to_new, from_new
-
-
-def _orders_of(group: PresentedGroup) -> list:
-    """Per-generator orders of a diagonal presentation (0 = free)."""
-    orders = [0] * group.ngens
-    for col in group.rels.columns():
-        nz = [(r, x) for r, x in enumerate(col) if x]
-        if len(nz) == 1:
-            r, x = nz[0]
-            orders[r] = abs(x) if orders[r] == 0 else min(orders[r], abs(x))
-    return orders
+    return new_group, to_new, from_new, orders
 
 
 def _reduce_mod_orders(m: Mat, orders) -> Mat:
@@ -166,15 +156,13 @@ def _reduce_mod_orders(m: Mat, orders) -> Mat:
 
 def normalize_couple(c: ExactCouple) -> ExactCouple:
     """Rewrite every group in diagonal form and shrink map entries."""
-    d_new, d_to, d_frm = {}, {}, {}
-    e_new, e_to, e_frm = {}, {}, {}
+    d_new, d_to, d_frm, d_ord = {}, {}, {}, {}
+    e_new, e_to, e_frm, e_ord = {}, {}, {}, {}
     for deg in c.degrees():
-        g, to, frm = _diag_normalize(c.dgroup(deg))
-        d_new[deg], d_to[deg], d_frm[deg] = g, to, frm
-        g, to, frm = _diag_normalize(c.egroup(deg))
-        e_new[deg], e_to[deg], e_frm[deg] = g, to, frm
+        d_new[deg], d_to[deg], d_frm[deg], d_ord[deg] = _diag_normalize(c.dgroup(deg))
+        e_new[deg], e_to[deg], e_frm[deg], e_ord[deg] = _diag_normalize(c.egroup(deg))
 
-    def conv(mat_of, src_frm, dst_to, dst_grp, step):
+    def conv(mat_of, src_frm, dst_to, dst_ord, step):
         # step is the degree the map raises: 1 for k, 0 for i and j
         out = {}
         for deg in c.degrees():
@@ -182,15 +170,15 @@ def normalize_couple(c: ExactCouple) -> ExactCouple:
             if dst is None:
                 continue
             m = intmat.matmul(intmat.matmul(dst, mat_of(deg)), src_frm[deg])
-            out[deg] = _reduce_mod_orders(m, _orders_of(dst_grp[deg + step]))
+            out[deg] = _reduce_mod_orders(m, dst_ord[deg + step])
         return out
 
     return ExactCouple(
         {d: g for d, g in d_new.items() if g.ngens},
         {d: g for d, g in e_new.items() if g.ngens},
-        conv(c.imat, d_frm, d_to, d_new, 0),
-        conv(c.jmat, d_frm, e_to, e_new, 0),
-        conv(c.kmat, e_frm, d_to, d_new, 1),
+        conv(c.imat, d_frm, d_to, d_ord, 0),
+        conv(c.jmat, d_frm, e_to, e_ord, 0),
+        conv(c.kmat, e_frm, d_to, d_ord, 1),
     )
 
 

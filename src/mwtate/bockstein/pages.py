@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from ..exactalg import GradedGroup
 from ..motives import DyadicEta, Free, NormalForm
-from ..cohomology import witt_cohomology
 
 
 class PageTooSmall(ValueError):
@@ -276,11 +275,12 @@ def pages_from_witt(h: GradedGroup, i: int) -> Page:
 def degeneracy_page(a: NormalForm) -> int:
     """The page index from which the tables are constant.
 
-    Equals r + 2 where 2^r is the largest dyadic torsion order of the
-    Witt cohomology (r = 0 when there is none).
+    Equals r + 2 for the largest t = r of a Z/2^t eta cone among the
+    blocks (r = 0 when there is none): the last differential is the
+    d_(r+1) of that cone.  It is also r + 2 for the largest Z/2^r
+    summand of the Witt cohomology, which is where those cones put it.
 
-    >>> degeneracy_page(NormalForm([Free(0)]))
-    2
+    >>> degeneracy_page(NormalForm([Free(0), DyadicEta(3, 1)]))
+    5
     """
-    r = witt_cohomology(a, 0).max_dyadic_exponent()
-    return r + 2
+    return max((b.t for b in a if isinstance(b, DyadicEta)), default=0) + 2

@@ -3,11 +3,17 @@ acceptance tests, so desk verification and CI run identical code.
 
 Every suite takes only a seed and is deterministic for it; the corpus
 sizes are the acceptance-grade values, written into each suite.
+
+A suite is a generator that yields one verdict per case: None when the
+case holds, otherwise a string that says what failed.  `run_suite` is
+the one place that reads verdicts: it counts the cases, stops at the
+first failure and reports the run as a `SuiteResult`.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .bockstein import (
@@ -57,6 +63,20 @@ class SuiteResult:
         mark = "pass" if self.passed else "FAIL"
         extra = f" ({self.detail})" if self.detail else ""
         return f"{mark}  {self.name}: {self.cases} cases{extra}"
+
+
+def run_suite(name: str, seed: int) -> SuiteResult:
+    """Run the suite ``SUITES[name]`` at ``seed`` up to its first failure.
+
+    >>> run_suite("leibniz", 0).line()
+    'pass  leibniz: 9 cases'
+    """
+    cases = 0
+    for detail in SUITES[name](seed):
+        cases += 1
+        if detail is not None:
+            return SuiteResult(name, False, cases, detail)
+    return SuiteResult(name, True, cases)
 
 
 # ---------------------------------------------------------------- corpora
@@ -127,9 +147,8 @@ def witt_direct(c: TateComplex, modulus: int = 0) -> GradedGroup:
 # ----------------------------------------------------------------- suites
 
 
-def suite_block_pages(seed) -> SuiteResult:
+def suite_block_pages(seed) -> Iterator[str | None]:
     """Block tables against a direct transcription of the four cases."""
-    cases = 0
     for j in (1, 2, 3):
         for w in (-1, 0, 2):
             for i in range(2, j + 4):
@@ -138,26 +157,15 @@ def suite_block_pages(seed) -> SuiteResult:
                     for line in (-1, 0, 1, 2, 3):
                         q = qq + w
                         p = q + line + w  # p - 2w ranges around the diagonal
-                        cases += 1
                         got = pg.dim(p, q)
                         want = _oracle_dim(j, i, p - 2 * w, q - w)
-                        if got != want:
-                            return SuiteResult(
-                                "block-pages",
-                                False,
-                                cases,
-                                f"dim at j={j} i={i} (p,q)=({p},{q}): {got} != {want}",
-                            )
-                        got_r = pg.differential_rank(p, q)
                         want_r = 1 if (p - 2 * w == q - w >= 0 and i == j + 1) else 0
-                        if got_r != want_r:
-                            return SuiteResult(
-                                "block-pages",
-                                False,
-                                cases,
-                                f"differential at j={j} i={i} ({p},{q})",
-                            )
-    return SuiteResult("block-pages", True, cases)
+                        if got != want:
+                            yield f"dim at j={j} i={i} (p,q)=({p},{q}): {got} != {want}"
+                        elif pg.differential_rank(p, q) != want_r:
+                            yield f"differential at j={j} i={i} ({p},{q})"
+                        else:
+                            yield None
 
 
 def _oracle_dim(j, i, p, q):
@@ -171,127 +179,105 @@ def _oracle_dim(j, i, p, q):
     return 0
 
 
-def suite_torsion_profile(seed) -> SuiteResult:
+def suite_torsion_profile(seed) -> Iterator[str | None]:
     rng = random.Random(seed)
-    cases = 0
     for _ in range(300):
         a = random_normal_form(rng, 12)
         h = witt_cohomology(a, 0)
         for i in range(2, degeneracy_page(a) + 3):
-            cases += 1
-            if pages_from_witt(h, i) != pages(a, i):
-                return SuiteResult(
-                    "torsion-profile", False, cases, f"mismatch at page {i} for {a}"
-                )
-    return SuiteResult("torsion-profile", True, cases)
+            mismatch = pages_from_witt(h, i) != pages(a, i)
+            yield f"mismatch at page {i} for {a}" if mismatch else None
 
 
-def suite_degeneracy(seed) -> SuiteResult:
+def suite_degeneracy(seed) -> Iterator[str | None]:
     rng = random.Random(seed)
-    cases = 0
     for _ in range(300):
         a = random_normal_form(rng, 12)
         d = degeneracy_page(a)
         r = d - 2
-        cases += 1
         stable = _page_content(pages(a, d))
-        for m in range(d + 1, d + 3):
-            if _page_content(pages(a, m)) != stable:
-                return SuiteResult("degeneracy", False, cases, f"not stable for {a}")
-        if r >= 1 and _page_content(pages(a, d - 1)) == stable:
-            return SuiteResult(
-                "degeneracy", False, cases, f"stabilized early for {a}"
-            )
-    return SuiteResult("degeneracy", True, cases)
+        if any(_page_content(pages(a, m)) != stable for m in range(d + 1, d + 3)):
+            yield f"not stable for {a}"
+        elif r >= 1 and _page_content(pages(a, d - 1)) == stable:
+            yield f"stabilized early for {a}"
+        else:
+            yield None
 
 
 def _page_content(pg):
     return pg.canonical()[1:]
 
 
-def suite_decompose(seed) -> SuiteResult:
+def suite_decompose(seed) -> Iterator[str | None]:
+    """Each realization decomposes back to its blocks, and so do 100
+    unimodular twists of it, one case each.  The last case of a draw
+    compares the Chow and Witt groups of the blocks with those read
+    straight off the complex.  That conservativity case compares two
+    closed forms: `witt_direct` reads the same invariant factors of the
+    same differentials as `decompose`.  Only the round trip and the
+    twist cases check `decompose` independently."""
     rng = random.Random(seed)
-    cases = 0
     for _ in range(500):
         a = random_normal_form(rng, 12, allow_odd=False)
         c = realize(a)
-        cases += 1
         base = decompose(c)
-        if base != a:
-            return SuiteResult("decompose", False, cases, f"round trip failed: {a}")
+        yield f"round trip failed: {a}" if base != a else None
         for _k in range(100):
-            cases += 1
             twisted = unimodular_twist(c, rng)
-            if decompose(twisted) != base:
-                return SuiteResult(
-                    "decompose", False, cases, f"automorphism changed blocks: {a}"
-                )
-        # conservativity: blocks reproduce the direct invariants
-        cases += 1
+            changed = decompose(twisted) != base
+            yield f"automorphism changed blocks: {a}" if changed else None
         if chow(base) != chow_direct(c) or witt_cohomology(base, 0) != witt_direct(c):
-            return SuiteResult("decompose", False, cases, f"invariants differ: {a}")
-    return SuiteResult("decompose", True, cases)
+            yield f"invariants differ: {a}"
+        else:
+            yield None
 
 
-def suite_pbundle(seed) -> SuiteResult:
-    cases = 0
+def suite_pbundle(seed) -> Iterator[str | None]:
     for n in range(1, 7):
-        cases += 1
         blocks = decompose(projective_bundle_hp1(GWElement(0, 2**n)))
         w = witt_cohomology(blocks, 0)
         if w[2] != FormalGroup.cyclic(2**n):
-            return SuiteResult("pbundle", False, cases, f"H^2 wrong for 2^{n}")
-        if degeneracy_page(blocks) != n + 2:
-            return SuiteResult("pbundle", False, cases, f"page wrong for 2^{n}")
-    cases += 1
+            yield f"H^2 wrong for 2^{n}"
+        elif degeneracy_page(blocks) != n + 2:
+            yield f"page wrong for 2^{n}"
+        else:
+            yield None
     blocks = decompose(projective_bundle_hp1(GWElement(1, 3)))
     if witt_cohomology(blocks, 0)[2] != FormalGroup.cyclic(3):
-        return SuiteResult("pbundle", False, cases, "odd Euler class torsion wrong")
-    if degeneracy_page(blocks) != 2:
-        return SuiteResult("pbundle", False, cases, "odd Euler class page wrong")
-    return SuiteResult("pbundle", True, cases)
+        yield "odd Euler class torsion wrong"
+    elif degeneracy_page(blocks) != 2:
+        yield "odd Euler class page wrong"
+    else:
+        yield None
 
 
-def suite_kunneth(seed) -> SuiteResult:
+def suite_kunneth(seed) -> Iterator[str | None]:
     rng = random.Random(seed)
-    cases = 0
     for t1 in range(0, 5):
         for t2 in range(0, 5):
-            cases += 1
             rep = kunneth_e2(
                 NormalForm([DyadicEta(t1, 0)]), NormalForm([DyadicEta(t2, 0)])
             )
-            if not rep.equal:
-                return SuiteResult(
-                    "kunneth", False, cases, f"block pair ({t1},{t2})"
-                )
+            yield f"block pair ({t1},{t2})" if not rep.equal else None
     for _ in range(100):
-        cases += 1
         a = random_normal_form(rng, 8)
         b = random_normal_form(rng, 8)
         rep = kunneth_e2(a, b)
-        if not rep.equal:
-            return SuiteResult("kunneth", False, cases, f"{a} x {b}")
-    return SuiteResult("kunneth", True, cases)
+        yield f"{a} x {b}" if not rep.equal else None
 
 
-def suite_tensor_witt(seed) -> SuiteResult:
+def suite_tensor_witt(seed) -> Iterator[str | None]:
     rng = random.Random(seed)
-    cases = 0
     for _ in range(200):
-        cases += 1
         a = random_normal_form(rng, 8)
         b = random_normal_form(rng, 8)
         got = witt_cohomology(tensor(a, b), 0)
         want = graded_kunneth(witt_cohomology(a, 0), witt_cohomology(b, 0))
-        if got != want:
-            return SuiteResult("tensor-witt", False, cases, f"{a} x {b}")
-    return SuiteResult("tensor-witt", True, cases)
+        yield f"{a} x {b}" if got != want else None
 
 
-def suite_bounded(seed) -> SuiteResult:
+def suite_bounded(seed) -> Iterator[str | None]:
     rng = random.Random(seed)
-    cases = 0
     for _ in range(100):
         a = random_normal_form(rng, 8)
         pg = pages(a, 2)
@@ -300,21 +286,13 @@ def suite_bounded(seed) -> SuiteResult:
         q0 = min(qs) - 2
         for q in range(q0, q0 + 20):
             for p in range(q - 3, 2 * q + 4):
-                cases += 1
                 dim = pg.dim(p, q)
                 if p > 2 * q:
-                    if dim != 0:
-                        return SuiteResult(
-                            "bounded", False, cases, f"nonzero above line: {a}"
-                        )
+                    yield f"nonzero above line: {a}" if dim != 0 else None
                     continue
                 grp = wmod2[p - q]
                 want = len(grp.torsion) + grp.free_rank
-                if dim != want:
-                    return SuiteResult(
-                        "bounded", False, cases, f"({p},{q}) of {a}: {dim} != {want}"
-                    )
-    return SuiteResult("bounded", True, cases)
+                yield f"({p},{q}) of {a}: {dim} != {want}" if dim != want else None
 
 
 MAX_CELLS = 8  # cells of a random adjacent complex, at most
@@ -355,11 +333,9 @@ def random_adjacent_complex(rng) -> FreeComplex:
     return FreeComplex(ranks, diffs)
 
 
-def suite_couple(seed) -> SuiteResult:
+def suite_couple(seed) -> Iterator[str | None]:
     rng = random.Random(seed)
-    cases = 0
     for _ in range(100):
-        cases += 1
         c = random_adjacent_complex(rng)
         res = couple_analyze(bockstein_couple(c))
         h = integer_cohomology(c, 0)
@@ -369,114 +345,86 @@ def suite_couple(seed) -> SuiteResult:
             if g.free_rank
         }
         if res.e_infinity != expected:
-            return SuiteResult("couple", False, cases, f"E_inf mismatch: {c.ranks}")
-        if not res.four_term_exact:
-            return SuiteResult("couple", False, cases, f"four-term: {c.ranks}")
-        if not res.identification_holds:
-            return SuiteResult("couple", False, cases, f"identification: {c.ranks}")
-        if not res.degeneration_holds:
-            return SuiteResult("couple", False, cases, f"degeneration: {c.ranks}")
-    return SuiteResult("couple", True, cases)
+            yield f"E_inf mismatch: {c.ranks}"
+        elif not res.four_term_exact:
+            yield f"four-term: {c.ranks}"
+        elif not res.identification_holds:
+            yield f"identification: {c.ranks}"
+        elif not res.degeneration_holds:
+            yield f"degeneration: {c.ranks}"
+        else:
+            yield None
 
 
-def suite_steenrod(seed) -> SuiteResult:
+def suite_steenrod(seed) -> Iterator[str | None]:
     """The quoted-set reductions, the mutation sanity check, and the
     extended Cartan closure.  The (2,2) entry is irreducible under the
     exact quoted set; see the extended mode for the full square."""
-    cases = 0
     rep = steenrod_dsquare_check()
     for pos in ((1, 1), (1, 2), (2, 1)):
-        cases += 1
-        if not rep.entry(*pos).reduced_to_zero:
-            return SuiteResult("steenrod", False, cases, f"entry {pos} nonzero")
-    cases += 1
-    if rep.entry(2, 2).reduced_to_zero:
-        return SuiteResult(
-            "steenrod", False, cases, "(2,2) unexpectedly closed by quoted set"
-        )
-    cases += 1
-    if not steenrod_dsquare_check(extended=True).all_zero:
-        return SuiteResult("steenrod", False, cases, "extended set fails")
-    cases += 1
+        yield f"entry {pos} nonzero" if not rep.entry(*pos).reduced_to_zero else None
+    closed = rep.entry(2, 2).reduced_to_zero
+    yield "(2,2) unexpectedly closed by quoted set" if closed else None
+    closed = steenrod_dsquare_check(extended=True).all_zero
+    yield "extended set fails" if not closed else None
     mutated = tuple(r for r in QUOTED_RULES if r[0] != ("Sq2", "Sq2"))
-    if steenrod_dsquare_check(rules=mutated).entry(1, 1).reduced_to_zero:
-        return SuiteResult("steenrod", False, cases, "mutation not detected")
-    cases += 1
-    if not identity_sanity():
-        return SuiteResult("steenrod", False, cases, "identity sanity")
-    return SuiteResult("steenrod", True, cases)
+    closed = steenrod_dsquare_check(rules=mutated).entry(1, 1).reduced_to_zero
+    yield "mutation not detected" if closed else None
+    yield "identity sanity" if not identity_sanity() else None
 
 
-def suite_truncated(seed) -> SuiteResult:
+def suite_truncated(seed) -> Iterator[str | None]:
     rng = random.Random(seed)
-    cases = 0
     for _ in range(50):
         a = random_normal_form(rng, 6)
         for j in range(1, 4):
-            cases += 1
             rep = truncated_check(a, j)
-            if not rep.holds:
-                return SuiteResult(
-                    "truncated", False, cases, f"j={j} for {a}: {rep.detail}"
-                )
-    return SuiteResult("truncated", True, cases)
+            yield f"j={j} for {a}: {rep.detail}" if not rep.holds else None
 
 
-def suite_leibniz(seed) -> SuiteResult:
-    cases = 0
+def suite_leibniz(seed) -> Iterator[str | None]:
     for j in range(1, 4):
         for k in range(1, 4):
-            cases += 1
-            rep = leibniz_check(j, k)
-            if not rep.holds:
-                return SuiteResult("leibniz", False, cases, f"(j,k)=({j},{k})")
-    return SuiteResult("leibniz", True, cases)
+            yield f"(j,k)=({j},{k})" if not leibniz_check(j, k).holds else None
 
 
-def suite_hom_cone(seed) -> SuiteResult:
-    cases = 1
-    if hom_cone(6, 3, 2, "MW") != FormalGroup.from_invariants([3, 4]):
-        return SuiteResult("hom-cone", False, cases, "spot value l=6 failed")
+def suite_hom_cone(seed) -> Iterator[str | None]:
+    wrong = hom_cone(6, 3, 2, "MW") != FormalGroup.from_invariants([3, 4])
+    yield "spot value l=6 failed" if wrong else None
     for l in range(1, 25):
         t, s = split_dyadic(l)
         for cat in ("MW", "W"):
             for p in range(-6, 7):
                 for q in range(-6, 7):
-                    cases += 1
                     lhs = hom_cone(l, p, q, cat).direct_sum(hom_cone(1, p, q, cat))
                     rhs = hom_cone(1 << t, p, q, cat).direct_sum(
                         hom_cone(s, p, q, cat)
                     )
-                    if lhs != rhs:
-                        return SuiteResult(
-                            "hom-cone", False, cases, f"l={l} ({p},{q}) {cat}"
-                        )
-    return SuiteResult("hom-cone", True, cases)
+                    yield f"l={l} ({p},{q}) {cat}" if lhs != rhs else None
 
 
-def suite_hp1(seed) -> SuiteResult:
-    cases = 0
+def suite_hp1(seed) -> Iterator[str | None]:
     for rank in range(-5, 6):
         for sig in range(-5, 6):
             if (rank - sig) % 2:
                 continue
             e = GWElement(rank, sig)
-            cases += 1
             canon = kx_orbit_canonical(e)
-            if kx_orbit_canonical(canon) != canon:
-                return SuiteResult("hp1", False, cases, "canonicalization not idempotent")
             flipped = GWElement(rank, -sig)
-            if kx_orbit_canonical(flipped) != canon:
-                return SuiteResult("hp1", False, cases, "orbit members disagree")
             cls = hp1_classify(2, e)
             want = rank == 0 and sig != 0
-            if cls.stably_free_nontrivial != want:
-                return SuiteResult("hp1", False, cases, f"flag wrong at ({rank},{sig})")
-            if cls.is_free != (rank == 0 and sig == 0):
-                return SuiteResult("hp1", False, cases, f"free flag at ({rank},{sig})")
-            if hp1_classify(2, flipped) != cls:
-                return SuiteResult("hp1", False, cases, "orbit constancy failed")
-    return SuiteResult("hp1", True, cases)
+            if kx_orbit_canonical(canon) != canon:
+                yield "canonicalization not idempotent"
+            elif kx_orbit_canonical(flipped) != canon:
+                yield "orbit members disagree"
+            elif cls.stably_free_nontrivial != want:
+                yield f"flag wrong at ({rank},{sig})"
+            elif cls.is_free != (rank == 0 and sig == 0):
+                yield f"free flag at ({rank},{sig})"
+            elif hp1_classify(2, flipped) != cls:
+                yield "orbit constancy failed"
+            else:
+                yield None
 
 
 SUITES = {

@@ -303,7 +303,7 @@ def _cmd_check(args) -> int:
     for name in names:
         if name not in checks.SUITES:
             raise _InputError(f"unknown suite {name!r}; choose from {sorted(checks.SUITES)}")
-        result = checks.SUITES[name](args.seed)
+        result = checks.run_suite(name, args.seed)
         print(result.line())
         failed = failed or not result.passed
     return VALIDATION_EXIT if failed else 0

@@ -202,14 +202,6 @@ class FormalGroup:
                     tors.append(g)
         return FormalGroup(0, tuple(tors))
 
-    def dyadic_exponent(self) -> int:
-        """Largest t with a Z/2^t summand (0 if no 2-torsion)."""
-        best = 0
-        for q in self.torsion:
-            if q % 2 == 0:
-                best = max(best, q.bit_length() - 1)
-        return best
-
     def __str__(self):
         parts = ["Z"] * self.free_rank + [f"Z/{q}" for q in self.torsion]
         return " + ".join(parts) if parts else "0"
@@ -256,9 +248,6 @@ class GradedGroup:
 
     def shift(self, by: int) -> GradedGroup:
         return GradedGroup({d + by: g for d, g in self._groups.items()})
-
-    def max_dyadic_exponent(self) -> int:
-        return max((g.dyadic_exponent() for g in self._groups.values()), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, GradedGroup):

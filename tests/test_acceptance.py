@@ -46,36 +46,36 @@ def record(result):
 
 class TestAcceptance:
     def test_criterion_01_block_page_tables(self):
-        record(checks.suite_block_pages(0))
+        record(checks.run_suite("block-pages", 0))
 
     def test_criterion_02_torsion_profile_formula(self):
-        record(checks.suite_torsion_profile(7))
+        record(checks.run_suite("torsion-profile", 7))
 
     def test_criterion_03_degeneration(self):
-        record(checks.suite_degeneracy(7))
+        record(checks.run_suite("degeneracy", 7))
 
     def test_criterion_04_decomposition_soundness(self):
-        record(checks.suite_decompose(11))
+        record(checks.run_suite("decompose", 11))
 
     def test_criterion_05_projective_bundle_reproduction(self):
-        record(checks.suite_pbundle(0))
+        record(checks.run_suite("pbundle", 0))
 
     def test_criterion_06_kunneth_second_page(self):
-        record(checks.suite_kunneth(5))
+        record(checks.run_suite("kunneth", 5))
 
     def test_criterion_07_tensor_witt_consistency(self):
-        record(checks.suite_tensor_witt(3))
+        record(checks.run_suite("tensor-witt", 3))
 
     def test_criterion_08_second_page_is_mod2_witt(self):
-        record(checks.suite_bounded(9))
+        record(checks.run_suite("bounded", 9))
 
     def test_criterion_09_exact_couple_engine(self):
-        record(checks.suite_couple(13))
+        record(checks.run_suite("couple", 13))
 
     def test_criterion_10_steenrod_check(self):
         # the attainable content: the three entries the proof reduces,
         # the mutation sanity, and the extended closure of the square
-        record(checks.suite_steenrod(0))
+        record(checks.run_suite("steenrod", 0))
 
     @pytest.mark.xfail(
         strict=True,
@@ -91,10 +91,10 @@ class TestAcceptance:
         assert rep.all_zero, line
 
     def test_criterion_11_truncated_sequences(self):
-        record(checks.suite_truncated(17))
+        record(checks.run_suite("truncated", 17))
 
     def test_criterion_12_hom_cone_values(self):
-        record(checks.suite_hom_cone(0))
+        record(checks.run_suite("hom-cone", 0))
 
     def test_criterion_13_hp1_classification(self):
-        record(checks.suite_hp1(0))
+        record(checks.run_suite("hp1", 0))
