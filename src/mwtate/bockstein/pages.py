@@ -275,10 +275,10 @@ def pages_from_witt(h: GradedGroup, i: int) -> Page:
 def degeneracy_page(a: NormalForm) -> int:
     """The page index from which the tables are constant.
 
-    Equals r + 2 for the largest t = r of a Z/2^t eta cone among the
-    blocks (r = 0 when there is none): the last differential is the
-    d_(r+1) of that cone.  It is also r + 2 for the largest Z/2^r
-    summand of the Witt cohomology, which is where those cones put it.
+    Equals r + 2, where r is the largest t of a Z/2^t eta cone among
+    the blocks (r = 0 when there is none): the last nonzero differential
+    is that cone's d_(r+1).  The same r gives the largest Z/2^r summand
+    of the Witt cohomology, since only those cones contribute 2-torsion.
 
     >>> degeneracy_page(NormalForm([Free(0), DyadicEta(3, 1)]))
     5

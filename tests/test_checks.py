@@ -10,7 +10,6 @@ case.
 
 import contextlib
 import io
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
