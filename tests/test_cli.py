@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -25,6 +28,155 @@ COMPLEX_JSON = json.dumps(
         "attach": [{"from": "b", "to": "a", "coeff": 6}],
     }
 )
+
+# malformed input that every verb reading it must refuse with exit 1
+MALFORMED_COMPLEXES = [
+    "{not json",
+    json.dumps({"cells": [{"weight": 0}]}),
+    json.dumps({"cells": 5}),
+    json.dumps({"cells": [{"id": "a", "weight": 0.5}]}),
+    json.dumps({"cells": [{"id": "a", "weight": True}]}),
+    json.dumps({"cells": [{"id": "a", "weight": 0}], "attach": [5]}),
+    json.dumps(
+        {
+            "cells": [{"id": "a", "weight": 0}, {"id": "b", "weight": 1}],
+            "attach": [{"from": "b", "to": "a", "coeff": 2.0}],
+        }
+    ),
+    # unknown keys: a misspelled "attach" must not read as no attachments
+    json.dumps(
+        {
+            "cells": [{"id": "a", "weight": 0}, {"id": "b", "weight": 1}],
+            "attachments": [{"from": "b", "to": "a", "coeff": 6}],
+        }
+    ),
+    json.dumps({"cells": [{"id": "a", "weight": 0, "wieght": 1}]}),
+    json.dumps(
+        {
+            "cells": [{"id": "a", "weight": 0}, {"id": "b", "weight": 1}],
+            "attach": [{"from": "b", "to": "a", "coeff": 6, "scale": 2}],
+        }
+    ),
+    # a repeated (from, to) pair is refused, not last-wins
+    json.dumps(
+        {
+            "cells": [{"id": "a", "weight": 0}, {"id": "b", "weight": 1}],
+            "attach": [
+                {"from": "b", "to": "a", "coeff": 6},
+                {"from": "b", "to": "a", "coeff": 1},
+            ],
+        }
+    ),
+]
+MALFORMED_BLOCKS = (
+    "[5]",
+    '{"kind": "free", "weight": 0}',
+    '[{"kind": "free", "weight": 0.5}]',
+    '[{"kind": "free", "weight": true}]',
+    '[{"kind": "dyadic", "t": 1}]',
+    '[{"kind": "odd", "p": 9, "r": 1, "shift": 0}]',
+    '[{"kind": "free", "weight": 0, "t": 1}]',
+    '[{"kind": "dyadic", "t": 1, "weight": 0, "shift": 0}]',
+)
+MALFORMED_BLOWUPS = (
+    [],
+    {"ambient": {"cells": []}, "thom": {"cells": []}, "codim": 2.0},
+    {"ambient": {"cells": []}, "thom": {"cells": []}, "codim": 2, "gysin": [3]},
+    {"thom": {"cells": []}, "codim": 2},
+    {"ambient": {"cells": []}, "thom": {"cells": []}, "codim": 2, "center": []},
+    {"ambient": {"cells": [], "extra": 1}, "thom": {"cells": []}, "codim": 2},
+    {
+        "ambient": {"cells": [{"id": "x", "weight": 1}]},
+        "thom": {"cells": [{"id": "t", "weight": 0}]},
+        "codim": 2,
+        "gysin": [
+            {"from": "x", "to": "t", "coeff": 2},
+            {"from": "x", "to": "t", "coeff": 2},
+        ],
+    },
+)
+
+
+def _complex(cells, attach=()):
+    return {"cells": [{"id": c, "weight": w} for c, w in cells],
+            "attach": [{"from": f, "to": t, "coeff": n} for f, t, n in attach]}
+
+
+# complexes that parse but are not valid Tate complexes (exit 2)
+INVALID_COMPLEXES = (
+    _complex([("a", 0), ("b", 2)], [("b", "a", 1)]),  # non-adjacent weights
+    _complex([("a", 0), ("b", 1), ("c", 2)], [("b", "a", 1), ("c", "b", 1)]),  # d o d != 0
+    _complex([("a", 0), ("b", 1)], [("a", "b", 3)]),  # attached upwards
+    _complex([("a", 0), ("a", 1)]),  # repeated cell id
+    _complex([("a", 0)], [("b", "a", 1)]),  # unknown cell
+)
+POINT_BLOWUP = {
+    "ambient": _complex([("x0", 0), ("x1", 1), ("x2", 2)]),
+    "thom": _complex([("t", 1)]),
+    "centre": [{"kind": "free", "weight": 0}],
+    "codim": 2,
+    "gysin": [{"from": "x2", "to": "t", "coeff": 1}],
+}
+BLOCKS = '[{"kind":"dyadic","t":2,"weight":0}]'
+
+
+def _error_corpus():
+    """(argv, stdin) of every refused input whose exit code, stdout and
+    stderr tests/golden/cli-errors.json pins."""
+    cases = [(["decompose", "--in", "-"], text) for text in MALFORMED_COMPLEXES]
+    cases.append((["decompose", "--in", "no-such-file.json"], None))
+    for blocks in MALFORMED_BLOCKS:
+        cases += [(["cohomology", "--blocks", blocks], None),
+                  (["tensor", "--blocks", blocks, "--blocks", "[]"], None),
+                  (["pages", "--blocks", blocks], None)]
+    cases += [(["blowup", "--in", "-"], json.dumps(p)) for p in MALFORMED_BLOWUPS]
+    for cx in INVALID_COMPLEXES:
+        for fmt in ([], ["--format", "table"]):
+            cases.append((["decompose", "--in", "-", *fmt], json.dumps(cx)))
+    bad_ambient = dict(POINT_BLOWUP, ambient=INVALID_COMPLEXES[0])
+    bad_thom = dict(POINT_BLOWUP, thom=_complex([("t", 1), ("u", 3)], [("u", "t", 2)]))
+    for payload in (bad_ambient, bad_thom, dict(POINT_BLOWUP, codim=3),
+                    dict(POINT_BLOWUP, gysin=[{"from": "x0", "to": "t", "coeff": 1}])):
+        for fmt in ([], ["--format", "table"]):
+            cases.append((["blowup", "--in", "-", *fmt], json.dumps(payload)))
+    for modulus in ("3", "6", "-4", "-1"):
+        cases.append((["cohomology", "--blocks", BLOCKS, "--modulus", modulus], None))
+    for euler in ("1,2", "0,4,1", "a,b", "4", ""):
+        cases += [(["classify-hp1", "--rank", "2", "--euler", euler], None),
+                  (["pbundle-hp1", "--euler", euler], None)]
+    cases += [(["classify-hp1", "--rank", "2"], None),
+              (["classify-hp1", "--rank", "3"], None),
+              (["classify-hp1", "--rank", "1", "--c2", "3"], None),
+              (["classify-hp1", "--rank", "-1", "--c2", "0"], None)]
+    for bad in ("3:2", "0:65", "a:b", "1", "1:2:3"):
+        cases += [(["cohomology", "--blocks", BLOCKS, "--theory", "mw-diagonal",
+                    f"--range={bad}"], None),
+                  (["pages", "--blocks", BLOCKS, f"--range={bad}"], None)]
+    cases += [(["cohomology", "--blocks", BLOCKS, "--theory", "mw-diagonal"], None),
+              (["pages", "--blocks", BLOCKS, "--range=1:3"], None),
+              (["pages", "--blocks", BLOCKS, "--range=-2:3"], None)]
+    for page in ("1", "0", "-3"):
+        cases.append((["pages", "--blocks", BLOCKS, f"--page={page}"], None))
+    cases += [(["pages"], None),
+              (["pages", "--blocks", BLOCKS, "--blocks", BLOCKS], None),
+              (["cohomology"], None),
+              (["tensor", "--blocks", BLOCKS], None),
+              (["tensor", "--blocks", BLOCKS, "--blocks", BLOCKS, "--blocks", BLOCKS], None),
+              (["check", "--suite", "nope"], None)]
+    return cases
+
+
+def run_corpus_case(argv, stdin) -> dict:
+    """Exit code, stdout and stderr of ``main(argv)`` reading ``stdin``,
+    with MWTATE_LOG unset."""
+    out, err = io.StringIO(), io.StringIO()
+    env = {k: v for k, v in os.environ.items() if k != "MWTATE_LOG"}
+    with mock.patch.dict(os.environ, env, clear=True), \
+            mock.patch.object(sys, "stdin", io.StringIO(stdin or "")), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"argv": argv, "stdin": stdin, "code": code, "out": out.getvalue(),
+            "err": err.getvalue()}
 
 
 class TestSerialization:
@@ -105,80 +257,17 @@ class TestCLI:
         assert "NonAdjacent" in out
 
     def test_malformed_input_exit_one(self, tmp_path, capsys):
-        cases = [
-            "{not json",
-            json.dumps({"cells": [{"weight": 0}]}),
-            json.dumps({"cells": 5}),
-            json.dumps({"cells": [{"id": "a", "weight": 0.5}]}),
-            json.dumps({"cells": [{"id": "a", "weight": True}]}),
-            json.dumps({"cells": [{"id": "a", "weight": 0}], "attach": [5]}),
-            json.dumps(
-                {
-                    "cells": [{"id": "a", "weight": 0}, {"id": "b", "weight": 1}],
-                    "attach": [{"from": "b", "to": "a", "coeff": 2.0}],
-                }
-            ),
-            # unknown keys: a misspelled "attach" must not read as no attachments
-            json.dumps(
-                {
-                    "cells": [{"id": "a", "weight": 0}, {"id": "b", "weight": 1}],
-                    "attachments": [{"from": "b", "to": "a", "coeff": 6}],
-                }
-            ),
-            json.dumps({"cells": [{"id": "a", "weight": 0, "wieght": 1}]}),
-            json.dumps(
-                {
-                    "cells": [{"id": "a", "weight": 0}, {"id": "b", "weight": 1}],
-                    "attach": [{"from": "b", "to": "a", "coeff": 6, "scale": 2}],
-                }
-            ),
-            # a repeated (from, to) pair is refused, not last-wins
-            json.dumps(
-                {
-                    "cells": [{"id": "a", "weight": 0}, {"id": "b", "weight": 1}],
-                    "attach": [
-                        {"from": "b", "to": "a", "coeff": 6},
-                        {"from": "b", "to": "a", "coeff": 1},
-                    ],
-                }
-            ),
-        ]
         path = tmp_path / "junk.json"
-        for text in cases:
+        for text in MALFORMED_COMPLEXES:
             path.write_text(text)
             code, out, err = run(capsys, "decompose", "--in", str(path))
             assert code == 1, text
             assert out == "" and err.startswith("error: "), text
-        for blocks in (
-            "[5]",
-            '{"kind": "free", "weight": 0}',
-            '[{"kind": "free", "weight": 0.5}]',
-            '[{"kind": "free", "weight": true}]',
-            '[{"kind": "dyadic", "t": 1}]',
-            '[{"kind": "odd", "p": 9, "r": 1, "shift": 0}]',
-            '[{"kind": "free", "weight": 0, "t": 1}]',
-            '[{"kind": "dyadic", "t": 1, "weight": 0, "shift": 0}]',
-        ):
+        for blocks in MALFORMED_BLOCKS:
             code, out, err = run(capsys, "cohomology", "--blocks", blocks)
             assert code == 1, blocks
             assert out == "" and err.startswith("error: "), blocks
-        for payload in (
-            [],
-            {"ambient": {"cells": []}, "thom": {"cells": []}, "codim": 2.0},
-            {"ambient": {"cells": []}, "thom": {"cells": []}, "codim": 2, "gysin": [3]},
-            {"thom": {"cells": []}, "codim": 2},
-            {"ambient": {"cells": []}, "thom": {"cells": []}, "codim": 2, "center": []},
-            {"ambient": {"cells": [], "extra": 1}, "thom": {"cells": []}, "codim": 2},
-            {
-                "ambient": {"cells": [{"id": "x", "weight": 1}]},
-                "thom": {"cells": [{"id": "t", "weight": 0}]},
-                "codim": 2,
-                "gysin": [
-                    {"from": "x", "to": "t", "coeff": 2},
-                    {"from": "x", "to": "t", "coeff": 2},
-                ],
-            },
-        ):
+        for payload in MALFORMED_BLOWUPS:
             path.write_text(json.dumps(payload))
             code, out, err = run(capsys, "blowup", "--in", str(path))
             assert code == 1, payload
@@ -325,6 +414,28 @@ class TestCLI:
         assert json.loads(out)["model"] == "minimal-euclidean"
 
 
+class TestErrorCorpus:
+    """Every refused input of ``_error_corpus`` keeps its exit code,
+    stdout and stderr byte for byte.  Rewrite the pins, for an intended
+    change of message only, with ``PYTHONPATH=src python -m tests.test_cli --write``."""
+
+    PINS = Path(__file__).parent / "golden" / "cli-errors.json"
+
+    def test_same_exit_code_and_output(self):
+        got = [run_corpus_case(argv, stdin) for argv, stdin in _error_corpus()]
+        want = json.loads(self.PINS.read_text())
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == w
+
+    def test_every_exit_is_one_or_two(self):
+        for case in json.loads(self.PINS.read_text()):
+            assert case["code"] in (1, 2), case
+            assert "Traceback" not in case["err"], case
+            if case["code"] == 1:
+                assert case["out"] == "" and case["err"].startswith("error: "), case
+
+
 GOLDEN = Path(__file__).parent / "golden"
 SRC = str(Path(mwtate.__file__).resolve().parents[1])
 
@@ -384,3 +495,8 @@ class TestLogLevel:
         assert code == 1  # rank 2 without --euler
         assert "DEBUG:mwtate:input error" in err and "Traceback" in err
         assert "error: rank 2 needs --euler rank,signature" in err
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    pins = [run_corpus_case(argv, stdin) for argv, stdin in _error_corpus()]
+    TestErrorCorpus.PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")

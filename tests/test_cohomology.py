@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -70,6 +71,15 @@ class TestWittCohomology:
         got = witt_cohomology(tensor(a, b), 0)
         want = graded_kunneth(witt_cohomology(a, 0), witt_cohomology(b, 0))
         assert got == want
+
+    def test_same_groups(self):
+        # sha256 prefix of the groups of 2,000 random_normal_form draws at
+        # each modulus, pinned while witt_cohomology still placed each
+        # block itself and applied graded_kunneth for the modulus
+        rng = random.Random(1500)
+        draws = [random_normal_form(rng, 12) for _ in range(2000)]
+        got = [witt_cohomology(a, m).items() for a in draws for m in (0, 2, 4, 8)]
+        assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "bcc0a54390138e34"
 
 
 class TestMod2Motivic:

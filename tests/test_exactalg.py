@@ -34,7 +34,7 @@ from mwtate.bockstein.pages import (
 )
 from mwtate.exactalg import intmat
 from mwtate.exactalg.intmat import Mat
-from mwtate.checks import random_normal_form, unimodular_twist
+from mwtate.checks import random_adjacent_complex, random_normal_form, unimodular_twist
 from mwtate.cohomology import witt_cohomology
 from mwtate.motives import DyadicEta, Free, NormalForm, _to_free_complex, realize
 
@@ -396,6 +396,15 @@ class TestIntegerCohomology:
             c = _to_free_complex(unimodular_twist(realize(a), rng))[0]
             for m in (0, 2, 4, 8):
                 assert witt_cohomology(a, m) == _lattice_cohomology(c, m), a
+
+    def test_same_groups(self):
+        # sha256 prefix of the groups of 200 random_adjacent_complex draws
+        # at each modulus, pinned while integer_cohomology made its own
+        # negative-modulus check
+        rng = random.Random(2500)
+        draws = [random_adjacent_complex(rng) for _ in range(200)]
+        got = [integer_cohomology(c, m).items() for c in draws for m in (0, 2, 3, 4, 6, 12)]
+        assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "16a163951996becd"
 
     def test_reads_no_kernel_and_no_smith_form(self, intmat_calls):
         rng = random.Random(2300)

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from mwtate.bockstein import degeneracy_page
-from mwtate.checks import chow_direct
-from mwtate.cohomology import chow, witt_cohomology
+from mwtate.checks import chow_direct, random_normal_form
+from mwtate.cohomology import chow, eta_inverted, witt_cohomology
 from mwtate.exactalg import FormalGroup
 from mwtate.geometry import (
     OddCodimension,
@@ -136,3 +136,42 @@ class TestBlowup:
             ambient = sum(g.free_rank for _, g in chow_direct(x).items())
             centre = sum(g.free_rank for _, g in chow(z).items())
             assert total == ambient + (n - 1) * centre
+
+
+def eta_window_holds(result, rest):
+    """The eta-inverted comparison of blowup_eta_check before it read
+    only the Witt groups: every bidegree of a window around the weights."""
+    degrees = [w for b in result.blocks for w in (getattr(b, "weight", None),) if w is not None]
+    lo = min(degrees, default=0) - 1
+    hi = max(degrees, default=0) + 2
+    return all(
+        eta_inverted(result, p, q) == eta_inverted(rest, p, q)
+        for q in range(lo, hi + 1)
+        for p in range(2 * lo - 2, 2 * hi + 3)
+    )
+
+
+class TestEtaCheckWindow:
+    # eta_inverted(a, p, q) reads only witt_cohomology(a, 0)[p - q], so
+    # equal Witt groups make every eta-inverted group equal
+
+    @staticmethod
+    def agree(result):
+        rest = NormalForm(b for b in result.blocks if not (isinstance(b, DyadicEta) and b.t == 0))
+        witt_equal = witt_cohomology(result, 0) == witt_cohomology(rest, 0)
+        assert eta_window_holds(result, rest) == witt_equal
+        assert blowup_eta_check(result).holds == witt_equal
+        return witt_equal
+
+    def test_blowup_fixtures(self):
+        x, z, th = point_blowup_fixture()
+        for n, thom, g in ((2, th, {("x2", "t"): 1}), (2, th, {}),
+                           (4, TateComplex([("t", -1)]), {("x2", "t"): 1})):
+            assert self.agree(blowup_motive(x, z, n, thom, g))
+
+    def test_random_normal_forms_with_plain_cones(self):
+        rng = random.Random(1800)
+        for _ in range(200):
+            a = random_normal_form(rng, 8)
+            plain = [DyadicEta(0, rng.randrange(-3, 4)) for _ in range(rng.randrange(1, 4))]
+            assert self.agree(a.direct_sum(NormalForm(plain)))
