@@ -4,11 +4,13 @@ Verbs: decompose, tensor, pages, cohomology, classify-hp1, pbundle-hp1,
 blowup, check.  Input is a JSON file (--in, '-' for stdin) or inline
 JSON (--blocks); output is deterministic JSON (sorted keys) or a plain
 table.  Exit codes: 0 success, 1 malformed input, 2 validation or check
-failure, 64 usage error.  MWTATE_LOG names a logging level (DEBUG,
-INFO, WARNING, ...); any other value is a usage error.  Layers are
-imported inside the verbs that use them: decompose and tensor load no
-Bockstein, geometry or check code.  pages and pbundle-hp1 load the whole
-bockstein package, exact couples included, and check loads every layer.
+failure, 64 usage error, such as a flag the verb's mode does not read or
+an MWTATE_LOG naming no logging level.  Each input error, deep JSON
+nesting included, is a ValueError that main prints as "error: ..." with
+exit 1, logging its traceback at MWTATE_LOG=DEBUG.  Layers are imported
+inside the verbs that use them: decompose and tensor load no Bockstein,
+geometry or check code.  pages and pbundle-hp1 load the whole bockstein
+package, exact couples included, and check loads every layer.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import re
 import sys
 
 from . import __version__, serialize
-from .motives import InvalidComplex, NormalForm, decompose, tensor, validate_complex
+from .motives import InvalidComplex, NormalForm, decompose, tensor
 from .wittring import GWElement, InvalidParity
 
 USAGE_EXIT = 64
@@ -75,29 +77,23 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _InputError(str(exc)) from exc
-
-
-class _InputError(Exception):
-    pass
+    except (OSError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise ValueError(str(exc)) from exc
 
 
 def _blocks_arg(raw: str) -> NormalForm:
     try:
         return serialize.normal_form_from_json(json.loads(raw))
-    except ValueError as exc:  # json.JSONDecodeError included
-        raise _InputError(f"bad blocks JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # json.JSONDecodeError included
+        raise ValueError(f"bad blocks JSON: {exc}") from exc
 
 
 def _euler_arg(raw: str) -> GWElement:
     try:
-        rank, sig = raw.split(",")
-        return GWElement(int(rank), int(sig))
-    except InvalidParity:
-        raise
-    except Exception as exc:
-        raise _InputError(f"bad Euler class {raw!r}; expected 'rank,signature'") from exc
+        rank, sig = (int(x) for x in raw.split(","))
+    except ValueError as exc:
+        raise ValueError(f"bad Euler class {raw!r}; expected 'rank,signature'") from exc
+    return GWElement(rank, sig)
 
 
 def _range_arg(raw: str) -> list[int]:
@@ -105,9 +101,9 @@ def _range_arg(raw: str) -> list[int]:
     try:
         lo, hi = (int(x) for x in raw.split(":"))
     except ValueError as exc:
-        raise _InputError(f"bad range {raw!r}; expected LO:HI") from exc
+        raise ValueError(f"bad range {raw!r}; expected LO:HI") from exc
     if hi < lo or hi - lo > 64:
-        raise _InputError("range must be ascending and span at most 64")
+        raise ValueError("range must be ascending and span at most 64")
     return list(range(lo, hi + 1))
 
 
@@ -116,8 +112,9 @@ def build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"mwtate {__version__}")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp, blocks=False, infile=False):
-        sp.add_argument("--format", choices=("json", "table"), default="json")
+    def common(sp, blocks=False, infile=False, fmt=True):
+        if fmt:
+            sp.add_argument("--format", choices=("json", "table"), default="json")
         sp.add_argument("--model", default="minimal-euclidean",
                         help="coefficient model (only minimal-euclidean exists)")
         if blocks:
@@ -162,26 +159,21 @@ def build_parser() -> _Parser:
     common(sp, infile=True)
 
     sp = sub.add_parser("check", help="run a named verification suite")
-    common(sp)
+    common(sp, fmt=False)
     sp.add_argument("--suite", default="all", help="a suite name or 'all'")
     sp.add_argument("--seed", type=int, default=0)
     return p
 
 
 def _cmd_decompose(args) -> int:
-    data = _read_json(args.infile or "-")
-    c = serialize.complex_from_json(data)
-    report = validate_complex(c)
-    if not report.ok:
-        print(json.dumps({"valid": False, "violations": str(report)}, sort_keys=True))
-        return VALIDATION_EXIT
+    c = serialize.complex_from_json(_read_json(args.infile or "-"))
     _emit(serialize.normal_form_to_json(decompose(c)), args.format)
     return 0
 
 
 def _cmd_tensor(args) -> int:
     if len(args.blocks) != 2:
-        raise _InputError("tensor needs exactly two --blocks arguments")
+        raise ValueError("tensor needs exactly two --blocks arguments")
     a = _blocks_arg(args.blocks[0])
     b = _blocks_arg(args.blocks[1])
     _emit(serialize.normal_form_to_json(tensor(a, b)), args.format)
@@ -192,7 +184,7 @@ def _cmd_pages(args) -> int:
     from .bockstein import pages
 
     if len(args.blocks) != 1:
-        raise _InputError("pages needs exactly one --blocks argument")
+        raise ValueError("pages needs exactly one --blocks argument")
     a = _blocks_arg(args.blocks[0])
     indices = _range_arg(args.range) if args.range else [2 if args.page is None else args.page]
     out = [serialize.page_to_json(pages(a, i)) for i in indices]
@@ -205,24 +197,21 @@ def _cmd_cohomology(args) -> int:
     from .cohomology import chow, mod2_motivic, mw_diagonal, witt_cohomology
 
     if len(args.blocks) != 1:
-        raise _InputError("cohomology needs exactly one --blocks argument")
+        raise ValueError("cohomology needs exactly one --blocks argument")
     a = _blocks_arg(args.blocks[0])
     if args.theory == "chow":
         _emit(serialize.graded_group_to_json(chow(a), model=True), args.format)
     elif args.theory == "chow2":
         _emit(serialize.graded_group_to_json(chow(a, mod2=True)), args.format)
     elif args.theory == "witt":
-        try:
-            g = witt_cohomology(a, args.modulus or 0)
-        except ValueError as exc:
-            raise _InputError(str(exc)) from exc
+        g = witt_cohomology(a, args.modulus or 0)
         _emit(serialize.graded_group_to_json(g, model=True), args.format)
     elif args.theory == "mod2":
         gens = mod2_motivic(a).generators
         _emit([{"p": p, "q": q} for p, q in gens], args.format)
     else:
         if not args.range:
-            raise _InputError("mw-diagonal needs --range LO:HI of weights")
+            raise ValueError("mw-diagonal needs --range LO:HI of weights")
         out = {
             "model": serialize.MODEL_TAG,
             "groups": [
@@ -239,7 +228,7 @@ def _cmd_classify(args) -> int:
 
     if args.rank == 2:
         if not args.euler:
-            raise _InputError("rank 2 needs --euler rank,signature")
+            raise ValueError("rank 2 needs --euler rank,signature")
         cls = hp1_classify(2, _euler_arg(args.euler))
         out = {
             "rank": 2,
@@ -249,7 +238,7 @@ def _cmd_classify(args) -> int:
         }
     else:
         if args.c2 is None:
-            raise _InputError("rank >= 3 needs --c2")
+            raise ValueError("rank >= 3 needs --c2")
         cls = hp1_classify(args.rank, args.c2)
         out = {
             "rank": cls.rank,
@@ -284,7 +273,7 @@ def _cmd_blowup(args) -> int:
     try:
         parts = serialize.blowup_from_json(data)
     except ValueError as exc:
-        raise _InputError(f"bad blow-up input: {exc}") from exc
+        raise ValueError(f"bad blow-up input: {exc}") from exc
     blocks = blowup_motive(*parts)
     eta = blowup_eta_check(blocks)
     out = {
@@ -302,7 +291,7 @@ def _cmd_check(args) -> int:
     failed = False
     for name in names:
         if name not in checks.SUITES:
-            raise _InputError(f"unknown suite {name!r}; choose from {sorted(checks.SUITES)}")
+            raise ValueError(f"unknown suite {name!r}; choose from {sorted(checks.SUITES)}")
         result = checks.run_suite(name, args.seed)
         print(result.line())
         failed = failed or not result.passed
@@ -342,26 +331,29 @@ def main(argv=None) -> int:
     log = _logger()
     parser = build_parser()
     args = parser.parse_args(argv)
+    # each of these flags is read in one mode of its verb only
     if args.verb == "cohomology":
-        # each of these flags is read by one theory only
-        for flag, value, theory in (("--modulus", args.modulus, "witt"),
-                                    ("--range", args.range, "mw-diagonal")):
-            if value is not None and args.theory != theory:
-                parser.error(f"{flag} is read only by --theory {theory}")
+        modes = (("--modulus", args.modulus, "--theory witt", args.theory == "witt"),
+                 ("--range", args.range, "--theory mw-diagonal", args.theory == "mw-diagonal"))
+    elif args.verb == "classify-hp1":
+        modes = (("--euler", args.euler, "--rank 2", args.rank == 2),
+                 ("--c2", args.c2, "--rank >= 3", args.rank != 2))
+    else:
+        modes = ()
+    for flag, value, reader, read in modes:
+        if value is not None and not read:
+            parser.error(f"{flag} is read only by {reader}")
     if args.model != "minimal-euclidean":
         print(f"error: unsupported model {args.model!r}", file=sys.stderr)
         return USAGE_EXIT
     try:
         return _COMMANDS[args.verb](args)
-    except _InputError as exc:
-        if log:
-            log.debug("input error", exc_info=True)
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_EXIT
     except (InvalidComplex, InvalidParity) as exc:
         print(json.dumps({"valid": False, "violations": str(exc)}, sort_keys=True))
         return VALIDATION_EXIT
     except ValueError as exc:
+        if log:
+            log.debug("input error", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_EXIT
 

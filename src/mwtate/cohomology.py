@@ -5,14 +5,16 @@ motivic cohomology of the base point in the minimal Euclidean model,
 where the 2-divisible summands of Milnor K-theory vanish in positive
 weights (``_h_mod2``, ``_h_integral`` and ``_two_torsion_free_milnor``).
 Witt cohomology follows the cochain convention, so the torsion of a
-dyadic cone in weight i sits in degree i + 1.
+dyadic cone in weight i sits in degree i + 1; it shares the closed form
+of the integer split, ``exactalg.cohomology_of_summands``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import FormalGroup, GradedGroup, graded_kunneth, split_dyadic
+from .exactalg import FormalGroup, GradedGroup, split_dyadic
+from .exactalg.complexes import ConePair, FreeCell, cohomology_of_summands
 from .motives import DyadicEta, Free, NormalForm, OddTorsion
 from .wittring import fundamental_ideal_power
 
@@ -69,39 +71,29 @@ def chow(a: NormalForm, mod2: bool = False) -> GradedGroup:
     return GradedGroup(data)
 
 
+def _summand(b):
+    if isinstance(b, Free):
+        return FreeCell(b.weight)
+    if isinstance(b, DyadicEta):
+        return ConePair(1 << b.t, b.weight)
+    return ConePair(b.p**b.r, b.shift)
+
+
 def witt_cohomology(a: NormalForm, modulus: int = 0) -> GradedGroup:
     """Witt-sheaf cohomology, integrally or with W/2^j coefficients.
 
-    Cochain convention: Free(i) gives Z in degree i; DyadicEta(t, i)
-    gives Z/2^t in degree i+1 (nothing for t = 0); OddTorsion(p, r, s)
-    gives Z/p^r in degree s+1.  A modulus 2^j applies universal
-    coefficients, ``graded_kunneth(h, Z/2^j in degree 0)``: the quotient
-    by 2^j stays in place and the 2^j-torsion of degree d lands in
-    degree d-1.
+    Each block reads as a cell or cone of the integer split, and
+    ``cohomology_of_summands`` gives their cohomology: Z in degree i for
+    Free(i), Z/2^t in degree i+1 for DyadicEta(t, i) (nothing for t = 0)
+    and Z/p^r in degree s+1 for OddTorsion(p, r, s), then universal
+    coefficients for a modulus 2^j.
 
     >>> witt_cohomology(NormalForm([DyadicEta(2, 0)]), 2).items()
     [(0, FormalGroup(free_rank=0, torsion=(2,))), (1, FormalGroup(free_rank=0, torsion=(2,)))]
     """
     if modulus != 0 and (modulus < 1 or modulus & (modulus - 1)):
         raise ValueError("modulus must be 0 or a power of 2")
-    data: dict[int, FormalGroup] = {}
-
-    def add(deg, grp):
-        if not grp.is_zero():
-            data[deg] = data.get(deg, FormalGroup.zero()).direct_sum(grp)
-
-    for b in a.blocks:
-        if isinstance(b, Free):
-            add(b.weight, FormalGroup.free(1))
-        elif isinstance(b, DyadicEta):
-            if b.t >= 1:
-                add(b.weight + 1, FormalGroup.cyclic(1 << b.t))
-        else:
-            add(b.shift + 1, FormalGroup.cyclic(b.p**b.r))
-    h = GradedGroup(data)
-    if modulus == 0:
-        return h
-    return graded_kunneth(h, GradedGroup({0: FormalGroup.cyclic(modulus)}))
+    return cohomology_of_summands(map(_summand, a.blocks), modulus)
 
 
 @dataclass(frozen=True)
@@ -112,9 +104,6 @@ class HModule:
 
     def __init__(self, generators=()):
         object.__setattr__(self, "generators", tuple(sorted(generators)))
-
-    def rank(self) -> int:
-        return len(self.generators)
 
 
 def mod2_motivic(a: NormalForm) -> HModule:

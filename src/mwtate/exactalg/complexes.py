@@ -5,7 +5,8 @@ into degree w and nothing else, which is exactly the shape cell
 attachments produce.  Such a complex splits, degree by degree, into
 lone free cells and two-term cones [Z --n--> Z], one cone per nonzero
 invariant factor of each differential; cones with n = 1 are kept,
-never dropped.  Cohomology is read off that split.
+never dropped.  Cohomology is read off that split by one closed form,
+``cohomology_of_summands``, which the Witt cohomology of blocks shares.
 """
 
 from __future__ import annotations
@@ -154,8 +155,6 @@ def integer_cohomology(c: FreeComplex, modulus: int = 0) -> GradedGroup:
     >>> integer_cohomology(c).items()
     [(1, FormalGroup(free_rank=0, torsion=(2,)))]
     """
-    if modulus < 0:
-        raise ValueError("modulus must be nonnegative")
     return cohomology_of_summands(decompose_free_complex(c), modulus)
 
 
@@ -176,9 +175,11 @@ def cohomology_of_summands(summands, modulus: int = 0) -> GradedGroup:
     for s in summands:
         if isinstance(s, FreeCell):
             deg, grp = s.degree, FormalGroup.free(1)
-        else:
+        elif s.n > 1:
             deg, grp = s.lower_degree + 1, FormalGroup.cyclic(s.n)
-        data[deg] = data.get(deg, FormalGroup.zero()).direct_sum(grp)
+        else:
+            continue
+        data[deg] = data[deg].direct_sum(grp) if deg in data else grp
     h = GradedGroup(data)
     if modulus == 0:
         return h

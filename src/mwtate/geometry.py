@@ -29,7 +29,7 @@ from .motives import (
     validate_complex,
     InvalidComplex,
 )
-from .cohomology import eta_inverted, witt_cohomology
+from .cohomology import witt_cohomology
 from .wittring import GWElement, kx_orbit_canonical
 
 
@@ -145,7 +145,9 @@ class EtaCheckReport:
 def blowup_eta_check(result: NormalForm) -> EtaCheckReport:
     """The plain eta cones contributed by the centre are invisible to
     every eta-inverted invariant: their Witt cohomology vanishes, so
-    the eta-local blow-up equals the cone part alone."""
+    the eta-local blow-up equals the cone part alone.  Equal Witt groups
+    of ``result`` and of the rest cover every eta-inverted group, since
+    ``eta_inverted(a, p, q)`` reads only ``witt_cohomology(a, 0)[p - q]``."""
     plain = [b for b in result.blocks if isinstance(b, DyadicEta) and b.t == 0]
     rest = NormalForm(b for b in result.blocks if not (isinstance(b, DyadicEta) and b.t == 0))
     cones = NormalForm(plain)
@@ -153,13 +155,4 @@ def blowup_eta_check(result: NormalForm) -> EtaCheckReport:
         return EtaCheckReport(False, tuple(b.weight for b in plain), "plain cones carry Witt classes")
     if witt_cohomology(result, 0) != witt_cohomology(rest, 0):
         return EtaCheckReport(False, tuple(b.weight for b in plain), "Witt cohomology differs")
-    degrees = [w for b in result.blocks for w in (getattr(b, "weight", None),) if w is not None]
-    lo = min(degrees, default=0) - 1
-    hi = max(degrees, default=0) + 2
-    for q in range(lo, hi + 1):
-        for p in range(2 * lo - 2, 2 * hi + 3):
-            if eta_inverted(result, p, q) != eta_inverted(rest, p, q):
-                return EtaCheckReport(
-                    False, tuple(b.weight for b in plain), f"eta-inverted differs at ({p}, {q})"
-                )
     return EtaCheckReport(True, tuple(b.weight for b in plain))

@@ -8,6 +8,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import mwtate
 from mwtate import serialize
@@ -345,10 +347,30 @@ class TestCLI:
                                     "--range", "2:3"])
         assert err.endswith("error: argument --range: not allowed with argument --page\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--rank", "2", "--euler", "0,4", "--c2", "7"], "--c2 is read only by --rank >= 3"),
+        (["--rank", "3", "--c2", "1", "--euler", "0,4"], "--euler is read only by --rank 2"),
+        (["--rank", "5", "--euler", "0,4"], "--euler is read only by --rank 2"),
+    ])
+    def test_classify_flag_of_the_other_rank_exit_64(self, capsys, argv, message):
+        err = self.refused(capsys, ["classify-hp1", *argv])
+        assert err.endswith(f"error: {message}\n")
+
+    def test_check_has_no_format(self, capsys):
+        err = self.refused(capsys, ["check", "--suite", "hp1", "--format", "json"])
+        assert err.endswith("error: unrecognized arguments: --format json\n")
+
     def test_the_read_flags_still_run(self, capsys):
         assert run(capsys, "cohomology", "--blocks", self.FREE, "--theory", "witt",
                    "--modulus", "4")[0] == 0
         assert run(capsys, "pages", "--blocks", self.FREE, "--page", "3")[0] == 0
+        assert run(capsys, "classify-hp1", "--rank", "2", "--euler", "0,4")[0] == 0
+        assert run(capsys, "classify-hp1", "--rank", "3", "--c2", "1")[0] == 0
+        code, out, _ = run(capsys, "classify-hp1", "--rank", "2", "--euler", "0,4",
+                           "--format", "table")
+        assert code == 0 and "stably_free_nontrivial: True" in out
+        code, out, _ = run(capsys, "check", "--suite", "hp1", "--model", "minimal-euclidean")
+        assert code == 0 and out.startswith("pass")
 
     def test_unknown_model_exit_64(self, capsys):
         code, out, err = run(capsys, "tensor", "--model", "other", "--blocks", "[]",
@@ -436,6 +458,60 @@ class TestErrorCorpus:
                 assert case["out"] == "" and case["err"].startswith("error: "), case
 
 
+# (argv, stdin) that hands a JSON text to each verb that decodes JSON input
+JSON_VERBS = {
+    "decompose": lambda text: (["decompose", "--in", "-"], text),
+    "blowup": lambda text: (["blowup", "--in", "-"], text),
+    "tensor": lambda text: (["tensor", "--blocks", text, "--blocks", "[]"], None),
+}
+FIELDS = ("cells", "attach", "id", "weight", "from", "to", "coeff", "kind", "t", "p",
+          "r", "shift", "ambient", "thom", "centre", "codim", "gysin")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200)
+    | st.floats() | st.text(max_size=8) | st.sampled_from(["free", "dyadic", "odd"]),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=4), kids, max_size=5),
+    max_leaves=24,
+)
+
+
+def nested(depth, kind="list"):
+    if kind == "list":
+        return "[" * depth + "]" * depth
+    return '{"cells":' * depth + "0" + "}" * depth
+
+
+def assert_clean(case, codes=(0, 1, 2)):
+    assert case["code"] in codes, case["argv"][:3]
+    assert "Traceback" not in case["err"]
+    if case["code"] == 1:
+        assert case["out"] == "" and case["err"].startswith("error: ")
+
+
+class TestJSONInputRobustness:
+    @pytest.mark.parametrize("verb", sorted(JSON_VERBS))
+    @pytest.mark.parametrize("depth", [1_100, 100_000])
+    @pytest.mark.parametrize("kind", ["list", "object"])
+    def test_deep_nesting_exit_one(self, verb, depth, kind):
+        assert_clean(run_corpus_case(*JSON_VERBS[verb](nested(depth, kind))), codes=(1,))
+
+    @pytest.mark.parametrize("verb", sorted(JSON_VERBS))
+    def test_no_traceback_at_any_depth_near_the_limit(self, verb):
+        # near the recursion limit the decoder may succeed and a later
+        # reader of the nested value hit the limit instead
+        limit = sys.getrecursionlimit()
+        for depth in range(max(2, limit - 400), limit + 20):
+            assert_clean(run_corpus_case(*JSON_VERBS[verb](nested(depth))), codes=(1,))
+
+    @pytest.mark.parametrize("verb", sorted(JSON_VERBS))
+    @given(text=JSON_VALUES.map(json.dumps))
+    @example(text=nested(1_100))
+    @example(text=nested(100_000))
+    @example(text=nested(1_100, "object"))
+    def test_any_json_ends_in_zero_one_or_two(self, verb, text):
+        assert_clean(run_corpus_case(*JSON_VERBS[verb](text)))
+
+
 GOLDEN = Path(__file__).parent / "golden"
 SRC = str(Path(mwtate.__file__).resolve().parents[1])
 
@@ -496,6 +572,18 @@ class TestLogLevel:
         assert "DEBUG:mwtate:input error" in err and "Traceback" in err
         assert "error: rank 2 needs --euler rank,signature" in err
 
+    def test_debug_traceback_covers_every_exit_one(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"cells": 5}')
+        for argv in (
+            ["decompose", "--in", str(bad)],  # a decoder's ValueError
+            ["cohomology", "--blocks", '[{"kind":"free","weight":0}]', "--modulus", "3"],
+            ["classify-hp1", "--rank", "1", "--c2", "0"],  # raised in geometry
+        ):
+            code, out, err = run_fresh(argv, MWTATE_LOG="DEBUG")
+            assert code == 1 and out == "", argv
+            assert "DEBUG:mwtate:input error" in err and "Traceback" in err, argv
+            assert err.splitlines()[-2].startswith("error: "), argv  # last: PROBE
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     pins = [run_corpus_case(argv, stdin) for argv, stdin in _error_corpus()]
