@@ -4,9 +4,10 @@ Groups are finite presentations (Z^n modulo integer relation columns),
 graded by an integer degree, with i: D^d -> D^d, j: D^d -> E^d and
 k: E^d -> D^{d+1}.  Deriving replaces D by the image of i and E by the
 homology of j o k, with all induced maps computed by exact integer
-solving.  The couple of an attachment complex is the multiplication-by-2
-couple on its integer cohomology, whose E_1 is mod-2 cohomology and
-whose first differential is the integral Bockstein.
+solving; analysis and derivation work on normalized (diagonal) couples.
+The couple of an attachment complex is the multiplication-by-2 couple on
+its integer cohomology, whose E_1 is mod-2 cohomology and whose first
+differential is the integral Bockstein.
 
 Couples are values, so a couple keeps what it builds: i^n, ker(i^n),
 ker(k) and E_inf of a degree are built once each, by one method each.
@@ -383,13 +384,14 @@ def identification_test(c: ExactCouple, r: int) -> bool:
 
 
 def couple_analyze(c: ExactCouple) -> CoupleAnalysis:
-    """Derive pages, detect degeneration, and run the structure checks.
+    """Pages, degeneration and the structure checks of the normalized ``c``.
 
     Returns pages E_1..E_{r+1}, the limit term, the least r with
     ker(i^{r+1}) = ker(i^r), the four-term exactness verdict, and the
-    membership-criterion verdict.  E_{r+2} is derived only to test
-    degeneration.
+    membership-criterion verdict, all invariants of the couple.  E_{r+2}
+    is derived only to test degeneration.
     """
+    c = normalize_couple(c)
     verify_exactness(c)
     r = torsion_order(c)
     pages = [_page_invariants(c)]

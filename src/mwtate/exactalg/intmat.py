@@ -3,10 +3,10 @@
 :class:`Mat` is the one integer-matrix type: a list of row lists holding
 Python ints plus an explicit column count, so every shape, 0 x n, n x 0
 and 0 x 0 included, is a value like any other and every computation is
-arbitrary precision by construction.  The workhorse is Smith normal form
-by Euclidean row and column steps; each caller asks for just the
-unimodular transforms it reads (kernels need V, exact solving U and V,
-lattice membership U alone), and the others are never built.
+arbitrary precision by construction.  Kernels and column Hermite forms
+come from one echelon step by Euclidean column steps; exact solving and
+lattice membership from Smith normal form by Euclidean row and column
+steps, building just the unimodular transforms they read (U and V, U).
 Invariant factors alone come from :func:`invariant_factors`, which
 eliminates exact pivots on sparse rows and works modulo a determinant on
 what is left, so no entry outgrows the input's Hadamard bound.
@@ -468,58 +468,63 @@ def _clear_mod(s, t, pivot, modulus, rows, cols):
         s[t] = [(x + y) % modulus for x, y in zip(st, s[offender])]
 
 
-def column_reduce(m: Mat) -> Mat:
-    """A column-Hermite generating matrix of the same column lattice.
+def _clear_row(cols: list, r: int):
+    """One echelon step on row ``r`` of ``cols`` (columns zero above it): the
+    entry of least |x| reduces the others until it is alone.  Its column is
+    taken out and returned (None for a zero row); zero columns are dropped."""
+    live = [c for c in cols if c[r]]
+    while len(live) > 1:
+        piv = min(live, key=lambda c: abs(c[r]))
+        p, tail = piv[r], piv[r:]
+        for c in live:
+            if c is not piv:
+                q = c[r] // p
+                c[r:] = [x - q * y for x, y in zip(c[r:], tail)]
+        live = [c for c in live if c[r]]
+    cols[:] = [c for c in cols if not c[r] and any(c)]
+    return live[0] if live else None
 
-    Unimodular column operations only, zero columns dropped and entries
-    of earlier pivots reduced modulo later pivots, so repeated kernel
-    and presentation computations do not accumulate huge entries.
+
+def column_reduce(m: Mat) -> Mat:
+    """The column Hermite form of the column lattice of ``m``: one echelon
+    step per row, each pivot made positive and the entries of earlier
+    pivots reduced into [0, pivot) in its row, so repeated kernel and
+    presentation computations do not accumulate huge entries.
+
+    >>> column_reduce(Mat([[4, 6], [1, 0]]))
+    Mat([[2, 0], [2, 3]])
     """
     rows = m.rows
     cols_v = [c for c in m.columns() if any(c)]
     pivots = []
     for r in range(rows):
-        while True:
-            nz = [c for c in cols_v if c[r] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda c: abs(c[r]))
-            a, b = nz[0], nz[1]
-            q = b[r] // a[r]
-            for i in range(rows):
-                b[i] -= q * a[i]
-            if not any(b):
-                cols_v.remove(b)
-        nz = [c for c in cols_v if c[r] != 0]
-        if nz:
-            piv = nz[0]
-            cols_v.remove(piv)
+        piv = _clear_row(cols_v, r)
+        if piv is not None:
             if piv[r] < 0:
                 piv[:] = [-x for x in piv]
             for p in pivots:
-                if p[r]:
-                    q = p[r] // piv[r]
-                    if q:
-                        for i in range(rows):
-                            p[i] -= q * piv[i]
+                q = p[r] // piv[r]
+                if q:
+                    p[r:] = [x - q * y for x, y in zip(p[r:], piv[r:])]
             pivots.append(piv)
     return Mat.from_columns(pivots, rows)
 
 
 def kernel_basis(m: Mat) -> Mat:
-    """Columns (as a matrix) forming a basis of the integer kernel of ``m``.
+    """The column Hermite form of the integer kernel of ``m``: the I parts
+    of the columns of [M; I] left once each row of M drops its pivot.
 
     >>> kernel_basis(Mat([[1, 2], [2, 4]]))
     Mat([[2], [-1]])
     >>> kernel_basis(Mat([], 2))
     Mat([[1, 0], [0, 1]])
+    >>> kernel_basis(Mat([[1, 0], [1, 3]]))
+    Mat([[], []])
     """
-    if m.rows == 0:  # every vector is in the kernel
-        return identity(m.cols)
-    _, s, v, _ = _smith(m, v=True)
-    diag = diagonal(s)
-    free = [j for j in range(m.cols) if j >= len(diag) or diag[j] == 0]
-    return column_reduce(Mat.from_columns([v.column(j) for j in free], m.cols))
+    cols = [c + e for c, e in zip(m.columns(), identity(m.cols).a)]
+    for r in range(m.rows):
+        _clear_row(cols, r)
+    return column_reduce(Mat.from_columns([c[m.rows :] for c in cols], m.cols))
 
 
 def solve_columns(m: Mat, b: Mat) -> Mat | None:
@@ -565,7 +570,7 @@ def lattice_contains(gens: Mat, vecs: Mat) -> list[bool]:
     >>> lattice_contains(Mat([[], []]), Mat([[0, 1], [0, 0]]))
     [True, False]
     """
-    if gens.cols == 0:  # the zero lattice holds only the zero vector
+    if gens.cols == 0 or gens.rows == 0:  # the zero lattice, or Z^0
         return [not any(c) for c in vecs.columns()]
     u, s, _, _ = _smith(gens, u=True)
     diag = diagonal(s) + [0] * gens.rows

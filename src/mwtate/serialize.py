@@ -42,30 +42,37 @@ def complex_to_json(c: TateComplex) -> dict:
     }
 
 
+def _cut(text: str) -> str:
+    """``text``, cut if longer than 80 so that an error message stays short."""
+    return text if len(text) <= 80 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def _object(entry, keys, what):
     """``entry`` itself, checked to be an object with no field outside ``keys``."""
     if not isinstance(entry, dict):
-        raise ValueError(f"{what} must be an object, not {entry!r}")
+        raise ValueError(f"{what} must be an object, not {_cut(repr(entry))}")
     unknown = sorted(set(entry) - set(keys))
     if unknown:
-        raise ValueError(f"{what} has unknown field(s) {', '.join(map(repr, unknown))}")
+        names = _cut(", ".join(map(repr, unknown)))
+        raise ValueError(f"{what} has unknown field(s) {names}")
     return entry
 
 
 def _field(entry, key, kind, what):
     if not isinstance(entry, dict):
-        raise ValueError(f"{what} must be an object, not {entry!r}")
+        raise ValueError(f"{what} must be an object, not {_cut(repr(entry))}")
     if key not in entry:
         raise ValueError(f"{what} has no {key!r} field")
     value = entry[key]
     if type(value) is not kind:  # exact type: rejects bools as ints
-        raise ValueError(f"{what} field {key!r} must be {kind.__name__}, not {value!r}")
+        shown = _cut(repr(value))
+        raise ValueError(f"{what} field {key!r} must be {kind.__name__}, not {shown}")
     return value
 
 
 def _list(value, what):
     if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list, not {value!r}")
+        raise ValueError(f"{what} must be a list, not {_cut(repr(value))}")
     return value
 
 
@@ -76,7 +83,8 @@ def attachments_from_json(data) -> dict:
         _object(e, ("from", "to", "coeff"), "attachment")
         pair = (_field(e, "from", str, "attachment"), _field(e, "to", str, "attachment"))
         if pair in out:
-            raise ValueError(f"attachment {pair[0]!r} -> {pair[1]!r} is repeated")
+            hi, lo = (_cut(repr(x)) for x in pair)
+            raise ValueError(f"attachment {hi} -> {lo} is repeated")
         out[pair] = _field(e, "coeff", int, "attachment")
     return out
 
@@ -124,7 +132,7 @@ def normal_form_from_json(data) -> NormalForm:
     for entry in data:
         kind = _field(entry, "kind", str, "block")
         if kind not in _BLOCK_FIELDS:
-            raise ValueError(f"unknown block kind {kind!r}")
+            raise ValueError(f"unknown block kind {_cut(repr(kind))}")
         cls, keys = _BLOCK_FIELDS[kind]
         _object(entry, ("kind",) + keys, f"{kind} block")
         blocks.append(cls(*(_field(entry, k, int, f"{kind} block") for k in keys)))

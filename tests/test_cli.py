@@ -504,6 +504,16 @@ class TestJSONInputRobustness:
             assert_clean(run_corpus_case(*JSON_VERBS[verb](nested(depth))), codes=(1,))
 
     @pytest.mark.parametrize("verb", sorted(JSON_VERBS))
+    def test_error_line_does_not_grow_with_the_input(self, verb):
+        # a block, a cell or an attachment that is a list of 100,000 ints
+        value = list(range(100_000))
+        text = {"tensor": [value], "decompose": {"cells": [value]},
+                "blowup": {"ambient": {"cells": [], "attach": [value]}}}[verb]
+        case = run_corpus_case(*JSON_VERBS[verb](json.dumps(text)))
+        assert_clean(case, codes=(1,))
+        assert case["err"].count("\n") == 1 and len(case["err"].encode()) < 300
+
+    @pytest.mark.parametrize("verb", sorted(JSON_VERBS))
     @given(text=JSON_VALUES.map(json.dumps))
     @example(text=nested(1_100))
     @example(text=nested(100_000))

@@ -18,7 +18,7 @@ from mwtate.bockstein.couple import (
     torsion_order,
     verify_exactness,
 )
-from mwtate.bockstein import pages
+from mwtate.bockstein import couple, pages
 from mwtate.checks import random_adjacent_complex, random_normal_form, unimodular_twist
 from mwtate.exactalg import FormalGroup, FreeComplex, PresentedGroup, integer_cohomology
 from mwtate.exactalg.intmat import Mat, hstack, kernel_mod_lattice
@@ -248,6 +248,22 @@ class TestSympyBocksteinOracle:
     def test_deep_two_torsion(self, index):
         self.check(DEEP_TORSION[index])
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_twisted_realization(self, seed):
+        # the draws of test_twisted_realization below
+        rng = random.Random(500 + seed)
+        a = random_normal_form(rng, 5, allow_odd=False)
+        self.check(_to_free_complex(unimodular_twist(realize(a), rng))[0])
+
+    @pytest.mark.parametrize("rows, cols", [(12, 12), (12, 16), (16, 12)])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dense_two_weight(self, rows, cols, seed):
+        # a dense differential from weight 0 to weight 1, entries in [-9, 9]:
+        # the couple's presentations start far from diagonal
+        rng = random.Random(seed)
+        d = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        self.check(FreeComplex({0: rows, 1: cols}, {0: d}))
+
 
 class TestPinnedAnalyses:
     # sha256 prefixes of the reprs of the analyses, and of the groups and
@@ -331,14 +347,24 @@ def test_missing_degrees_build_no_group(intmat_calls):
     assert calls == []
 
 
-def test_analysis_builds_each_kernel_once(intmat_calls):
+def test_analysis_builds_each_kernel_once(intmat_calls, monkeypatch):
     # ker(i^n) of D(deg) is the kernel of the stored matrix i^n, so each
-    # (deg, n) shows up as exactly one kernel_mod_lattice call on it
+    # (deg, n) shows up as exactly one kernel_mod_lattice call on it.  The
+    # analysis works on the normalized couple, the first one that
+    # normalize_couple returns; the derivations normalize later ones.
     calls = intmat_calls("kernel_mod_lattice")
+    normalized = []
+
+    def recording(c):
+        normalized.append(normalize_couple(c))
+        return normalized[-1]
+
+    monkeypatch.setattr(couple, "normalize_couple", recording)
     for complex_ in DEEP_TORSION:
-        cpl = bockstein_couple(complex_)
         calls.clear()
-        r = couple_analyze(cpl).torsion_order
+        normalized.clear()
+        r = couple_analyze(bockstein_couple(complex_)).torsion_order
+        cpl = normalized[0]
         for deg in cpl.degrees():
             if cpl.dgroup(deg).ngens == 0:
                 continue

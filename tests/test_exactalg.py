@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from sympy import Matrix, factorint, nextprime
+from sympy.matrices.normalforms import hermite_normal_form as sympy_hermite_normal_form
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from mwtate.exactalg import (
@@ -251,6 +252,117 @@ class TestSparseInvariantFactors:
         ab = intmat.matmul(random_mat(rng, 40, 30), random_mat(rng, 30, 40))
         m = Mat([[6 * x for x in row] for row in ab], 40)
         assert intmat.invariant_factors(m) == sympy_invariants(m)
+
+
+def pairwise_column_reduce(m):
+    """The Hermite form as ``intmat.column_reduce`` built it before it had
+    an echelon step: one Euclidean pair step per iteration, sorting the
+    columns nonzero in the row each time.  An oracle that shares no code
+    with the library."""
+    rows = m.rows
+    cols_v = [c for c in m.columns() if any(c)]
+    pivots = []
+    for r in range(rows):
+        while True:
+            nz = [c for c in cols_v if c[r] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda c: abs(c[r]))
+            a, b = nz[0], nz[1]
+            q = b[r] // a[r]
+            for i in range(rows):
+                b[i] -= q * a[i]
+            if not any(b):
+                cols_v.remove(b)
+        nz = [c for c in cols_v if c[r] != 0]
+        if nz:
+            piv = nz[0]
+            cols_v.remove(piv)
+            if piv[r] < 0:
+                piv[:] = [-x for x in piv]
+            for p in pivots:
+                if p[r]:
+                    q = p[r] // piv[r]
+                    if q:
+                        for i in range(rows):
+                            p[i] -= q * piv[i]
+            pivots.append(piv)
+    return Mat.from_columns(pivots, rows)
+
+
+def smith_kernel_basis(m):
+    """The kernel as ``intmat.kernel_basis`` built it before it had an
+    echelon step: the columns of V past the nonzero diagonal of a Smith
+    form U*M*V, put into Hermite form by the pairwise oracle."""
+    if m.rows == 0:
+        return intmat.identity(m.cols)
+    _, s, v, _ = intmat._smith(m, v=True)
+    diag = intmat.diagonal(s)
+    free = [j for j in range(m.cols) if j >= len(diag) or diag[j] == 0]
+    return pairwise_column_reduce(Mat.from_columns([v.column(j) for j in free], m.cols))
+
+
+def sympy_kernel_basis(m):
+    """The kernel of ``m`` read off sympy's Hermite form of [I; M].
+
+    That form is upper triangular, and the rows of M are eliminated
+    first, so the columns that are zero on M form a basis of ker M; their
+    I parts go through the pairwise oracle.  A kernel oracle for dense
+    input, where the Smith transform V of ``smith_kernel_basis`` takes
+    seconds on dense 12 x 12 with entries up to 9 and minutes on some
+    dense 20 x 20 with entries up to 1.
+    """
+    n = m.cols
+    if n == 0:
+        return Mat([], 0)
+    h = sympy_hermite_normal_form(Matrix(intmat.identity(n).a + m.a))
+    kernel = [list(h.col(j)[:n]) for j in range(h.cols) if not any(h.col(j)[n:])]
+    return pairwise_column_reduce(Mat.from_columns([[int(x) for x in c] for c in kernel], n))
+
+
+class TestHermiteAgainstTheOldAlgorithms:
+    # the Hermite form of a lattice is unique, so the echelon-step
+    # column_reduce and kernel_basis must return the old matrices exactly
+    @pytest.mark.parametrize("chunk", range(10))
+    def test_small_shapes(self, chunk):
+        # 200 draws per chunk: shapes 0..8 x 0..8, entries up to 1, 3 or 9,
+        # sparse and dense
+        rng = random.Random(3100 + chunk)
+        for _ in range(200):
+            rows, cols = rng.randrange(9), rng.randrange(9)
+            bound, density = rng.choice((1, 3, 9)), rng.choice((0.3, 0.6, 1.0))
+            m = random_mat(rng, rows, cols, density=density, bound=bound)
+            assert intmat.column_reduce(m) == pairwise_column_reduce(m)
+            assert intmat.kernel_basis(m) == smith_kernel_basis(m)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dense_up_to_20(self, seed):
+        # random draws, as a rule of full rank, and one of rank at most 8,
+        # whose kernel is large
+        rng = random.Random(3200 + seed)
+        rows, cols = rng.randint(9, 20), rng.randint(9, 20)
+        for m in (
+            random_mat(rng, rows, cols, bound=1),
+            random_mat(rng, rows, cols),
+            rank_deficient_mat(rng, rows, cols, rng.randint(1, 8)),
+        ):
+            assert intmat.column_reduce(m) == pairwise_column_reduce(m)
+            assert intmat.kernel_basis(m) == sympy_kernel_basis(m)
+
+    def test_kernels_make_no_smith_form(self, smith_calls):
+        m = random_mat(random.Random(7), 6, 9)
+        assert intmat.kernel_basis(m).cols == 3
+        assert intmat.kernel_mod_lattice(m, intmat.scalar(6, 2)).cols == 9
+        assert smith_calls == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_kernel_20_by_25_against_sympy(self, seed):
+        m = random_mat(random.Random(seed), 20, 25)
+        k = intmat.kernel_basis(m)
+        assert intmat.is_zero_matrix(intmat.matmul(m, k))
+        assert k.cols == 25 - Matrix(m.a).rank()
+        # a basis of the kernel, not a sublattice of finite index
+        assert sympy_invariants(k) == [1] * k.cols
 
 
 def _refuse(*args, **kwargs):
