@@ -110,8 +110,6 @@ def _map(maps, deg, target: PresentedGroup, source: PresentedGroup) -> Mat:
 def _coordinates(group: PresentedGroup, gens: Mat, images: Mat) -> Mat:
     """Coordinates of the columns of ``images`` in the columns of ``gens``
     modulo the relations of ``group``, one column each."""
-    if group.ngens == 0:  # every image is zero
-        return intmat.zeros(gens.cols, images.cols)
     coords = group.express(gens, images)
     if coords is None:
         raise InexactCouple("element does not lie in the expected subgroup")

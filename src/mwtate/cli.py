@@ -23,7 +23,7 @@ import sys
 
 from . import __version__, serialize
 from .motives import InvalidComplex, NormalForm, decompose, tensor
-from .wittring import GWElement, InvalidParity
+from .wittring import GWElement
 
 USAGE_EXIT = 64
 INPUT_EXIT = 1
@@ -348,7 +348,7 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     try:
         return _COMMANDS[args.verb](args)
-    except (InvalidComplex, InvalidParity) as exc:
+    except InvalidComplex as exc:
         print(json.dumps({"valid": False, "violations": str(exc)}, sort_keys=True))
         return VALIDATION_EXIT
     except ValueError as exc:

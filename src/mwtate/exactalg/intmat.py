@@ -3,10 +3,10 @@
 :class:`Mat` is the one integer-matrix type: a list of row lists holding
 Python ints plus an explicit column count, so every shape, 0 x n, n x 0
 and 0 x 0 included, is a value like any other and every computation is
-arbitrary precision by construction.  Kernels and column Hermite forms
-come from one echelon step by Euclidean column steps; exact solving and
-lattice membership from Smith normal form by Euclidean row and column
-steps, building just the unimodular transforms they read (U and V, U).
+arbitrary precision by construction.  Kernels, column Hermite forms,
+exact solving and lattice membership come from one echelon elimination
+by Euclidean column steps; diagonal presentations from the Smith normal
+form by row and column steps, with just the transforms asked for.
 Invariant factors alone come from :func:`invariant_factors`, which
 eliminates exact pivots on sparse rows and works modulo a determinant on
 what is left, so no entry outgrows the input's Hadamard bound.
@@ -468,21 +468,37 @@ def _clear_mod(s, t, pivot, modulus, rows, cols):
         s[t] = [(x + y) % modulus for x, y in zip(st, s[offender])]
 
 
-def _clear_row(cols: list, r: int):
-    """One echelon step on row ``r`` of ``cols`` (columns zero above it): the
-    entry of least |x| reduces the others until it is alone.  Its column is
-    taken out and returned (None for a zero row); zero columns are dropped."""
-    live = [c for c in cols if c[r]]
-    while len(live) > 1:
-        piv = min(live, key=lambda c: abs(c[r]))
-        p, tail = piv[r], piv[r:]
-        for c in live:
-            if c is not piv:
-                q = c[r] // p
-                c[r:] = [x - q * y for x, y in zip(c[r:], tail)]
-        live = [c for c in live if c[r]]
-    cols[:] = [c for c in cols if not c[r] and any(c)]
-    return live[0] if live else None
+def _echelon(cols: list, rows: int) -> list:
+    """The (row, pivot) pairs of the echelon form of ``cols`` on its top
+    ``rows`` rows: per row, the entry of least |x| reduces the others until
+    it is alone.  ``cols`` keeps the nonzero columns zero on those rows."""
+    pivots = []
+    for r in range(rows):
+        live = [c for c in cols if c[r]]
+        while len(live) > 1:
+            piv = min(live, key=lambda c: abs(c[r]))
+            p, tail = piv[r], piv[r:]
+            for c in live:
+                if c is not piv:
+                    q = c[r] // p
+                    c[r:] = [x - q * y for x, y in zip(c[r:], tail)]
+            live = [c for c in live if c[r]]
+        cols[:] = [c for c in cols if not c[r] and any(c)]
+        if live:
+            pivots.append((r, live[0]))
+    return pivots
+
+
+def _reduce(pivots: list, v: list, top: int) -> list | None:
+    """What is left of ``v`` below row ``top`` once the echelon ``pivots``
+    clear its first ``top`` entries, or None when they cannot.  A pivot
+    that does not divide its entry leaves a remainder there that no later
+    pivot touches."""
+    for r, p in pivots:
+        q = v[r] // p[r]
+        if q:
+            v = v[:r] + [x - q * y for x, y in zip(v[r:], p[r:])]
+    return None if any(v[:top]) else v[top:]
 
 
 def column_reduce(m: Mat) -> Mat:
@@ -494,20 +510,15 @@ def column_reduce(m: Mat) -> Mat:
     >>> column_reduce(Mat([[4, 6], [1, 0]]))
     Mat([[2, 0], [2, 3]])
     """
-    rows = m.rows
-    cols_v = [c for c in m.columns() if any(c)]
-    pivots = []
-    for r in range(rows):
-        piv = _clear_row(cols_v, r)
-        if piv is not None:
-            if piv[r] < 0:
-                piv[:] = [-x for x in piv]
-            for p in pivots:
-                q = p[r] // piv[r]
-                if q:
-                    p[r:] = [x - q * y for x, y in zip(p[r:], piv[r:])]
-            pivots.append(piv)
-    return Mat.from_columns(pivots, rows)
+    pivots = _echelon(m.columns(), m.rows)
+    for k, (r, piv) in enumerate(pivots):
+        if piv[r] < 0:
+            piv[:] = [-x for x in piv]
+        for _, p in pivots[:k]:
+            q = p[r] // piv[r]
+            if q:
+                p[r:] = [x - q * y for x, y in zip(p[r:], piv[r:])]
+    return Mat.from_columns([p for _, p in pivots], m.rows)
 
 
 def kernel_basis(m: Mat) -> Mat:
@@ -522,8 +533,7 @@ def kernel_basis(m: Mat) -> Mat:
     Mat([[], []])
     """
     cols = [c + e for c, e in zip(m.columns(), identity(m.cols).a)]
-    for r in range(m.rows):
-        _clear_row(cols, r)
+    _echelon(cols, m.rows)
     return column_reduce(Mat.from_columns([c[m.rows :] for c in cols], m.cols))
 
 
@@ -531,51 +541,41 @@ def solve_columns(m: Mat, b: Mat) -> Mat | None:
     """Exact solutions X of M*X == B, or None if some column of B has no
     integer solution.
 
-    ``b`` has the same number of rows as ``m``.  With U*M*V == S, one
-    Smith form serves every column: U*B is divided row by row by the
-    diagonal of S, and V carries the quotients back.  U and V depend on
-    ``m`` alone, so each column gets the particular solution it would get
-    by itself.
+    Each pivot of the echelon form of [M; I] is [M*t; t] for an integer
+    t, so reducing a column [-b; 0] by them leaves [M*x - b; x], solved
+    when its M part is zero.  That form depends on ``m`` alone, so each
+    column gets the solution it would get by itself.
+
+    >>> solve_columns(Mat([[2, 0], [1, 3]]), Mat([[4], [5]]))
+    Mat([[2], [1]])
+    >>> solve_columns(Mat([[2, 0], [1, 3]]), Mat([[4, 1], [5, 0]])) is None
+    True
     """
     if m.rows != b.rows:
         raise ValueError("row mismatch in solve")
-    u, s, v, _ = _smith(m, u=True, v=True)
-    diag = diagonal(s)
-    z = []
-    for i, row in enumerate(matmul(u, b).a):
-        d = diag[i] if i < len(diag) else 0
-        if any(x % d for x in row) if d else any(row):
-            return None
-        if i < m.cols:
-            z.append([x // d for x in row] if d else [0] * b.cols)
-    z += [[0] * b.cols for _ in range(m.cols - len(z))]
-    return matmul(v, Mat(z, b.cols))
+    pivots = _echelon([c + e for c, e in zip(m.columns(), identity(m.cols).a)], m.rows)
+    xs = [_reduce(pivots, [-y for y in c] + [0] * m.cols, m.rows) for c in b.columns()]
+    return None if None in xs else Mat.from_columns(xs, m.cols)
 
 
 def solve(m: Mat, vec) -> list[int] | None:
     """One integer solution x of M x == vec, or None."""
     res = solve_columns(m, Mat([[x] for x in vec], 1))
-    if res is None:
-        return None
-    return res.column(0)
+    return None if res is None else res.column(0)
 
 
 def lattice_contains(gens: Mat, vecs: Mat) -> list[bool]:
     """Whether each column of ``vecs`` lies in the column span of ``gens``
-    over Z.  With U*M*V == S, a column b does when every row of U*b is a
-    multiple of its diagonal entry of S (zero past it); V is never built.
+    over Z: whether the echelon pivots of ``gens`` reduce it to zero with
+    exact divisions.
 
     >>> lattice_contains(Mat([[2, 0], [0, 3]]), Mat([[4, 1], [3, 3]]))
     [True, False]
     >>> lattice_contains(Mat([[], []]), Mat([[0, 1], [0, 0]]))
     [True, False]
     """
-    if gens.cols == 0 or gens.rows == 0:  # the zero lattice, or Z^0
-        return [not any(c) for c in vecs.columns()]
-    u, s, _, _ = _smith(gens, u=True)
-    diag = diagonal(s) + [0] * gens.rows
-    cols = matmul(u, vecs).columns()
-    return [all((x % d if d else x) == 0 for x, d in zip(c, diag)) for c in cols]
+    pivots = _echelon(gens.columns(), gens.rows)
+    return [_reduce(pivots, c, gens.rows) is not None for c in vecs.columns()]
 
 
 def kernel_mod_lattice(a: Mat, rels: Mat) -> Mat:

@@ -5,9 +5,10 @@ Subgroups are carried around as generator matrices inside an ambient
 presentation.  Every question about elements is asked of all of them
 at once, one column each, against the one matrix [gens | rels] by
 :mod:`mwtate.exactalg.intmat`: membership (do they lie in a subgroup)
-reads the U of its Smith form alone, and coordinates in the subgroup
-solve [gens | rels] X = B with U and V.  Invariants and subgroup
-presentations come from its invariant factors and kernels.
+reduces them by the echelon pivots of that matrix, and coordinates in
+the subgroup solve [gens | rels] X = B by the echelon pivots of
+[gens | rels; I].  Invariants and subgroup presentations come from its
+invariant factors and kernels.
 """
 
 from __future__ import annotations

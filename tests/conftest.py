@@ -44,3 +44,9 @@ def intmat_calls(monkeypatch):
 def smith_calls(intmat_calls) -> list:
     """The calls of ``intmat._smith`` during the test."""
     return intmat_calls("_smith")
+
+
+@pytest.fixture
+def echelon_calls(intmat_calls) -> list:
+    """The echelon passes (calls of ``intmat._echelon``) during the test."""
+    return intmat_calls("_echelon")

@@ -21,7 +21,7 @@ from mwtate.bockstein.couple import (
 from mwtate.bockstein import couple, pages
 from mwtate.checks import random_adjacent_complex, random_normal_form, unimodular_twist
 from mwtate.exactalg import FormalGroup, FreeComplex, PresentedGroup, integer_cohomology
-from mwtate.exactalg.intmat import Mat, hstack, kernel_mod_lattice
+from mwtate.exactalg.intmat import Mat, hstack, kernel_mod_lattice, zeros
 from mwtate.motives import _to_free_complex, realize
 
 
@@ -314,29 +314,37 @@ class TestPinnedAnalyses:
         assert self.digest(self.content(couple_derive(cpl))) == derived
 
 
-def test_coordinates_is_one_solve(smith_calls):
+def test_coordinates_is_one_solve(echelon_calls, smith_calls):
+    # all image columns in one echelon pass, the group's own Hermite form
+    # aside; a zero group takes the same path
     group = PresentedGroup(3, Mat([[4], [0], [0]]))
     gens = Mat([[1, 0], [0, 2], [0, 0]])
     images = Mat([[5, 1, 0, 3], [2, 4, 0, 6], [0, 0, 0, 0]])
+    echelon_calls.clear()
     coords = _coordinates(group, gens, images)
-    assert len(smith_calls) == 1
+    assert len(echelon_calls) == 1
     assert coords.cols == 4
     with pytest.raises(InexactCouple):
         _coordinates(group, gens, Mat([[1], [1], [0]]))
-    assert len(smith_calls) == 2
+    assert len(echelon_calls) == 2
+    zero = PresentedGroup(0)
+    echelon_calls.clear()
+    assert _coordinates(zero, Mat([], 2), Mat([], 3)) == zeros(2, 3)
+    assert len(echelon_calls) == 1 and smith_calls == []
 
 
-def test_identification_is_one_solve_per_stage(smith_calls):
+def test_identification_is_one_solve_per_stage(echelon_calls):
     # Z --16--> Z: D is Z/16 in degree 1 and r = 4.  Once the kernel chain
     # exists, each stage n < r is one express and one membership question
-    # over all vectors still alive, and the zero test one more: 2r + 1.
+    # over all vectors still alive, and the zero test one more: 2r + 1
+    # echelon passes.
     cpl = bockstein_couple(DEEP_TORSION[0])
     r = torsion_order(cpl)
     nonzero = [d for d in cpl.degrees() if cpl.dgroup(d).ngens]
     assert r == 4 and len(nonzero) == 1
-    smith_calls.clear()
+    echelon_calls.clear()
     assert identification_test(cpl, r)
-    assert len(smith_calls) <= (2 * r + 1) * len(nonzero) == 9
+    assert len(echelon_calls) <= (2 * r + 1) * len(nonzero) == 9
 
 
 def test_missing_degrees_build_no_group(intmat_calls):

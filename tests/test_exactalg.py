@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -365,6 +366,93 @@ class TestHermiteAgainstTheOldAlgorithms:
         assert sympy_invariants(k) == [1] * k.cols
 
 
+def smith_solve_columns(m, b):
+    """Exact solutions of M*X == B as ``intmat.solve_columns`` built them
+    before it had an echelon step: with U*M*V == S a Smith form, U*B is
+    divided row by row by the diagonal of S and V carries the quotients
+    back.  An oracle that shares no elimination with the new solve."""
+    u, s, v, _ = intmat._smith(m, u=True, v=True)
+    diag = intmat.diagonal(s)
+    z = []
+    for i, row in enumerate(intmat.matmul(u, b).a):
+        d = diag[i] if i < len(diag) else 0
+        if any(x % d for x in row) if d else any(row):
+            return None
+        if i < m.cols:
+            z.append([x // d for x in row] if d else [0] * b.cols)
+    z += [[0] * b.cols for _ in range(m.cols - len(z))]
+    return intmat.matmul(v, Mat(z, b.cols))
+
+
+def smith_lattice_contains(gens, vecs):
+    """Lattice membership as ``intmat.lattice_contains`` read it before it
+    had an echelon step: every row of U*b a multiple of its diagonal entry
+    of the Smith form U*M*V == S, zero past it."""
+    if gens.cols == 0 or gens.rows == 0:  # the zero lattice, or Z^0
+        return [not any(c) for c in vecs.columns()]
+    u, s, _, _ = intmat._smith(gens, u=True)
+    diag = intmat.diagonal(s) + [0] * gens.rows
+    cols = intmat.matmul(u, vecs).columns()
+    return [all((x % d if d else x) == 0 for x, d in zip(c, diag)) for c in cols]
+
+
+def _timed(f, *args):
+    start = time.perf_counter()
+    out = f(*args)
+    return out, time.perf_counter() - start
+
+
+class TestSolveAgainstTheSmithForm:
+    @pytest.mark.parametrize("chunk", range(10))
+    def test_small_shapes(self, chunk):
+        # 200 draws per chunk: M of shape 0..8 x 0..8, entries up to 1, 3
+        # or 9, sparse and dense; B of 0..4 columns, either all of them
+        # M*x or each one M*x or a free draw
+        rng = random.Random(3300 + chunk)
+        for _ in range(200):
+            rows, cols = rng.randrange(9), rng.randrange(9)
+            bound, density = rng.choice((1, 3, 9)), rng.choice((0.3, 0.6, 1.0))
+            m = random_mat(rng, rows, cols, density=density, bound=bound)
+            mixed = rng.random() < 0.5
+            parts = []
+            for _ in range(rng.randrange(5)):
+                if mixed and rng.random() < 0.5:
+                    parts.append(random_mat(rng, rows, 1, density=density, bound=bound))
+                else:
+                    parts.append(intmat.matmul(m, random_mat(rng, cols, 1, bound=3)))
+            b = Mat.from_columns([part.column(0) for part in parts], rows)
+            got, want = intmat.solve_columns(m, b), smith_solve_columns(m, b)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert intmat.matmul(m, got) == b
+            inside = intmat.lattice_contains(m, b)
+            assert inside == smith_lattice_contains(m, b)
+            assert (got is not None) == all(inside)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dense_15_inverse(self, seed):
+        # the Smith transforms of a dense 15 x 15 took over 20 s here; a
+        # unimodular draw must give its known inverse back
+        rng = random.Random(seed)
+        m = random_mat(rng, 15, 15)
+        inv, seconds = _timed(intmat.solve_columns, m, intmat.identity(15))
+        assert (inv is None) == (abs(Matrix(m.a).det()) != 1)
+        assert seconds < 1.0
+        if inv is not None:
+            assert intmat.matmul(m, inv) == intmat.identity(15)
+        u, uinv = intmat.random_unimodular(15, rng, 200)
+        assert intmat.solve_columns(u, intmat.identity(15)) == uinv
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_20_by_25_solvable(self, seed):
+        rng = random.Random(seed)
+        m = random_mat(rng, 20, 25)
+        b = intmat.matmul(m, random_mat(rng, 25, 3))
+        x, seconds = _timed(intmat.solve_columns, m, b)
+        assert intmat.matmul(m, x) == b
+        assert seconds < 1.0
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("this path must not be taken")
 
@@ -407,21 +495,37 @@ class TestPresentedGroup:
         assert group.contains_subgroup(gens, images) == (got is not None)
         assert intmat.lattice_contains(span, images) == [x is not None for x in per_column]
 
-    def test_subgroups_equal_is_one_solve_per_side(self, smith_calls):
+    def test_subgroups_equal_is_one_solve_per_side(self, echelon_calls, smith_calls):
         # both sides generate Z + Z + 3Z inside Z^3 / <(4, 0, 0), (0, 6, 0)>
         group = PresentedGroup(3, Mat([[4, 0], [0, 6], [0, 0]]))
         a = Mat([[1, 2, 0], [0, 1, 0], [0, 0, 3]])
         b = Mat([[1, 0, 0], [1, 1, 0], [0, 0, 3]])
+        echelon_calls.clear()
         assert group.subgroups_equal(a, b)
-        assert len(smith_calls) == 2
+        assert len(echelon_calls) == 2 and smith_calls == []
 
-    def test_lattice_contains_is_one_smith_form_without_v(self, smith_calls):
+    def test_lattice_contains_is_one_echelon_pass_without_smith(
+        self, echelon_calls, smith_calls
+    ):
         gens = Mat([[2, 0], [0, 3], [1, 1]])
         vecs = Mat([[2, 2, 0], [3, 0, 0], [2, 1, 0]])
         assert intmat.lattice_contains(gens, vecs) == [True, True, True]
         assert intmat.lattice_contains(gens, Mat([[1], [0], [0]])) == [False]
-        assert len(smith_calls) == 2
-        assert not any(kwargs.get("v") for _args, kwargs in smith_calls)
+        assert len(echelon_calls) == 2 and smith_calls == []
+
+    def test_solving_and_membership_make_no_smith_form(self, monkeypatch):
+        monkeypatch.setattr(intmat, "_smith", _refuse)
+        rng = random.Random(3400)
+        for _ in range(50):
+            n = rng.randrange(5)
+            group = PresentedGroup(n, random_mat(rng, n, rng.randrange(3), bound=6))
+            gens = random_mat(rng, n, rng.randrange(4), bound=3)
+            span = intmat.hstack(gens, group.rels)
+            images = intmat.matmul(span, random_mat(rng, span.cols, 2, bound=3))
+            assert group.express(gens, images) is not None
+            assert group.contains_subgroup(gens, images)
+            assert intmat.matmul(span, intmat.solve_columns(span, images)) == images
+            assert intmat.lattice_contains(span, images) == [True, True]
 
 
 class TestRandomUnimodular:
