@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -11,6 +12,7 @@ from mwtate.checks import (
     witt_direct,
 )
 from mwtate.cohomology import chow, witt_cohomology
+from mwtate.exactalg import intmat
 from mwtate.motives import (
     DyadicEta,
     Free,
@@ -26,6 +28,7 @@ from mwtate.motives import (
     realize,
     tensor,
     twist,
+    _to_free_complex,
     validate_complex,
 )
 
@@ -127,6 +130,74 @@ class TestDecompose:
     def test_odd_torsion_needs_odd_prime(self, p):
         with pytest.raises(ValueError):
             OddTorsion(p, 1, 0)
+
+
+def pinned_draws():
+    """Seeded complexes whose decompositions are pinned: 200 twisted
+    realizations, 100 dense two-weight attachments (n x m, n and m in
+    1..9, entries in [-9, 9], cells shuffled) and 100 complexes of two or
+    three cones of order 2^t p^r, mixed by a unimodular twist."""
+    rng = random.Random(18)
+    draws = []
+    for _ in range(200):
+        a = random_normal_form(rng, 12, allow_odd=False)
+        draws.append(unimodular_twist(realize(a), rng))
+    for _ in range(100):
+        lo, n, m = rng.randrange(-2, 3), rng.randrange(1, 10), rng.randrange(1, 10)
+        cells = [(f"a{k}", lo) for k in range(n)] + [(f"b{k}", lo + 1) for k in range(m)]
+        rng.shuffle(cells)
+        attach = {(f"b{s}", f"a{r}"): rng.randint(-9, 9) for r in range(n) for s in range(m)}
+        draws.append(TateComplex(cells, attach))
+    for _ in range(100):
+        lo, k = rng.randrange(-2, 3), rng.randrange(2, 4)
+        cells = [(f"a{i}", lo) for i in range(k)] + [(f"b{i}", lo + 1) for i in range(k)]
+        attach = {}
+        for i in range(k):
+            p, r = rng.choice((3, 5, 7, 11, 13)), rng.randrange(1, 3)
+            attach[(f"b{i}", f"a{i}")] = 2 ** rng.randrange(0, 4) * p**r
+        draws.append(unimodular_twist(TateComplex(cells, attach), rng))
+    return draws
+
+
+# sha256 prefix of repr([decompose(c) for c in pinned_draws()])
+PINNED_DECOMPOSITIONS = "ea2e77903d6fb2e5"
+
+
+def dense_free_complex(c):
+    """Dense attachment matrices of ``c`` by weight, with the cell ids by
+    weight: each attachment written into [[0] * n ...] rows, as one
+    would build them by hand."""
+    index = {}
+    pos = {}
+    for cid, w in c.cells:
+        ids = index.setdefault(w, [])
+        pos[cid] = (w, len(ids))
+        ids.append(cid)
+    rows = {
+        w: [[0] * len(index[w + 1]) for _ in ids]
+        for w, ids in index.items()
+        if w + 1 in index
+    }
+    for (hi, lo), x in c.attach.items():
+        w, r = pos[lo]
+        rows[w][r][pos[hi][1]] = x
+    return {w: intmat.Mat(a, len(index[w + 1])) for w, a in rows.items()}, index
+
+
+class TestPinnedDecompositions:
+    def test_same_normal_forms(self):
+        got = [decompose(c) for c in pinned_draws()]
+        assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == PINNED_DECOMPOSITIONS
+
+    def test_differentials_are_the_dense_attachment_matrices(self):
+        for c in pinned_draws():
+            mats, index = dense_free_complex(c)
+            fc, got_index = _to_free_complex(c)
+            assert got_index == index
+            assert fc.ranks == {w: len(ids) for w, ids in index.items()}
+            for w in fc.weights():
+                zero = intmat.zeros(fc.rank(w), fc.rank(w + 1))
+                assert fc.differential(w) == mats.get(w, zero)
 
 
 class TestRealize:
