@@ -44,28 +44,46 @@ class ConePair:
 class FreeComplex:
     """Free modules ``ranks[w]`` with differentials C_{w+1} -> C_w.
 
-    ``diffs[w]`` is a ranks[w] x ranks[w+1] integer matrix, a
-    :class:`Mat` or a list of rows (copied).  Missing entries denote zero
-    modules and zero maps.
+    ``diffs[w]`` is a ranks[w] x ranks[w+1] integer matrix, a :class:`Mat`
+    or a list of rows (copied); :meth:`from_rows` takes sparse rows.  Each
+    nonzero differential is kept as ``rows[w]``, one {column: entry} dict
+    per row, and composition and decomposition read only those rows;
+    ``differential(w)`` is the matrix given, or one built from the rows on
+    request and kept.  Missing entries denote zero modules and zero maps.
     """
 
-    __slots__ = ("ranks", "diffs", "_defects")
+    __slots__ = ("ranks", "rows", "_mats", "_defects")
 
     def __init__(self, ranks, diffs=None):
         self.ranks = {int(w): int(r) for w, r in ranks.items() if r}
-        self.diffs = {}
-        self._defects = None
+        self.rows, self._mats, self._defects = {}, {}, None
         for w, m in (diffs or {}).items():
             w = int(w)
             if not isinstance(m, Mat):
                 m = Mat([list(row) for row in m], self.rank(w + 1))
-            if (m.rows, m.cols) != (self.rank(w), self.rank(w + 1)):
-                raise ValueError(
-                    f"differential at weight {w} has shape {m.rows}x{m.cols}, "
-                    f"expected {self.rank(w)}x{self.rank(w + 1)}"
-                )
-            if not intmat.is_zero_matrix(m):
-                self.diffs[w] = m
+            self._keep(w, intmat.sparse_rows(m), m.cols)
+            if w in self.rows:
+                self._mats[w] = m
+
+    @classmethod
+    def from_rows(cls, ranks, rows) -> FreeComplex:
+        """The complex with the sparse rows ``rows[w]`` at weight w:
+        ranks[w] {column: entry} dicts of nonzero entries, not copied."""
+        c = cls(ranks)
+        for w, a in rows.items():
+            width = max((j + 1 for r in a for j in r), default=0)
+            c._keep(w, a, max(width, c.rank(w + 1)))
+        return c
+
+    def _keep(self, w, rows, cols):
+        """Check the shape of ``rows``, ``cols`` wide; keep them if nonzero."""
+        if (len(rows), cols) != (self.rank(w), self.rank(w + 1)):
+            raise ValueError(
+                f"differential at weight {w} has shape {len(rows)}x{cols}, "
+                f"expected {self.rank(w)}x{self.rank(w + 1)}"
+            )
+        if any(rows):
+            self.rows[w] = rows
 
     def weights(self) -> list[int]:
         return sorted(self.ranks)
@@ -74,20 +92,23 @@ class FreeComplex:
         return self.ranks.get(w, 0)
 
     def differential(self, w: int) -> Mat:
-        if w in self.diffs:
-            return self.diffs[w]
-        return intmat.zeros(self.rank(w), self.rank(w + 1))
+        if w not in self.rows:
+            return intmat.zeros(self.rank(w), self.rank(w + 1))
+        if w not in self._mats:
+            n = self.rank(w + 1)
+            self._mats[w] = Mat([[r.get(j, 0) for j in range(n)] for r in self.rows[w]], n)
+        return self._mats[w]
 
     def composition_defects(self) -> list[tuple[int, int, int]]:
-        """(w, r, s) for each nonzero entry (r, s) of diffs[w] * diffs[w+1],
-        by ascending w, then r, then s; computed once, on sparse rows."""
+        """(w, r, s) for each nonzero entry (r, s) of the product of the
+        differentials at w and w+1, by ascending w, then r, then s; computed
+        once, on the sparse rows."""
         if self._defects is None:
-            chained = [w for w in sorted(self.diffs) if w + 1 in self.diffs]
-            rows = {v: intmat.sparse_rows(self.diffs[v]) for w in chained for v in (w, w + 1)}
             self._defects = [
                 (w, r, s)
-                for w in chained
-                for r, s in _product_support(rows[w], rows[w + 1])
+                for w in sorted(self.rows)
+                if w + 1 in self.rows
+                for r, s in _product_support(self.rows[w], self.rows[w + 1])
             ]
         return self._defects
 
@@ -126,7 +147,7 @@ def decompose_free_complex(c: FreeComplex) -> list[FreeCell | ConePair]:
     [ConePair(n=6, lower_degree=0)]
     """
     c.check_composable()
-    cones = {w: intmat.invariant_factors(m) for w, m in c.diffs.items()}
+    cones = {w: intmat._row_invariants([dict(r) for r in a]) for w, a in c.rows.items()}
     summands: list[FreeCell | ConePair] = []
     for w in c.weights():
         here = cones.get(w, [])

@@ -8,7 +8,8 @@ exact solving and lattice membership come from one echelon elimination
 by Euclidean column steps; diagonal presentations from the Smith normal
 form by row and column steps, with just the transforms asked for.
 Invariant factors alone come from :func:`invariant_factors`, which
-eliminates exact pivots on sparse rows and works modulo a determinant on
+eliminates exact pivots on sparse {column: entry} rows, the form in which
+a FreeComplex keeps its differentials, and works modulo a determinant on
 what is left, so no entry outgrows the input's Hadamard bound.
 """
 
@@ -106,10 +107,6 @@ def hstack(a: Mat, b: Mat) -> Mat:
     if a.rows != b.rows:
         raise ValueError("row mismatch in hstack")
     return Mat([x + y for x, y in zip(a.a, b.a)], a.cols + b.cols)
-
-
-def is_zero_matrix(m: Mat) -> bool:
-    return not any(any(row) for row in m.a)
 
 
 def diagonal(m: Mat) -> list[int]:
@@ -274,17 +271,22 @@ def sparse_rows(m: Mat) -> list[dict]:
 def invariant_factors(m: Mat) -> list[int]:
     """The nonzero invariant factors d1 | d2 | ... of ``m``, no transforms.
 
-    Exact pivots are eliminated on sparse rows first (Dumas, Saunders and
-    Villard, J. Symb. Comput. 32, 2001), the residual is eliminated
-    modulo a determinant, and the combined diagonal is brought into the
-    chain d1 | d2 | ... by pairwise gcd and lcm.
+    ``m`` is read as sparse rows, the form a FreeComplex keeps, and exact
+    pivots are eliminated on them (Dumas, Saunders and Villard, J. Symb.
+    Comput. 32, 2001); the residual is eliminated modulo a determinant,
+    and the diagonal is brought into the chain d1 | d2 | ... by gcd and lcm.
 
     >>> invariant_factors(Mat([[2, 4], [6, 8]]))
     [2, 4]
     >>> invariant_factors(Mat([[1, 2], [2, 4]])), invariant_factors(Mat([], 3))
     ([1], [])
     """
-    pivots, rest = _exact_pivots([r for r in sparse_rows(m) if r])
+    return _row_invariants(sparse_rows(m))
+
+
+def _row_invariants(rows: list[dict]) -> list[int]:
+    """The invariant factors of the matrix with sparse ``rows``; eats them."""
+    pivots, rest = _exact_pivots([r for r in rows if r])
     if rest:
         cols = sorted({j for r in rest for j in r})
         pivots += _modular_invariants([[r.get(j, 0) for j in cols] for r in rest], len(cols))

@@ -22,6 +22,7 @@ is why no such operation exists here.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -31,7 +32,6 @@ from .exactalg import (
     FreeComplex,
     decompose_free_complex,
     factor_prime_powers,
-    intmat,
     split_dyadic,
 )
 
@@ -172,12 +172,10 @@ class TateComplex:
     __slots__ = ("cells", "attach")
 
     def __init__(self, cells, attach=None):
-        self.cells = tuple((str(c), int(w)) for c, w in cells)
-        self.attach = {
-            (str(a), str(b)): int(v)
-            for (a, b), v in (attach or {}).items()
-            if int(v) != 0
-        }
+        self.cells = tuple((str(c), operator.index(w)) for c, w in cells)
+        given = (attach or {}).items()
+        attach = ((str(a), str(b), operator.index(v)) for (a, b), v in given)
+        self.attach = {(a, b): v for a, b, v in attach if v}
 
     def weights(self) -> list[int]:
         return sorted({w for _, w in self.cells})
@@ -246,17 +244,11 @@ def _to_free_complex(c: TateComplex):
         ids = index.setdefault(w, [])
         pos[cid] = (w, len(ids))
         ids.append(cid)
-    rows = {
-        w: [[0] * len(index[w + 1]) for _ in ids]
-        for w, ids in index.items()
-        if w + 1 in index
-    }
+    rows = {w: [{} for _ in ids] for w, ids in index.items() if w + 1 in index}
     for (hi, lo), x in c.attach.items():
         w, r = pos[lo]
         rows[w][r][pos[hi][1]] = x
-    ranks = {w: len(ids) for w, ids in index.items()}
-    diffs = {w: intmat.Mat(a, ranks[w + 1]) for w, a in rows.items()}
-    return FreeComplex(ranks, diffs), index
+    return FreeComplex.from_rows({w: len(ids) for w, ids in index.items()}, rows), index
 
 
 def decompose(c: TateComplex) -> NormalForm:
@@ -382,8 +374,8 @@ def cone_eta_map(source: TateComplex, target: TateComplex, f) -> TateComplex:
     attach = dict(target.attach)
     attach.update(source.attach)
     for (u, v), coeff in (f or {}).items():
-        u, v = str(u), str(v)
-        if int(coeff) == 0:
+        u, v, coeff = str(u), str(v), operator.index(coeff)
+        if coeff == 0:
             continue
         if u not in src_w or v not in tgt_w:
             raise IllegalEntry(f"gluing entry ({u}, {v}) names a missing cell")
@@ -391,7 +383,7 @@ def cone_eta_map(source: TateComplex, target: TateComplex, f) -> TateComplex:
             raise IllegalEntry(
                 f"gluing entry ({u}, {v}) joins weights {src_w[u]} -> {tgt_w[v]}"
             )
-        attach[(u, v)] = int(coeff)
+        attach[(u, v)] = coeff
     total = TateComplex(tuple(target.cells) + tuple(source.cells), attach)
     report = validate_complex(total)
     if not report.ok:

@@ -58,8 +58,7 @@ class TestSmithNormalForm:
 
     def test_zero_rectangular(self):
         u, s, v = smith_normal_form(intmat.zeros(2, 3))
-        assert intmat.is_zero_matrix(s)
-        assert (s.rows, s.cols) == (2, 3)
+        assert s == intmat.zeros(2, 3)
 
     def test_worked_example(self):
         # gcd of the entries is 2 and |det| = 8, so the form is diag(2, 4)
@@ -360,7 +359,7 @@ class TestHermiteAgainstTheOldAlgorithms:
     def test_dense_kernel_20_by_25_against_sympy(self, seed):
         m = random_mat(random.Random(seed), 20, 25)
         k = intmat.kernel_basis(m)
-        assert intmat.is_zero_matrix(intmat.matmul(m, k))
+        assert intmat.matmul(m, k) == intmat.zeros(20, k.cols)
         assert k.cols == 25 - Matrix(m.a).rank()
         # a basis of the kernel, not a sublattice of finite index
         assert sympy_invariants(k) == [1] * k.cols
@@ -578,6 +577,28 @@ class TestDecompose:
         c = FreeComplex({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]})
         with pytest.raises(NonComposable):
             decompose_free_complex(c)
+
+    @pytest.mark.parametrize("rows", [[{0: 1}], [{2: 1}, {}], [{}, {5: -3}], [{}, {}, {1: 2}]])
+    def test_sparse_rows_refused_as_their_dense_matrix(self, rows):
+        # a wrong row count, or a column at or above rank(w + 1), is the
+        # same shape error as the dense matrix of those rows
+        width = max([2, *(j + 1 for r in rows for j in r)])
+        dense = [[r.get(j, 0) for j in range(width)] for r in rows]
+        with pytest.raises(ValueError) as want:
+            FreeComplex({0: 2, 1: 2}, {0: dense})
+        with pytest.raises(ValueError) as got:
+            FreeComplex.from_rows({0: 2, 1: 2}, {0: rows})
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("differential at weight 0 has shape")
+
+    def test_sparse_rows_match_the_dense_constructor(self):
+        rows = {0: [{1: 3}, {}], 1: [{}, {}]}
+        c = FreeComplex.from_rows({0: 2, 1: 2, 2: 2}, rows)
+        d = FreeComplex({0: 2, 1: 2, 2: 2}, {0: [[0, 3], [0, 0]], 1: [[0, 0], [0, 0]]})
+        assert c.rows == d.rows == {0: [{1: 3}, {}]}
+        assert c.differential(0) == d.differential(0) == Mat([[0, 3], [0, 0]])
+        assert c.differential(1) == d.differential(1) == intmat.zeros(2, 2)
+        assert decompose_free_complex(c) == decompose_free_complex(d)
 
 
 class TestIntegerCohomology:

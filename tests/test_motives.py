@@ -12,7 +12,7 @@ from mwtate.checks import (
     witt_direct,
 )
 from mwtate.cohomology import chow, witt_cohomology
-from mwtate.exactalg import intmat
+from mwtate.exactalg import FreeComplex, intmat
 from mwtate.motives import (
     DyadicEta,
     Free,
@@ -51,6 +51,15 @@ class TestValidation:
         report = validate_complex(c)
         assert not report.ok
         assert any(v.kind == "NonComposable" for v in report.violations)
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, "2"])
+    def test_non_integer_weight_or_coefficient_refused(self, bad):
+        # int() would truncate 2.7 to 2 and decompose a cone that was
+        # never given
+        with pytest.raises(TypeError):
+            TateComplex([("a", 0), ("b", 1)], {("b", "a"): bad})
+        with pytest.raises(TypeError):
+            TateComplex([("a", bad)])
 
     def test_duplicate_cell(self):
         report = validate_complex(TateComplex([("a", 0), ("a", 1)]))
@@ -164,9 +173,9 @@ PINNED_DECOMPOSITIONS = "ea2e77903d6fb2e5"
 
 
 def dense_free_complex(c):
-    """Dense attachment matrices of ``c`` by weight, with the cell ids by
-    weight: each attachment written into [[0] * n ...] rows, as one
-    would build them by hand."""
+    """Reference for ``_to_free_complex``: the attachment matrices of
+    ``c`` by weight, each attachment written into dense [[0] * n ...]
+    rows, and the cell ids by weight."""
     index = {}
     pos = {}
     for cid, w in c.cells:
@@ -187,6 +196,21 @@ def dense_free_complex(c):
 class TestPinnedDecompositions:
     def test_same_normal_forms(self):
         got = [decompose(c) for c in pinned_draws()]
+        assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == PINNED_DECOMPOSITIONS
+
+    def test_read_from_sparse_rows_alone(self, monkeypatch):
+        # validation and decomposition build no dense matrix: neither the
+        # dense-to-sparse conversion nor a differential as a matrix is asked for
+        draws = pinned_draws()
+
+        def refuse(*args):
+            raise AssertionError("a dense matrix was built")
+
+        monkeypatch.setattr(intmat, "sparse_rows", refuse)
+        monkeypatch.setattr(intmat, "zeros", refuse)
+        monkeypatch.setattr(FreeComplex, "differential", refuse)
+        assert all(validate_complex(c).ok for c in draws)
+        got = [decompose(c) for c in draws]
         assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == PINNED_DECOMPOSITIONS
 
     def test_differentials_are_the_dense_attachment_matrices(self):
@@ -345,6 +369,13 @@ class TestConeEtaMap:
         tgt = TateComplex([("t", 0)])
         with pytest.raises(IllegalEntry):
             cone_eta_map(src, tgt, {("s", "t"): 1})
+
+    @pytest.mark.parametrize("coeff", [2.7, 2.0, "2"])
+    def test_non_integer_coefficient_refused(self, coeff):
+        src = TateComplex([("s", 1)])
+        tgt = TateComplex([("t", 0)])
+        with pytest.raises(TypeError):
+            cone_eta_map(src, tgt, {("s", "t"): coeff})
 
 
 class TestConservativity:
