@@ -300,6 +300,15 @@ class TestPinnedAnalyses:
     def content(c):
         return (c.d_groups, c.e_groups, c.map_i, c.map_j, c.map_k)
 
+    # the same, plus the built couples, for five gap_complex draws per seed:
+    # deriving must keep each k' map into a zero D' as a matrix without rows
+    PINNED_GAPS = [
+        (0, "193c9c3dc7be49d7", "66c13b5c2f75484e", "9fba0629cc6d9f17"),
+        (1, "ce634a3822f7133e", "9b206a313cd57d33", "e61fb4ae37075c74"),
+        (2, "7a655ad9b042ce1b", "9b0d608dc7870bc6", "713a2414f115ecde"),
+        (3, "a5dfdedbf8708cb2", "4c4cb2aa40acfc67", "1bcfea87c576af46"),
+    ]
+
     @pytest.mark.parametrize("seed, analyses, derived", PINNED)
     def test_same_analyses(self, seed, analyses, derived):
         rng = random.Random(seed)
@@ -312,6 +321,33 @@ class TestPinnedAnalyses:
         cpl = bockstein_couple(DEEP_TORSION[index])
         assert self.digest(couple_analyze(cpl)) == analysis
         assert self.digest(self.content(couple_derive(cpl))) == derived
+
+
+    @pytest.mark.parametrize("seed, built, analyses, derived", PINNED_GAPS)
+    def test_same_gap_analyses(self, seed, built, analyses, derived):
+        rng = random.Random(seed)
+        couples = [bockstein_couple(gap_complex(rng)) for _ in range(5)]
+        assert self.digest([self.content(c) for c in couples]) == built
+        assert self.digest([couple_analyze(c) for c in couples]) == analyses
+        derived_couples = [couple_derive(c) for c in couples]
+        assert self.digest([self.content(c) for c in derived_couples]) == derived
+        assert any(m.rows == 0 for c in derived_couples for m in c.map_k.values())
+
+
+GAP_ENTRIES = (0, 0, 1, -1, 2, -2, 4, -4, 8, 3, 6)
+
+
+def gap_complex(rng):
+    """Cells in weights w, w + 1 and v, v + 1 with v >= w + 3, so no cell
+    lies in the weights between; a random differential in each pair."""
+    lo = rng.randrange(-2, 1)
+    up = lo + 1 + rng.randrange(2, 4)
+    ranks = {w: rng.randrange(1, 4) for w in (lo, lo + 1, up, up + 1)}
+    diffs = {}
+    for w in (lo, up):
+        cols = ranks[w + 1]
+        diffs[w] = [[rng.choice(GAP_ENTRIES) for _ in range(cols)] for _ in range(ranks[w])]
+    return FreeComplex(ranks, diffs)
 
 
 def test_coordinates_is_one_solve(echelon_calls, smith_calls):
