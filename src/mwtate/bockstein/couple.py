@@ -1,16 +1,17 @@
 """The Bockstein exact couple over finitely generated abelian groups.
 
 Groups are finite presentations (Z^n modulo integer relation columns),
-graded by an integer degree, with i: D^d -> D^d, j: D^d -> E^d and
-k: E^d -> D^{d+1}.  Deriving replaces D by the image of i and E by the
-homology of j o k, with all induced maps computed by exact integer
-solving; analysis and derivation work on normalized (diagonal) couples.
-The couple of an attachment complex is the multiplication-by-2 couple on
-its integer cohomology, whose E_1 is mod-2 cohomology and whose first
-differential is the integral Bockstein.
+graded by degree, with i: D^d -> D^d, j: D^d -> E^d, k: E^d -> D^{d+1}.
+Deriving replaces D by the image of i and E by the homology of j o k,
+with all induced maps computed by exact integer solving; analysis and
+derivation work on normalized (diagonal) couples.  The couple of an
+attachment complex is the multiplication-by-2 couple on its integer
+cohomology: E_1 is mod-2 cohomology, d_1 the integral Bockstein.
 
 Couples are values, so a couple keeps what it builds: i^n, ker(i^n),
 ker(k) and E_inf of a degree are built once each, by one method each.
+Each lattice question is asked once: one solve per basis for all the
+coordinates wanted in it, and no Hermite form is reduced a second time.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class ExactCouple:
         kerk = self.ker_k(deg)
         jk = intmat.matmul(self.jmat(deg), self.ker_i(deg, r))
         rels = intmat.kernel_mod_lattice(kerk, intmat.hstack(jk, self.egroup(deg).rels))
-        return PresentedGroup(kerk.cols, rels)
+        return PresentedGroup.of_hermite(kerk.cols, rels)
 
 
 def _map(maps, deg, target: PresentedGroup, source: PresentedGroup) -> Mat:
@@ -107,17 +108,18 @@ def _map(maps, deg, target: PresentedGroup, source: PresentedGroup) -> Mat:
     return m if m is not None else intmat.zeros(target.ngens, source.ngens)
 
 
-def _coordinates(group: PresentedGroup, gens: Mat, images: Mat) -> Mat:
+def _coordinates(group: PresentedGroup | None, gens: Mat, images: Mat) -> Mat:
     """Coordinates of the columns of ``images`` in the columns of ``gens``
-    modulo the relations of ``group``, one column each."""
-    coords = group.express(gens, images)
+    modulo the relations of ``group``, or of none for None, one column each."""
+    coords = group.express(gens, images) if group else intmat.solve_columns(gens, images)
     if coords is None:
         raise InexactCouple("element does not lie in the expected subgroup")
     return coords
 
 
-def _negate(m: Mat) -> Mat:
-    return Mat([[-x for x in row] for row in m.a], m.cols)
+def _split(m: Mat, at: int) -> tuple[Mat, Mat]:
+    """The first ``at`` columns of ``m`` and the rest."""
+    return Mat([r[:at] for r in m.a], at), Mat([r[at:] for r in m.a], m.cols - at)
 
 
 def _diag_normalize(group: PresentedGroup):
@@ -126,31 +128,31 @@ def _diag_normalize(group: PresentedGroup):
     Returns (new_group, to_new, from_new, orders) with to_new * from_new
     the identity on surviving coordinates; to_new carries old coordinates
     into the new presentation, and maps conjugate accordingly.  orders
-    holds the order of each new generator, 0 for a free one.
+    holds the order of each new generator, 0 for a free one.  A group
+    without relations comes back as it is, with None for both transforms.
     """
     n = group.ngens
     if group.rels.cols == 0:  # already diagonal, with no unit generator
-        return group, intmat.identity(n), intmat.identity(n), [0] * n
-    u, s, _v, uinv = intmat._smith(group.rels, u=True, uinv=True)
-    diag = intmat.diagonal(s)
+        return group, None, None, [0] * n
+    # a square diagonal Hermite form (entries >= 0), d1 | d2 | ..., is its Smith form
+    a, diag = group.rels.a, intmat.diagonal(group.rels)
+    if group.rels.cols == n and all(
+        sum(row) == d and d % p == 0 for row, d, p in zip(a, diag, [1] + diag)
+    ):
+        u = uinv = intmat.identity(n)
+    else:
+        u, s, _v, uinv = intmat._smith(group.rels, u=True, uinv=True)
+        diag = intmat.diagonal(s)
     keep = [i for i in range(n) if i >= len(diag) or diag[i] != 1]
     orders = [diag[i] if i < len(diag) else 0 for i in keep]
     k = len(keep)
     new_rels = [
-        [d if r == pos else 0 for r in range(k)]
-        for pos, d in enumerate(orders)
-        if d > 1
+        [d if r == p else 0 for r in range(k)] for p, d in enumerate(orders) if d > 1
     ]
-    new_group = PresentedGroup(k, Mat.from_columns(new_rels, k))
+    new_group = PresentedGroup.of_hermite(k, Mat.from_columns(new_rels, k))
     to_new = Mat([u[i] for i in keep], n)
     from_new = Mat([[row[i] for i in keep] for row in uinv], k)
     return new_group, to_new, from_new, orders
-
-
-def _reduce_mod_orders(m: Mat, orders) -> Mat:
-    return Mat(
-        [[x % d for x in row] if d > 1 else row for row, d in zip(m.a, orders)], m.cols
-    )
 
 
 def normalize_couple(c: ExactCouple) -> ExactCouple:
@@ -162,14 +164,19 @@ def normalize_couple(c: ExactCouple) -> ExactCouple:
         e_new[deg], e_to[deg], e_frm[deg], e_ord[deg] = _diag_normalize(c.egroup(deg))
 
     def conv(mat_of, src_frm, dst_to, dst_ord, step):
-        # step is the degree the map raises: 1 for k, 0 for i and j
+        # step is the degree the map raises: 1 for k, 0 for i and j; an
+        # identity transform (None) is not multiplied in
         out = {}
         for deg in c.degrees():
-            dst = dst_to.get(deg + step)
-            if dst is None:
+            if deg + step not in dst_to:
                 continue
-            m = intmat.matmul(intmat.matmul(dst, mat_of(deg)), src_frm[deg])
-            out[deg] = _reduce_mod_orders(m, dst_ord[deg + step])
+            m, dst, frm = mat_of(deg), dst_to[deg + step], src_frm[deg]
+            if frm is not None:
+                m = intmat.matmul(m, frm)
+            if dst is not None:  # reduce rows modulo the orders of the generators
+                rows = zip(intmat.matmul(dst, m).a, dst_ord[deg + step])
+                m = Mat([[x % d for x in r] if d > 1 else r for r, d in rows], m.cols)
+            out[deg] = m
         return out
 
     return ExactCouple(
@@ -203,21 +210,12 @@ def couple_derive(c: ExactCouple) -> ExactCouple:
     """The derived couple: D' = im(i), E' = ker(jk)/im(jk), with the
     structure maps induced by exact solving."""
     empty = intmat.zeros(0, 0)
-    d2: dict = {}
-    e2: dict = {}
-    i2: dict = {}
-    j2: dict = {}
-    k2: dict = {}
-    d_gens: dict = {}
-    e_cycles: dict = {}
+    d2, e2, i2, j2, k2, e_cycles = {}, {}, {}, {}, {}, {}
 
     for deg in c.degrees():
         # D' = im(i) on the columns i(e_b), with relations ker(i)
         if c.dgroup(deg).ngens:
-            d_gens[deg] = c.imat(deg)
-            d2[deg] = PresentedGroup(d_gens[deg].cols, c.ker_i(deg, 1))
-
-    for deg in c.degrees():
+            d2[deg] = PresentedGroup.of_hermite(c.imat(deg).cols, c.ker_i(deg, 1))
         eg = c.egroup(deg)
         e_cycles[deg] = empty
         e2[deg] = _ZERO
@@ -234,19 +232,21 @@ def couple_derive(c: ExactCouple) -> ExactCouple:
         e_cycles[deg] = cycles
         if cycles.cols == 0:
             continue
-        bound = intmat.hstack(prev, eg.rels)
-        e2[deg] = PresentedGroup(cycles.cols, intmat.kernel_mod_lattice(cycles, bound))
+        rels = intmat.kernel_mod_lattice(cycles, intmat.hstack(prev, eg.rels))
+        e2[deg] = PresentedGroup.of_hermite(cycles.cols, rels)
 
     for deg in c.degrees():
-        # i': restriction of i to the image
-        gens = d_gens.get(deg, empty)
-        i2[deg] = _coordinates(c.dgroup(deg), gens, intmat.matmul(c.imat(deg), gens))
+        # i': restriction of i to the image, and k' from degree deg - 1:
+        # cycle z -> k(z), both expressed in D'(deg) by one solve; a k' into
+        # a degree c lacks is the zero map that normalize_couple fills in
+        gens, below = c.imat(deg), e_cycles.get(deg - 1, empty)
+        images = intmat.hstack(
+            intmat.matmul(c.imat(deg), gens), intmat.matmul(c.kmat(deg - 1), below)
+        )
+        i2[deg], k2[deg - 1] = _split(_coordinates(c.dgroup(deg), gens, images), gens.cols)
         # j': i(x) -> [j(x)] in E'; generator b of D' is i(e_b), so its
         # image is column b of j
         j2[deg] = _coordinates(c.egroup(deg), e_cycles[deg], c.jmat(deg))
-        # k': cycle z -> k(z) expressed in D'
-        images = intmat.matmul(c.kmat(deg), e_cycles[deg])
-        k2[deg] = _coordinates(c.dgroup(deg + 1), d_gens.get(deg + 1, empty), images)
 
     raw = ExactCouple(
         {d: g for d, g in d2.items() if g.ngens},
@@ -287,9 +287,7 @@ def _page_invariants(c: ExactCouple) -> dict:
 
 def e_infinity(c: ExactCouple, r: int) -> dict:
     """ker(k)/j(ker(i^r)) per degree as FormalGroups."""
-    groups = {
-        deg: c.e_inf(deg, r).invariants() for deg in c.degrees() if c.egroup(deg).ngens
-    }
+    groups = {d: c.e_inf(d, r).invariants() for d in c.degrees() if c.egroup(d).ngens}
     return {deg: g for deg, g in groups.items() if not g.is_zero()}
 
 
@@ -314,15 +312,17 @@ def _four_term_exact(c: ExactCouple, r: int) -> bool:
         j_coords = _coordinates(eg, kerk, c.jmat(deg))
         dm = Mat(j_coords.a + intmat.identity(n).a, n)
         # relations of M: kerk relations lifted + D relations + ker(i^inf)
-        d_rels = intmat.hstack(dg.rels, ker_inf)
-        m_rels = _block_diagonal(kernel(kerk, eg.rels), d_rels)
-        m_group = PresentedGroup(kerk.cols + n, m_rels)
+        k_rels, d_rels = kernel(kerk, eg.rels), intmat.hstack(dg.rels, ker_inf)
+        pad_k, pad_d = [0] * d_rels.cols, [0] * k_rels.cols
+        m_rels = [row + pad_k for row in k_rels.a] + [pad_d + row for row in d_rels.a]
+        m_group = PresentedGroup(kerk.cols + n, Mat(m_rels, k_rels.cols + d_rels.cols))
         if not dg.subgroups_equal(kernel(dm, m_group.rels), inter):
             return False
         # exactness at M: kernel of (pi, -jbar) into E_inf equals im(dm);
         # the map M -> E_inf is the identity on kerk coordinates and
         # -[j(x)] on the Dbar part
-        to_einf = intmat.hstack(intmat.identity(kerk.cols), _negate(j_coords))
+        minus_j = Mat([[-x for x in row] for row in j_coords.a], j_coords.cols)
+        to_einf = intmat.hstack(intmat.identity(kerk.cols), minus_j)
         if not m_group.subgroups_equal(kernel(to_einf, einf_group.rels), dm):
             return False
         # surjectivity onto E_inf
@@ -331,19 +331,11 @@ def _four_term_exact(c: ExactCouple, r: int) -> bool:
     return True
 
 
-def _block_diagonal(a: Mat, b: Mat) -> Mat:
-    return Mat(
-        [row + [0] * b.cols for row in a.a] + [[0] * a.cols + row for row in b.a],
-        a.cols + b.cols,
-    )
-
-
 def _subgroup_intersection(g: PresentedGroup, gens_a: Mat, gens_b: Mat) -> Mat:
-    """Generators of the intersection of two subgroups of g."""
-    # solve A x = B y mod rels: kernel of [A | -B | R]
-    block = intmat.hstack(intmat.hstack(gens_a, _negate(gens_b)), g.rels)
-    ker = intmat.kernel_basis(block)
-    return intmat.matmul(gens_a, Mat(ker.a[: gens_a.cols], ker.cols))
+    """Generators of the intersection of two subgroups of g: A x for the x
+    with A x in <B> + rels."""
+    x = intmat.kernel_mod_lattice(gens_a, intmat.hstack(gens_b, g.rels))
+    return intmat.matmul(gens_a, x)
 
 
 def identification_test(c: ExactCouple, r: int) -> bool:
@@ -413,71 +405,46 @@ def bockstein_couple(complex_: FreeComplex) -> ExactCouple:
     """The multiplication-by-2 couple on integer cohomology.
 
     D is H^*(C; Z) with i = 2, E is H^*(C; Z/2) with j the reduction
-    and k the integral Bockstein of weight +1.
+    and k the integral Bockstein of weight +1, built degree by degree.
     """
     weights = complex_.weights()
     if not weights:
         return ExactCouple({}, {}, {}, {}, {})
-    lo, hi = min(weights), max(weights) + 1
-    kernels = {}
-    lattices = {}
-    for deg in range(lo, hi + 1):
+    d_groups, e_groups, map_i, map_j, map_k, lattices = {}, {}, {}, {}, {}, {}
+    for deg in range(min(weights), max(weights) + 2):
         n = complex_.rank(deg)
         if n == 0:
             continue
         delta = intmat.transpose(complex_.differential(deg))
-        kernels[deg] = intmat.kernel_basis(delta)
-        # lattice {x : delta x in 2 Z}: basis via column span of
-        # [kernel-lifts | 2I]
+        delta_in = intmat.transpose(complex_.differential(deg - 1))
+        ker = intmat.kernel_basis(delta)
+        # a basis of the lattice {x : delta x in 2Z}, from the kernel of [delta | 2I]
         two = intmat.scalar(delta.rows, 2)
-        lattices[deg] = _lattice_basis(intmat.kernel_mod_lattice(delta, two))
-    d_groups = {}
-    e_groups = {}
-    for deg, ker in kernels.items():
+        basis = lattices[deg] = _lattice_basis(intmat.kernel_mod_lattice(delta, two))
+        # E relations: [2I | delta_in] in the basis; j: the kernel in it
+        rhs = intmat.hstack(intmat.hstack(intmat.scalar(n, 2), delta_in), ker)
+        rels, j = _split(_coordinates(None, basis, rhs), n + delta_in.cols)
+        e_groups[deg] = PresentedGroup(basis.cols, rels)
         if ker.cols == 0:
             continue
-        free = PresentedGroup(ker.rows)
-        delta_in = intmat.transpose(complex_.differential(deg - 1))
-        d_groups[deg] = PresentedGroup(ker.cols, _coordinates(free, ker, delta_in))
-    for deg, basis in lattices.items():
-        n = basis.rows
-        rel_src = intmat.hstack(
-            intmat.scalar(n, 2), intmat.transpose(complex_.differential(deg - 1))
-        )
-        e_groups[deg] = PresentedGroup(
-            basis.cols, _coordinates(PresentedGroup(n), basis, rel_src)
-        )
-    map_i = {}
-    map_j = {}
-    map_k = {}
-    for deg, grp in d_groups.items():
-        map_i[deg] = intmat.scalar(grp.ngens, 2)
-        basis = lattices[deg]
-        map_j[deg] = _coordinates(PresentedGroup(basis.rows), basis, kernels[deg])
-    for deg, basis in lattices.items():
-        ker_up = kernels.get(deg + 1)
-        if ker_up is None or ker_up.cols == 0:
-            continue
-        image = intmat.matmul(intmat.transpose(complex_.differential(deg)), basis)
+        # D relations: delta_in in the kernel; k from degree deg - 1: half
+        # the boundary of each lattice vector there, in the kernel
+        image = intmat.matmul(delta_in, lattices.get(deg - 1, intmat.zeros(0, 0)))
         if any(x % 2 for row in image.a for x in row):
             raise InexactCouple("lattice vector with odd boundary")
         half = Mat([[x // 2 for x in row] for row in image.a], image.cols)
-        map_k[deg] = _coordinates(PresentedGroup(image.rows), ker_up, half)
-    return ExactCouple(
-        {d: g for d, g in d_groups.items() if g.ngens},
-        {d: g for d, g in e_groups.items() if g.ngens},
-        map_i,
-        map_j,
-        map_k,
-    )
+        coords = _coordinates(None, ker, intmat.hstack(delta_in, half))
+        rels, k = _split(coords, delta_in.cols)
+        d_groups[deg] = PresentedGroup(ker.cols, rels)
+        map_i[deg], map_j[deg] = intmat.scalar(ker.cols, 2), j
+        if deg - 1 in lattices:
+            map_k[deg - 1] = k
+    return ExactCouple(d_groups, e_groups, map_i, map_j, map_k)
 
 
 def _lattice_basis(gens: Mat) -> Mat:
     """A basis of the full-rank lattice spanned by the columns of gens."""
     _u, s, _v, uinv = intmat._smith(gens, uinv=True)
-    cols = [
-        [x * d for x in uinv.column(idx)]
-        for idx, d in enumerate(intmat.diagonal(s))
-        if d != 0
-    ]
+    diag = intmat.diagonal(s)
+    cols = [[x * d for x in uinv.column(i)] for i, d in enumerate(diag) if d]
     return Mat.from_columns(cols, gens.rows)

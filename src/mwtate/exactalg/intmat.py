@@ -36,7 +36,7 @@ class Mat:
     def __init__(self, a, cols=0):
         if a:
             cols = len(a[0])
-            if any(len(r) != cols for r in a):
+            if len(set(map(len, a))) > 1:
                 raise ValueError("rows of a matrix must have equal length")
         self.a = a
         self.rows = len(a)
@@ -45,13 +45,14 @@ class Mat:
     @classmethod
     def from_columns(cls, columns, rows) -> Mat:
         """The matrix whose columns are the given vectors of length ``rows``."""
-        return cls([[col[r] for col in columns] for r in range(rows)], len(columns))
+        a = list(map(list, zip(*columns))) or [[] for _ in range(rows)]
+        return cls(a, len(columns))
 
     def column(self, c) -> list:
         return [row[c] for row in self.a]
 
     def columns(self) -> list:
-        return [[row[c] for row in self.a] for c in range(self.cols)]
+        return list(map(list, zip(*self.a))) or [[] for _ in range(self.cols)]
 
     def __len__(self):
         return self.rows
@@ -79,7 +80,7 @@ def zeros(rows: int, cols: int) -> Mat:
 
 def scalar(n: int, c: int) -> Mat:
     """c times the n x n identity."""
-    return Mat([[c if i == j else 0 for j in range(n)] for i in range(n)], n)
+    return Mat([[0] * i + [c] + [0] * (n - i - 1) for i in range(n)], n)
 
 
 def identity(n: int) -> Mat:
@@ -472,34 +473,40 @@ def _clear_mod(s, t, pivot, modulus, rows, cols):
 
 def _echelon(cols: list, rows: int) -> list:
     """The (row, pivot) pairs of the echelon form of ``cols`` on its top
-    ``rows`` rows: per row, the entry of least |x| reduces the others until
-    it is alone.  ``cols`` keeps the nonzero columns zero on those rows."""
+    ``rows`` rows: per row, the entry of least |x| reduces the others, all
+    zero above row r, until it is alone; ``cols`` keeps the nonzero rest."""
     pivots = []
     for r in range(rows):
         live = [c for c in cols if c[r]]
         while len(live) > 1:
-            piv = min(live, key=lambda c: abs(c[r]))
-            p, tail = piv[r], piv[r:]
+            piv = live[0]
+            for c in live:
+                if abs(c[r]) < abs(piv[r]):
+                    piv = c
+            p = piv[r]
             for c in live:
                 if c is not piv:
                     q = c[r] // p
-                    c[r:] = [x - q * y for x, y in zip(c[r:], tail)]
+                    c[:] = [x - q * y for x, y in zip(c, piv)]
             live = [c for c in live if c[r]]
-        cols[:] = [c for c in cols if not c[r] and any(c)]
-        if live:
+        if live:  # the only column nonzero in row r
+            cols.remove(live[0])
             pivots.append((r, live[0]))
+    cols[:] = [c for c in cols if any(c)]
     return pivots
 
 
 def _reduce(pivots: list, v: list, top: int) -> list | None:
-    """What is left of ``v`` below row ``top`` once the echelon ``pivots``
-    clear its first ``top`` entries, or None when they cannot.  A pivot
-    that does not divide its entry leaves a remainder there that no later
-    pivot touches."""
+    """What is left of ``v`` below row ``top`` once the echelon ``pivots``,
+    each zero above its row, clear its first ``top`` entries, or None when
+    they cannot: a pivot that does not divide its entry leaves a remainder
+    there that no later pivot touches."""
     for r, p in pivots:
-        q = v[r] // p[r]
+        q, rem = divmod(v[r], p[r])
+        if rem:
+            return None
         if q:
-            v = v[:r] + [x - q * y for x, y in zip(v[r:], p[r:])]
+            v = [x - q * y for x, y in zip(v, p)]
     return None if any(v[:top]) else v[top:]
 
 
@@ -519,8 +526,19 @@ def column_reduce(m: Mat) -> Mat:
         for _, p in pivots[:k]:
             q = p[r] // piv[r]
             if q:
-                p[r:] = [x - q * y for x, y in zip(p[r:], piv[r:])]
+                p[:] = [x - q * y for x, y in zip(p, piv)]
     return Mat.from_columns([p for _, p in pivots], m.rows)
+
+
+def _kernel_part(a: Mat, rels: Mat) -> Mat:
+    """The Hermite form of {x : A x in colspan(rels)}, the x parts of the
+    kernel of [A | R]: what one echelon pass of [A | R; I 0] leaves of its
+    columns once the A and R parts are cleared spans it."""
+    n, pad = a.cols, [0] * a.cols
+    cols = [c + [0] * j + [1] + [0] * (n - j - 1) for j, c in enumerate(a.columns())]
+    cols += [c + pad for c in rels.columns()]
+    _echelon(cols, a.rows)
+    return column_reduce(Mat.from_columns([c[a.rows :] for c in cols], n))
 
 
 def kernel_basis(m: Mat) -> Mat:
@@ -534,9 +552,7 @@ def kernel_basis(m: Mat) -> Mat:
     >>> kernel_basis(Mat([[1, 0], [1, 3]]))
     Mat([[], []])
     """
-    cols = [c + e for c, e in zip(m.columns(), identity(m.cols).a)]
-    _echelon(cols, m.rows)
-    return column_reduce(Mat.from_columns([c[m.rows :] for c in cols], m.cols))
+    return _kernel_part(m, zeros(m.rows, 0))
 
 
 def solve_columns(m: Mat, b: Mat) -> Mat | None:
@@ -546,7 +562,8 @@ def solve_columns(m: Mat, b: Mat) -> Mat | None:
     Each pivot of the echelon form of [M; I] is [M*t; t] for an integer
     t, so reducing a column [-b; 0] by them leaves [M*x - b; x], solved
     when its M part is zero.  That form depends on ``m`` alone, so each
-    column gets the solution it would get by itself.
+    column gets the solution it would get by itself, and the columns of
+    several right-hand sides may be solved in one call and split.
 
     >>> solve_columns(Mat([[2, 0], [1, 3]]), Mat([[4], [5]]))
     Mat([[2], [1]])
@@ -555,9 +572,11 @@ def solve_columns(m: Mat, b: Mat) -> Mat | None:
     """
     if m.rows != b.rows:
         raise ValueError("row mismatch in solve")
-    pivots = _echelon([c + e for c, e in zip(m.columns(), identity(m.cols).a)], m.rows)
-    xs = [_reduce(pivots, [-y for y in c] + [0] * m.cols, m.rows) for c in b.columns()]
-    return None if None in xs else Mat.from_columns(xs, m.cols)
+    n, pad = m.cols, [0] * m.cols
+    cols = [c + [0] * j + [1] + [0] * (n - j - 1) for j, c in enumerate(m.columns())]
+    pivots = _echelon(cols, m.rows)
+    xs = [_reduce(pivots, [-y for y in c] + pad, m.rows) for c in b.columns()]
+    return None if None in xs else Mat.from_columns(xs, n)
 
 
 def solve(m: Mat, vec) -> list[int] | None:
@@ -581,18 +600,22 @@ def lattice_contains(gens: Mat, vecs: Mat) -> list[bool]:
 
 
 def kernel_mod_lattice(a: Mat, rels: Mat) -> Mat:
-    """Generators of {x : A x in colspan(rels)}.
+    """Generators of {x : A x in colspan(rels)}, in column Hermite form.
 
-    ``a`` and ``rels`` must have the same number of rows.  The result
-    is a matrix whose columns generate the preimage lattice; it always
+    ``a`` and ``rels`` must have the same number of rows.  That lattice is
+    the projection onto x of the kernel of [A | R], so one echelon pass of
+    [A | R; I 0] clears the A and R parts, and the x parts of the columns
+    left span it; one Hermite form of those is the result, which always
     contains the kernel of ``a`` itself.
 
     >>> kernel_mod_lattice(Mat([], 2), Mat([], 0))
     Mat([[1, 0], [0, 1]])
+    >>> kernel_mod_lattice(Mat([[3, 1]]), Mat([[2]]))
+    Mat([[1, 0], [1, 2]])
     """
-    ker = kernel_basis(hstack(a, rels))
-    # Project solutions (x; y) onto the x part.
-    return column_reduce(Mat(ker.a[: a.cols], ker.cols))
+    if a.rows != rels.rows:
+        raise ValueError("row mismatch in hstack")
+    return _kernel_part(a, rels)
 
 
 _SHEARS = (-2, -1, 1, 2)

@@ -39,7 +39,16 @@ class PresentedGroup:
         if self.rels.rows != self.ngens:
             raise ValueError("relation matrix must have one row per generator")
         # keep relation entries small; the column lattice is unchanged
-        self.rels = intmat.column_reduce(self.rels)
+        if self.rels.cols:
+            self.rels = intmat.column_reduce(self.rels)
+
+    @classmethod
+    def of_hermite(cls, ngens: int, rels: Mat) -> PresentedGroup:
+        """Z^ngens / colspan(rels) for ``rels`` in column Hermite form, as
+        :func:`intmat.kernel_mod_lattice` returns it: kept as it is."""
+        group = cls.__new__(cls)
+        group.ngens, group.rels = ngens, rels
+        return group
 
     def invariants(self) -> FormalGroup:
         nonzero = intmat.invariant_factors(self.rels)

@@ -275,7 +275,7 @@ def blocks_of_summands(summands) -> list[AtomicBlock]:
             continue
         t, odd = split_dyadic(s.n)
         blocks.append(DyadicEta(t, s.lower_degree))
-        for p, r in factor_prime_powers(odd):
+        for p, r in factor_prime_powers(odd) if odd > 1 else ():
             blocks.append(OddTorsion(p, r, s.lower_degree))
     return blocks
 

@@ -21,6 +21,7 @@ from mwtate.bockstein.couple import (
 from mwtate.bockstein import couple, pages
 from mwtate.checks import random_adjacent_complex, random_normal_form, unimodular_twist
 from mwtate.exactalg import FormalGroup, FreeComplex, PresentedGroup, integer_cohomology
+from mwtate.exactalg import intmat
 from mwtate.exactalg.intmat import Mat, hstack, kernel_mod_lattice, zeros
 from mwtate.motives import _to_free_complex, realize
 
@@ -348,6 +349,49 @@ def gap_complex(rng):
         cols = ranks[w + 1]
         diffs[w] = [[rng.choice(GAP_ENTRIES) for _ in range(cols)] for _ in range(ranks[w])]
     return FreeComplex(ranks, diffs)
+
+
+def test_kernel_mod_lattice_is_one_hermite_form(intmat_calls, echelon_calls):
+    # one echelon pass eliminates [A | R; I 0] and one Hermite form of the
+    # x parts follows; the full kernel of [A | R] is never reduced
+    reduce_calls = intmat_calls("column_reduce")
+    kernel_calls = intmat_calls("kernel_basis")
+    a = Mat([[2, 4, 1], [0, 6, 3]])
+    rels = Mat([[4, 0], [0, 8]])
+    for r in (rels, intmat.zeros(2, 0)):
+        reduce_calls.clear()
+        echelon_calls.clear()
+        assert kernel_mod_lattice(a, r).rows == 3
+        assert len(reduce_calls) == 1 and len(echelon_calls) == 2
+    assert kernel_calls == []
+
+
+def test_couple_build_solves_each_basis_once(echelon_calls, monkeypatch):
+    # every coordinate bockstein_couple needs in a kernel basis (D
+    # relations and k) or in a lattice basis (E relations and j) comes from
+    # one solve against that basis, each one echelon pass
+    solves = []
+    solve = intmat.solve_columns
+
+    def counted(m, b):
+        before = len(echelon_calls)
+        out = solve(m, b)
+        solves.append((m.rows, m.cols, len(echelon_calls) - before))
+        return out
+
+    monkeypatch.setattr(intmat, "solve_columns", counted)
+    rng = random.Random(11)
+    inputs = DEEP_TORSION + [random_adjacent_complex(rng) for _ in range(10)]
+    inputs += [gap_complex(rng) for _ in range(10)]
+    for complex_ in inputs:
+        solves.clear()
+        bockstein_couple(complex_)
+        expected = []
+        for w in complex_.weights():
+            n = complex_.rank(w)
+            kernel = intmat.kernel_basis(intmat.transpose(complex_.differential(w)))
+            expected += [(n, n, 1)] + ([(n, kernel.cols, 1)] if kernel.cols else [])
+        assert sorted(solves) == sorted(expected)
 
 
 def test_coordinates_is_one_solve(echelon_calls, smith_calls):

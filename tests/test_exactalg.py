@@ -365,6 +365,98 @@ class TestHermiteAgainstTheOldAlgorithms:
         assert sympy_invariants(k) == [1] * k.cols
 
 
+class TestMatShapes:
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (2, 3)])
+    def test_columns_round_trip(self, rows, cols):
+        m = random_mat(random.Random(7 * rows + cols), rows, cols)
+        columns = m.columns()
+        assert len(columns) == cols and all(len(c) == rows for c in columns)
+        assert Mat.from_columns(columns, rows) == m
+        assert intmat.transpose(intmat.transpose(m)) == m
+
+    def test_ragged_rows_refused(self):
+        with pytest.raises(ValueError, match="rows of a matrix must have equal length"):
+            Mat([[1, 2], [3]])
+
+
+def two_hermite_kernel_mod_lattice(a, rels):
+    """{x : A x in colspan(rels)} as ``intmat.kernel_mod_lattice`` built it
+    before it made one Hermite form: the Hermite form of the kernel of
+    [A | R], projected onto x and put into Hermite form again."""
+    ker = intmat.kernel_basis(intmat.hstack(a, rels))
+    return intmat.column_reduce(Mat(ker.a[: a.cols], ker.cols))
+
+
+class TestKernelModLatticeAgainstTwoHermiteForms:
+    # the Hermite form of a lattice is unique, so the one-pass
+    # kernel_mod_lattice must return the two-pass matrices exactly
+    @pytest.mark.parametrize("chunk", range(10))
+    def test_small_shapes(self, chunk):
+        # 210 draws per chunk: A of shape 0..8 x 0..8 and R of 0..4
+        # columns, entries up to 1, 3 or 9, sparse and dense; every tenth
+        # draw has no rows or no columns in A
+        rng = random.Random(3500 + chunk)
+        for i in range(210):
+            rows, cols = rng.randrange(9), rng.randrange(9)
+            if i % 10 == 0:
+                rows, cols = rng.choice(((0, cols), (rows, 0), (0, 0)))
+            bound, density = rng.choice((1, 3, 9)), rng.choice((0.3, 0.6, 1.0))
+            a = random_mat(rng, rows, cols, density=density, bound=bound)
+            rels = random_mat(rng, rows, rng.randrange(5), density=density, bound=bound)
+            want = two_hermite_kernel_mod_lattice(a, rels)
+            assert intmat.kernel_mod_lattice(a, rels) == want
+
+    @pytest.mark.parametrize("shape", [(12, 12), (20, 25)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense(self, shape, seed):
+        # A dense with entries up to 9; R empty, 2I or three dense columns
+        rng = random.Random(seed)
+        rows = shape[0]
+        a = random_mat(rng, *shape)
+        for rels in (intmat.zeros(rows, 0), intmat.scalar(rows, 2), random_mat(rng, rows, 3)):
+            want = two_hermite_kernel_mod_lattice(a, rels)
+            assert intmat.kernel_mod_lattice(a, rels) == want
+
+    def test_row_mismatch_is_refused(self):
+        with pytest.raises(ValueError, match="row mismatch"):
+            intmat.kernel_mod_lattice(Mat([[1, 2]]), Mat([[1], [2]]))
+
+
+@st.composite
+def stacked_systems(draw, max_dim=5, bound=6):
+    """(M, B1, B2) with about half of the columns of B1 and B2 built as M*x,
+    so solvable; the rest are free draws."""
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    entry = st.integers(-bound, bound)
+
+    def mat(r, c):
+        row = st.lists(entry, min_size=c, max_size=c)
+        return Mat(draw(st.lists(row, min_size=r, max_size=r)), c)
+
+    m = mat(rows, cols)
+
+    def rhs():
+        parts = [
+            intmat.matmul(m, mat(cols, 1)) if draw(st.booleans()) else mat(rows, 1)
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        return Mat.from_columns([part.column(0) for part in parts], rows)
+
+    return m, rhs(), rhs()
+
+
+@given(stacked_systems())
+def test_solve_columns_of_stacked_right_hand_sides(system):
+    # solving [B1 | B2] at once gives the two solutions side by side, and
+    # no solution exactly when one of the two has none
+    m, b1, b2 = system
+    x1, x2 = intmat.solve_columns(m, b1), intmat.solve_columns(m, b2)
+    both = intmat.solve_columns(m, intmat.hstack(b1, b2))
+    assert (both is None) == (x1 is None or x2 is None)
+    if both is not None:
+        assert both == intmat.hstack(x1, x2)
+
+
 def smith_solve_columns(m, b):
     """Exact solutions of M*X == B as ``intmat.solve_columns`` built them
     before it had an echelon step: with U*M*V == S a Smith form, U*B is

@@ -213,6 +213,22 @@ class TestPinnedDecompositions:
         got = [decompose(c) for c in draws]
         assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == PINNED_DECOMPOSITIONS
 
+    def test_factors_only_odd_parts_above_one(self, monkeypatch):
+        # a cone of order 2^t has no odd part to factor
+        import mwtate.motives as motives
+
+        factored = []
+        factor = motives.factor_prime_powers
+
+        def counted(n):
+            factored.append(n)
+            return factor(n)
+
+        monkeypatch.setattr(motives, "factor_prime_powers", counted)
+        got = [decompose(c) for c in pinned_draws()]
+        assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == PINNED_DECOMPOSITIONS
+        assert factored and min(factored) > 1
+
     def test_differentials_are_the_dense_attachment_matrices(self):
         for c in pinned_draws():
             mats, index = dense_free_complex(c)
