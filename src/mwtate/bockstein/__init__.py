@@ -1,59 +1,53 @@
-"""Bockstein spectral sequence machinery: page tables, page analysis,
-the Bockstein exact couple, and the symbolic square-zero check."""
+"""Bockstein spectral sequence machinery: page tables (``pages``), page
+analysis on fiber models (``analysis``, ``fibers``), the Bockstein exact
+couple (``couple``) and the symbolic square-zero check (``steenrod``).
 
-from .analysis import (
-    CheckReport,
-    KunnethReport,
-    VGroupResult,
-    kunneth_e2,
-    leibniz_check,
-    truncated_check,
-    v_group,
-)
-from .couple import (
-    CoupleAnalysis,
-    ExactCouple,
-    InexactCouple,
-    bockstein_couple,
-    couple_analyze,
-    couple_derive,
-)
-from .pages import (
-    Page,
-    PageTooSmall,
-    Tower,
-    WittProfile,
-    block_pages,
-    degeneracy_page,
-    pages,
-    pages_from_witt,
-    tower,
-)
-from .steenrod import DSquareReport, steenrod_dsquare_check
+The package re-exports the names in ``__all__`` and imports the submodule
+that defines one the first time the name is looked up, so a caller loads
+only the layers it uses: the ``pages`` and ``pbundle-hp1`` verbs load
+``bockstein.pages`` and nothing else here.
+"""
 
-__all__ = [
-    "CheckReport",
-    "CoupleAnalysis",
-    "DSquareReport",
-    "ExactCouple",
-    "InexactCouple",
-    "KunnethReport",
-    "Page",
-    "PageTooSmall",
-    "Tower",
-    "VGroupResult",
-    "WittProfile",
-    "block_pages",
-    "bockstein_couple",
-    "couple_analyze",
-    "couple_derive",
-    "degeneracy_page",
-    "kunneth_e2",
-    "leibniz_check",
-    "pages",
-    "pages_from_witt",
-    "steenrod_dsquare_check",
-    "tower",
-    "truncated_check",
-    "v_group",
-]
+import importlib
+import sys
+import types
+
+_EXPORTS = {  # submodule: the names it defines that the package re-exports
+    "analysis": (
+        "CheckReport", "KunnethReport", "VGroupResult",
+        "kunneth_e2", "leibniz_check", "truncated_check", "v_group",
+    ),
+    "couple": (
+        "CoupleAnalysis", "ExactCouple", "InexactCouple",
+        "bockstein_couple", "couple_analyze", "couple_derive",
+    ),
+    "pages": (
+        "Page", "PageTooSmall", "Tower", "WittProfile",
+        "block_pages", "degeneracy_page", "pages", "pages_from_witt", "tower",
+    ),
+    "steenrod": ("DSquareReport", "steenrod_dsquare_check"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # importing the submodule ``pages`` would bind the module to the
+        # package's name ``pages``, which belongs to the function
+        if name == "pages" and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -23,11 +23,11 @@ states only on the bidegrees its three targets depend on.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 
 from ..exactalg import FormalGroup, PresentedGroup, intmat
 from ..motives import DyadicEta, Free, NormalForm, quotient_by_dyadic_eta, tensor
+from ..values import Frozen
 from .fibers import FiberModel, f2_image, f2_kernel, f2_reduce
 from .pages import (
     T_PIECE,
@@ -45,11 +45,13 @@ def _page_pieces(a: NormalForm, i: int):
     return sorted(p for p in (block_piece(b, i) for b in a.blocks) if p is not None)
 
 
-@dataclass(frozen=True)
-class KunnethReport:
-    equal: bool
-    pages_checked: tuple
-    first_discrepancy: tuple | None
+class KunnethReport(Frozen):
+    __slots__ = _fields = ("equal", "pages_checked", "first_discrepancy")
+
+    def __init__(self, equal: bool, pages_checked: tuple, first_discrepancy: tuple | None):
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "pages_checked", pages_checked)
+        object.__setattr__(self, "first_discrepancy", first_discrepancy)
 
     def __bool__(self):
         return self.equal
@@ -84,10 +86,12 @@ def kunneth_e2(a: NormalForm, b: NormalForm) -> KunnethReport:
     return KunnethReport(True, tuple(checked), None)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    holds: bool
-    detail: tuple | None = None
+class CheckReport(Frozen):
+    __slots__ = _fields = ("holds", "detail")
+
+    def __init__(self, holds: bool, detail: tuple | None = None):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "detail", detail)
 
     def __bool__(self):
         return self.holds
@@ -241,10 +245,12 @@ def leibniz_check(j: int, k: int) -> CheckReport:
     return CheckReport(not failures, tuple(failures[:5]) or None)
 
 
-@dataclass(frozen=True)
-class VGroupResult:
-    dim_V: int
-    fiber_product: FormalGroup
+class VGroupResult(Frozen):
+    __slots__ = _fields = ("dim_V", "fiber_product")
+
+    def __init__(self, dim_V: int, fiber_product: FormalGroup):
+        object.__setattr__(self, "dim_V", dim_V)
+        object.__setattr__(self, "fiber_product", fiber_product)
 
 
 def _v_states(model: FiberModel, targets):

@@ -24,8 +24,7 @@ dyadic cone firing on a single page.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ..values import Record
 from .pages import tower
 
 
@@ -78,22 +77,24 @@ def f2_kernel(pairs, modulo: list[int]) -> list[int]:
     return kernel
 
 
-@dataclass
-class FiberModel:
+class FiberModel(Record):
     """Generators (key -> infinite tower) plus per-page arrows
-    (page -> list of (source key, target key))."""
+    (page -> list of (source key, target key)).  Models are equal when
+    their generators and arrows are; the arrows by source and the
+    fibers met so far are kept beside them."""
 
-    gens: dict
-    arrows: dict
-    _targets: dict = field(init=False, repr=False)  # page -> source -> targets
-    _fibers: dict = field(init=False, repr=False, default_factory=dict)
+    __slots__ = ("gens", "arrows", "_targets", "_fibers")
+    _fields = ("gens", "arrows")
 
-    def __post_init__(self):
-        self._targets = {}
-        for i, pairs in self.arrows.items():
+    def __init__(self, gens: dict, arrows: dict):
+        self.gens = gens
+        self.arrows = arrows
+        self._targets = {}  # page -> source -> targets
+        for i, pairs in arrows.items():
             out = self._targets.setdefault(i, {})
             for src, dst in pairs:
                 out.setdefault(src, []).append(dst)
+        self._fibers = {}
 
     def __mul__(self, other: FiberModel) -> FiberModel:
         """The product model, with differentials by the Leibniz rule."""

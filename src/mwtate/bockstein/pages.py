@@ -17,10 +17,9 @@ The degree d of a piece is the weight of its lowest tower, based at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..exactalg import GradedGroup
 from ..motives import DyadicEta, Free, NormalForm
+from ..values import Frozen, Ordered
 
 
 class PageTooSmall(ValueError):
@@ -30,12 +29,34 @@ class PageTooSmall(ValueError):
 INF = None  # tower height marker
 
 
-@dataclass(frozen=True, order=True)
-class Tower:
-    p: int
-    q: int
-    height_key: int  # 0 for infinite towers, else the height
-    label: str
+class Tower(Ordered):
+    __slots__ = _fields = ("p", "q", "height_key", "label")
+
+    def __init__(self, p: int, q: int, height_key: int, label: str):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "height_key", height_key)  # 0: infinite, else the height
+        object.__setattr__(self, "label", label)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.p == other.p
+                and self.q == other.q
+                and self.height_key == other.height_key
+                and self.label == other.label
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.q, self.height_key, self.label))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.q, self.height_key, self.label) < (
+                other.p, other.q, other.height_key, other.label
+            )
+        return NotImplemented
 
     @property
     def height(self):
@@ -55,18 +76,21 @@ def tower(p: int, q: int, height=INF, label: str = "plain") -> Tower:
     return Tower(p, q, 0 if height is INF else int(height), label)
 
 
-@dataclass(frozen=True)
-class Page:
+class Page(Frozen):
     """One page: towers plus the rho-power arrows of its differential.
 
     Arrows are stored as (source tower, target tower, rho power); the
     differential sends offset k of the source onto offset k + power of
     the target, which matches the bidegree shift (index+1, index).
+    Pages are equal when their sorted towers and arrows are.
     """
 
-    index: int
-    towers: tuple
-    arrows: tuple
+    __slots__ = _fields = ("index", "towers", "arrows")
+
+    def __init__(self, index: int, towers: tuple, arrows: tuple):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "towers", towers)
+        object.__setattr__(self, "arrows", arrows)
 
     def dim(self, p: int, q: int) -> int:
         return sum(1 for t in self.towers if t.covers(p, q))
@@ -220,12 +244,14 @@ def pages(a: NormalForm, i: int) -> Page:
     return Page(i, tuple(towers), tuple(arrows))
 
 
-@dataclass(frozen=True)
-class WittProfile:
+class WittProfile(Frozen):
     """Multiplicities x[(row, exponent)] of Z/2^j summands per row, with
     exponent 0 standing for a free Z summand."""
 
-    x: tuple
+    __slots__ = _fields = ("x",)
+
+    def __init__(self, x: tuple):
+        object.__setattr__(self, "x", x)
 
     @classmethod
     def of(cls, h: GradedGroup) -> WittProfile:

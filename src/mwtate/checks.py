@@ -12,22 +12,10 @@ first failure and reports the run as a `SuiteResult`.
 
 from __future__ import annotations
 
+import importlib
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
 
-from .bockstein import (
-    block_pages,
-    degeneracy_page,
-    kunneth_e2,
-    leibniz_check,
-    pages,
-    pages_from_witt,
-    truncated_check,
-)
-from .bockstein.couple import bockstein_couple, couple_analyze
-from .bockstein.steenrod import QUOTED_RULES, identity_sanity, steenrod_dsquare_check
-from .cohomology import chow, hom_cone, witt_cohomology
 from .exactalg import (
     FormalGroup,
     FreeComplex,
@@ -37,7 +25,6 @@ from .exactalg import (
     intmat,
     split_dyadic,
 )
-from .geometry import hp1_classify, projective_bundle_hp1
 from .motives import (
     DyadicEta,
     Free,
@@ -49,15 +36,48 @@ from .motives import (
     tensor,
     _to_free_complex,
 )
+from .values import Frozen
 from .wittring import GWElement, kx_orbit_canonical
 
+# The layers past the block calculus, by module, with the names the suites
+# use from each.  A suite imports its layers when it starts (`_use`), so
+# `mwtate check --suite NAME` loads only what that suite runs.
+_LAYERS = {
+    ".bockstein.analysis": ("kunneth_e2", "leibniz_check", "truncated_check"),
+    ".bockstein.couple": ("bockstein_couple", "couple_analyze"),
+    ".bockstein.pages": ("block_pages", "degeneracy_page", "pages", "pages_from_witt"),
+    ".bockstein.steenrod": ("QUOTED_RULES", "identity_sanity", "steenrod_dsquare_check"),
+    ".cohomology": ("chow", "hom_cone", "witt_cohomology"),
+    ".geometry": ("hp1_classify", "projective_bundle_hp1"),
+}
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: bool
-    cases: int
-    detail: str = ""
+
+def _use(*layers):
+    """Import ``layers`` and bind the names the suites use from them here,
+    keeping a name already bound: a test may have replaced it."""
+    for layer in layers:
+        module = importlib.import_module(layer, __package__)
+        for name in _LAYERS[layer]:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name):
+    """A layer name looked up from outside, such as ``checks.pages``."""
+    for layer, names in _LAYERS.items():
+        if name in names:
+            _use(layer)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class SuiteResult(Frozen):
+    __slots__ = _fields = ("name", "passed", "cases", "detail")
+
+    def __init__(self, name: str, passed: bool, cases: int, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "detail", detail)
 
     def line(self) -> str:
         mark = "pass" if self.passed else "FAIL"
@@ -149,6 +169,7 @@ def witt_direct(c: TateComplex, modulus: int = 0) -> GradedGroup:
 
 def suite_block_pages(seed) -> Iterator[str | None]:
     """Block tables against a direct transcription of the four cases."""
+    _use(".bockstein.pages")
     for j in (1, 2, 3):
         for w in (-1, 0, 2):
             for i in range(2, j + 4):
@@ -180,6 +201,7 @@ def _oracle_dim(j, i, p, q):
 
 
 def suite_torsion_profile(seed) -> Iterator[str | None]:
+    _use(".bockstein.pages", ".cohomology")
     rng = random.Random(seed)
     for _ in range(300):
         a = random_normal_form(rng, 12)
@@ -190,6 +212,7 @@ def suite_torsion_profile(seed) -> Iterator[str | None]:
 
 
 def suite_degeneracy(seed) -> Iterator[str | None]:
+    _use(".bockstein.pages")
     rng = random.Random(seed)
     for _ in range(300):
         a = random_normal_form(rng, 12)
@@ -216,6 +239,7 @@ def suite_decompose(seed) -> Iterator[str | None]:
     closed forms: `witt_direct` reads the same invariant factors of the
     same differentials as `decompose`.  Only the round trip and the
     twist cases check `decompose` independently."""
+    _use(".cohomology")
     rng = random.Random(seed)
     for _ in range(500):
         a = random_normal_form(rng, 12, allow_odd=False)
@@ -233,6 +257,7 @@ def suite_decompose(seed) -> Iterator[str | None]:
 
 
 def suite_pbundle(seed) -> Iterator[str | None]:
+    _use(".bockstein.pages", ".cohomology", ".geometry")
     for n in range(1, 7):
         blocks = decompose(projective_bundle_hp1(GWElement(0, 2**n)))
         w = witt_cohomology(blocks, 0)
@@ -252,6 +277,7 @@ def suite_pbundle(seed) -> Iterator[str | None]:
 
 
 def suite_kunneth(seed) -> Iterator[str | None]:
+    _use(".bockstein.analysis")
     rng = random.Random(seed)
     for t1 in range(0, 5):
         for t2 in range(0, 5):
@@ -267,6 +293,7 @@ def suite_kunneth(seed) -> Iterator[str | None]:
 
 
 def suite_tensor_witt(seed) -> Iterator[str | None]:
+    _use(".cohomology")
     rng = random.Random(seed)
     for _ in range(200):
         a = random_normal_form(rng, 8)
@@ -277,6 +304,7 @@ def suite_tensor_witt(seed) -> Iterator[str | None]:
 
 
 def suite_bounded(seed) -> Iterator[str | None]:
+    _use(".bockstein.pages", ".cohomology")
     rng = random.Random(seed)
     for _ in range(100):
         a = random_normal_form(rng, 8)
@@ -334,6 +362,7 @@ def random_adjacent_complex(rng) -> FreeComplex:
 
 
 def suite_couple(seed) -> Iterator[str | None]:
+    _use(".bockstein.couple")
     rng = random.Random(seed)
     for _ in range(100):
         c = random_adjacent_complex(rng)
@@ -360,6 +389,7 @@ def suite_steenrod(seed) -> Iterator[str | None]:
     """The quoted-set reductions, the mutation sanity check, and the
     extended Cartan closure.  The (2,2) entry is irreducible under the
     exact quoted set; see the extended mode for the full square."""
+    _use(".bockstein.steenrod")
     rep = steenrod_dsquare_check()
     for pos in ((1, 1), (1, 2), (2, 1)):
         yield f"entry {pos} nonzero" if not rep.entry(*pos).reduced_to_zero else None
@@ -374,6 +404,7 @@ def suite_steenrod(seed) -> Iterator[str | None]:
 
 
 def suite_truncated(seed) -> Iterator[str | None]:
+    _use(".bockstein.analysis")
     rng = random.Random(seed)
     for _ in range(50):
         a = random_normal_form(rng, 6)
@@ -383,12 +414,14 @@ def suite_truncated(seed) -> Iterator[str | None]:
 
 
 def suite_leibniz(seed) -> Iterator[str | None]:
+    _use(".bockstein.analysis")
     for j in range(1, 4):
         for k in range(1, 4):
             yield f"(j,k)=({j},{k})" if not leibniz_check(j, k).holds else None
 
 
 def suite_hom_cone(seed) -> Iterator[str | None]:
+    _use(".cohomology")
     wrong = hom_cone(6, 3, 2, "MW") != FormalGroup.from_invariants([3, 4])
     yield "spot value l=6 failed" if wrong else None
     for l in range(1, 25):
@@ -404,6 +437,7 @@ def suite_hom_cone(seed) -> Iterator[str | None]:
 
 
 def suite_hp1(seed) -> Iterator[str | None]:
+    _use(".geometry")
     for rank in range(-5, 6):
         for sig in range(-5, 6):
             if (rank - sig) % 2:

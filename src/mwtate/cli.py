@@ -9,8 +9,9 @@ an MWTATE_LOG naming no logging level.  Each input error, deep JSON
 nesting included, is a ValueError that main prints as "error: ..." with
 exit 1, logging its traceback at MWTATE_LOG=DEBUG.  Layers are imported
 inside the verbs that use them: decompose and tensor load no Bockstein,
-geometry or check code.  pages and pbundle-hp1 load the whole bockstein
-package, exact couples included, and check loads every layer.
+geometry or check code; pages and pbundle-hp1 load the page tables,
+bockstein.pages, and no other Bockstein layer; check --suite NAME loads
+only the layers of that suite.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def _cmd_tensor(args) -> int:
 
 
 def _cmd_pages(args) -> int:
-    from .bockstein import pages
+    from .bockstein.pages import pages
 
     if len(args.blocks) != 1:
         raise ValueError("pages needs exactly one --blocks argument")
@@ -251,7 +252,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_pbundle(args) -> int:
-    from .bockstein import degeneracy_page
+    from .bockstein.pages import degeneracy_page
     from .geometry import projective_bundle_hp1
 
     e = _euler_arg(args.euler)

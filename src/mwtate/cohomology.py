@@ -11,11 +11,10 @@ of the integer split, ``exactalg.cohomology_of_summands``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactalg import FormalGroup, GradedGroup, split_dyadic
 from .exactalg.complexes import ConePair, FreeCell, cohomology_of_summands
 from .motives import DyadicEta, Free, NormalForm, OddTorsion
+from .values import Frozen
 from .wittring import fundamental_ideal_power
 
 
@@ -96,11 +95,10 @@ def witt_cohomology(a: NormalForm, modulus: int = 0) -> GradedGroup:
     return cohomology_of_summands(map(_summand, a.blocks), modulus)
 
 
-@dataclass(frozen=True)
-class HModule:
+class HModule(Frozen):
     """A free module over Z/2[rho, tau] given by generator bidegrees."""
 
-    generators: tuple
+    __slots__ = _fields = ("generators",)
 
     def __init__(self, generators=()):
         object.__setattr__(self, "generators", tuple(sorted(generators)))

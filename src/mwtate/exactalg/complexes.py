@@ -11,8 +11,7 @@ never dropped.  Cohomology is read off that split by one closed form,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..values import Frozen
 from . import intmat
 from .groups import FormalGroup, GradedGroup, graded_kunneth
 from .intmat import Mat
@@ -22,23 +21,41 @@ class NonComposable(ValueError):
     """Consecutive differentials do not compose to zero."""
 
 
-@dataclass(frozen=True)
-class FreeCell:
+class FreeCell(Frozen):
     """A lone generator in a single degree."""
 
-    degree: int
+    __slots__ = _fields = ("degree",)
+
+    def __init__(self, degree: int):
+        object.__setattr__(self, "degree", degree)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.degree == other.degree
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.degree,))
 
 
-@dataclass(frozen=True)
-class ConePair:
+class ConePair(Frozen):
     """Generators in degrees (lower, lower+1) with differential n >= 1."""
 
-    n: int
-    lower_degree: int
+    __slots__ = _fields = ("n", "lower_degree")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, lower_degree: int):
+        if n < 1:
             raise ValueError("cone multiplier must be positive")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "lower_degree", lower_degree)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.lower_degree == other.lower_degree
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.lower_degree))
 
 
 class FreeComplex:

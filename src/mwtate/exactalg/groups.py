@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+
+from ..values import Frozen
 
 
 def _primes_below(n: int) -> tuple[int, ...]:
@@ -126,8 +127,7 @@ def split_dyadic(n: int) -> tuple[int, int]:
     return t, n >> t
 
 
-@dataclass(frozen=True)
-class FormalGroup:
+class FormalGroup(Frozen):
     """free_rank copies of Z plus cyclic groups of prime-power order.
 
     >>> FormalGroup.from_invariants([0, 12])
@@ -136,13 +136,21 @@ class FormalGroup:
     True
     """
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    __slots__ = _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        object.__setattr__(self, "torsion", tuple(sorted(self.torsion)))
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", tuple(sorted(torsion)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.free_rank == other.free_rank and self.torsion == other.torsion
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
 
     @classmethod
     def from_invariants(cls, divisors) -> FormalGroup:

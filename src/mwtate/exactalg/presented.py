@@ -13,34 +13,31 @@ invariant factors and kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..values import Record
 from . import intmat
 from .groups import FormalGroup
 from .intmat import Mat
 
 
-@dataclass
-class PresentedGroup:
+class PresentedGroup(Record):
     """Z^ngens / colspan(rels); rels has ngens rows (none: a free group).
 
     ``rels`` may also come as a list of rows; it is stored as a
     column-reduced :class:`Mat`.
     """
 
-    ngens: int
-    rels: Mat | None = None
+    __slots__ = _fields = ("ngens", "rels")
 
-    def __post_init__(self):
-        if self.rels is None:
-            self.rels = intmat.zeros(self.ngens, 0)
-        elif not isinstance(self.rels, Mat):
-            self.rels = Mat(self.rels)
-        if self.rels.rows != self.ngens:
+    def __init__(self, ngens: int, rels: Mat | None = None):
+        if rels is None:
+            rels = intmat.zeros(ngens, 0)
+        elif not isinstance(rels, Mat):
+            rels = Mat(rels)
+        if rels.rows != ngens:
             raise ValueError("relation matrix must have one row per generator")
         # keep relation entries small; the column lattice is unchanged
-        if self.rels.cols:
-            self.rels = intmat.column_reduce(self.rels)
+        self.ngens = ngens
+        self.rels = intmat.column_reduce(rels) if rels.cols else rels
 
     @classmethod
     def of_hermite(cls, ngens: int, rels: Mat) -> PresentedGroup:

@@ -15,8 +15,6 @@ of the even codimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .motives import (
     DyadicEta,
     Free,
@@ -30,6 +28,7 @@ from .motives import (
     InvalidComplex,
 )
 from .cohomology import witt_cohomology
+from .values import Frozen
 from .wittring import GWElement, kx_orbit_canonical
 
 
@@ -46,13 +45,22 @@ from .motives import IllegalEntry as IllegalGysinEntry  # noqa: E402
 from .motives import NonComposableResult  # noqa: E402
 
 
-@dataclass(frozen=True)
-class Hp1BundleClass:
-    rank: int
-    euler: GWElement | None  # canonical orbit representative, rank 2 only
-    c2: int | None  # rank >= 3 only
-    is_free: bool
-    stably_free_nontrivial: bool
+class Hp1BundleClass(Frozen):
+    __slots__ = _fields = ("rank", "euler", "c2", "is_free", "stably_free_nontrivial")
+
+    def __init__(
+        self,
+        rank: int,
+        euler: GWElement | None,  # canonical orbit representative, rank 2 only
+        c2: int | None,  # rank >= 3 only
+        is_free: bool,
+        stably_free_nontrivial: bool,
+    ):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "is_free", is_free)
+        object.__setattr__(self, "stably_free_nontrivial", stably_free_nontrivial)
 
 
 def hp1_classify(rank: int, datum) -> Hp1BundleClass:
@@ -135,11 +143,13 @@ def blowup_motive(
     return blocks
 
 
-@dataclass(frozen=True)
-class EtaCheckReport:
-    holds: bool
-    plain_cone_weights: tuple
-    detail: str = ""
+class EtaCheckReport(Frozen):
+    __slots__ = _fields = ("holds", "plain_cone_weights", "detail")
+
+    def __init__(self, holds: bool, plain_cone_weights: tuple, detail: str = ""):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "plain_cone_weights", plain_cone_weights)
+        object.__setattr__(self, "detail", detail)
 
 
 def blowup_eta_check(result: NormalForm) -> EtaCheckReport:

@@ -23,7 +23,6 @@ is why no such operation exists here.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .exactalg import (
@@ -34,6 +33,7 @@ from .exactalg import (
     factor_prime_powers,
     split_dyadic,
 )
+from .values import Frozen, Ordered
 
 
 class InvalidComplex(ValueError):
@@ -54,38 +54,79 @@ class NonComposableResult(ValueError):
     """A glued complex whose attachments fail composability."""
 
 
-@dataclass(frozen=True, order=True)
-class Free:
-    weight: int
+class Free(Ordered):
+    __slots__ = _fields = ("weight",)
+
+    def __init__(self, weight: int):
+        object.__setattr__(self, "weight", weight)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.weight == other.weight
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.weight,))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.weight < other.weight
+        return NotImplemented
 
     def twisted(self, q: int) -> Free:
         return Free(self.weight + q)
 
 
-@dataclass(frozen=True, order=True)
-class DyadicEta:
-    t: int
-    weight: int
+class DyadicEta(Ordered):
+    __slots__ = _fields = ("t", "weight")
 
-    def __post_init__(self):
-        if self.t < 0:
+    def __init__(self, t: int, weight: int):
+        if t < 0:
             raise ValueError("dyadic exponent must be nonnegative")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "weight", weight)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.t == other.t and self.weight == other.weight
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.t, self.weight))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.t, self.weight) < (other.t, other.weight)
+        return NotImplemented
 
     def twisted(self, q: int) -> DyadicEta:
         return DyadicEta(self.t, self.weight + q)
 
 
-@dataclass(frozen=True, order=True)
-class OddTorsion:
-    p: int
-    r: int
-    shift: int
+class OddTorsion(Ordered):
+    __slots__ = _fields = ("p", "r", "shift")
 
-    def __post_init__(self):
-        if self.r < 1:
+    def __init__(self, p: int, r: int, shift: int):
+        if r < 1:
             raise ValueError("odd torsion exponent must be positive")
-        if self.p < 3 or self.p % 2 == 0 or factor_prime_powers(self.p) != [(self.p, 1)]:
-            raise ValueError(f"{self.p} is not an odd prime")
+        if p < 3 or p % 2 == 0 or factor_prime_powers(p) != [(p, 1)]:
+            raise ValueError(f"{p} is not an odd prime")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "shift", shift)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p and self.r == other.r and self.shift == other.shift
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.r, self.shift))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.r, self.shift) < (other.p, other.r, other.shift)
+        return NotImplemented
 
     def twisted(self, q: int) -> OddTorsion:
         return OddTorsion(self.p, self.r, self.shift + q)
@@ -138,18 +179,24 @@ class NormalForm:
         return NormalForm(self.blocks + other.blocks)
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    cells: tuple
-    detail: str
+class Violation(Frozen):
+    __slots__ = _fields = ("kind", "cells", "detail")
+
+    def __init__(self, kind: str, cells: tuple, detail: str):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple
-    # the attachment data as a FreeComplex, once ids and weights are valid
-    free_complex: FreeComplex | None = field(default=None, compare=False, repr=False)
+class ValidationReport(Frozen):
+    __slots__ = ("violations", "free_complex")
+    # the attachment data as a FreeComplex, once ids and weights are valid,
+    # is neither compared nor shown
+    _fields = ("violations",)
+
+    def __init__(self, violations: tuple, free_complex: FreeComplex | None = None):
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "free_complex", free_complex)
 
     @property
     def ok(self) -> bool:

@@ -1,0 +1,86 @@
+"""Immutable value classes, written out by hand.
+
+``Record`` gives a class of named fields a ``Name(field=value, ...)``
+repr and equality on the tuple of the field values, only within one
+class.  ``Frozen`` adds hashing on that tuple and an ``AttributeError`` on
+assignment, and ``Ordered`` the order of those tuples.  No code is
+generated or executed when a class is defined, so importing a layer costs
+only its own code.
+
+A subclass names its compared and shown fields in ``_fields``, in order;
+a Frozen one sets each of its slots in its own ``__init__`` through
+``object.__setattr__``.  The value types built in hot loops write
+``__eq__``, ``__hash__`` and ``__lt__`` out field by field; a class that
+defines ``__eq__`` must define ``__hash__`` too, or Python drops it.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    """Named fields, listed in ``_fields``: a ``Name(field=value, ...)``
+    repr and equality on the field values, within one class.  A record
+    may change, so it has no hash."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    __hash__ = None
+
+
+class Frozen(Record):
+    """A record that never changes after ``__init__``, hashed as the tuple
+    of its field values."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        """Copying and unpickling set the fields past ``__setattr__``."""
+        if isinstance(state, tuple):  # (instance dict or None, slot values)
+            state = {**(state[0] or {}), **state[1]}
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class Ordered(Frozen):
+    """A Frozen class ordered as the tuples of its field values, within
+    one class; comparing two classes raises TypeError.  Each subclass
+    writes its own ``__lt__``, the comparison that sorting uses."""
+
+    __slots__ = ()
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() <= other._values()
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() > other._values()
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() >= other._values()
+        return NotImplemented

@@ -8,15 +8,14 @@ signature) with equal parity.  The fundamental ideal I^q corresponds to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .values import Frozen
 
 
 class InvalidParity(ValueError):
     """rank and signature of a GW class must have equal parity."""
 
 
-@dataclass(frozen=True)
-class GWElement:
+class GWElement(Frozen):
     """An element of GW(k) as a (rank, signature) pair of equal parity.
 
     >>> EPSILON * EPSILON == GW_ONE
@@ -25,14 +24,21 @@ class GWElement:
     True
     """
 
-    rank: int
-    signature: int
+    __slots__ = _fields = ("rank", "signature")
 
-    def __post_init__(self):
-        if (self.rank - self.signature) % 2 != 0:
-            raise InvalidParity(
-                f"rank {self.rank} and signature {self.signature} differ in parity"
-            )
+    def __init__(self, rank: int, signature: int):
+        if (rank - signature) % 2 != 0:
+            raise InvalidParity(f"rank {rank} and signature {signature} differ in parity")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "signature", signature)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rank == other.rank and self.signature == other.signature
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rank, self.signature))
 
     def __add__(self, other: GWElement) -> GWElement:
         return GWElement(self.rank + other.rank, self.signature + other.signature)

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -530,6 +531,12 @@ SRC = str(Path(mwtate.__file__).resolve().parents[1])
 PROBE = """
 import json, os, sys
 from mwtate.cli import main
+if os.environ.get("PROBE_CASES"):  # run only the first cases of each suite
+    import itertools
+    from mwtate import checks
+    cut = int(os.environ["PROBE_CASES"])
+    checks.SUITES = {name: lambda seed, suite=suite: itertools.islice(suite(seed), cut)
+                     for name, suite in checks.SUITES.items()}
 code = main(sys.argv[1:])
 names = os.environ["PROBE_MODULES"].split(",")
 print(json.dumps([n for n in names if n in sys.modules]), file=sys.stderr)
@@ -537,14 +544,29 @@ sys.exit(code)
 """
 
 
-def run_fresh(argv, probe=(), **env):
-    """(exit code, stdout, stderr) of ``main(argv)`` in a new process."""
+def _fresh_env(probe=(), **env):
     full = {k: v for k, v in os.environ.items() if k != "MWTATE_LOG"}
     full.update(env, PROBE_MODULES=",".join(probe))
     full["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, full.get("PYTHONPATH")]))
+    return full
+
+
+def run_fresh(argv, probe=(), **env):
+    """(exit code, stdout, stderr) of ``main(argv)`` in a new process."""
     res = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True,
-                         text=True, env=full, timeout=60)
+                         text=True, env=_fresh_env(probe, **env), timeout=60)
     return res.returncode, res.stdout, res.stderr
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_run():
+    """bench/run.py as a module; it puts bench/ on sys.path for its helpers."""
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestVerbImports:
@@ -567,6 +589,111 @@ class TestVerbImports:
         assert code == 0
         assert out == (GOLDEN / "tensor.out").read_text()
         assert not {"mwtate.bockstein", "mwtate.checks"} & set(json.loads(err.splitlines()[-1]))
+
+    # what a verb may load past the block calculus, and the interpreter's
+    # own dataclasses, which a verb must not add
+    PROBED = ("dataclasses", "mwtate.checks", "mwtate.cohomology", "mwtate.geometry",
+              "mwtate.bockstein", "mwtate.bockstein.pages", "mwtate.bockstein.analysis",
+              "mwtate.bockstein.fibers", "mwtate.bockstein.couple",
+              "mwtate.bockstein.steenrod")
+    # suite: the layers it runs, with the layers those import
+    SUITE_LAYERS = {
+        "block-pages": {"mwtate.bockstein.pages"},
+        "bounded": {"mwtate.bockstein.pages", "mwtate.cohomology"},
+        "couple": {"mwtate.bockstein.couple"},
+        "decompose": {"mwtate.cohomology"},
+        "degeneracy": {"mwtate.bockstein.pages"},
+        "hom-cone": {"mwtate.cohomology"},
+        "hp1": {"mwtate.geometry", "mwtate.cohomology"},
+        "kunneth": {"mwtate.bockstein.analysis", "mwtate.bockstein.fibers",
+                    "mwtate.bockstein.pages"},
+        "leibniz": {"mwtate.bockstein.analysis", "mwtate.bockstein.fibers",
+                    "mwtate.bockstein.pages"},
+        "pbundle": {"mwtate.bockstein.pages", "mwtate.cohomology", "mwtate.geometry"},
+        "steenrod": {"mwtate.bockstein.steenrod"},
+        "tensor-witt": {"mwtate.cohomology"},
+        "torsion-profile": {"mwtate.bockstein.pages", "mwtate.cohomology"},
+        "truncated": {"mwtate.bockstein.analysis", "mwtate.bockstein.fibers",
+                      "mwtate.bockstein.pages"},
+    }
+
+    @pytest.fixture(scope="class")
+    def bare_dataclasses(self):
+        """Whether a bare interpreter, with the same environment, already
+        loads dataclasses (a site hook may)."""
+        probe = "import sys; print('dataclasses' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             timeout=60, check=True)
+        return res.stdout.strip() == "True"
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        """name: (argv, benchmark verdict, modules loaded) for every verb of
+        the benchmark's cli workload, each run in a new process: the seeded
+        verbs of round 0, the fixed verbs and the former fault cases."""
+        run = _bench_run()
+        stored = json.loads((BENCH / "expected_cli.json").read_text())
+        out = {}
+        for _, name, (argv, stdin, how) in run.cli_round_ops(1, 0):
+            res = subprocess.run(
+                [sys.executable, "-c", PROBE, *argv], input=stdin, capture_output=True,
+                text=True, timeout=60, env=_fresh_env(self.PROBED),
+            )
+            *err, probe = res.stderr.splitlines()
+            verdict, _ = run.judge_cli(how, res.returncode, res.stdout, "\n".join(err), stored)
+            out[name] = (argv, verdict, set(json.loads(probe)))
+        return out
+
+    def test_workload_verbs_answer(self, workload):
+        assert len(workload) == 17
+        assert {name: verdict for name, (_, verdict, _) in workload.items()} == dict.fromkeys(
+            workload, "ok"
+        )
+
+    def test_no_workload_verb_loads_dataclasses(self, workload, bare_dataclasses):
+        loading = [name for name, (_, _, loaded) in workload.items() if "dataclasses" in loaded]
+        assert bare_dataclasses or loading == []
+
+    def test_page_verbs_load_only_the_page_tables(self, workload):
+        page_verbs = {name: loaded for name, (argv, _, loaded) in workload.items()
+                      if argv[0] in ("pages", "pbundle-hp1")}
+        assert sorted(page_verbs) == ["pages", "pbundle-hp1"]
+        for loaded in page_verbs.values():
+            assert {n for n in loaded if n.startswith("mwtate.bockstein")} == {
+                "mwtate.bockstein", "mwtate.bockstein.pages"
+            }
+
+    def test_other_workload_verbs_load_no_bockstein(self, workload):
+        for name, (argv, _, loaded) in workload.items():
+            if argv[0] not in ("pages", "pbundle-hp1", "check"):
+                assert not {n for n in loaded if n.startswith(("mwtate.bockstein",
+                                                               "mwtate.checks"))}, name
+
+    def test_workload_checks_load_only_their_suites_layers(self, workload):
+        checks = {name: (argv, loaded) for name, (argv, _, loaded) in workload.items()
+                  if argv[0] == "check"}
+        assert len(checks) == 4
+        for name, (argv, loaded) in checks.items():
+            suite = argv[argv.index("--suite") + 1]
+            layers = loaded - {"dataclasses", "mwtate.checks", "mwtate.bockstein"}
+            assert layers == self.SUITE_LAYERS[suite], name
+
+    @pytest.mark.parametrize("suite", sorted(SUITE_LAYERS))
+    def test_check_loads_only_the_layers_of_its_suite(self, suite, bare_dataclasses):
+        # the suite is cut to its first three cases: it imports its layers
+        # before the first one, and the decompose suite takes 20 s in full
+        code, out, err = run_fresh(["check", "--suite", suite], self.PROBED, PROBE_CASES="3")
+        assert code == 0 and out == f"pass  {suite}: 3 cases\n"
+        loaded = set(json.loads(err.splitlines()[-1]))
+        assert loaded - {"dataclasses", "mwtate.checks", "mwtate.bockstein"} == (
+            self.SUITE_LAYERS[suite]
+        )
+        assert bare_dataclasses or "dataclasses" not in loaded
+
+    def test_every_suite_has_its_layers_listed(self):
+        from mwtate import checks
+
+        assert sorted(self.SUITE_LAYERS) == sorted(checks.SUITES)
 
 
 class TestLogLevel:
