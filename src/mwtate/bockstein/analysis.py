@@ -48,11 +48,6 @@ def _page_pieces(a: NormalForm, i: int):
 class KunnethReport(Frozen):
     __slots__ = _fields = ("equal", "pages_checked", "first_discrepancy")
 
-    def __init__(self, equal: bool, pages_checked: tuple, first_discrepancy: tuple | None):
-        object.__setattr__(self, "equal", equal)
-        object.__setattr__(self, "pages_checked", pages_checked)
-        object.__setattr__(self, "first_discrepancy", first_discrepancy)
-
     def __bool__(self):
         return self.equal
 
@@ -88,10 +83,7 @@ def kunneth_e2(a: NormalForm, b: NormalForm) -> KunnethReport:
 
 class CheckReport(Frozen):
     __slots__ = _fields = ("holds", "detail")
-
-    def __init__(self, holds: bool, detail: tuple | None = None):
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "detail", detail)
+    _defaults = {"detail": None}
 
     def __bool__(self):
         return self.holds
@@ -247,10 +239,6 @@ def leibniz_check(j: int, k: int) -> CheckReport:
 
 class VGroupResult(Frozen):
     __slots__ = _fields = ("dim_V", "fiber_product")
-
-    def __init__(self, dim_V: int, fiber_product: FormalGroup):
-        object.__setattr__(self, "dim_V", dim_V)
-        object.__setattr__(self, "fiber_product", fiber_product)
 
 
 def _v_states(model: FiberModel, targets):

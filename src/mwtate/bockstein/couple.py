@@ -277,25 +277,10 @@ def torsion_order(c: ExactCouple, cap: int = 64) -> int:
 class CoupleAnalysis(Frozen):
     # no __slots__: the fields stay readable as vars(analysis)
     _fields = (
-        "pages", "e_infinity", "torsion_order",
+        "pages",  # pages[m] = {degree: FormalGroup} for E_{m+1}
+        "e_infinity", "torsion_order",
         "four_term_exact", "identification_holds", "degeneration_holds",
     )
-
-    def __init__(
-        self,
-        pages: tuple,  # pages[m] = {degree: FormalGroup} for E_{m+1}
-        e_infinity: dict,
-        torsion_order: int,
-        four_term_exact: bool,
-        identification_holds: bool,
-        degeneration_holds: bool,
-    ):
-        object.__setattr__(self, "pages", pages)
-        object.__setattr__(self, "e_infinity", e_infinity)
-        object.__setattr__(self, "torsion_order", torsion_order)
-        object.__setattr__(self, "four_term_exact", four_term_exact)
-        object.__setattr__(self, "identification_holds", identification_holds)
-        object.__setattr__(self, "degeneration_holds", degeneration_holds)
 
 
 def _page_invariants(c: ExactCouple) -> dict:
@@ -345,8 +330,6 @@ def _four_term_exact(c: ExactCouple, r: int) -> bool:
         to_einf = intmat.hstack(intmat.identity(kerk.cols), minus_j)
         if not m_group.subgroups_equal(kernel(to_einf, einf_group.rels), dm):
             return False
-        # to_einf is onto: its first kerk.cols columns are the identity
-        # columns, the generators of E_inf, so no solve is spent on it
     return True
 
 
@@ -437,9 +420,10 @@ def bockstein_couple(complex_: FreeComplex) -> ExactCouple:
         delta = intmat.transpose(complex_.differential(deg))
         delta_in = intmat.transpose(complex_.differential(deg - 1))
         ker = intmat.kernel_basis(delta)
-        # a basis of the lattice {x : delta x in 2Z}, from the kernel of [delta | 2I]
+        # the lattice {x : delta x in 2Z} holds 2Z^n, so the columns of its
+        # Hermite form are a basis of it
         two = intmat.scalar(delta.rows, 2)
-        basis = lattices[deg] = _lattice_basis(intmat.kernel_mod_lattice(delta, two))
+        basis = lattices[deg] = intmat.kernel_mod_lattice(delta, two)
         # E relations: [2I | delta_in] in the basis; j: the kernel in it
         rhs = intmat.hstack(intmat.hstack(intmat.scalar(n, 2), delta_in), ker)
         rels, j = _split(_coordinates(None, basis, rhs), n + delta_in.cols)
@@ -460,10 +444,3 @@ def bockstein_couple(complex_: FreeComplex) -> ExactCouple:
             map_k[deg - 1] = k
     return ExactCouple(d_groups, e_groups, map_i, map_j, map_k)
 
-
-def _lattice_basis(gens: Mat) -> Mat:
-    """A basis of the full-rank lattice spanned by the columns of gens."""
-    _u, s, _v, uinv = intmat._smith(gens, uinv=True)
-    diag = intmat.diagonal(s)
-    cols = [[x * d for x in uinv.column(i)] for i, d in enumerate(diag) if d]
-    return Mat.from_columns(cols, gens.rows)

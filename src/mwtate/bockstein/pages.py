@@ -250,9 +250,6 @@ class WittProfile(Frozen):
 
     __slots__ = _fields = ("x",)
 
-    def __init__(self, x: tuple):
-        object.__setattr__(self, "x", x)
-
     @classmethod
     def of(cls, h: GradedGroup) -> WittProfile:
         data: dict[tuple[int, int], int] = {}

@@ -126,28 +126,9 @@ def reduce_element(elem: frozenset, rules, max_steps: int = 10000):
 class EntryReport(Frozen):
     __slots__ = _fields = ("position", "start", "normal_form", "reduced_to_zero", "trace")
 
-    def __init__(
-        self,
-        position: tuple,
-        start: frozenset,
-        normal_form: frozenset,
-        reduced_to_zero: bool,
-        trace: tuple,
-    ):
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "normal_form", normal_form)
-        object.__setattr__(self, "reduced_to_zero", reduced_to_zero)
-        object.__setattr__(self, "trace", trace)
-
 
 class DSquareReport(Frozen):
     __slots__ = _fields = ("entries", "all_zero", "rules_used")
-
-    def __init__(self, entries: tuple, all_zero: bool, rules_used: str):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "all_zero", all_zero)
-        object.__setattr__(self, "rules_used", rules_used)
 
     def entry(self, row: int, col: int) -> EntryReport:
         for e in self.entries:

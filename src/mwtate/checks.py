@@ -72,12 +72,7 @@ def __getattr__(name):
 
 class SuiteResult(Frozen):
     __slots__ = _fields = ("name", "passed", "cases", "detail")
-
-    def __init__(self, name: str, passed: bool, cases: int, detail: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "cases", cases)
-        object.__setattr__(self, "detail", detail)
+    _defaults = {"detail": ""}
 
     def line(self) -> str:
         mark = "pass" if self.passed else "FAIL"

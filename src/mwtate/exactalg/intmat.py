@@ -5,12 +5,12 @@ Python ints plus an explicit column count, so every shape, 0 x n, n x 0
 and 0 x 0 included, is a value like any other and every computation is
 arbitrary precision by construction.  Kernels, column Hermite forms,
 exact solving and lattice membership come from one echelon elimination
-by Euclidean column steps; diagonal presentations from the Smith normal
-form by row and column steps, with just the transforms asked for.
-Invariant factors alone come from :func:`invariant_factors`, which
-eliminates exact pivots on sparse {column: entry} rows, the form in which
-a FreeComplex keeps its differentials, and works modulo a determinant on
-what is left, so no entry outgrows the input's Hadamard bound.
+by Euclidean column steps.  :func:`invariant_factors` eliminates exact
+pivots on sparse {column: entry} rows, the form in which a FreeComplex
+keeps its differentials, and works modulo a determinant on what is left,
+so no entry outgrows the input's Hadamard bound.  That modular
+elimination and the Smith form, which diagonalizes presentations with
+just the transforms asked for, share one Euclidean step, _clear_pivot.
 """
 
 from __future__ import annotations
@@ -129,92 +129,99 @@ def _smith(m: Mat, *, u=False, v=False, uinv=False):
     u_rows = identity(rows).a if u else None
     uinv_t = identity(rows).a if uinv else None
     v_t = identity(cols).a if v else None
-
-    def add(a, i, j, q):
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-
-    def swap(a, i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def row_add(i, j, q):
-        # R_i += q*R_j on S and U; inverse column op on Uinv.
-        add(s, i, j, q)
-        if u_rows is not None:
-            add(u_rows, i, j, q)
-        if uinv_t is not None:
-            add(uinv_t, j, i, -q)
-
-    def col_add(j, i, q, t):
-        # C_j += q*C_i on S and V.  Rows above t of S are zero outside
-        # the diagonal.
-        for r in range(t, rows):
-            sr = s[r]
-            sr[j] += q * sr[i]
-        if v_t is not None:
-            add(v_t, j, i, q)
-
-    def row_swap(i, j):
-        swap(s, i, j)
-        for a in (u_rows, uinv_t):
-            if a is not None:
-                swap(a, i, j)
-
-    def col_swap(i, j):
-        for sr in s:
-            sr[i], sr[j] = sr[j], sr[i]
-        if v_t is not None:
-            swap(v_t, i, j)
-
-    def row_negate(i):
-        for a in (s, u_rows, uinv_t):
-            if a is not None:
-                a[i] = [-x for x in a[i]]
-
     for t in range(min(rows, cols)):
         pivot = _smallest_entry(s, t, rows, cols)
         if pivot is None:
             break
-        if pivot[0] != t:
-            row_swap(t, pivot[0])
-        if pivot[1] != t:
-            col_swap(t, pivot[1])
-
-        while True:
-            # Clear column t with Euclidean row steps.
-            dirty = False
-            for i in range(t + 1, rows):
-                if s[i][t] != 0:
-                    row_add(i, t, -(s[i][t] // s[t][t]))
-                    if s[i][t] != 0:
-                        row_swap(i, t)
-                        dirty = True
-            if dirty:
-                continue
-            # Clear row t with Euclidean column steps.
-            st = s[t]
-            for j in range(t + 1, cols):
-                if st[j] != 0:
-                    col_add(j, t, -(st[j] // st[t]), t)
-                    if st[j] != 0:
-                        col_swap(j, t)
-                        dirty = True
-            if dirty:
-                continue
-            # Fold in any entry the pivot does not divide yet.
-            d = st[t]
-            offender = None if d in (1, -1) else _non_multiple_row(s, t, rows, d)
-            if offender is None:
-                break
-            row_add(t, offender, 1)
+        _clear_pivot(s, t, pivot, rows, cols, 0, u_rows, uinv_t, v_t)
         if s[t][t] < 0:
-            row_negate(t)
-
+            for a in (s, u_rows, uinv_t):
+                if a is not None:
+                    a[t] = [-x for x in a[t]]
     return (
         Mat(u_rows, rows) if u else None,
         Mat(s, cols),
         transpose(Mat(v_t, cols)) if v else None,
         transpose(Mat(uinv_t, rows)) if uinv else None,
     )
+
+
+def _clear_pivot(s, t, pivot, rows, cols, modulus=0, u_rows=None, uinv_t=None, v_t=None):
+    """The Euclidean step of :func:`_smith` and :func:`_modular_invariants`:
+    move ``pivot`` to (t, t) of ``s`` and clear row and column t until
+    gcd(pivot, modulus) divides the trailing block, reducing each new entry
+    modulo a nonzero ``modulus``.  Row steps go to ``u_rows`` and, inverted,
+    to the transposed ``uinv_t``; column steps to the transposed ``v_t``.
+    Rows above t are zero from column t on, so column steps skip them."""
+    i0, j0 = pivot
+    s[t], s[i0] = s[i0], s[t]
+    if u_rows is not None:
+        u_rows[t], u_rows[i0] = u_rows[i0], u_rows[t]
+    if uinv_t is not None:
+        uinv_t[t], uinv_t[i0] = uinv_t[i0], uinv_t[t]
+    if j0 != t:
+        for sr in s[t:]:
+            sr[t], sr[j0] = sr[j0], sr[t]
+        if v_t is not None:
+            v_t[t], v_t[j0] = v_t[j0], v_t[t]
+    while True:
+        # Clear column t with Euclidean row steps.
+        dirty = False
+        for i in range(t + 1, rows):
+            if s[i][t]:
+                q = s[i][t] // s[t][t]
+                if modulus:
+                    s[i] = [(x - q * y) % modulus for x, y in zip(s[i], s[t])]
+                else:
+                    _add_row(s, i, t, -q, u_rows, uinv_t)
+                if s[i][t]:
+                    s[t], s[i] = s[i], s[t]
+                    if u_rows is not None:
+                        u_rows[t], u_rows[i] = u_rows[i], u_rows[t]
+                    if uinv_t is not None:
+                        uinv_t[t], uinv_t[i] = uinv_t[i], uinv_t[t]
+                    dirty = True
+        if dirty:
+            continue
+        # Clear row t with Euclidean column steps.
+        st = s[t]
+        for j in range(t + 1, cols):
+            if st[j]:
+                q = st[j] // st[t]
+                if modulus:
+                    for sr in s[t:]:
+                        sr[j] = (sr[j] - q * sr[t]) % modulus
+                else:
+                    for sr in s[t:]:
+                        sr[j] -= q * sr[t]
+                    if v_t is not None:
+                        v_t[j] = [x - q * y for x, y in zip(v_t[j], v_t[t])]
+                if st[j]:
+                    for sr in s[t:]:
+                        sr[t], sr[j] = sr[j], sr[t]
+                    if v_t is not None:
+                        v_t[t], v_t[j] = v_t[j], v_t[t]
+                    dirty = True
+        if dirty:
+            continue
+        # Fold in the first row with an entry gcd(pivot, modulus) does not divide.
+        d = gcd(st[t], modulus)
+        offender = None if d == 1 else _non_multiple_row(s, t, rows, d)
+        if offender is None:
+            return
+        if modulus:
+            s[t] = [(x + y) % modulus for x, y in zip(st, s[offender])]
+        else:
+            _add_row(s, t, offender, 1, u_rows, uinv_t)
+
+
+def _add_row(s, i, j, q, u_rows, uinv_t):
+    """R_i += q*R_j on ``s`` and ``u_rows``, R_j -= q*R_i on ``uinv_t``."""
+    s[i] = [x + q * y for x, y in zip(s[i], s[j])]
+    if u_rows is not None:
+        u_rows[i] = [x + q * y for x, y in zip(u_rows[i], u_rows[j])]
+    if uinv_t is not None:
+        uinv_t[j] = [x - q * y for x, y in zip(uinv_t[j], uinv_t[i])]
 
 
 def _smallest_entry(s, t, rows, cols):
@@ -387,7 +394,7 @@ def _modular_invariants(a: list[list[int]], cols: int) -> list[int]:
         pivot = _smallest_entry(a, t, len(a), cols)
         if pivot is None:
             return out + [modulus] * (rank - t)
-        _clear_mod(a, t, pivot, modulus, len(a), cols)
+        _clear_pivot(a, t, pivot, len(a), cols, modulus)
         d = gcd(a[t][t], modulus)
         out.append(d)
         if shrink:
@@ -430,45 +437,6 @@ def _rank_and_minor(m: Mat) -> tuple[int, int]:
         prev = p
         rank += 1
     return rank, abs(prev)
-
-
-def _clear_mod(s, t, pivot, modulus, rows, cols):
-    """Euclidean elimination of row and column t of ``s`` modulo
-    ``modulus``, as in :func:`_smith`, until gcd(pivot, modulus) divides
-    every entry of the trailing block."""
-    i0, j0 = pivot
-    s[t], s[i0] = s[i0], s[t]
-    if j0 != t:
-        for sr in s[t:]:
-            sr[t], sr[j0] = sr[j0], sr[t]
-    while True:
-        dirty = False
-        for i in range(t + 1, rows):
-            if s[i][t]:
-                q = s[i][t] // s[t][t]
-                s[i] = [(x - q * y) % modulus for x, y in zip(s[i], s[t])]
-                if s[i][t]:
-                    s[t], s[i] = s[i], s[t]
-                    dirty = True
-        if dirty:
-            continue
-        st = s[t]
-        for j in range(t + 1, cols):
-            if st[j]:
-                q = st[j] // st[t]
-                for sr in s[t:]:
-                    sr[j] = (sr[j] - q * sr[t]) % modulus
-                if st[j]:
-                    for sr in s[t:]:
-                        sr[t], sr[j] = sr[j], sr[t]
-                    dirty = True
-        if dirty:
-            continue
-        d = gcd(st[t], modulus)
-        offender = None if d == 1 else _non_multiple_row(s, t, rows, d)
-        if offender is None:
-            return
-        s[t] = [(x + y) % modulus for x, y in zip(st, s[offender])]
 
 
 def _echelon(cols: list, rows: int) -> list:
@@ -614,7 +582,7 @@ def kernel_mod_lattice(a: Mat, rels: Mat) -> Mat:
     Mat([[1, 0], [1, 2]])
     """
     if a.rows != rels.rows:
-        raise ValueError("row mismatch in hstack")
+        raise ValueError("row mismatch in kernel_mod_lattice")
     return _kernel_part(a, rels)
 
 

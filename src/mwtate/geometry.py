@@ -46,21 +46,9 @@ from .motives import NonComposableResult  # noqa: E402
 
 
 class Hp1BundleClass(Frozen):
+    # euler: the canonical orbit representative, a GWElement, on rank 2 only;
+    # c2: an int, on rank >= 3 only
     __slots__ = _fields = ("rank", "euler", "c2", "is_free", "stably_free_nontrivial")
-
-    def __init__(
-        self,
-        rank: int,
-        euler: GWElement | None,  # canonical orbit representative, rank 2 only
-        c2: int | None,  # rank >= 3 only
-        is_free: bool,
-        stably_free_nontrivial: bool,
-    ):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "is_free", is_free)
-        object.__setattr__(self, "stably_free_nontrivial", stably_free_nontrivial)
 
 
 def hp1_classify(rank: int, datum) -> Hp1BundleClass:
@@ -145,11 +133,7 @@ def blowup_motive(
 
 class EtaCheckReport(Frozen):
     __slots__ = _fields = ("holds", "plain_cone_weights", "detail")
-
-    def __init__(self, holds: bool, plain_cone_weights: tuple, detail: str = ""):
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "plain_cone_weights", plain_cone_weights)
-        object.__setattr__(self, "detail", detail)
+    _defaults = {"detail": ""}
 
 
 def blowup_eta_check(result: NormalForm) -> EtaCheckReport:

@@ -182,11 +182,6 @@ class NormalForm:
 class Violation(Frozen):
     __slots__ = _fields = ("kind", "cells", "detail")
 
-    def __init__(self, kind: str, cells: tuple, detail: str):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "detail", detail)
-
 
 class ValidationReport(Frozen):
     __slots__ = ("violations", "free_complex")

@@ -7,11 +7,17 @@ assignment, and ``Ordered`` the order of those tuples.  No code is
 generated or executed when a class is defined, so importing a layer costs
 only its own code.
 
-A subclass names its compared and shown fields in ``_fields``, in order;
-a Frozen one sets each of its slots in its own ``__init__`` through
-``object.__setattr__``.  The value types built in hot loops write
-``__eq__``, ``__hash__`` and ``__lt__`` out field by field; a class that
-defines ``__eq__`` must define ``__hash__`` too, or Python drops it.
+A subclass names its compared and shown fields in ``_fields``, in order.
+The report classes share ``Frozen.__init__``, which binds its arguments
+to ``_fields`` as a dataclass's would and fills the fields left out from
+``_defaults``.  Four kinds keep their own ``__init__``: the value types
+built in hot loops, since setting each slot by name is about a third
+faster, and some validate their arguments; ``HModule``, which sorts its
+generators; ``ValidationReport``, whose ``free_complex`` is a slot but
+not a field; and the ``Record`` classes, which may change.  The hot types
+also write ``__eq__``, ``__hash__`` and ``__lt__`` out field by field; a
+class that defines ``__eq__`` must define ``__hash__`` too, or Python
+drops it.
 """
 
 from __future__ import annotations
@@ -42,9 +48,24 @@ class Record:
 
 class Frozen(Record):
     """A record that never changes after ``__init__``, hashed as the tuple
-    of its field values."""
+    of its field values; ``__init__`` binds them as a dataclass's would."""
 
     __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            given = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+            if (len(args) > len(fields) or given.keys() != set(fields)
+                    or not kwargs.keys().isdisjoint(fields[: len(args)])):
+                raise TypeError(
+                    f"{type(self).__name__}() takes the fields {', '.join(fields)};"
+                    f" got {len(args)} positional arguments and keywords {sorted(kwargs)}"
+                )
+            args = [given[f] for f in fields]
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

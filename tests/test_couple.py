@@ -117,13 +117,12 @@ class TestRandomComplexes:
     @pytest.mark.parametrize("seed", range(8))
     def test_cartesian_rank_identity_at_low_torsion(self, seed):
         # couples with ker(i^2) = ker(i): the square D -> ker(k), Dbar -> E_2
-        # is Cartesian, so ranks satisfy rk D = rk ker(k) + rk Dbar - rk E_2
+        # is Cartesian, so ranks satisfy rk D = rk ker(k) + rk Dbar - rk E_2;
+        # a draw with deeper 2-torsion is passed over for the next one
         rng = random.Random(400 + seed)
-        c = random_adjacent_complex(rng)
-        cpl = bockstein_couple(c)
-        if torsion_order(cpl) != 1:
-            pytest.skip("fixture has deeper 2-torsion")
-        h = integer_cohomology(c, 0)
+        cpl = bockstein_couple(random_adjacent_complex(rng))
+        while torsion_order(cpl) != 1:
+            cpl = bockstein_couple(random_adjacent_complex(rng))
         e2 = _page_ranks(couple_derive(cpl))
         for deg in cpl.degrees():
             dg = cpl.dgroup(deg)
@@ -272,16 +271,21 @@ class TestPinnedAnalyses:
     # draws per seed: every page, presentation and coordinate must come
     # out the same.  The analyses were pinned before the subgroup questions
     # were batched into one solve each, the derived couples (their groups
-    # and maps alone) before ExactCouple lost its degree-shift fields.
+    # and maps alone) before ExactCouple lost its degree-shift fields.  The
+    # derived digests of seeds 1, 3 and 7 were restated when the E groups
+    # of bockstein_couple took the Hermite basis of their lattice in place
+    # of a basis rebuilt from its Smith form: the same lattice in another
+    # basis, so other presentations, with the invariants of
+    # PINNED_INVARIANTS and every analysis unchanged.
     PINNED = [
         (0, "519aa24cc9f125ce", "d1d4c4aa26692d6d"),
-        (1, "0809a920d5b0fea0", "41c576d3e3980e51"),
+        (1, "0809a920d5b0fea0", "e5eef8f8592ccccc"),
         (2, "c808df5b98eb6983", "cad94224a87a0f2c"),
-        (3, "f09feedc9028069f", "61923365ca8bde98"),
+        (3, "f09feedc9028069f", "a8b64b842a7405bb"),
         (4, "7ebfdb132049cb3d", "20e02396da4bb750"),
         (5, "c35f956f1372d235", "e4357845101530a0"),
         (6, "81ed0945fa5f76c3", "c3d2247746c0d852"),
-        (7, "5be2fc2882ffb6f8", "0d7a34cecdc23119"),
+        (7, "5be2fc2882ffb6f8", "c2cb593be8f70ad9"),
     ]
 
     # the same for each DEEP_TORSION fixture (torsion orders 4, 3, 5 and 1),
@@ -302,12 +306,14 @@ class TestPinnedAnalyses:
         return (c.d_groups, c.e_groups, c.map_i, c.map_j, c.map_k)
 
     # the same, plus the built couples, for five gap_complex draws per seed:
-    # deriving must keep each k' map into a zero D' as a matrix without rows
+    # deriving must keep each k' map into a zero D' as a matrix without rows.
+    # For the same change of E basis the built digests of seeds 0-3 and the
+    # derived digests of seeds 2 and 3 were restated.
     PINNED_GAPS = [
-        (0, "193c9c3dc7be49d7", "66c13b5c2f75484e", "9fba0629cc6d9f17"),
-        (1, "ce634a3822f7133e", "9b206a313cd57d33", "e61fb4ae37075c74"),
-        (2, "7a655ad9b042ce1b", "9b0d608dc7870bc6", "713a2414f115ecde"),
-        (3, "a5dfdedbf8708cb2", "4c4cb2aa40acfc67", "1bcfea87c576af46"),
+        (0, "970ed30efd5cdcb1", "66c13b5c2f75484e", "9fba0629cc6d9f17"),
+        (1, "f71e2db8903987fa", "9b206a313cd57d33", "e61fb4ae37075c74"),
+        (2, "00b2881b611b928a", "9b0d608dc7870bc6", "7c4e0d502d3e23fe"),
+        (3, "bb9eee715cc3b56a", "4c4cb2aa40acfc67", "9b03079475d0c237"),
     ]
 
     @pytest.mark.parametrize("seed, analyses, derived", PINNED)
@@ -333,6 +339,39 @@ class TestPinnedAnalyses:
         derived_couples = [couple_derive(c) for c in couples]
         assert self.digest([self.content(c) for c in derived_couples]) == derived
         assert any(m.rows == 0 for c in derived_couples for m in c.map_k.values())
+
+    # the invariants of every D and E group of the built couples above, and
+    # the E groups of their derived couples: what a change of basis in a
+    # presentation keeps, pinned before the E lattices lost their Smith basis
+    PINNED_INVARIANTS = [
+        ("adjacent", 0, "9932a5e6db4d6163"),
+        ("adjacent", 1, "2a3e638030939411"),
+        ("adjacent", 2, "6a19e50c4c15db65"),
+        ("adjacent", 3, "7c62db4ff560798d"),
+        ("adjacent", 4, "c2becaa41bd2ac27"),
+        ("adjacent", 5, "1ddc847d0a9ef609"),
+        ("adjacent", 6, "149925f75d8f133f"),
+        ("adjacent", 7, "765442c5d28925be"),
+        ("gap", 0, "8cf33eaf5014b380"),
+        ("gap", 1, "66eef4c1faa71552"),
+        ("gap", 2, "7bcefd43bfb6aee3"),
+        ("gap", 3, "8469ae6c03d777d5"),
+        ("deep", 0, "600f2c9ccc436b9f"),
+        ("deep", 1, "018a641be632a278"),
+        ("deep", 2, "c9a57c2fd9ac89e6"),
+        ("deep", 3, "75d7d1708377191b"),
+    ]
+
+    @pytest.mark.parametrize("kind, seed, invariants", PINNED_INVARIANTS)
+    def test_same_invariants(self, kind, seed, invariants):
+        rng = random.Random(seed)
+        draw = random_adjacent_complex if kind == "adjacent" else gap_complex
+        complexes = [DEEP_TORSION[seed]] if kind == "deep" else [draw(rng) for _ in range(5)]
+        got = []
+        for c in map(bockstein_couple, complexes):
+            built = {d: (c.dgroup(d).invariants(), c.egroup(d).invariants()) for d in c.degrees()}
+            got.append((built, couple._page_invariants(couple_derive(c))))
+        assert self.digest(got) == invariants
 
 
 GAP_ENTRIES = (0, 0, 1, -1, 2, -2, 4, -4, 8, 3, 6)

@@ -15,6 +15,7 @@ Fresh models, as drawn here, compare alike either way.
 
 import copy
 import importlib
+import inspect
 import itertools
 import pickle
 import random
@@ -492,3 +493,22 @@ def test_copy_and_pickle(name):
     for r, _ in pairs(name, 3):
         for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
             assert type(twin) is type(r) and repr(twin) == repr(r) and twin == r
+
+
+@pytest.mark.parametrize("name", sorted(HOMES))
+def test_argument_errors(name):
+    # too many positional arguments, a missing field, an unknown keyword
+    # and a field given twice: TypeError from the class and from its twin
+    params = inspect.signature(TWINS[name]).parameters
+    required = [p for p, v in params.items() if v.default is inspect.Parameter.empty]
+    for r, _ in pairs(name, 3):
+        kw = {p: getattr(r, p) for p in params}
+        args = list(kw.values())
+        calls = [
+            lambda cls: cls(*args, 0),
+            lambda cls: cls(**kw, other=0),
+            lambda cls: cls(*args[:1], **kw),
+        ] + [lambda cls, f=f: cls(**{k: v for k, v in kw.items() if k != f}) for f in required]
+        for call in calls:
+            got, want = outcome(call, real(name)), outcome(call, TWINS[name])
+            assert got[:2] == want[:2] == ("raises", TypeError), (got, want)
