@@ -17,6 +17,8 @@ The degree d of a piece is the weight of its lowest tower, based at
 
 from __future__ import annotations
 
+import operator
+
 from ..exactalg import GradedGroup
 from ..motives import DyadicEta, Free, NormalForm
 from ..values import Frozen, Ordered
@@ -38,26 +40,6 @@ class Tower(Ordered):
         object.__setattr__(self, "height_key", height_key)  # 0: infinite, else the height
         object.__setattr__(self, "label", label)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.p == other.p
-                and self.q == other.q
-                and self.height_key == other.height_key
-                and self.label == other.label
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.q, self.height_key, self.label))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.q, self.height_key, self.label) < (
-                other.p, other.q, other.height_key, other.label
-            )
-        return NotImplemented
-
     @property
     def height(self):
         return INF if self.height_key == 0 else self.height_key
@@ -73,7 +55,7 @@ class Tower(Ordered):
 
 
 def tower(p: int, q: int, height=INF, label: str = "plain") -> Tower:
-    return Tower(p, q, 0 if height is INF else int(height), label)
+    return Tower(p, q, 0 if height is INF else operator.index(height), label)
 
 
 class Page(Frozen):

@@ -11,6 +11,8 @@ never dropped.  Cohomology is read off that split by one closed form,
 
 from __future__ import annotations
 
+import operator
+
 from ..values import Frozen
 from . import intmat
 from .groups import FormalGroup, GradedGroup, graded_kunneth
@@ -29,14 +31,6 @@ class FreeCell(Frozen):
     def __init__(self, degree: int):
         object.__setattr__(self, "degree", degree)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.degree == other.degree
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.degree,))
-
 
 class ConePair(Frozen):
     """Generators in degrees (lower, lower+1) with differential n >= 1."""
@@ -48,14 +42,6 @@ class ConePair(Frozen):
             raise ValueError("cone multiplier must be positive")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "lower_degree", lower_degree)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n and self.lower_degree == other.lower_degree
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.lower_degree))
 
 
 class FreeComplex:
@@ -72,10 +58,10 @@ class FreeComplex:
     __slots__ = ("ranks", "rows", "_mats", "_defects")
 
     def __init__(self, ranks, diffs=None):
-        self.ranks = {int(w): int(r) for w, r in ranks.items() if r}
+        self.ranks = {operator.index(w): operator.index(r) for w, r in ranks.items() if r}
         self.rows, self._mats, self._defects = {}, {}, None
         for w, m in (diffs or {}).items():
-            w = int(w)
+            w = operator.index(w)
             if not isinstance(m, Mat):
                 m = Mat([list(row) for row in m], self.rank(w + 1))
             self._keep(w, intmat.sparse_rows(m), m.cols)

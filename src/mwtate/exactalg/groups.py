@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from ..values import Frozen
 
@@ -144,14 +145,6 @@ class FormalGroup(Frozen):
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", tuple(sorted(torsion)))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.free_rank == other.free_rank and self.torsion == other.torsion
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.free_rank, self.torsion))
-
     @classmethod
     def from_invariants(cls, divisors) -> FormalGroup:
         """Build from cyclic orders, 0 meaning Z; units are dropped."""
@@ -232,7 +225,7 @@ class GradedGroup:
         if groups:
             for deg, g in groups.items():
                 if not g.is_zero():
-                    data[int(deg)] = g
+                    data[operator.index(deg)] = g
         self._groups = dict(sorted(data.items()))
 
     def __getitem__(self, degree: int) -> FormalGroup:

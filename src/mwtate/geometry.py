@@ -15,6 +15,8 @@ of the even codimension.
 
 from __future__ import annotations
 
+import operator
+
 from .motives import (
     DyadicEta,
     Free,
@@ -59,6 +61,7 @@ def hp1_classify(rank: int, datum) -> Hp1BundleClass:
     >>> hp1_classify(5, 7).is_free
     False
     """
+    rank = operator.index(rank)
     if rank < 2:
         raise RankTooSmall(f"rank must be at least 2, got {rank}")
     if rank == 2:
@@ -72,7 +75,7 @@ def hp1_classify(rank: int, datum) -> Hp1BundleClass:
             is_free=rep.is_zero(),
             stably_free_nontrivial=rep.rank == 0 and rep.signature != 0,
         )
-    c2 = int(datum)
+    c2 = operator.index(datum)
     return Hp1BundleClass(
         rank=rank, euler=None, c2=c2, is_free=c2 == 0, stably_free_nontrivial=False
     )

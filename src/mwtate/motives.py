@@ -60,19 +60,6 @@ class Free(Ordered):
     def __init__(self, weight: int):
         object.__setattr__(self, "weight", weight)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.weight == other.weight
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.weight,))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return self.weight < other.weight
-        return NotImplemented
-
     def twisted(self, q: int) -> Free:
         return Free(self.weight + q)
 
@@ -85,19 +72,6 @@ class DyadicEta(Ordered):
             raise ValueError("dyadic exponent must be nonnegative")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "weight", weight)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.t == other.t and self.weight == other.weight
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.t, self.weight))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.t, self.weight) < (other.t, other.weight)
-        return NotImplemented
 
     def twisted(self, q: int) -> DyadicEta:
         return DyadicEta(self.t, self.weight + q)
@@ -114,19 +88,6 @@ class OddTorsion(Ordered):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "shift", shift)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.p == other.p and self.r == other.r and self.shift == other.shift
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.r, self.shift))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.r, self.shift) < (other.p, other.r, other.shift)
-        return NotImplemented
 
     def twisted(self, q: int) -> OddTorsion:
         return OddTorsion(self.p, self.r, self.shift + q)

@@ -8,19 +8,22 @@ generated or executed when a class is defined, so importing a layer costs
 only its own code.
 
 A subclass names its compared and shown fields in ``_fields``, in order.
+When the class is created, ``_fields`` becomes one key, ``_key``, that
+reads the tuple of field values; equality, hash and order all compare
+that key, and no subclass writes them out again (``Page``, equal up to
+the order of its towers and arrows, is the one exception).
 The report classes share ``Frozen.__init__``, which binds its arguments
 to ``_fields`` as a dataclass's would and fills the fields left out from
 ``_defaults``.  Four kinds keep their own ``__init__``: the value types
 built in hot loops, since setting each slot by name is about a third
 faster, and some validate their arguments; ``HModule``, which sorts its
 generators; ``ValidationReport``, whose ``free_complex`` is a slot but
-not a field; and the ``Record`` classes, which may change.  The hot types
-also write ``__eq__``, ``__hash__`` and ``__lt__`` out field by field; a
-class that defines ``__eq__`` must define ``__hash__`` too, or Python
-drops it.
+not a field; and the ``Record`` classes, which may change.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 
 class Record:
@@ -31,8 +34,12 @@ class Record:
     __slots__ = ()
     _fields: tuple = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = vars(cls).get("_fields")
+        if fields:  # Frozen and Ordered name none; a subclass may inherit its key
+            get = attrgetter(*fields)
+            cls._key = staticmethod(get if len(fields) > 1 else lambda value: (get(value),))
 
     def __repr__(self):
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -40,7 +47,7 @@ class Record:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._key(self) == self._key(other)
         return NotImplemented
 
     __hash__ = None
@@ -81,27 +88,31 @@ class Frozen(Record):
             object.__setattr__(self, name, value)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._key(self))
 
 
 class Ordered(Frozen):
     """A Frozen class ordered as the tuples of its field values, within
-    one class; comparing two classes raises TypeError.  Each subclass
-    writes its own ``__lt__``, the comparison that sorting uses."""
+    one class; comparing two classes raises TypeError."""
 
     __slots__ = ()
 
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) < self._key(other)
+        return NotImplemented
+
     def __le__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() <= other._values()
+            return self._key(self) <= self._key(other)
         return NotImplemented
 
     def __gt__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() > other._values()
+            return self._key(self) > self._key(other)
         return NotImplemented
 
     def __ge__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() >= other._values()
+            return self._key(self) >= self._key(other)
         return NotImplemented

@@ -32,14 +32,6 @@ class GWElement(Frozen):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "signature", signature)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.rank == other.rank and self.signature == other.signature
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rank, self.signature))
-
     def __add__(self, other: GWElement) -> GWElement:
         return GWElement(self.rank + other.rank, self.signature + other.signature)
 

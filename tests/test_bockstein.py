@@ -70,6 +70,11 @@ class TestBlockPages:
         with pytest.raises(PageTooSmall):
             block_pages(Free(0), 1)
 
+    @pytest.mark.parametrize("bad", [2.7, 2.0, "2"])
+    def test_non_integer_height_refused(self, bad):
+        with pytest.raises(TypeError):
+            tower(2, 1, bad, "v")
+
 
 class TestPagesFromWitt:
     def test_free_profile(self):

@@ -329,7 +329,6 @@ class TestPinnedAnalyses:
         assert self.digest(couple_analyze(cpl)) == analysis
         assert self.digest(self.content(couple_derive(cpl))) == derived
 
-
     @pytest.mark.parametrize("seed, built, analyses, derived", PINNED_GAPS)
     def test_same_gap_analyses(self, seed, built, analyses, derived):
         rng = random.Random(seed)

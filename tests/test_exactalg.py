@@ -718,6 +718,17 @@ class TestIntegerCohomology:
         c = FreeComplex({3: 1})
         assert integer_cohomology(c, 0) == GradedGroup({3: FormalGroup.free(1)})
 
+    @pytest.mark.parametrize("bad", [0.9, 1.0, "1"])
+    def test_non_integer_weight_or_rank_refused(self, bad):
+        # int() would truncate weight 0.9 to 0 and cohomology a complex
+        # that was never given
+        with pytest.raises(TypeError):
+            FreeComplex({bad: 1})
+        with pytest.raises(TypeError):
+            FreeComplex({0: bad})
+        with pytest.raises(TypeError):
+            FreeComplex({0: 1, 1: 1}, {bad: [[6]]})
+
     def test_cone_four_mod_two(self):
         # long exact sequence for multiplication by 2: Z/2 in two degrees
         c = FreeComplex({1: 1, 2: 1}, {1: [[4]]})
@@ -1158,6 +1169,11 @@ class TestFormalGroups:
         b = FormalGroup.from_invariants([6])
         assert a.tensor(b) == FormalGroup.from_invariants([6, 2])
         assert a.tor(b) == FormalGroup.from_invariants([2])
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, "1"])
+    def test_non_integer_degree_refused(self, bad):
+        with pytest.raises(TypeError):
+            GradedGroup({bad: FormalGroup.cyclic(2)})
 
     def test_graded_kunneth_places_tor_one_lower(self):
         a = GradedGroup({1: FormalGroup.cyclic(2)})

@@ -44,6 +44,14 @@ class TestClassify:
         with pytest.raises(RankTooSmall):
             hp1_classify(1, GWElement(0, 0))
 
+    @pytest.mark.parametrize("bad", [2.7, 3.0, "3"])
+    def test_non_integer_rank_or_c2_refused(self, bad):
+        # int() would truncate a c2 of 2.7 to 2, and a float rank was kept
+        with pytest.raises(TypeError):
+            hp1_classify(5, bad)
+        with pytest.raises(TypeError):
+            hp1_classify(bad, 7)
+
     def test_orbit_constancy(self):
         for rank in range(-3, 4):
             for sig in range(-3, 4):

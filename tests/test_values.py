@@ -6,7 +6,9 @@ dataclasses or executes generated code.  Its twin here is the old
 declaration, under the same name, so the two print alike.  On seeded field
 values the tests compare repr, equality within and across classes, hash,
 order, keyword, positional and default construction, validation, and
-assignment.
+assignment.  Equality, hash and order come from one key per class, built
+from ``_fields`` in ``mwtate.values``; ``test_one_comparison_protocol``
+checks that no class but ``Page`` writes them out again.
 
 One difference is deliberate: a ``FiberModel`` compares its generators and
 arrows only, where the dataclass also compared the fibers it had cached.
@@ -436,6 +438,14 @@ def test_equality_within_and_across_classes():
     for (r1, t1), (r2, t2) in itertools.product(values, repeat=2):
         assert (r1 == r2) == (t1 == t2), (r1, r2)
         assert (r1 != r2) == (t1 != t2), (r1, r2)
+
+
+@pytest.mark.parametrize("name", sorted(set(HOMES) - {"Page"}))
+def test_one_comparison_protocol(name):
+    # equality, hash and order come from the field key of mwtate.values;
+    # only Page, equal up to the order of its towers and arrows, writes its own
+    for method in ("__eq__", "__hash__", "__lt__"):
+        assert method not in vars(real(name)), method
 
 
 @pytest.mark.parametrize("name", sorted(HOMES))
