@@ -140,10 +140,11 @@ class FormalGroup(Frozen):
     __slots__ = _fields = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()):
+        free_rank = operator.index(free_rank)
         if free_rank < 0:
             raise ValueError("negative free rank")
         object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", tuple(sorted(torsion)))
+        object.__setattr__(self, "torsion", tuple(sorted(map(operator.index, torsion))))
 
     @classmethod
     def from_invariants(cls, divisors) -> FormalGroup:

@@ -7,8 +7,8 @@ arbitrary precision by construction.  Kernels, column Hermite forms,
 exact solving and lattice membership come from one echelon elimination
 by Euclidean column steps.  :func:`invariant_factors` eliminates exact
 pivots on sparse {column: entry} rows, the form in which a FreeComplex
-keeps its differentials, and works modulo a determinant on what is left,
-so no entry outgrows the input's Hadamard bound.  That modular
+keeps its differentials, and works modulo a gcd of minors on what is
+left, so no entry outgrows the input's Hadamard bound.  That modular
 elimination and the Smith form, which diagonalizes presentations with
 just the transforms asked for, share one Euclidean step, _clear_pivot.
 """
@@ -16,7 +16,7 @@ just the transforms asked for, share one Euclidean step, _clear_pivot.
 from __future__ import annotations
 
 from itertools import compress
-from math import gcd
+from math import gcd, prod
 
 
 class Mat:
@@ -281,7 +281,7 @@ def invariant_factors(m: Mat) -> list[int]:
 
     ``m`` is read as sparse rows, the form a FreeComplex keeps, and exact
     pivots are eliminated on them (Dumas, Saunders and Villard, J. Symb.
-    Comput. 32, 2001); the residual is eliminated modulo a determinant,
+    Comput. 32, 2001); the residual is eliminated modulo a gcd of minors,
     and the diagonal is brought into the chain d1 | d2 | ... by gcd and lcm.
 
     >>> invariant_factors(Mat([[2, 4], [6, 8]]))
@@ -368,38 +368,51 @@ def _exact_pivots(rows: list[dict]) -> tuple[list[int], list[dict]]:
 
 
 def _modular_invariants(a: list[list[int]], cols: int) -> list[int]:
-    """The nonzero invariant factors of the dense ``a``, modulo a
-    determinant.
+    """The nonzero invariant factors d1 | ... | dr of the dense ``a``,
+    modulo a gcd of minors (Domich, Kannan and Trotter, Math. Oper. Res.
+    12, 1987; Saunders and Wan, ISSAC 2004).
 
-    Let r be the rank and D one nonzero r x r minor.  The invariants
-    d1 | ... | dr divide D, so they are the first r entries of the Smith
-    form over Z/DZ, where every entry may be reduced mod D and a zero
-    pivot reads as D.  When ``a`` or its transpose has full row rank r,
-    its rows span a lattice of rank r in Z^r whose index divides D; each
-    diagonal entry d = gcd(pivot, R) then splits off Z/d and the order of
-    the rest divides R/d, so the modulus R shrinks to R/d as the
-    elimination goes on.
+    One fraction-free (Bareiss) pass, in which every entry is a minor of
+    ``a``, gives the rank r and the gcds of two of its trailing blocks: g
+    of the (r-1)-minors left after r-2 steps, which d1...d(r-1) divides,
+    and h of the r-minors left after r-1 steps, which d1...dr divides.  An
+    invariant that divides a modulus M is an entry of the Smith form over
+    Z/MZ, where each entry may be reduced mod M and a zero pivot reads as
+    M.  On a square nonsingular ``a``, h is |det a| = d1...dr, so d1 ...
+    d(r-1) come modulo g, which is small on dense input (no elimination at
+    all when g is 1), and dr is h over their product.  Otherwise all r
+    invariants come modulo h: h need not be d1...dr then, since the
+    r-minors left all share the first r-1 pivot rows and columns.
     """
-    m = Mat(a, cols)
-    rank, modulus = _rank_and_minor(m)
-    if rank == cols < len(a):
-        a, cols = transpose(m).a, len(a)
-    shrink = rank == len(a)
+    # the blocks the last two pivots came from; [[1]] holds the 0-minor
+    blocks, rest, prev = [None, [[1]]], a, 1
+    while rest and rest[0]:
+        top = next((row for row in rest if row[0]), None)
+        if top is None:
+            rest = [row[1:] for row in rest]
+            continue
+        blocks = [blocks[1], rest]
+        p, tail = top[0], top[1:]
+        rest = [[(p * y - row[0] * z) // prev for y, z in zip(row[1:], tail)]
+                for row in rest if row is not top]
+        prev = p
+    rank = len(a) - len(rest)
+    if not rank:
+        return []
+    g, h = (gcd(*(x for row in b for x in row)) for b in blocks)
+    square = rank == len(a) == cols
+    modulus, steps = (g, rank - 1) if square else (h, rank)
     out = []
-    for t in range(rank):
-        if modulus == 1:
-            return out + [1] * (rank - t)
-        for i in range(t, len(a)):
-            a[i] = [x % modulus for x in a[i]]
-        pivot = _smallest_entry(a, t, len(a), cols)
-        if pivot is None:
-            return out + [modulus] * (rank - t)
-        _clear_pivot(a, t, pivot, len(a), cols, modulus)
-        d = gcd(a[t][t], modulus)
-        out.append(d)
-        if shrink:
-            modulus //= d
-    return out
+    if modulus > 1:
+        a = [[x % modulus for x in row] for row in a]
+        for t in range(steps):
+            pivot = _smallest_entry(a, t, len(a), cols)
+            if pivot is None:
+                break
+            _clear_pivot(a, t, pivot, len(a), cols, modulus)
+            out.append(gcd(a[t][t], modulus))
+    out += [modulus] * (steps - len(out))
+    return out + [h // prod(out)] if square else out
 
 
 def _divisor_chain(ds: list[int]) -> list[int]:
@@ -413,30 +426,6 @@ def _divisor_chain(ds: list[int]) -> list[int]:
                 g = gcd(a, b)
                 rest[i], rest[j] = g, a // g * b
     return [1] * (len(ds) - len(rest)) + rest
-
-
-def _rank_and_minor(m: Mat) -> tuple[int, int]:
-    """Rank r of ``m`` and the absolute value of one nonzero r x r minor
-    (1 for rank 0), by fraction-free (Bareiss) elimination: every
-    intermediate entry is itself a minor, so none outgrows the input's
-    Hadamard bound."""
-    a = [row[:] for row in m.a]
-    rank, prev = 0, 1
-    for c in range(m.cols):
-        if rank == m.rows:
-            break
-        piv = next((i for i in range(rank, m.rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        top = a[rank]
-        p = top[c]
-        for i in range(rank + 1, m.rows):
-            x = a[i][c]
-            a[i] = [(p * y - x * z) // prev for y, z in zip(a[i], top)]
-        prev = p
-        rank += 1
-    return rank, abs(prev)
 
 
 def _echelon(cols: list, rows: int) -> list:

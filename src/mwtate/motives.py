@@ -58,7 +58,7 @@ class Free(Ordered):
     __slots__ = _fields = ("weight",)
 
     def __init__(self, weight: int):
-        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "weight", operator.index(weight))
 
     def twisted(self, q: int) -> Free:
         return Free(self.weight + q)
@@ -68,6 +68,7 @@ class DyadicEta(Ordered):
     __slots__ = _fields = ("t", "weight")
 
     def __init__(self, t: int, weight: int):
+        t, weight = operator.index(t), operator.index(weight)
         if t < 0:
             raise ValueError("dyadic exponent must be nonnegative")
         object.__setattr__(self, "t", t)
@@ -81,6 +82,7 @@ class OddTorsion(Ordered):
     __slots__ = _fields = ("p", "r", "shift")
 
     def __init__(self, p: int, r: int, shift: int):
+        p, r, shift = map(operator.index, (p, r, shift))
         if r < 1:
             raise ValueError("odd torsion exponent must be positive")
         if p < 3 or p % 2 == 0 or factor_prime_powers(p) != [(p, 1)]:

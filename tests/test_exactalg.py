@@ -3,6 +3,8 @@ import itertools
 import random
 import time
 from collections import Counter
+from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import given
@@ -198,8 +200,8 @@ class TestSmithProperties:
     def test_same_forms_and_invariants(self):
         # a sha256 prefix of every transform and diagonal _smith gives, and
         # of the invariant factors, of 400 seeded matrices up to 7 x 7;
-        # about half of them leave a residual to _modular_invariants, so
-        # the Euclidean step is pinned with and without a modulus
+        # 192 of them leave a residual to _modular_invariants and 75 hand
+        # it a modulus, so the Euclidean step is pinned with and without one
         rng = random.Random(11)
         out = []
         for _ in range(400):
@@ -262,12 +264,108 @@ class TestSparseInvariantFactors:
         # 6 * A * B with A 40 x 30 and B 30 x 40 dense: row and column
         # gcds are 6 and entries of +-6 are rare, so one exact pivot is
         # found and a rank-deficient 39 x 39 residual is left to the
-        # elimination modulo a determinant
+        # elimination modulo a gcd of minors
         monkeypatch.setattr(intmat, "column_reduce", _refuse)
         rng = random.Random(1)
         ab = intmat.matmul(random_mat(rng, 40, 30), random_mat(rng, 30, 40))
         m = Mat([[6 * x for x in row] for row in ab], 40)
         assert intmat.invariant_factors(m) == sympy_invariants(m)
+
+
+def spy_on(monkeypatch, name):
+    """Replace intmat.``name`` by a wrapper that records the arguments of
+    each call in the returned list and then calls the original."""
+    calls = []
+    original = getattr(intmat, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(intmat, name, spy)
+    return calls
+
+
+def fraction_det(m):
+    """The determinant of a square ``m`` by Gaussian elimination over the
+    rationals: an oracle that shares no code with the library."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n, det = len(a), Fraction(1)
+    for t in range(n):
+        i = next((i for i in range(t, n) if a[i][t]), None)
+        if i is None:
+            return 0
+        if i != t:
+            a[t], a[i] = a[i], a[t]
+            det = -det
+        p = a[t][t]
+        det *= p
+        for i in range(t + 1, n):
+            if a[i][t]:
+                q = a[i][t] / p
+                a[i][t:] = [x - q * y for x, y in zip(a[i][t:], a[t][t:])]
+    return det
+
+
+class TestModuloMinors:
+    # the residual _exact_pivots leaves is eliminated modulo a gcd of
+    # minors from one Bareiss pass: modulo g, a gcd of (r-1)-minors, on a
+    # square nonsingular residual, and modulo h, a gcd of r-minors, on any
+    # other; rank_deficient_mat draws rank 20, where sympy stays fast
+    DRAWS = {
+        "square": lambda rng: random_mat(rng, 40, 40),
+        "tall": lambda rng: random_mat(rng, 40, 28),
+        "wide": lambda rng: random_mat(rng, 28, 40),
+        "rank-deficient": lambda rng: rank_deficient_mat(rng, 40, 40, 20),
+    }
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", sorted(DRAWS))
+    def test_dense_40_match_sympy(self, monkeypatch, kind, seed):
+        m = self.DRAWS[kind](random.Random(seed))
+        residuals = spy_on(monkeypatch, "_modular_invariants")
+        got = intmat.invariant_factors(m)
+        assert got == sympy_invariants(m)
+        [((a, cols), _)] = residuals
+        assert {"square": len(a) == cols, "tall": len(a) > cols, "wide": len(a) < cols,
+                "rank-deficient": len(got) == 20 < min(len(a), cols)}[kind]
+
+    def test_rectangular_needs_every_r_minor(self):
+        # the r-minors left after r-1 Bareiss steps all hold row 0, whose
+        # minors share the factor 2; the one without it is 1, so h = 2
+        # overstates d1 d2 = 1 and only elimination modulo h finds it
+        assert intmat._modular_invariants([[2, 0], [1, 1], [0, 1]], 2) == [1, 1]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_80_product_is_fraction_determinant(self, seed):
+        m = random_mat(random.Random(seed), 80, 80)
+        got = intmat.invariant_factors(m)
+        assert len(got) == 80
+        assert all(b % a == 0 for a, b in zip(got, got[1:]))
+        assert got[0] == gcd(*(x for row in m for x in row))
+        det = fraction_det(m.a)
+        assert det.denominator == 1 and prod(got) == abs(det.numerator)
+
+    def test_square_with_g_one_makes_no_euclidean_step(self, monkeypatch):
+        # dense 20 x 20, seed 0, leaves a square nonsingular residual whose
+        # (r-1)-minors after r-2 Bareiss steps have gcd 1, so d1 ... d(r-1)
+        # are 1 and dr is |det|, with no elimination
+        m = random_mat(random.Random(0), 20, 20)
+        residuals = spy_on(monkeypatch, "_modular_invariants")
+        monkeypatch.setattr(intmat, "_clear_pivot", _refuse)
+        got = intmat.invariant_factors(m)
+        assert got == sympy_invariants(m)
+        [((a, cols), _)] = residuals
+        assert len(a) == cols > 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_80_moduli_are_small(self, monkeypatch, seed):
+        # a cliff guard: one nonzero 80 x 80 minor, the old modulus, has
+        # about 387 bits; the gcd of minors is single digits on these draws
+        calls = spy_on(monkeypatch, "_clear_pivot")
+        intmat.invariant_factors(random_mat(random.Random(seed), 80, 80))
+        moduli = [args[5] if len(args) > 5 else kwargs.get("modulus", 0) for args, kwargs in calls]
+        assert moduli and max(moduli).bit_length() <= 16
 
 
 def pairwise_column_reduce(m):
@@ -1169,6 +1267,13 @@ class TestFormalGroups:
         b = FormalGroup.from_invariants([6])
         assert a.tensor(b) == FormalGroup.from_invariants([6, 2])
         assert a.tor(b) == FormalGroup.from_invariants([2])
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
+    def test_non_integer_rank_or_order_refused(self, bad):
+        with pytest.raises(TypeError):
+            FormalGroup(bad)
+        with pytest.raises(TypeError):
+            FormalGroup(0, (bad,))
 
     @pytest.mark.parametrize("bad", [1.7, 1.0, "1"])
     def test_non_integer_degree_refused(self, bad):

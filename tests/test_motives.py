@@ -61,6 +61,16 @@ class TestValidation:
         with pytest.raises(TypeError):
             TateComplex([("a", bad)])
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
+    @pytest.mark.parametrize("block, args", [
+        (Free, (0,)), (DyadicEta, (1, 0)), (OddTorsion, (3, 1, 0)),
+    ], ids=["Free", "DyadicEta", "OddTorsion"])
+    def test_non_integer_block_argument_refused(self, block, args, bad):
+        # each field in turn, as TateComplex refuses its weights
+        for k in range(len(args)):
+            with pytest.raises(TypeError):
+                block(*args[:k], bad, *args[k + 1 :])
+
     def test_duplicate_cell(self):
         report = validate_complex(TateComplex([("a", 0), ("a", 1)]))
         assert any(v.kind == "DuplicateCell" for v in report.violations)
