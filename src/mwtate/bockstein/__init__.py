@@ -8,11 +8,12 @@ only the layers it uses: the ``pages`` and ``pbundle-hp1`` verbs load
 ``bockstein.pages`` and nothing else here.
 """
 
-import importlib
 import sys
 import types
 
-_EXPORTS = {  # submodule: the names it defines that the package re-exports
+from .. import _lazy_exports
+
+__all__, __getattr__ = _lazy_exports(globals(), {
     "analysis": (
         "CheckReport", "KunnethReport", "VGroupResult",
         "kunneth_e2", "leibniz_check", "truncated_check", "v_group",
@@ -26,19 +27,7 @@ _EXPORTS = {  # submodule: the names it defines that the package re-exports
         "block_pages", "degeneracy_page", "pages", "pages_from_witt", "tower",
     ),
     "steenrod": ("DSquareReport", "steenrod_dsquare_check"),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = sorted(_HOME)
-
-
-def __getattr__(name):
-    home = _HOME.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
-    globals()[name] = value
-    return value
+})
 
 
 class _Package(types.ModuleType):

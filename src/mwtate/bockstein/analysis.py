@@ -25,7 +25,8 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain
 
-from ..exactalg import FormalGroup, PresentedGroup, intmat
+from .. import exactalg
+from ..exactalg.groups import FormalGroup
 from ..motives import DyadicEta, Free, NormalForm, quotient_by_dyadic_eta, tensor
 from ..values import Frozen
 from .fibers import FiberModel, f2_image, f2_kernel, f2_reduce
@@ -338,6 +339,7 @@ def _fiber_product(a, j, n, amodel, v_pairs, fib_x, fib_y):
         return FormalGroup.zero()
     size = len(gens)
     theta = [[(vec >> r) & 1 for _, vec in gens] for r in range(len(efib))]
+    intmat = exactalg.intmat
     kernel = intmat.kernel_mod_lattice(intmat.Mat(theta, size), intmat.scalar(len(efib), 2))
     orders = [[order if r == c else 0 for c in range(size)] for r, (order, _) in enumerate(gens)]
-    return PresentedGroup(size, orders).subgroup_presentation(kernel).invariants()
+    return exactalg.PresentedGroup(size, orders).subgroup_presentation(kernel).invariants()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import operator
 
-from ..exactalg import GradedGroup
+from ..exactalg.groups import GradedGroup
 from ..motives import DyadicEta, Free, NormalForm
 from ..values import Frozen, Ordered
 

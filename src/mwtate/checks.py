@@ -16,15 +16,7 @@ import importlib
 import random
 from collections.abc import Iterator
 
-from .exactalg import (
-    FormalGroup,
-    FreeComplex,
-    GradedGroup,
-    graded_kunneth,
-    integer_cohomology,
-    intmat,
-    split_dyadic,
-)
+from .exactalg.groups import FormalGroup, GradedGroup, graded_kunneth, split_dyadic
 from .motives import (
     DyadicEta,
     Free,
@@ -39,8 +31,9 @@ from .motives import (
 from .values import Frozen
 from .wittring import GWElement, kx_orbit_canonical
 
-# The layers past the block calculus, by module, with the names the suites
-# use from each.  A suite imports its layers when it starts (`_use`), so
+# The layers past the block calculus and the groups, by module, with the
+# names the suites and their helpers use from each.  A suite, or a helper
+# that tests also call, imports its layers when it starts (`_use`), so
 # `mwtate check --suite NAME` loads only what that suite runs.
 _LAYERS = {
     ".bockstein.analysis": ("kunneth_e2", "leibniz_check", "truncated_check"),
@@ -48,6 +41,8 @@ _LAYERS = {
     ".bockstein.pages": ("block_pages", "degeneracy_page", "pages", "pages_from_witt"),
     ".bockstein.steenrod": ("QUOTED_RULES", "identity_sanity", "steenrod_dsquare_check"),
     ".cohomology": ("chow", "hom_cone", "witt_cohomology"),
+    ".exactalg.complexes": ("FreeComplex", "integer_cohomology"),
+    ".exactalg.intmat": ("matmul", "random_unimodular"),
     ".geometry": ("hp1_classify", "projective_bundle_hp1"),
 }
 
@@ -120,13 +115,14 @@ def random_normal_form(rng, max_blocks=8, allow_odd=True) -> NormalForm:
 def unimodular_twist(c: TateComplex, rng) -> TateComplex:
     """A complex isomorphic to c via random unimodular base change per
     weight, with fresh cell ids."""
+    _use(".exactalg.intmat")
     fc, index = _to_free_complex(c)
-    auts = {w: intmat.random_unimodular(fc.rank(w), rng) for w in fc.ranks}
+    auts = {w: random_unimodular(fc.rank(w), rng) for w in fc.ranks}
     diffs = {}
     for w in fc.weights():
         if w + 1 in auts:
-            m = intmat.matmul(auts[w][0], fc.differential(w))
-            diffs[w] = intmat.matmul(m, auts[w + 1][1])
+            m = matmul(auts[w][0], fc.differential(w))
+            diffs[w] = matmul(m, auts[w + 1][1])
     cells = []
     names = {}
     for w in fc.weights():
@@ -155,6 +151,7 @@ def chow_direct(c: TateComplex) -> GradedGroup:
 def witt_direct(c: TateComplex, modulus: int = 0) -> GradedGroup:
     """Witt cohomology straight from the complex: the integer
     cohomology of the attachment data."""
+    _use(".exactalg.complexes")
     fc, _ = _to_free_complex(c)
     return integer_cohomology(fc, modulus)
 
@@ -329,6 +326,7 @@ def random_adjacent_complex(rng) -> FreeComplex:
     (composability is vacuous) or a stack of elementary cones whose
     matrices stay within the entry bound.
     """
+    _use(".exactalg.complexes")
     if rng.random() < 0.7:
         lo = rng.randrange(-2, 2)
         n_lo = rng.randrange(1, MAX_CELLS // 2 + 1)
@@ -357,7 +355,7 @@ def random_adjacent_complex(rng) -> FreeComplex:
 
 
 def suite_couple(seed) -> Iterator[str | None]:
-    _use(".bockstein.couple")
+    _use(".bockstein.couple", ".exactalg.complexes")
     rng = random.Random(seed)
     for _ in range(100):
         c = random_adjacent_complex(rng)

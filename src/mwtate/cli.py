@@ -11,7 +11,10 @@ exit 1, logging its traceback at MWTATE_LOG=DEBUG.  Layers are imported
 inside the verbs that use them: decompose and tensor load no Bockstein,
 geometry or check code; pages and pbundle-hp1 load the page tables,
 bockstein.pages, and no other Bockstein layer; check --suite NAME loads
-only the layers of that suite.
+only the layers of that suite.  mwtate.exactalg, like mwtate.bockstein,
+imports a submodule when one of its names is first looked up, so only the
+verbs that build an integer matrix (a valid decompose, pbundle-hp1, blowup
+and the decompose, pbundle and couple suites) load the integer-matrix layer.
 """
 
 from __future__ import annotations

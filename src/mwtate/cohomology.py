@@ -11,8 +11,8 @@ of the integer split, ``exactalg.cohomology_of_summands``.
 
 from __future__ import annotations
 
-from .exactalg import FormalGroup, GradedGroup, split_dyadic
-from .exactalg.complexes import ConePair, FreeCell, cohomology_of_summands
+from . import exactalg
+from .exactalg.groups import FormalGroup, GradedGroup, split_dyadic
 from .motives import DyadicEta, Free, NormalForm, OddTorsion
 from .values import Frozen
 from .wittring import fundamental_ideal_power
@@ -72,10 +72,10 @@ def chow(a: NormalForm, mod2: bool = False) -> GradedGroup:
 
 def _summand(b):
     if isinstance(b, Free):
-        return FreeCell(b.weight)
+        return exactalg.FreeCell(b.weight)
     if isinstance(b, DyadicEta):
-        return ConePair(1 << b.t, b.weight)
-    return ConePair(b.p**b.r, b.shift)
+        return exactalg.ConePair(1 << b.t, b.weight)
+    return exactalg.ConePair(b.p**b.r, b.shift)
 
 
 def witt_cohomology(a: NormalForm, modulus: int = 0) -> GradedGroup:
@@ -92,7 +92,7 @@ def witt_cohomology(a: NormalForm, modulus: int = 0) -> GradedGroup:
     """
     if modulus != 0 and (modulus < 1 or modulus & (modulus - 1)):
         raise ValueError("modulus must be 0 or a power of 2")
-    return cohomology_of_summands(map(_summand, a.blocks), modulus)
+    return exactalg.cohomology_of_summands(map(_summand, a.blocks), modulus)
 
 
 class HModule(Frozen):

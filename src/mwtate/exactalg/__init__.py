@@ -1,38 +1,22 @@
 """Exact linear algebra over Z: integer matrices, free cochain complexes,
-presented and formal abelian groups."""
+presented and formal abelian groups.
 
-from .complexes import (
-    ConePair,
-    FreeCell,
-    FreeComplex,
-    NonComposable,
-    cohomology_of_summands,
-    decompose_free_complex,
-    integer_cohomology,
-)
-from .groups import (
-    FormalGroup,
-    GradedGroup,
-    factor_prime_powers,
-    graded_kunneth,
-    split_dyadic,
-)
-from .intmat import smith_normal_form
-from .presented import PresentedGroup
+The package re-exports the names in ``__all__`` and, like
+``mwtate.bockstein``, imports the submodule that defines one the first time
+the name is looked up; ``exactalg.intmat`` and the other submodules load the
+same way.  So only the code that builds a matrix loads ``intmat``.
+"""
 
-__all__ = [
-    "ConePair",
-    "FormalGroup",
-    "FreeCell",
-    "FreeComplex",
-    "GradedGroup",
-    "NonComposable",
-    "PresentedGroup",
-    "cohomology_of_summands",
-    "decompose_free_complex",
-    "factor_prime_powers",
-    "graded_kunneth",
-    "integer_cohomology",
-    "smith_normal_form",
-    "split_dyadic",
-]
+from .. import _lazy_exports
+
+__all__, __getattr__ = _lazy_exports(globals(), {
+    "complexes": (
+        "ConePair", "FreeCell", "FreeComplex", "NonComposable",
+        "cohomology_of_summands", "decompose_free_complex", "integer_cohomology",
+    ),
+    "groups": (
+        "FormalGroup", "GradedGroup", "factor_prime_powers", "graded_kunneth", "split_dyadic",
+    ),
+    "intmat": ("smith_normal_form",),
+    "presented": ("PresentedGroup",),
+})

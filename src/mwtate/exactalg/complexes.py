@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import operator
 
+from .. import exactalg
 from ..values import Frozen
-from . import intmat
 from .groups import FormalGroup, GradedGroup, graded_kunneth
-from .intmat import Mat
 
 
 class NonComposable(ValueError):
@@ -62,9 +61,9 @@ class FreeComplex:
         self.rows, self._mats, self._defects = {}, {}, None
         for w, m in (diffs or {}).items():
             w = operator.index(w)
-            if not isinstance(m, Mat):
-                m = Mat([list(row) for row in m], self.rank(w + 1))
-            self._keep(w, intmat.sparse_rows(m), m.cols)
+            if not isinstance(m, exactalg.intmat.Mat):
+                m = exactalg.intmat.Mat([list(row) for row in m], self.rank(w + 1))
+            self._keep(w, exactalg.intmat.sparse_rows(m), m.cols)
             if w in self.rows:
                 self._mats[w] = m
 
@@ -94,12 +93,13 @@ class FreeComplex:
     def rank(self, w: int) -> int:
         return self.ranks.get(w, 0)
 
-    def differential(self, w: int) -> Mat:
+    def differential(self, w: int) -> exactalg.intmat.Mat:
+        intmat = exactalg.intmat
         if w not in self.rows:
             return intmat.zeros(self.rank(w), self.rank(w + 1))
         if w not in self._mats:
             n = self.rank(w + 1)
-            self._mats[w] = Mat([[r.get(j, 0) for j in range(n)] for r in self.rows[w]], n)
+            self._mats[w] = intmat.Mat([[r.get(j, 0) for j in range(n)] for r in self.rows[w]], n)
         return self._mats[w]
 
     def composition_defects(self) -> list[tuple[int, int, int]]:
@@ -150,7 +150,8 @@ def decompose_free_complex(c: FreeComplex) -> list[FreeCell | ConePair]:
     [ConePair(n=6, lower_degree=0)]
     """
     c.check_composable()
-    cones = {w: intmat._row_invariants([dict(r) for r in a]) for w, a in c.rows.items()}
+    invariants = exactalg.intmat._row_invariants  # read once: see mwtate._lazy_exports
+    cones = {w: invariants([dict(r) for r in a]) for w, a in c.rows.items()}
     summands: list[FreeCell | ConePair] = []
     for w in c.weights():
         here = cones.get(w, [])

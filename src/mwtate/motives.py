@@ -23,16 +23,10 @@ is why no such operation exists here.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Union
+from typing import Iterable
 
-from .exactalg import (
-    ConePair,
-    FreeCell,
-    FreeComplex,
-    decompose_free_complex,
-    factor_prime_powers,
-    split_dyadic,
-)
+from . import exactalg
+from .exactalg.groups import factor_prime_powers, split_dyadic
 from .values import Frozen, Ordered
 
 
@@ -95,7 +89,7 @@ class OddTorsion(Ordered):
         return OddTorsion(self.p, self.r, self.shift + q)
 
 
-AtomicBlock = Union[Free, DyadicEta, OddTorsion]
+AtomicBlock = Free | DyadicEta | OddTorsion
 
 
 def _block_key(b: AtomicBlock):
@@ -152,7 +146,7 @@ class ValidationReport(Frozen):
     # is neither compared nor shown
     _fields = ("violations",)
 
-    def __init__(self, violations: tuple, free_complex: FreeComplex | None = None):
+    def __init__(self, violations: tuple, free_complex: exactalg.FreeComplex | None = None):
         object.__setattr__(self, "violations", violations)
         object.__setattr__(self, "free_complex", free_complex)
 
@@ -253,7 +247,7 @@ def _to_free_complex(c: TateComplex):
     for (hi, lo), x in c.attach.items():
         w, r = pos[lo]
         rows[w][r][pos[hi][1]] = x
-    return FreeComplex.from_rows({w: len(ids) for w, ids in index.items()}, rows), index
+    return exactalg.FreeComplex.from_rows({w: len(ids) for w, ids in index.items()}, rows), index
 
 
 def decompose(c: TateComplex) -> NormalForm:
@@ -269,13 +263,14 @@ def decompose(c: TateComplex) -> NormalForm:
     report = validate_complex(c)
     if not report.ok:
         raise InvalidComplex(report)
-    return NormalForm(blocks_of_summands(decompose_free_complex(report.free_complex)))
+    return NormalForm(blocks_of_summands(exactalg.decompose_free_complex(report.free_complex)))
 
 
 def blocks_of_summands(summands) -> list[AtomicBlock]:
     blocks: list[AtomicBlock] = []
+    free_cell = exactalg.FreeCell  # read once: see mwtate._lazy_exports
     for s in summands:
-        if isinstance(s, FreeCell):
+        if isinstance(s, free_cell):
             blocks.append(Free(s.degree))
             continue
         t, odd = split_dyadic(s.n)

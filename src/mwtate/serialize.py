@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .exactalg import FormalGroup, GradedGroup
+from .exactalg.groups import FormalGroup, GradedGroup
 from .motives import DyadicEta, Free, NormalForm, OddTorsion, TateComplex
 from .wittring import GWElement
 

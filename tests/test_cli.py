@@ -595,13 +595,15 @@ class TestVerbImports:
     PROBED = ("dataclasses", "mwtate.checks", "mwtate.cohomology", "mwtate.geometry",
               "mwtate.bockstein", "mwtate.bockstein.pages", "mwtate.bockstein.analysis",
               "mwtate.bockstein.fibers", "mwtate.bockstein.couple",
-              "mwtate.bockstein.steenrod")
+              "mwtate.bockstein.steenrod", "mwtate.exactalg.intmat",
+              "mwtate.exactalg.complexes", "mwtate.exactalg.presented")
     # suite: the layers it runs, with the layers those import
     SUITE_LAYERS = {
         "block-pages": {"mwtate.bockstein.pages"},
-        "bounded": {"mwtate.bockstein.pages", "mwtate.cohomology"},
-        "couple": {"mwtate.bockstein.couple"},
-        "decompose": {"mwtate.cohomology"},
+        "bounded": {"mwtate.bockstein.pages", "mwtate.cohomology", "mwtate.exactalg.complexes"},
+        "couple": {"mwtate.bockstein.couple", "mwtate.exactalg.complexes",
+                   "mwtate.exactalg.intmat", "mwtate.exactalg.presented"},
+        "decompose": {"mwtate.cohomology", "mwtate.exactalg.complexes", "mwtate.exactalg.intmat"},
         "degeneracy": {"mwtate.bockstein.pages"},
         "hom-cone": {"mwtate.cohomology"},
         "hp1": {"mwtate.geometry", "mwtate.cohomology"},
@@ -609,10 +611,12 @@ class TestVerbImports:
                     "mwtate.bockstein.pages"},
         "leibniz": {"mwtate.bockstein.analysis", "mwtate.bockstein.fibers",
                     "mwtate.bockstein.pages"},
-        "pbundle": {"mwtate.bockstein.pages", "mwtate.cohomology", "mwtate.geometry"},
+        "pbundle": {"mwtate.bockstein.pages", "mwtate.cohomology", "mwtate.geometry",
+                    "mwtate.exactalg.complexes", "mwtate.exactalg.intmat"},
         "steenrod": {"mwtate.bockstein.steenrod"},
-        "tensor-witt": {"mwtate.cohomology"},
-        "torsion-profile": {"mwtate.bockstein.pages", "mwtate.cohomology"},
+        "tensor-witt": {"mwtate.cohomology", "mwtate.exactalg.complexes"},
+        "torsion-profile": {"mwtate.bockstein.pages", "mwtate.cohomology",
+                            "mwtate.exactalg.complexes"},
         "truncated": {"mwtate.bockstein.analysis", "mwtate.bockstein.fibers",
                       "mwtate.bockstein.pages"},
     }
@@ -668,6 +672,15 @@ class TestVerbImports:
             if argv[0] not in ("pages", "pbundle-hp1", "check"):
                 assert not {n for n in loaded if n.startswith(("mwtate.bockstein",
                                                                "mwtate.checks"))}, name
+
+    def test_only_the_verbs_that_decompose_load_the_matrix_layer(self, workload):
+        # the two valid complexes, the P(E) complex, the blow-up and the
+        # pbundle suite; a verb that fails validation builds no matrix
+        loading = {name for name, (_, _, loaded) in workload.items()
+                   if "mwtate.exactalg.intmat" in loaded}
+        assert loading == {"small", "big", "pbundle-hp1", "blowup", "check-pbundle"}
+        assert not [name for name, (_, _, loaded) in workload.items()
+                    if "mwtate.exactalg.presented" in loaded]
 
     def test_workload_checks_load_only_their_suites_layers(self, workload):
         checks = {name: (argv, loaded) for name, (argv, _, loaded) in workload.items()

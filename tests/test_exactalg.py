@@ -1,6 +1,9 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -43,6 +46,34 @@ from mwtate.cohomology import witt_cohomology
 from mwtate.motives import DyadicEta, Free, NormalForm, _to_free_complex, realize
 
 from tests._f2 import f2_rank
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+class TestLazyPackage:
+    def test_import_loads_no_submodule_and_every_name_resolves(self):
+        # a fresh process, as this one has loaded every submodule already;
+        # a name that resolves is bound in the package, so it resolves once
+        probe = (
+            "import sys, mwtate.exactalg as e\n"
+            "print(sorted(n for n in sys.modules if n.startswith('mwtate.exactalg.')))\n"
+            "print([n for n in e.__all__ if getattr(e, n, None) is None or n not in vars(e)])"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env=env, timeout=60, check=True)
+        assert res.stdout == "[]\n[]\n"
+
+    def test_names_are_the_submodules_own(self):
+        import mwtate.exactalg as e
+        from mwtate.exactalg import complexes, groups, presented
+
+        assert e.FreeComplex is complexes.FreeComplex and e.split_dyadic is groups.split_dyadic
+        assert e.PresentedGroup is presented.PresentedGroup and e.intmat is intmat
+        with pytest.raises(AttributeError):
+            e.no_such_name
 
 
 def is_unimodular(m):
@@ -748,7 +779,8 @@ class TestRandomUnimodular:
         (30, 8, 200, "5731a434d3fcdc1f"),
     ]
 
-    @pytest.mark.parametrize("n, seed, steps, digest", PINNED)
+    @pytest.mark.parametrize("n, seed, steps, digest", PINNED,
+                             ids=[f"{n}-{seed}-{steps}" for n, seed, steps, _ in PINNED])
     def test_same_stream_same_matrices(self, n, seed, steps, digest):
         rng = random.Random(seed)
         a, ainv = intmat.random_unimodular(n, rng, steps)
