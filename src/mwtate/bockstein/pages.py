@@ -99,13 +99,7 @@ class Page(Frozen):
             tuple(sorted((s, d, power) for s, d, power in self.arrows)),
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, Page):
-            return NotImplemented
-        return self.canonical() == other.canonical()
-
-    def __hash__(self):
-        return hash(self.canonical())
+    _key = staticmethod(canonical)
 
 
 R_PIECE = "R"

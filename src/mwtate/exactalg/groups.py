@@ -182,17 +182,9 @@ class FormalGroup(Frozen):
         return FormalGroup(rank, tuple(tors))
 
     def tensor(self, other: FormalGroup) -> FormalGroup:
-        # Z/a (x) Z/b = Z/gcd(a, b); prime powers meet only at a shared prime.
-        rank = self.free_rank * other.free_rank
-        tors = []
-        tors.extend(list(self.torsion) * other.free_rank)
-        tors.extend(list(other.torsion) * self.free_rank)
-        for a in self.torsion:
-            for b in other.torsion:
-                g = math.gcd(a, b)
-                if g > 1:
-                    tors.append(g)
-        return FormalGroup(rank, tuple(tors))
+        # Z/a (x) Z/b = Z/gcd(a, b), the same terms as Tor(Z/a, Z/b)
+        tors = self.torsion * other.free_rank + other.torsion * self.free_rank
+        return FormalGroup(self.free_rank * other.free_rank, tors + self.tor(other).torsion)
 
     def tor(self, other: FormalGroup) -> FormalGroup:
         # Tor(Z, -) = 0 and Tor(Z/a, Z/b) = Z/gcd(a, b).
@@ -209,8 +201,9 @@ class FormalGroup(Frozen):
         return " + ".join(parts) if parts else "0"
 
 
-class GradedGroup:
-    """Finite-support map from integer degree to FormalGroup.
+class GradedGroup(Frozen):
+    """Finite-support map from integer degree to FormalGroup.  Zero groups
+    are dropped; two are equal when their items, in degree order, are.
 
     >>> g = GradedGroup({0: FormalGroup.free(1), 2: FormalGroup.cyclic(4)})
     >>> g[2]
@@ -220,6 +213,7 @@ class GradedGroup:
     """
 
     __slots__ = ("_groups",)
+    _key = staticmethod(lambda g: tuple(g._groups.items()))
 
     def __init__(self, groups=None):
         data = {}
@@ -227,7 +221,7 @@ class GradedGroup:
             for deg, g in groups.items():
                 if not g.is_zero():
                     data[operator.index(deg)] = g
-        self._groups = dict(sorted(data.items()))
+        object.__setattr__(self, "_groups", dict(sorted(data.items())))
 
     def __getitem__(self, degree: int) -> FormalGroup:
         return self._groups.get(degree, FormalGroup.zero())
@@ -240,24 +234,6 @@ class GradedGroup:
 
     def is_zero(self) -> bool:
         return not self._groups
-
-    def direct_sum(self, *others: GradedGroup) -> GradedGroup:
-        data: dict[int, FormalGroup] = dict(self._groups)
-        for other in others:
-            for deg, g in other.items():
-                data[deg] = data.get(deg, FormalGroup.zero()).direct_sum(g)
-        return GradedGroup(data)
-
-    def shift(self, by: int) -> GradedGroup:
-        return GradedGroup({d + by: g for d, g in self._groups.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedGroup):
-            return NotImplemented
-        return self._groups == other._groups
-
-    def __hash__(self):
-        return hash(tuple(self._groups.items()))
 
     def __repr__(self):
         inner = ", ".join(f"{d}: {g}" for d, g in self._groups.items())

@@ -18,8 +18,10 @@ from __future__ import annotations
 from itertools import compress
 from math import gcd, prod
 
+from ..values import Record
 
-class Mat:
+
+class Mat(Record):
     """An integer matrix with an explicit shape; empty shapes allowed.
 
     ``Mat(rows)`` takes a list of equally long row lists as it is, with
@@ -31,7 +33,7 @@ class Mat:
     (3, 2)
     """
 
-    __slots__ = ("a", "rows", "cols")
+    __slots__ = _fields = ("rows", "cols", "a")
 
     def __init__(self, a, cols=0):
         if a:
@@ -62,13 +64,6 @@ class Mat:
 
     def __iter__(self):
         return iter(self.a)
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return (self.rows, self.cols, self.a) == (other.rows, other.cols, other.a)
-
-    __hash__ = None
 
     def __repr__(self):
         return f"Mat({self.a!r})" if self.a else f"Mat([], {self.cols})"

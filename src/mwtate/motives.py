@@ -27,7 +27,7 @@ from typing import Iterable
 
 from . import exactalg
 from .exactalg.groups import factor_prime_powers, split_dyadic
-from .values import Frozen, Ordered
+from .values import Frozen, Ordered, Record
 
 
 class InvalidComplex(ValueError):
@@ -100,25 +100,17 @@ def _block_key(b: AtomicBlock):
     return (2, b.shift, b.p, b.r)
 
 
-class NormalForm:
+class NormalForm(Frozen):
     """Canonical multiset of atomic blocks.
 
     >>> NormalForm([DyadicEta(1, 0), Free(0)]).blocks
     (Free(weight=0), DyadicEta(t=1, weight=0))
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = _fields = ("blocks",)
 
     def __init__(self, blocks: Iterable[AtomicBlock] = ()):
-        self.blocks = tuple(sorted(blocks, key=_block_key))
-
-    def __eq__(self, other):
-        if not isinstance(other, NormalForm):
-            return NotImplemented
-        return self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(self.blocks)
+        object.__setattr__(self, "blocks", tuple(sorted(blocks, key=_block_key)))
 
     def __iter__(self):
         return iter(self.blocks)
@@ -160,15 +152,17 @@ class ValidationReport(Frozen):
         return "; ".join(f"{v.kind}{list(v.cells)}: {v.detail}" for v in self.violations)
 
 
-class TateComplex:
+class TateComplex(Record):
     """Weighted cells plus integer attachments between adjacent weights.
 
     ``cells`` is a sequence of (id, weight); ``attach`` maps
     (higher cell id, lower cell id) to an integer coefficient, where the
-    first cell must sit one weight above the second.
+    first cell must sit one weight above the second.  Complexes are equal
+    when their sorted cells and their attachments are.
     """
 
-    __slots__ = ("cells", "attach")
+    __slots__ = _fields = ("cells", "attach")
+    _key = staticmethod(lambda c: (sorted(c.cells), c.attach))
 
     def __init__(self, cells, attach=None):
         self.cells = tuple((str(c), operator.index(w)) for c, w in cells)
@@ -178,11 +172,6 @@ class TateComplex:
 
     def weights(self) -> list[int]:
         return sorted({w for _, w in self.cells})
-
-    def __eq__(self, other):
-        if not isinstance(other, TateComplex):
-            return NotImplemented
-        return sorted(self.cells) == sorted(other.cells) and self.attach == other.attach
 
     def __repr__(self):
         return f"TateComplex(cells={list(self.cells)!r}, attach={self.attach!r})"

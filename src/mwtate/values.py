@@ -10,15 +10,17 @@ only its own code.
 A subclass names its compared and shown fields in ``_fields``, in order.
 When the class is created, ``_fields`` becomes one key, ``_key``, that
 reads the tuple of field values; equality, hash and order all compare
-that key, and no subclass writes them out again (``Page``, equal up to
-the order of its towers and arrows, is the one exception).
+that key, and no subclass writes them out again.  A class equal up to an
+order, as a ``Page`` is up to the order of its towers and arrows,
+declares its own ``_key`` instead.
 The report classes share ``Frozen.__init__``, which binds its arguments
 to ``_fields`` as a dataclass's would and fills the fields left out from
 ``_defaults``.  Four kinds keep their own ``__init__``: the value types
 built in hot loops, since setting each slot by name is about a third
-faster, and some validate their arguments; ``HModule``, which sorts its
-generators; ``ValidationReport``, whose ``free_complex`` is a slot but
-not a field; and the ``Record`` classes, which may change.
+faster, and some validate their arguments; ``HModule``, ``NormalForm``
+and ``GradedGroup``, which normalize their arguments; ``ValidationReport``,
+whose ``free_complex`` is a slot but not a field; and the ``Record``
+classes, which may change.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = vars(cls).get("_fields")
-        if fields:  # Frozen and Ordered name none; a subclass may inherit its key
+        if fields and "_key" not in vars(cls):  # else the key is declared or inherited
             get = attrgetter(*fields)
             cls._key = staticmethod(get if len(fields) > 1 else lambda value: (get(value),))
 

@@ -8,6 +8,8 @@ signature) with equal parity.  The fundamental ideal I^q corresponds to
 
 from __future__ import annotations
 
+import operator
+
 from .values import Frozen
 
 
@@ -27,6 +29,7 @@ class GWElement(Frozen):
     __slots__ = _fields = ("rank", "signature")
 
     def __init__(self, rank: int, signature: int):
+        rank, signature = operator.index(rank), operator.index(signature)
         if (rank - signature) % 2 != 0:
             raise InvalidParity(f"rank {rank} and signature {signature} differ in parity")
         object.__setattr__(self, "rank", rank)

@@ -323,7 +323,8 @@ class TestPinnedAnalyses:
         assert self.digest([couple_analyze(c) for c in couples]) == analyses
         assert self.digest([self.content(couple_derive(c)) for c in couples]) == derived
 
-    @pytest.mark.parametrize("index, analysis, derived", PINNED_DEEP)
+    @pytest.mark.parametrize("index, analysis, derived", PINNED_DEEP,
+                             ids=[str(index) for index, _, _ in PINNED_DEEP])
     def test_same_deep_analyses(self, index, analysis, derived):
         cpl = bockstein_couple(DEEP_TORSION[index])
         assert self.digest(couple_analyze(cpl)) == analysis

@@ -7,8 +7,9 @@ declaration, under the same name, so the two print alike.  On seeded field
 values the tests compare repr, equality within and across classes, hash,
 order, keyword, positional and default construction, validation, and
 assignment.  Equality, hash and order come from one key per class, built
-from ``_fields`` in ``mwtate.values``; ``test_one_comparison_protocol``
-checks that no class but ``Page`` writes them out again.
+from ``_fields`` in ``mwtate.values`` or declared by the class;
+``test_one_comparison_protocol`` checks that no class of ``mwtate`` writes
+them out again.
 
 One difference is deliberate: a ``FiberModel`` compares its generators and
 arrows only, where the dataclass also compared the fibers it had cached.
@@ -20,12 +21,16 @@ import importlib
 import inspect
 import itertools
 import pickle
+import pkgutil
 import random
 from dataclasses import dataclass, field
 
 import pytest
 
-from mwtate.exactalg import factor_prime_powers, intmat
+import mwtate
+from mwtate import motives
+from mwtate.bockstein.pages import tower
+from mwtate.exactalg import factor_prime_powers, groups, intmat
 from mwtate.exactalg.intmat import Mat
 from mwtate.wittring import InvalidParity
 
@@ -440,12 +445,31 @@ def test_equality_within_and_across_classes():
         assert (r1 != r2) == (t1 != t2), (r1, r2)
 
 
-@pytest.mark.parametrize("name", sorted(set(HOMES) - {"Page"}))
+def mwtate_classes():
+    """Every class an ``mwtate`` module defines, by name, but exceptions
+    and the bases of ``mwtate.values``."""
+    modules = [mwtate] + [importlib.import_module(m.name)
+                          for m in pkgutil.walk_packages(mwtate.__path__, "mwtate.")]
+    found = {
+        cls.__qualname__: cls
+        for module in modules if module.__name__ != "mwtate.values"
+        for cls in vars(module).values()
+        if inspect.isclass(cls) and cls.__module__ == module.__name__
+        and not issubclass(cls, BaseException)
+    }
+    assert set(HOMES) < set(found)
+    return found
+
+
+CLASSES = mwtate_classes()
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
 def test_one_comparison_protocol(name):
-    # equality, hash and order come from the field key of mwtate.values;
-    # only Page, equal up to the order of its towers and arrows, writes its own
+    # equality, hash and order come from the key of mwtate.values: the
+    # field values, or the key a class equal up to an order declares
     for method in ("__eq__", "__hash__", "__lt__"):
-        assert method not in vars(real(name)), method
+        assert method not in vars(CLASSES[name]), method
 
 
 @pytest.mark.parametrize("name", sorted(HOMES))
@@ -522,3 +546,73 @@ def test_argument_errors(name):
         for call in calls:
             got, want = outcome(call, real(name)), outcome(call, TWINS[name])
             assert got[:2] == want[:2] == ("raises", TypeError), (got, want)
+
+
+# ------------------------------------------------- equal up to an order
+
+
+def test_tate_complex_is_equal_up_to_the_order_of_its_cells():
+    cells = [("a", 1), ("b", 1), ("c", 0), ("d", 0)]
+    attach = {("a", "c"): 2, ("b", "d"): -1, ("a", "d"): 3}
+    one = motives.TateComplex(cells, attach)
+    for order in itertools.permutations(cells):
+        assert motives.TateComplex(order, dict(reversed(attach.items()))) == one
+    for key in attach:
+        assert motives.TateComplex(cells, {**attach, key: attach[key] + 1}) != one
+    assert motives.TateComplex(cells, {**attach, ("b", "c"): 0}) == one
+    assert motives.TateComplex(cells[:3], attach) != one
+    assert one != (tuple(cells), attach)
+    with pytest.raises(TypeError):
+        hash(one)
+
+
+def test_normal_form_is_equal_and_hashed_alike_in_any_block_order():
+    blocks = [real("Free")(0), real("Free")(2), real("DyadicEta")(1, 0),
+              real("DyadicEta")(0, 1), real("OddTorsion")(3, 1, 0)]
+    one = motives.NormalForm(blocks)
+    for order in itertools.permutations(blocks):
+        form = motives.NormalForm(order)
+        assert form == one and hash(form) == hash(one)
+    assert motives.NormalForm(blocks[1:]) != one
+    assert motives.NormalForm(blocks + blocks[:1]) != one
+    assert one != one.blocks and motives.NormalForm() == motives.NormalForm([])
+
+
+def test_graded_group_is_equal_and_hashed_alike_in_any_degree_order():
+    group = real("FormalGroup")
+    parts = {0: group(1), 2: group(0, (4,)), -1: group(1, (3,))}
+    one = groups.GradedGroup(parts)
+    for order in itertools.permutations(parts.items()):
+        g = groups.GradedGroup(dict(order))
+        assert g == one and hash(g) == hash(one)
+    # zero groups do not count
+    with_zero = groups.GradedGroup({5: group(), **parts, 7: group()})
+    assert with_zero == one and hash(with_zero) == hash(one)
+    assert groups.GradedGroup({0: group()}) == groups.GradedGroup()
+    assert groups.GradedGroup({**parts, 2: group(0, (8,))}) != one
+    assert groups.GradedGroup({**parts, 3: group(0, (4,))}) != one
+
+
+def test_mat_compares_its_shape_and_does_not_hash():
+    assert Mat([], 2) != Mat([], 3)
+    assert Mat([], 2) == Mat([], 2)
+    assert Mat([[], []]) != Mat([], 0)
+    assert Mat([[1, 2]]) == Mat([[1, 2]]) != Mat([[1], [2]])
+    assert Mat([[1, 2]]) != [[1, 2]]
+    with pytest.raises(TypeError):
+        hash(Mat([[1]]))
+
+
+def test_page_is_equal_and_hashed_alike_up_to_the_order_of_towers_and_arrows():
+    page = real("Page")
+    towers = [tower(0, 0), tower(1, 0, 2, "v"), tower(0, 1, label="u")]
+    arrows = [(towers[0], towers[1], 1), (towers[2], towers[1], 2)]
+    one = page(2, tuple(towers), tuple(arrows))
+    for tower_order in itertools.permutations(towers):
+        for arrow_order in itertools.permutations(arrows):
+            p = page(2, tower_order, arrow_order)
+            assert p == one and hash(p) == hash(one)
+    assert page(3, tuple(towers), tuple(arrows)) != one
+    assert page(2, tuple(towers), tuple(arrows[:1])) != one
+    assert page(2, tuple(towers[:2]), tuple(arrows)) != one
+    assert one != one.canonical()

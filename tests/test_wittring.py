@@ -16,6 +16,13 @@ class TestGWElement:
         with pytest.raises(InvalidParity):
             GWElement(1, 2)
 
+    @pytest.mark.parametrize("rank, signature",
+                             [(1.0, 3.0), (1, 3.0), (1.0, 3), (0.5, 0.5), ("1", 1)])
+    def test_non_integer_rank_or_signature_refused(self, rank, signature):
+        # no silent float: a GW class is a pair of integers
+        with pytest.raises(TypeError):
+            GWElement(rank, signature)
+
     def test_epsilon_squares_to_one(self):
         assert EPSILON * EPSILON == GW_ONE
 
