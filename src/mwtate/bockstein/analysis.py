@@ -22,6 +22,7 @@ states only on the bidegrees its three targets depend on.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from itertools import chain
 
@@ -280,6 +281,7 @@ def v_group(a: NormalForm, j: int, n: int) -> VGroupResult:
     Kunneth product maps (x, y) -> x*v + y*u and the mod-2 reduction of
     each cyclic Witt summand onto its cone class.
     """
+    j, n = operator.index(j), operator.index(n)
     if j < 1:
         raise ValueError("need j >= 1")
     amodel = _block_fiber_model(a.blocks)

@@ -140,22 +140,21 @@ def _diag_normalize(group: PresentedGroup):
         return group, None, None, [0] * n
     # a square diagonal Hermite form (entries >= 0), d1 | d2 | ..., is its Smith form
     a, diag = group.rels.a, intmat.diagonal(group.rels)
-    if group.rels.cols == n and all(
+    u = unit = intmat.identity(n)
+    if group.rels.cols != n or not all(
         sum(row) == d and d % p == 0 for row, d, p in zip(a, diag, [1] + diag)
     ):
-        u = uinv = intmat.identity(n)
-    else:
-        u, s, _v, uinv = intmat._smith(group.rels, u=True, uinv=True)
+        u, s, _v = intmat.smith_normal_form(group.rels)
         diag = intmat.diagonal(s)
     keep = [i for i in range(n) if i >= len(diag) or diag[i] != 1]
     orders = [diag[i] if i < len(diag) else 0 for i in keep]
     k = len(keep)
-    new_rels = [
-        [d if r == p else 0 for r in range(k)] for p, d in enumerate(orders) if d > 1
-    ]
+    new_rels = [[d if r == p else 0 for r in range(k)] for p, d in enumerate(orders) if d > 1]
     new_group = PresentedGroup.of_hermite(k, Mat.from_columns(new_rels, k))
     to_new = Mat([u[i] for i in keep], n)
-    from_new = Mat([[row[i] for i in keep] for row in uinv], k)
+    from_new = Mat([[row[i] for i in keep] for row in unit], k)
+    if u is not unit:  # the kept columns of U^-1: U x = e_i for each kept i
+        from_new = intmat.solve_columns(u, from_new)
     return new_group, to_new, from_new, orders
 
 

@@ -135,6 +135,7 @@ def block_pages(block, i: int) -> Page:
     >>> pg.towers
     (Tower(p=2, q=1, height_key=2, label='v'),)
     """
+    i = operator.index(i)
     if i < 2:
         raise PageTooSmall(f"pages start at 2, got {i}")
     piece = block_piece(block, i)
@@ -209,6 +210,7 @@ def derived_pieces(xs):
 
 def pages(a: NormalForm, i: int) -> Page:
     """Direct sum of the block tables of a normal form."""
+    i = operator.index(i)
     if i < 2:
         raise PageTooSmall(f"pages start at 2, got {i}")
     towers = []
@@ -252,6 +254,7 @@ def pages_from_witt(h: GradedGroup, i: int) -> Page:
     >>> len(pages_from_witt(h, 5).towers)
     1
     """
+    i = operator.index(i)
     if i < 2:
         raise PageTooSmall(f"pages start at 2, got {i}")
     towers = []

@@ -71,6 +71,24 @@ def factor_prime_powers(n: int) -> list[tuple[int, int]]:
     return sorted(exps.items())
 
 
+def is_prime(n: int) -> bool:
+    """Whether ``n`` is prime, decided as factor_prime_powers decides it
+    but with no factoring: trial division, which settles every n below
+    10^6, then Miller-Rabin below _MR_LIMIT and sympy's isprime above it.
+
+    >>> [n for n in range(20) if is_prime(n)]
+    [2, 3, 5, 7, 11, 13, 17, 19]
+    """
+    for p in _TRIAL_PRIMES:
+        if p * p > n or n % p == 0:
+            return p * p > n > 1
+    if n < _MR_LIMIT:
+        return n < 1000 * 1000 or _is_prime(n)
+    from sympy import isprime  # huge n only
+
+    return bool(isprime(n))
+
+
 def _is_prime(n: int) -> bool:
     """Miller-Rabin to the bases _MR_BASES, for odd n > 41; exact below
     _MR_LIMIT."""

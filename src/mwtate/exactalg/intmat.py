@@ -9,8 +9,8 @@ by Euclidean column steps.  :func:`invariant_factors` eliminates exact
 pivots on sparse {column: entry} rows, the form in which a FreeComplex
 keeps its differentials, and works modulo a gcd of minors on what is
 left, so no entry outgrows the input's Hadamard bound.  That modular
-elimination and the Smith form, which diagonalizes presentations with
-just the transforms asked for, share one Euclidean step, _clear_pivot.
+elimination and the Smith form, run on M bordered by identities so that
+its steps build both transforms, share one Euclidean step, _clear_pivot.
 """
 
 from __future__ import annotations
@@ -109,56 +109,18 @@ def diagonal(m: Mat) -> list[int]:
     return [m.a[i][i] for i in range(min(m.rows, m.cols))]
 
 
-def _smith(m: Mat, *, u=False, v=False, uinv=False):
-    """Diagonalize ``m`` by unimodular row/column operations.
-
-    Returns (U, S, V, Uinv) with U*M*V == S and U*Uinv == I.  Only the
-    transforms whose keyword is true are tracked; the other slots are
-    None.  Which transforms are tracked never changes S or any returned
-    transform.
-    """
-    rows, cols = m.rows, m.cols
-    s = [row[:] for row in m.a]
-    # Column operations on V and Uinv are row operations on their
-    # transposes, so those two are kept as transposed rows.
-    u_rows = identity(rows).a if u else None
-    uinv_t = identity(rows).a if uinv else None
-    v_t = identity(cols).a if v else None
-    for t in range(min(rows, cols)):
-        pivot = _smallest_entry(s, t, rows, cols)
-        if pivot is None:
-            break
-        _clear_pivot(s, t, pivot, rows, cols, 0, u_rows, uinv_t, v_t)
-        if s[t][t] < 0:
-            for a in (s, u_rows, uinv_t):
-                if a is not None:
-                    a[t] = [-x for x in a[t]]
-    return (
-        Mat(u_rows, rows) if u else None,
-        Mat(s, cols),
-        transpose(Mat(v_t, cols)) if v else None,
-        transpose(Mat(uinv_t, rows)) if uinv else None,
-    )
-
-
-def _clear_pivot(s, t, pivot, rows, cols, modulus=0, u_rows=None, uinv_t=None, v_t=None):
-    """The Euclidean step of :func:`_smith` and :func:`_modular_invariants`:
-    move ``pivot`` to (t, t) of ``s`` and clear row and column t until
-    gcd(pivot, modulus) divides the trailing block, reducing each new entry
-    modulo a nonzero ``modulus``.  Row steps go to ``u_rows`` and, inverted,
-    to the transposed ``uinv_t``; column steps to the transposed ``v_t``.
-    Rows above t are zero from column t on, so column steps skip them."""
+def _clear_pivot(s, t, pivot, rows, cols, modulus=0):
+    """The Euclidean step of :func:`smith_normal_form` and
+    :func:`_modular_invariants`: move ``pivot`` to (t, t) of the rows x cols
+    block of ``s`` and clear row and column t until gcd(pivot, modulus)
+    divides the trailing block, reducing each new entry modulo a nonzero
+    ``modulus``.  Row steps act on whole rows, and column steps on every
+    row from t down, as rows above t are zero from column t on."""
     i0, j0 = pivot
     s[t], s[i0] = s[i0], s[t]
-    if u_rows is not None:
-        u_rows[t], u_rows[i0] = u_rows[i0], u_rows[t]
-    if uinv_t is not None:
-        uinv_t[t], uinv_t[i0] = uinv_t[i0], uinv_t[t]
     if j0 != t:
         for sr in s[t:]:
             sr[t], sr[j0] = sr[j0], sr[t]
-        if v_t is not None:
-            v_t[t], v_t[j0] = v_t[j0], v_t[t]
     while True:
         # Clear column t with Euclidean row steps.
         dirty = False
@@ -168,13 +130,9 @@ def _clear_pivot(s, t, pivot, rows, cols, modulus=0, u_rows=None, uinv_t=None, v
                 if modulus:
                     s[i] = [(x - q * y) % modulus for x, y in zip(s[i], s[t])]
                 else:
-                    _add_row(s, i, t, -q, u_rows, uinv_t)
+                    s[i] = [x - q * y for x, y in zip(s[i], s[t])]
                 if s[i][t]:
                     s[t], s[i] = s[i], s[t]
-                    if u_rows is not None:
-                        u_rows[t], u_rows[i] = u_rows[i], u_rows[t]
-                    if uinv_t is not None:
-                        uinv_t[t], uinv_t[i] = uinv_t[i], uinv_t[t]
                     dirty = True
         if dirty:
             continue
@@ -189,38 +147,25 @@ def _clear_pivot(s, t, pivot, rows, cols, modulus=0, u_rows=None, uinv_t=None, v
                 else:
                     for sr in s[t:]:
                         sr[j] -= q * sr[t]
-                    if v_t is not None:
-                        v_t[j] = [x - q * y for x, y in zip(v_t[j], v_t[t])]
                 if st[j]:
                     for sr in s[t:]:
                         sr[t], sr[j] = sr[j], sr[t]
-                    if v_t is not None:
-                        v_t[t], v_t[j] = v_t[j], v_t[t]
                     dirty = True
         if dirty:
             continue
         # Fold in the first row with an entry gcd(pivot, modulus) does not divide.
         d = gcd(st[t], modulus)
-        offender = None if d == 1 else _non_multiple_row(s, t, rows, d)
+        offender = None if d == 1 else _non_multiple_row(s, t, rows, cols, d)
         if offender is None:
             return
         if modulus:
             s[t] = [(x + y) % modulus for x, y in zip(st, s[offender])]
         else:
-            _add_row(s, t, offender, 1, u_rows, uinv_t)
-
-
-def _add_row(s, i, j, q, u_rows, uinv_t):
-    """R_i += q*R_j on ``s`` and ``u_rows``, R_j -= q*R_i on ``uinv_t``."""
-    s[i] = [x + q * y for x, y in zip(s[i], s[j])]
-    if u_rows is not None:
-        u_rows[i] = [x + q * y for x, y in zip(u_rows[i], u_rows[j])]
-    if uinv_t is not None:
-        uinv_t[j] = [x - q * y for x, y in zip(uinv_t[j], uinv_t[i])]
+            s[t] = [x + y for x, y in zip(st, s[offender])]
 
 
 def _smallest_entry(s, t, rows, cols):
-    """Position of the first smallest nonzero |entry| of the block s[t:, t:]."""
+    """Position of the first smallest nonzero |entry| of s[t:rows, t:cols]."""
     pivot = None
     best = None
     for i in range(t, rows):
@@ -235,12 +180,9 @@ def _smallest_entry(s, t, rows, cols):
     return pivot
 
 
-def _non_multiple_row(s, t, rows, d):
-    """First row of s[t+1:, t+1:] holding an entry that d does not divide."""
-    for i in range(t + 1, rows):
-        if any(x % d for x in s[i][t + 1 :]):
-            return i
-    return None
+def _non_multiple_row(s, t, rows, cols, d):
+    """First row of s[t+1:rows, t+1:cols] holding an entry d does not divide."""
+    return next((i for i in range(t + 1, rows) if any(x % d for x in s[i][t + 1 : cols])), None)
 
 
 def smith_normal_form(m: Mat):
@@ -248,7 +190,9 @@ def smith_normal_form(m: Mat):
 
     Returns (U, S, V) with U, V unimodular, U*M*V == S diagonal,
     diagonal entries nonnegative with d1 | d2 | ... .  Total on every
-    rectangular integer matrix, including empty ones.
+    rectangular integer matrix, including empty ones.  Row steps on the
+    bordered [[M, I], [I, 0]] build U in its right border and column steps
+    V in its bottom one (Kannan and Bachem, SIAM J. Comput. 8, 1979).
 
     >>> m = Mat([[2, 4], [6, 8]])
     >>> u, s, v = smith_normal_form(m)
@@ -257,13 +201,25 @@ def smith_normal_form(m: Mat):
     >>> matmul(matmul(u, m), v) == s
     True
     """
-    return _smith(m, u=True, v=True)[:3]
+    rows, cols = m.rows, m.cols
+    s = [r + e for r, e in zip(m.a, identity(rows).a)]
+    s += [e + [0] * rows for e in identity(cols).a]
+    for t in range(min(rows, cols)):
+        pivot = _smallest_entry(s, t, rows, cols)
+        if pivot is None:
+            break
+        _clear_pivot(s, t, pivot, rows, cols)
+        if s[t][t] < 0:
+            s[t] = [-x for x in s[t]]
+    u = Mat([r[cols:] for r in s[:rows]], rows)
+    v = Mat([r[:cols] for r in s[rows:]], cols)
+    return u, Mat([r[:cols] for r in s[:rows]], cols), v
 
 
 def smith_with_inverses(m: Mat):
     """Like :func:`smith_normal_form` but also returns Uinv and Vinv."""
-    u, s, v, uinv = _smith(m, u=True, v=True, uinv=True)
-    return u, s, v, uinv, solve_columns(v, identity(m.cols))
+    u, s, v = smith_normal_form(m)
+    return u, s, v, solve_columns(u, identity(m.rows)), solve_columns(v, identity(m.cols))
 
 
 def sparse_rows(m: Mat) -> list[dict]:

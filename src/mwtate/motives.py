@@ -26,7 +26,7 @@ import operator
 from typing import Iterable
 
 from . import exactalg
-from .exactalg.groups import factor_prime_powers, split_dyadic
+from .exactalg.groups import factor_prime_powers, is_prime, split_dyadic
 from .values import Frozen, Ordered, Record
 
 
@@ -79,7 +79,7 @@ class OddTorsion(Ordered):
         p, r, shift = map(operator.index, (p, r, shift))
         if r < 1:
             raise ValueError("odd torsion exponent must be positive")
-        if p < 3 or p % 2 == 0 or factor_prime_powers(p) != [(p, 1)]:
+        if p < 3 or not is_prime(p):
             raise ValueError(f"{p} is not an odd prime")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "r", r)

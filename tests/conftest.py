@@ -42,8 +42,8 @@ def intmat_calls(monkeypatch):
 
 @pytest.fixture
 def smith_calls(intmat_calls) -> list:
-    """The calls of ``intmat._smith`` during the test."""
-    return intmat_calls("_smith")
+    """The calls of ``intmat.smith_normal_form`` during the test."""
+    return intmat_calls("smith_normal_form")
 
 
 @pytest.fixture

@@ -75,6 +75,16 @@ class TestBlockPages:
         with pytest.raises(TypeError):
             tower(2, 1, bad, "v")
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0])
+    def test_non_integer_page_refused(self, bad):
+        with pytest.raises(TypeError):
+            block_pages(DyadicEta(2, 0), bad)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0])
+    def test_non_integer_page_of_a_normal_form_refused(self, bad):
+        with pytest.raises(TypeError):
+            pages(NormalForm([Free(0), DyadicEta(2, 0)]), bad)
+
 
 class TestPagesFromWitt:
     def test_free_profile(self):
@@ -105,6 +115,11 @@ class TestPagesFromWitt:
         h = GradedGroup({2: FormalGroup.from_invariants([4, 4, 8, 0])})
         prof = dict(WittProfile.of(h).x)
         assert prof[(2, 2)] == 2 and prof[(2, 3)] == 1 and prof[(2, 0)] == 1
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0])
+    def test_non_integer_page_refused(self, bad):
+        with pytest.raises(TypeError):
+            pages_from_witt(GradedGroup({0: FormalGroup.free(1)}), bad)
 
 
 class TestDegeneracy:
@@ -263,6 +278,14 @@ class TestVGroup:
         n = rng.randrange(-1, 2)
         dims = [v_group(a, j, n).dim_V for j in range(1, 5)]
         assert all(dims[i] >= dims[i + 1] for i in range(len(dims) - 1))
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0])
+    def test_non_integer_page_or_degree_refused(self, bad):
+        a = NormalForm([Free(0), DyadicEta(1, 0)])
+        with pytest.raises(TypeError):
+            v_group(a, bad, 0)
+        with pytest.raises(TypeError):
+            v_group(a, 1, bad)
 
 
 class TestPinnedFibers:

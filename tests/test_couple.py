@@ -316,7 +316,8 @@ class TestPinnedAnalyses:
         (3, "bb9eee715cc3b56a", "4c4cb2aa40acfc67", "9b03079475d0c237"),
     ]
 
-    @pytest.mark.parametrize("seed, analyses, derived", PINNED)
+    @pytest.mark.parametrize("seed, analyses, derived", PINNED,
+                             ids=[str(seed) for seed, _, _ in PINNED])
     def test_same_analyses(self, seed, analyses, derived):
         rng = random.Random(seed)
         couples = [bockstein_couple(random_adjacent_complex(rng)) for _ in range(5)]

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import os
 import random
 import subprocess
@@ -12,7 +11,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from sympy import Matrix, factorint, nextprime
+from sympy import Matrix, factorint, isprime, nextprime
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hermite_normal_form
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
@@ -40,6 +39,7 @@ from mwtate.bockstein.pages import (
     tensor_pieces,
 )
 from mwtate.exactalg import intmat
+from mwtate.exactalg.groups import is_prime
 from mwtate.exactalg.intmat import Mat
 from mwtate.checks import random_adjacent_complex, random_normal_form, unimodular_twist
 from mwtate.cohomology import witt_cohomology
@@ -205,21 +205,11 @@ def int_matrices(draw, max_dim=6, bound=20):
     return Mat(draw(st.lists(row, min_size=rows, max_size=rows)), cols)
 
 
-TRANSFORMS = ("u", "v", "uinv")
-
-
 class TestSmithProperties:
     @given(int_matrices())
     def test_every_transform_request_gives_the_same_form(self, m):
-        full = intmat.smith_with_inverses(m)
-        for k in range(len(TRANSFORMS) + 1):
-            for asked in itertools.combinations(TRANSFORMS, k):
-                u, s, v, uinv = intmat._smith(m, **dict.fromkeys(asked, True))
-                assert s == full[1]
-                wanted = (full[0], full[2], full[3])
-                for name, got, want in zip(TRANSFORMS, (u, v, uinv), wanted):
-                    assert (got == want) if name in asked else got is None
-        u, s, v, uinv, vinv = full
+        u, s, v, uinv, vinv = intmat.smith_with_inverses(m)
+        assert (u, s, v) == smith_normal_form(m)
         assert intmat.matmul(intmat.matmul(u, m), v) == s
         assert intmat.matmul(u, uinv) == intmat.identity(m.rows)
         assert intmat.matmul(vinv, v) == intmat.identity(m.cols)
@@ -229,7 +219,7 @@ class TestSmithProperties:
         assert intmat.invariant_factors(m) == sympy_invariants(m)
 
     def test_same_forms_and_invariants(self):
-        # a sha256 prefix of every transform and diagonal _smith gives, and
+        # a sha256 prefix of U, S, V and U^-1 of the Smith form, and
         # of the invariant factors, of 400 seeded matrices up to 7 x 7;
         # 192 of them leave a residual to _modular_invariants and 75 hand
         # it a modulus, so the Euclidean step is pinned with and without one
@@ -238,7 +228,7 @@ class TestSmithProperties:
         for _ in range(400):
             rows, cols = rng.randint(0, 7), rng.randint(0, 7)
             m = Mat([[rng.choice(SMITH_ENTRIES) for _ in range(cols)] for _ in range(rows)], cols)
-            out.append((intmat._smith(m, u=True, v=True, uinv=True), intmat.invariant_factors(m)))
+            out.append((intmat.smith_with_inverses(m)[:4], intmat.invariant_factors(m)))
         assert hashlib.sha256(repr(out).encode()).hexdigest()[:16] == "dcab2d4d2a8d77f4"
 
 
@@ -441,7 +431,7 @@ def smith_kernel_basis(m):
     form U*M*V, put into Hermite form by the pairwise oracle."""
     if m.rows == 0:
         return intmat.identity(m.cols)
-    _, s, v, _ = intmat._smith(m, v=True)
+    _, s, v = smith_normal_form(m)
     diag = intmat.diagonal(s)
     free = [j for j in range(m.cols) if j >= len(diag) or diag[j] == 0]
     return pairwise_column_reduce(Mat.from_columns([v.column(j) for j in free], m.cols))
@@ -607,7 +597,7 @@ def smith_solve_columns(m, b):
     before it had an echelon step: with U*M*V == S a Smith form, U*B is
     divided row by row by the diagonal of S and V carries the quotients
     back.  An oracle that shares no elimination with the new solve."""
-    u, s, v, _ = intmat._smith(m, u=True, v=True)
+    u, s, v = smith_normal_form(m)
     diag = intmat.diagonal(s)
     z = []
     for i, row in enumerate(intmat.matmul(u, b).a):
@@ -626,7 +616,7 @@ def smith_lattice_contains(gens, vecs):
     of the Smith form U*M*V == S, zero past it."""
     if gens.cols == 0 or gens.rows == 0:  # the zero lattice, or Z^0
         return [not any(c) for c in vecs.columns()]
-    u, s, _, _ = intmat._smith(gens, u=True)
+    u, s, _ = smith_normal_form(gens)
     diag = intmat.diagonal(s) + [0] * gens.rows
     cols = intmat.matmul(u, vecs).columns()
     return [all((x % d if d else x) == 0 for x, d in zip(c, diag)) for c in cols]
@@ -750,7 +740,7 @@ class TestPresentedGroup:
         assert len(echelon_calls) == 2 and smith_calls == []
 
     def test_solving_and_membership_make_no_smith_form(self, monkeypatch):
-        monkeypatch.setattr(intmat, "_smith", _refuse)
+        monkeypatch.setattr(intmat, "smith_normal_form", _refuse)
         rng = random.Random(3400)
         for _ in range(50):
             n = rng.randrange(5)
@@ -895,7 +885,9 @@ class TestIntegerCohomology:
     def test_reads_no_kernel_and_no_smith_form(self, intmat_calls):
         rng = random.Random(2300)
         inputs = [random_complex(rng)[0] for _ in range(20)]
-        names = ("_smith", "kernel_basis", "kernel_mod_lattice", "column_reduce", "solve_columns")
+        names = (
+            "smith_normal_form", "kernel_basis", "kernel_mod_lattice", "column_reduce", "solve_columns",
+        )
         calls = {name: intmat_calls(name) for name in names}
         for c in inputs:
             for m in (0, 2, 12):
@@ -1039,7 +1031,7 @@ class TestDecomposeAgainstSympy:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_never_calls_smith(self, seed, monkeypatch):
-        monkeypatch.setattr(intmat, "_smith", _refuse)
+        monkeypatch.setattr(intmat, "smith_normal_form", _refuse)
         c, summands = random_complex(random.Random(1400 + seed), max_cells=14)
         assert elementary_data(decompose_free_complex(c)) == elementary_data(summands)
 
@@ -1287,6 +1279,28 @@ class TestFactorPrimePowers:
         want = sympy_factors(n)
         monkeypatch.setattr(sympy, "factorint", _refuse)
         assert factor_prime_powers(n) == want
+
+
+class TestIsPrime:
+    def test_matches_sympy_below_20000(self):
+        assert [n for n in range(1, 20001) if is_prime(n)] == [
+            n for n in range(1, 20001) if isprime(n)
+        ]
+
+    @pytest.mark.parametrize("n", [
+        # Carmichael numbers, strong pseudoprimes to the first 4 and 12 prime
+        # bases, and primes and a semiprime past the exact Miller-Rabin bound
+        561, 1105, 41041, 825265, 3215031751, 318665857834031151167461,
+        nextprime(3 * 10**24), 2**89 - 1, nextprime(2**66) * nextprime(2**66 + 2**40),
+    ])
+    def test_hard_cases(self, n):
+        assert is_prime(n) == isprime(n)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_squares_of_primes(self, seed):
+        rng = random.Random(seed)
+        for p in [nextprime(rng.randrange(10**k, 10**(k + 1))) for k in range(1, 13)]:
+            assert is_prime(p) and not is_prime(p * p)
 
 
 class TestFormalGroups:

@@ -71,6 +71,20 @@ class TestValidation:
             with pytest.raises(TypeError):
                 block(*args[:k], bad, *args[k + 1 :])
 
+    def test_odd_prime_is_checked_without_factoring(self, monkeypatch):
+        # a 132-bit semiprime is refused, a 132-bit prime accepted, and
+        # neither is factored
+        import mwtate.motives as motives
+
+        def refuse(n):
+            raise AssertionError("OddTorsion must not factor its prime")
+
+        monkeypatch.setattr(motives, "factor_prime_powers", refuse)
+        p, q = 2**65 + 131, 2**66 + 9  # both prime
+        with pytest.raises(ValueError, match="not an odd prime"):
+            OddTorsion(p * q, 1, 0)
+        assert OddTorsion(2**131 + 39, 1, 0).p == 2**131 + 39
+
     def test_duplicate_cell(self):
         report = validate_complex(TateComplex([("a", 0), ("a", 1)]))
         assert any(v.kind == "DuplicateCell" for v in report.violations)
