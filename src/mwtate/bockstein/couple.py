@@ -132,19 +132,20 @@ def _diag_normalize(group: PresentedGroup):
     Returns (new_group, to_new, from_new, orders) with to_new * from_new
     the identity on surviving coordinates; to_new carries old coordinates
     into the new presentation, and maps conjugate accordingly.  orders
-    holds the order of each new generator, 0 for a free one.  A group
-    without relations comes back as it is, with None for both transforms.
+    holds the order of each new generator, 0 for a free one.  A diagonal
+    group without unit generators comes back as is, with None transforms.
     """
-    n = group.ngens
-    if group.rels.cols == 0:  # already diagonal, with no unit generator
-        return group, None, None, [0] * n
-    # a square diagonal Hermite form (entries >= 0), d1 | d2 | ..., is its Smith form
-    a, diag = group.rels.a, intmat.diagonal(group.rels)
+    n, rels = group.ngens, group.rels
+    # already a Smith form: no relations, or a square diagonal Hermite form (entries >= 0)
+    diag = intmat.diagonal(rels)
+    diagonal = rels.cols == 0 or rels.cols == n and all(
+        sum(row) == d and d % p == 0 for row, d, p in zip(rels.a, diag, [1] + diag)
+    )
+    if diagonal and 1 not in diag:  # no generator to drop
+        return group, None, None, diag + [0] * (n - len(diag))
     u = unit = intmat.identity(n)
-    if group.rels.cols != n or not all(
-        sum(row) == d and d % p == 0 for row, d, p in zip(a, diag, [1] + diag)
-    ):
-        u, s, _v = intmat.smith_normal_form(group.rels)
+    if not diagonal:
+        u, s, _v = intmat.smith_normal_form(rels)
         diag = intmat.diagonal(s)
     keep = [i for i in range(n) if i >= len(diag) or diag[i] != 1]
     orders = [diag[i] if i < len(diag) else 0 for i in keep]
@@ -176,8 +177,10 @@ def normalize_couple(c: ExactCouple) -> ExactCouple:
             m, dst, frm = mat_of(deg), dst_to[deg + step], src_frm[deg]
             if frm is not None:
                 m = intmat.matmul(m, frm)
-            if dst is not None:  # reduce rows modulo the orders of the generators
-                rows = zip(intmat.matmul(dst, m).a, dst_ord[deg + step])
+            if dst is not None:
+                m = intmat.matmul(dst, m)
+            if any(dst_ord[deg + step]):  # reduce rows modulo the orders of the generators
+                rows = zip(m.a, dst_ord[deg + step])
                 m = Mat([[x % d for x in r] if d > 1 else r for r, d in rows], m.cols)
             out[deg] = m
         return out

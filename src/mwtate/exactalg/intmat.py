@@ -1,16 +1,17 @@
 """Exact linear algebra over the integers.
 
 :class:`Mat` is the one integer-matrix type: a list of row lists holding
-Python ints plus an explicit column count, so every shape, 0 x n, n x 0
-and 0 x 0 included, is a value like any other and every computation is
-arbitrary precision by construction.  Kernels, column Hermite forms,
-exact solving and lattice membership come from one echelon elimination
-by Euclidean column steps.  :func:`invariant_factors` eliminates exact
-pivots on sparse {column: entry} rows, the form in which a FreeComplex
-keeps its differentials, and works modulo a gcd of minors on what is
-left, so no entry outgrows the input's Hadamard bound.  That modular
-elimination and the Smith form, run on M bordered by identities so that
-its steps build both transforms, share one Euclidean step, _clear_pivot.
+Python ints plus an explicit column count, so every shape, 0 x n, n x 0 and
+0 x 0 included, is a value like any other and every computation is
+arbitrary precision by construction.  Kernels, column Hermite forms, exact
+solving and lattice membership come from one echelon elimination by
+Euclidean column steps; the kernels and column_reduce share one Hermite
+routine, _hermite.  :func:`invariant_factors` eliminates exact pivots on
+sparse {column: entry} rows, the form in which a FreeComplex keeps its
+differentials, and works modulo a gcd of minors on what is left, so no
+entry outgrows the input's Hadamard bound.  That modular elimination and
+the Smith form, run on M bordered by identities so that its steps build
+both transforms, share one Euclidean step, _clear_pivot.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ class Mat(Record):
     def __init__(self, a, cols=0):
         if a:
             cols = len(a[0])
-            if len(set(map(len, a))) > 1:
-                raise ValueError("rows of a matrix must have equal length")
+            for row in a:
+                if len(row) != cols:
+                    raise ValueError("rows of a matrix must have equal length")
         self.a = a
         self.rows = len(a)
         self.cols = cols
@@ -418,16 +420,12 @@ def _reduce(pivots: list, v: list, top: int) -> list | None:
     return None if any(v[:top]) else v[top:]
 
 
-def column_reduce(m: Mat) -> Mat:
-    """The column Hermite form of the column lattice of ``m``: one echelon
-    step per row, each pivot made positive and the entries of earlier
-    pivots reduced into [0, pivot) in its row, so repeated kernel and
-    presentation computations do not accumulate huge entries.
-
-    >>> column_reduce(Mat([[4, 6], [1, 0]]))
-    Mat([[2, 0], [2, 3]])
-    """
-    pivots = _echelon(m.columns(), m.rows)
+def _hermite(cols: list, rows: int) -> list:
+    """The columns of the column Hermite form of ``cols``, which it eats:
+    one echelon step per row, each pivot made positive and the entries of
+    earlier pivots reduced into [0, pivot) in its row, so repeated kernel
+    and presentation computations do not accumulate huge entries."""
+    pivots = _echelon(cols, rows)
     for k, (r, piv) in enumerate(pivots):
         if piv[r] < 0:
             piv[:] = [-x for x in piv]
@@ -435,7 +433,16 @@ def column_reduce(m: Mat) -> Mat:
             q = p[r] // piv[r]
             if q:
                 p[:] = [x - q * y for x, y in zip(p, piv)]
-    return Mat.from_columns([p for _, p in pivots], m.rows)
+    return [p for _, p in pivots]
+
+
+def column_reduce(m: Mat) -> Mat:
+    """The column Hermite form of the column lattice of ``m``.
+
+    >>> column_reduce(Mat([[4, 6], [1, 0]]))
+    Mat([[2, 0], [2, 3]])
+    """
+    return Mat.from_columns(_hermite(m.columns(), m.rows), m.rows)
 
 
 def _kernel_part(a: Mat, rels: Mat) -> Mat:
@@ -446,7 +453,7 @@ def _kernel_part(a: Mat, rels: Mat) -> Mat:
     cols = [c + [0] * j + [1] + [0] * (n - j - 1) for j, c in enumerate(a.columns())]
     cols += [c + pad for c in rels.columns()]
     _echelon(cols, a.rows)
-    return column_reduce(Mat.from_columns([c[a.rows :] for c in cols], n))
+    return Mat.from_columns(_hermite([c[a.rows :] for c in cols], n), n)
 
 
 def kernel_basis(m: Mat) -> Mat:
