@@ -36,6 +36,14 @@ class TestRewriting:
         assert not nf
         assert "Sq1 Sq3 Sq1" in trace  # the derived Adem vanishing fires
 
+    def test_coinciding_products_cancel(self):
+        # Sq1 . rho Sq2Sq3 and rho Sq1Sq2 . Sq3 are the same term: mod 2
+        # the pair cancels, and only the other two products are left
+        a = element((0, (SQ1,)), (1, (SQ1, SQ2)))
+        b = element((1, (SQ2, SQ3)), (0, (SQ3,)))
+        want = element((0, (SQ1, SQ3)), (2, (SQ1, SQ2, SQ2, SQ3)))
+        assert compose(a, b) == want
+
     def test_identity_matrix_sanity(self):
         assert identity_sanity()
 
