@@ -28,6 +28,7 @@ class InexactCouple(ValueError):
 
 
 _ZERO = PresentedGroup(0)  # the group of every missing degree
+TORSION_CAP = 64  # kernel chain steps before torsion_order gives up
 
 
 def _kept(build):
@@ -264,16 +265,16 @@ def couple_derive(c: ExactCouple) -> ExactCouple:
     return normalize_couple(raw)
 
 
-def torsion_order(c: ExactCouple, cap: int = 64) -> int:
+def torsion_order(c: ExactCouple) -> int:
     """Least r >= 1 with ker(i^{r+1}) = ker(i^r) in every degree."""
-    for r in range(1, cap + 1):
+    for r in range(1, TORSION_CAP + 1):
         if all(
             c.dgroup(deg).subgroups_equal(c.ker_i(deg, r), c.ker_i(deg, r + 1))
             for deg in c.degrees()
             if c.dgroup(deg).ngens
         ):
             return r
-    raise InexactCouple(f"kernel chain did not stabilize within {cap} steps")
+    raise InexactCouple(f"kernel chain did not stabilize within {TORSION_CAP} steps")
 
 
 class CoupleAnalysis(Frozen):

@@ -13,6 +13,10 @@ complexes S (R, R with zero differential) and S_j (R --rho^j--> R) in
 degrees (d, d+1), or a lone truncated tower T = R/rho^j in degree d.
 The degree d of a piece is the weight of its lowest tower, based at
 (2d, d).
+
+One builder turns a sum of pieces into a page, for a block, a normal
+form and a Witt profile alike; a Z/2^j Witt summand is read as the 2^j
+eta cone one degree below it, so it shares the cone's page rule.
 """
 
 from __future__ import annotations
@@ -108,6 +112,16 @@ SJ_PIECE = "Sj"
 T_PIECE = "T"
 
 
+def _cone_piece(i: int, j: int, w: int):
+    """The page-i piece of the cone of 2^j eta on weight w: S up to page
+    j, S_j with its rho^j arrow on page j+1, R/rho^j one row up after."""
+    if i <= j:
+        return (S_PIECE, 0, w)
+    if i == j + 1:
+        return (SJ_PIECE, j, w)
+    return (T_PIECE, j, w + 1)
+
+
 def block_piece(block, i: int):
     """The piece (kind, exponent, degree) one atomic block is on page i,
     or None when the block vanishes mod 2.
@@ -120,12 +134,29 @@ def block_piece(block, i: int):
     if not isinstance(block, DyadicEta) or block.t == 0:
         # odd blocks vanish mod 2; Sq2 is an isomorphism on the plain eta cone
         return None
-    j, w = block.t, block.weight
-    if i <= j:
-        return (S_PIECE, 0, w)
-    if i == j + 1:
-        return (SJ_PIECE, j, w)
-    return (T_PIECE, j, w + 1)
+    return _cone_piece(i, block.t, block.weight)
+
+
+def _page(i: int, pieces) -> Page:
+    """Page i of a sum of pieces, as towers and arrows; None pieces vanish.
+    The pieces are read only once the page index is checked."""
+    i = operator.index(i)
+    if i < 2:
+        raise PageTooSmall(f"pages start at 2, got {i}")
+    towers = []
+    arrows = []
+    for kind, j, d in filter(None, pieces):
+        if kind == R_PIECE:
+            towers.append(tower(2 * d, d))
+        elif kind == T_PIECE:
+            towers.append(tower(2 * d, d, j, "v"))
+        else:
+            u = tower(2 * d, d, INF, "u")
+            v = tower(2 * d + 2, d + 1, INF, "v")
+            towers += (u, v)
+            if kind == SJ_PIECE:
+                arrows.append((u, v, j))
+    return Page(i, tuple(towers), tuple(arrows))
 
 
 def block_pages(block, i: int) -> Page:
@@ -135,20 +166,7 @@ def block_pages(block, i: int) -> Page:
     >>> pg.towers
     (Tower(p=2, q=1, height_key=2, label='v'),)
     """
-    i = operator.index(i)
-    if i < 2:
-        raise PageTooSmall(f"pages start at 2, got {i}")
-    piece = block_piece(block, i)
-    if piece is None:
-        return Page(i, (), ())
-    kind, j, d = piece
-    if kind == R_PIECE:
-        return Page(i, (tower(2 * d, d),), ())
-    if kind == T_PIECE:
-        return Page(i, (tower(2 * d, d, j, "v"),), ())
-    u = tower(2 * d, d, INF, "u")
-    v = tower(2 * d + 2, d + 1, INF, "v")
-    return Page(i, (u, v), ((u, v, j),) if kind == SJ_PIECE else ())
+    return _page(i, (block_piece(b, i) for b in (block,)))
 
 
 def _resolved(piece):
@@ -210,16 +228,7 @@ def derived_pieces(xs):
 
 def pages(a: NormalForm, i: int) -> Page:
     """Direct sum of the block tables of a normal form."""
-    i = operator.index(i)
-    if i < 2:
-        raise PageTooSmall(f"pages start at 2, got {i}")
-    towers = []
-    arrows = []
-    for b in a.blocks:
-        pg = block_pages(b, i)
-        towers.extend(pg.towers)
-        arrows.extend(pg.arrows)
-    return Page(i, tuple(towers), tuple(arrows))
+    return _page(i, (block_piece(b, i) for b in a.blocks))
 
 
 class WittProfile(Frozen):
@@ -245,33 +254,20 @@ class WittProfile(Frozen):
 def pages_from_witt(h: GradedGroup, i: int) -> Page:
     """Page tables recovered from a Witt cohomology profile alone.
 
-    A free Z in cochain degree d is one infinite tower in row d; a
-    Z/2^j summand in degree d is the u/v tower pair of rows (d-1, d)
-    while i <= j+1 (with the rho^j arrow exactly at page i = j+1) and a
-    height-j v-tower in row d afterwards.  Odd torsion is invisible.
+    A free Z in cochain degree d is the piece R in degree d, and a
+    Z/2^j summand in degree d is the page-i piece of the cone of 2^j eta
+    on weight d-1, the same pieces the blocks give.  Odd torsion is
+    invisible.
 
     >>> h = GradedGroup({0: __import__('mwtate').exactalg.FormalGroup.free(1)})
     >>> len(pages_from_witt(h, 5).towers)
     1
     """
-    i = operator.index(i)
-    if i < 2:
-        raise PageTooSmall(f"pages start at 2, got {i}")
-    towers = []
-    arrows = []
-    for (d, j), count in WittProfile.of(h).x:
-        if j == 0:
-            towers.extend([tower(2 * d, d)] * count)
-            continue
-        if i <= j + 1:
-            u = tower(2 * (d - 1), d - 1, INF, "u")
-            v = tower(2 * d, d, INF, "v")
-            towers.extend([u, v] * count)
-            if i == j + 1:
-                arrows.extend([(u, v, j)] * count)
-        else:
-            towers.extend([tower(2 * d, d, j, "v")] * count)
-    return Page(i, tuple(towers), tuple(arrows))
+    return _page(i, (
+        (R_PIECE, 0, d) if j == 0 else _cone_piece(i, j, d - 1)
+        for (d, j), count in WittProfile.of(h).x
+        for _ in range(count)
+    ))
 
 
 def degeneracy_page(a: NormalForm) -> int:

@@ -38,13 +38,14 @@ from ..values import Frozen
 # terms (coefficients are mod 2).
 
 SQ1, SQ2, SQ3, SQ5, TAU = "Sq1", "Sq2", "Sq3", "Sq5", "tau"
+MAX_REWRITES = 10000  # rewrite steps before reduce_element gives up
 
 
 def element(*terms) -> frozenset:
     out = set()
     for rho, word in terms:
         key = (rho, tuple(word))
-        out.symmetric_difference_update({key})
+        out ^= {key}
     return frozenset(out)
 
 
@@ -54,15 +55,7 @@ def add(a: frozenset, b: frozenset) -> frozenset:
 
 def compose(a: frozenset, b: frozenset) -> frozenset:
     """Operator composition: a after b, word of a then word of b."""
-    out = set()
-    for ra, wa in a:
-        for rb, wb in b:
-            key = (ra + rb, wa + wb)
-            if key in out:
-                out.remove(key)
-            else:
-                out.add(key)
-    return frozenset(out)
+    return element(*((ra + rb, wa + wb) for ra, wa in a for rb, wb in b))
 
 
 # rule: lhs word -> list of (rho increment, replacement word)
@@ -84,25 +77,21 @@ CARTAN_SLIDES = (
 
 
 def _match(word, rules):
-    """Leftmost-longest rule match: (position, lhs, rhs) or None."""
-    best = None
+    """Leftmost-longest rule match: (position, lhs, rhs) or None; of equally
+    long matches the first rule wins."""
     for pos in range(len(word)):
-        for lhs, rhs in rules:
-            if word[pos : pos + len(lhs)] == lhs:
-                if best is None or pos < best[0] or (
-                    pos == best[0] and len(lhs) > len(best[1])
-                ):
-                    best = (pos, lhs, rhs)
-        if best is not None and best[0] == pos:
-            break
-    return best
+        hits = [(lhs, rhs) for lhs, rhs in rules if word[pos : pos + len(lhs)] == lhs]
+        if hits:
+            lhs, rhs = max(hits, key=lambda hit: len(hit[0]))
+            return pos, lhs, rhs
+    return None
 
 
-def reduce_element(elem: frozenset, rules, max_steps: int = 10000):
+def reduce_element(elem: frozenset, rules):
     """Reduce to a normal form; returns (normal form, trace of rules)."""
     trace = []
     current = set(elem)
-    for _ in range(max_steps):
+    for _ in range(MAX_REWRITES):
         target = None
         for term in sorted(current):
             hit = _match(term[1], rules)
@@ -116,10 +105,7 @@ def reduce_element(elem: frozenset, rules, max_steps: int = 10000):
         trace.append(" ".join(lhs))
         for rho_inc, repl in rhs:
             key = (rho + rho_inc, word[:pos] + repl + word[pos + len(lhs) :])
-            if key in current:
-                current.remove(key)
-            else:
-                current.add(key)
+            current ^= {key}
     raise RuntimeError("rewrite did not terminate")
 
 
@@ -145,6 +131,14 @@ def differential_matrix():
     return ((a, b), (c, d))
 
 
+def _square(m):
+    """The four entries of the 2 x 2 product m*m, each with its position."""
+    for r in range(2):
+        for c in range(2):
+            entry = add(compose(m[r][0], m[0][c]), compose(m[r][1], m[1][c]))
+            yield (r + 1, c + 1), entry
+
+
 def steenrod_dsquare_check(extended: bool = False, rules=None) -> DSquareReport:
     """Compose D with itself and reduce all four entries.
 
@@ -163,19 +157,11 @@ def steenrod_dsquare_check(extended: bool = False, rules=None) -> DSquareReport:
     else:
         rules = tuple(rules)
         used = "custom"
-    m = differential_matrix()
     entries = []
-    ok = True
-    for r in range(2):
-        for c in range(2):
-            start = add(
-                compose(m[r][0], m[0][c]), compose(m[r][1], m[1][c])
-            )
-            nf, trace = reduce_element(start, rules)
-            zero = not nf
-            ok = ok and zero
-            entries.append(EntryReport((r + 1, c + 1), start, nf, zero, tuple(trace)))
-    return DSquareReport(tuple(entries), ok, used)
+    for position, start in _square(differential_matrix()):
+        nf, trace = reduce_element(start, rules)
+        entries.append(EntryReport(position, start, nf, not nf, tuple(trace)))
+    return DSquareReport(tuple(entries), all(e.reduced_to_zero for e in entries), used)
 
 
 def identity_sanity() -> bool:
@@ -183,11 +169,9 @@ def identity_sanity() -> bool:
     one = element((0, ()))
     zero = element()
     m = ((one, zero), (zero, one))
-    for r in range(2):
-        for c in range(2):
-            got = add(compose(m[r][0], m[0][c]), compose(m[r][1], m[1][c]))
-            nf, _ = reduce_element(got, QUOTED_RULES)
-            want = one if r == c else zero
-            if nf != want:
-                return False
+    for (r, c), got in _square(m):
+        nf, _ = reduce_element(got, QUOTED_RULES)
+        want = one if r == c else zero
+        if nf != want:
+            return False
     return True

@@ -170,9 +170,6 @@ class TateComplex(Record):
         attach = ((str(a), str(b), operator.index(v)) for (a, b), v in given)
         self.attach = {(a, b): v for a, b, v in attach if v}
 
-    def weights(self) -> list[int]:
-        return sorted({w for _, w in self.cells})
-
     def __repr__(self):
         return f"TateComplex(cells={list(self.cells)!r}, attach={self.attach!r})"
 
@@ -277,12 +274,9 @@ def realize(a: NormalForm) -> TateComplex:
     """
     cells = []
     attach = {}
-    counter = 0
 
     def new_cell(w):
-        nonlocal counter
-        cid = f"c{counter}"
-        counter += 1
+        cid = f"c{len(cells)}"
         cells.append((cid, w))
         return cid
 

@@ -116,12 +116,8 @@ def blowup_from_json(data):
 def normal_form_to_json(a: NormalForm) -> list:
     out = []
     for b in a.blocks:
-        if isinstance(b, Free):
-            out.append({"kind": "free", "weight": b.weight})
-        elif isinstance(b, DyadicEta):
-            out.append({"kind": "dyadic", "t": b.t, "weight": b.weight})
-        else:
-            out.append({"kind": "odd", "p": b.p, "r": b.r, "shift": b.shift})
+        kind = _BLOCK_KINDS[type(b)]
+        out.append({"kind": kind, **{k: getattr(b, k) for k in _BLOCK_FIELDS[kind][1]}})
     return out
 
 
@@ -144,6 +140,7 @@ _BLOCK_FIELDS = {
     "dyadic": (DyadicEta, ("t", "weight")),
     "odd": (OddTorsion, ("p", "r", "shift")),
 }
+_BLOCK_KINDS = {cls: kind for kind, (cls, _) in _BLOCK_FIELDS.items()}
 
 
 def formal_group_to_json(g: FormalGroup) -> dict:
@@ -151,10 +148,7 @@ def formal_group_to_json(g: FormalGroup) -> dict:
 
 
 def graded_group_to_json(g: GradedGroup, model: bool = False):
-    groups = [
-        {"degree": d, "free": grp.free_rank, "torsion": list(grp.torsion)}
-        for d, grp in g.items()
-    ]
+    groups = [{"degree": d, **formal_group_to_json(grp)} for d, grp in g.items()]
     if model:
         return {"model": MODEL_TAG, "groups": groups}
     return groups
@@ -189,7 +183,7 @@ def page_to_json(pg: Page) -> dict:
     used_src = {t: 0 for t in index}
     used_dst = {t: 0 for t in index}
     diffs = []
-    for src, dst, power in sorted(pg.arrows, key=lambda a: (a[0], a[1], a[2])):
+    for src, dst, power in sorted(pg.arrows):
         si = index[src][min(used_src[src], len(index[src]) - 1)]
         used_src[src] += 1
         di = index[dst][min(used_dst[dst], len(index[dst]) - 1)]

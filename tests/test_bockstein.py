@@ -225,7 +225,7 @@ class TestTruncated:
     @pytest.mark.parametrize("shift, failing, pinned", [
         (1, 58, "b72d1721410e288f"),
         (-1, 60, "6ae5a1057e3c90d8"),
-    ])
+    ], ids=["1", "-1"])
     def test_same_failure_details(self, monkeypatch, shift, failing, pinned):
         quotient = analysis.quotient_by_dyadic_eta
         monkeypatch.setattr(
