@@ -139,7 +139,7 @@ def block_piece(block, i: int):
 
 def _page(i: int, pieces) -> Page:
     """Page i of a sum of pieces, as towers and arrows; None pieces vanish.
-    The pieces are read only once the page index is checked."""
+    An iterator of pieces is read only once the page index is checked."""
     i = operator.index(i)
     if i < 2:
         raise PageTooSmall(f"pages start at 2, got {i}")
@@ -166,7 +166,7 @@ def block_pages(block, i: int) -> Page:
     >>> pg.towers
     (Tower(p=2, q=1, height_key=2, label='v'),)
     """
-    return _page(i, (block_piece(b, i) for b in (block,)))
+    return _page(i, [block_piece(block, i)])
 
 
 def _resolved(piece):
