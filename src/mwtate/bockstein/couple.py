@@ -6,7 +6,10 @@ Deriving replaces D by the image of i and E by the homology of j o k,
 with all induced maps computed by exact integer solving; analysis and
 derivation work on normalized (diagonal) couples.  The couple of an
 attachment complex is the multiplication-by-2 couple on its integer
-cohomology: E_1 is mod-2 cohomology, d_1 the integral Bockstein.
+cohomology: E_1 is mod-2 cohomology, d_1 the integral Bockstein.  Its E
+side is read mod 2: every E_r is an F2-space, and a lattice holding 2Z^n
+has one column Hermite form, fixed by its image mod 2, so the E lattices
+and the kernels into E groups come from one F2 elimination.
 
 Couples are values, so a couple keeps what it builds: i^n, ker(i^n),
 ker(k) and E_inf of a degree are built once each, by one method each.
@@ -85,6 +88,8 @@ class ExactCouple(Record):
         """i^n on D(deg) as one matrix."""
         if n == 0:
             return intmat.identity(self.dgroup(deg).ngens)
+        if n == 1:  # i itself, as a Mat of its own: i^1 and i stay apart by identity
+            return Mat(self.imat(deg).a, self.dgroup(deg).ngens)
         return intmat.matmul(self.imat(deg), self.i_power(deg, n - 1))
 
     @_kept
@@ -104,7 +109,7 @@ class ExactCouple(Record):
         """E_inf(deg) = ker(k)/j(ker(i^r)), presented on the columns of ker(k)."""
         kerk = self.ker_k(deg)
         jk = intmat.matmul(self.jmat(deg), self.ker_i(deg, r))
-        rels = intmat.kernel_mod_lattice(kerk, intmat.hstack(jk, self.egroup(deg).rels))
+        rels = _kernel_into(self.egroup(deg), kerk, jk)
         return PresentedGroup.of_hermite(kerk.cols, rels)
 
 
@@ -125,6 +130,71 @@ def _coordinates(group: PresentedGroup | None, gens: Mat, images: Mat) -> Mat:
 def _split(m: Mat, at: int) -> tuple[Mat, Mat]:
     """The first ``at`` columns of ``m`` and the rest."""
     return Mat([r[:at] for r in m.a], at), Mat([r[at:] for r in m.a], m.cols - at)
+
+
+def _bits(m: Mat) -> list[int]:
+    """The columns of ``m`` mod 2 as bitmasks, row 0 the highest bit."""
+    out = [0] * m.cols
+    for row in m.a:
+        out = [2 * b + (x & 1) for b, x in zip(out, row)]
+    return out
+
+
+def _mod2_hermite(vecs, n: int) -> Mat:
+    """The column Hermite form of 2Z^n + the lifts of the vectors below bit n
+    in the F2 span of ``vecs`` (bit n - 1 - r is row r), the only one of a
+    lattice holding 2Z^n: reduced echelon vectors at pivot rows, else 2e_r."""
+    pivots = {}  # top bit -> vector, each pivot bit in its own vector only
+    for v in vecs:
+        for t, b in pivots.items():
+            if v >> t & 1:
+                v ^= b
+        if v:
+            t = v.bit_length() - 1
+            for u, b in pivots.items():
+                if b >> t & 1:
+                    pivots[u] = b ^ v
+            pivots[t] = v
+    cols = intmat.scalar(n, 2).a  # 2e_r, as columns, at rows where none pivots
+    for t, v in pivots.items():
+        if t < n:
+            cols[n - 1 - t] = [v >> (n - 1 - s) & 1 for s in range(n)]
+    return Mat.from_columns(cols, n)
+
+
+def _kernel_into(group: PresentedGroup, a: Mat, extra: Mat | None = None) -> Mat:
+    """{x : A x in colspan(extra) + the relations of ``group``} in Hermite
+    form.  If those hold 2Z^m, as an E group's do, it is the part with a zero
+    A half of the F2 span of [rel; 0] and [A e_j; e_j]; else the integer one."""
+    rels = group.rels
+    # a square Hermite form with diagonal 1s and 2s whose 2-columns are 2e_r
+    holds_two = rels.cols == rels.rows and all(
+        col[r] == 1 or col[r] == 2 and col.count(0) == rels.rows - 1
+        for r, col in enumerate(rels.columns())
+    )
+    if extra is not None:
+        rels = intmat.hstack(extra, rels)
+    if not holds_two:
+        return intmat.kernel_mod_lattice(a, rels)
+    n = a.cols
+    vecs = [b << n for b in _bits(rels)]
+    return _mod2_hermite(vecs + [b << n | 1 << (n - 1 - j) for j, b in enumerate(_bits(a))], n)
+
+
+def _parity_coordinates(basis: Mat, images: Mat) -> Mat:
+    """Coordinates of the columns of ``images`` in a basis from _mod2_hermite:
+    v_p at each pivot row p, else (v_r - the v_p with a 1 in row r) / 2."""
+    out = list(images.a)
+    for r, row in enumerate(basis.a):
+        if row[r] == 2:
+            v = images.a[r]
+            for p in range(r):
+                if row[p]:
+                    v = [x - y for x, y in zip(v, images.a[p])]
+            if any(x & 1 for x in v):
+                raise InexactCouple("element does not lie in the expected subgroup")
+            out[r] = [x >> 1 for x in v]
+    return Mat(out, images.cols)
 
 
 def _diag_normalize(group: PresentedGroup):
@@ -201,7 +271,7 @@ def verify_exactness(c: ExactCouple) -> None:
         dg = c.dgroup(deg)
         if dg.ngens:
             # at D(deg) between i (incoming from D(deg)) and j
-            ker_j = intmat.kernel_mod_lattice(c.jmat(deg), c.egroup(deg).rels)
+            ker_j = _kernel_into(c.egroup(deg), c.jmat(deg))
             if not dg.subgroups_equal(c.imat(deg), ker_j):
                 raise InexactCouple(f"im(i) != ker(j) at D degree {deg}")
             # at D(deg) between k (incoming from E(deg - 1)) and i
@@ -229,17 +299,11 @@ def couple_derive(c: ExactCouple) -> ExactCouple:
         if eg.ngens == 0:
             continue
         # the differential j o k raises the degree by one
-        prev = intmat.matmul(c.jmat(deg), c.kmat(deg - 1))
-        target = c.egroup(deg + 1)
-        if target.ngens:
-            dmat = intmat.matmul(c.jmat(deg + 1), c.kmat(deg))
-            cycles = intmat.kernel_mod_lattice(dmat, target.rels)
-        else:  # j o k lands in a zero group
-            cycles = intmat.identity(eg.ngens)
-        e_cycles[deg] = cycles
+        dmat = intmat.matmul(c.jmat(deg + 1), c.kmat(deg))
+        cycles = e_cycles[deg] = _kernel_into(c.egroup(deg + 1), dmat)
         if cycles.cols == 0:
             continue
-        rels = intmat.kernel_mod_lattice(cycles, intmat.hstack(prev, eg.rels))
+        rels = _kernel_into(eg, cycles, intmat.matmul(c.jmat(deg), c.kmat(deg - 1)))
         e2[deg] = PresentedGroup.of_hermite(cycles.cols, rels)
 
     for deg in c.degrees():
@@ -306,7 +370,6 @@ def _four_term_exact(c: ExactCouple, r: int) -> bool:
     [I | -j], so its first kerk.cols columns are the identity columns
     that generate E_inf, a quotient of ker(k).
     """
-    kernel = intmat.kernel_mod_lattice
     for deg in c.degrees():
         dg = c.dgroup(deg)
         if dg.ngens == 0:
@@ -320,18 +383,18 @@ def _four_term_exact(c: ExactCouple, r: int) -> bool:
         j_coords = _coordinates(eg, kerk, c.jmat(deg))
         dm = Mat(j_coords.a + intmat.identity(n).a, n)
         # relations of M: kerk relations lifted + D relations + ker(i^inf)
-        k_rels, d_rels = kernel(kerk, eg.rels), intmat.hstack(dg.rels, ker_inf)
+        k_rels, d_rels = _kernel_into(eg, kerk), intmat.hstack(dg.rels, ker_inf)
         pad_k, pad_d = [0] * d_rels.cols, [0] * k_rels.cols
         m_rels = [row + pad_k for row in k_rels.a] + [pad_d + row for row in d_rels.a]
         m_group = PresentedGroup(kerk.cols + n, Mat(m_rels, k_rels.cols + d_rels.cols))
-        if not dg.subgroups_equal(kernel(dm, m_group.rels), inter):
+        if not dg.subgroups_equal(intmat.kernel_mod_lattice(dm, m_group.rels), inter):
             return False
         # exactness at M: kernel of (pi, -jbar) into E_inf equals im(dm);
         # the map M -> E_inf is the identity on kerk coordinates and
         # -[j(x)] on the Dbar part
         minus_j = Mat([[-x for x in row] for row in j_coords.a], j_coords.cols)
         to_einf = intmat.hstack(intmat.identity(kerk.cols), minus_j)
-        if not m_group.subgroups_equal(kernel(to_einf, einf_group.rels), dm):
+        if not m_group.subgroups_equal(_kernel_into(einf_group, to_einf), dm):
             return False
     return True
 
@@ -423,14 +486,13 @@ def bockstein_couple(complex_: FreeComplex) -> ExactCouple:
         delta = intmat.transpose(complex_.differential(deg))
         delta_in = intmat.transpose(complex_.differential(deg - 1))
         ker = intmat.kernel_basis(delta)
-        # the lattice {x : delta x in 2Z} holds 2Z^n, so the columns of its
-        # Hermite form are a basis of it
-        two = intmat.scalar(delta.rows, 2)
-        basis = lattices[deg] = intmat.kernel_mod_lattice(delta, two)
-        # E relations: [2I | delta_in] in the basis; j: the kernel in it
+        # the lattice {x : delta x in 2Z}, whose Hermite form is a basis of it
+        mod2 = PresentedGroup.of_hermite(delta.rows, intmat.scalar(delta.rows, 2))
+        basis = lattices[deg] = _kernel_into(mod2, delta)
+        # E relations: [2I | delta_in] in the basis, read mod 2; j: the kernel
         rhs = intmat.hstack(intmat.hstack(intmat.scalar(n, 2), delta_in), ker)
-        rels, j = _split(_coordinates(None, basis, rhs), n + delta_in.cols)
-        e_groups[deg] = PresentedGroup(basis.cols, rels)
+        rels, j = _split(_parity_coordinates(basis, rhs), n + delta_in.cols)
+        e_groups[deg] = PresentedGroup.of_hermite(n, _mod2_hermite(_bits(rels), n))
         if ker.cols == 0:
             continue
         # D relations: delta_in in the kernel; k from degree deg - 1: half

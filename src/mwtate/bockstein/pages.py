@@ -241,12 +241,11 @@ class WittProfile(Frozen):
     def of(cls, h: GradedGroup) -> WittProfile:
         data: dict[tuple[int, int], int] = {}
         for d, grp in h.items():
-            if grp.free_rank:
-                key = (d, 0)
-                data[key] = data.get(key, 0) + grp.free_rank
+            if grp.free_rank:  # each degree comes once
+                data[d, 0] = grp.free_rank
             for c in grp.torsion:
-                if c % 2 == 0:
-                    key = (d, c.bit_length() - 1)
+                if c % 2 == 0:  # a Z/2^v summand, v the 2-adic valuation of c
+                    key = (d, (c & -c).bit_length() - 1)
                     data[key] = data.get(key, 0) + 1
         return cls(tuple(sorted(data.items())))
 

@@ -20,6 +20,7 @@ included) where an integer belongs raises ValueError.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import TYPE_CHECKING
 
 from .exactalg.groups import FormalGroup, GradedGroup
@@ -169,24 +170,22 @@ def gw_from_json(data) -> GWElement:
 def page_to_json(pg: Page) -> dict:
     towers = sorted(pg.towers)
     index = {}
-    tower_list = []
     for k, t in enumerate(towers):
         index.setdefault(t, []).append(k)
-        tower_list.append(
-            {
-                "p": t.p,
-                "q": t.q,
-                "height": "inf" if t.height is None else t.height,
-                "label": t.label,
-            }
-        )
-    used_src = {t: 0 for t in index}
-    used_dst = {t: 0 for t in index}
-    diffs = []
-    for src, dst, power in sorted(pg.arrows):
-        si = index[src][min(used_src[src], len(index[src]) - 1)]
-        used_src[src] += 1
-        di = index[dst][min(used_dst[dst], len(index[dst]) - 1)]
-        used_dst[dst] += 1
-        diffs.append({"from": si, "to": di, "rho_power": power})
-    return {"page": pg.index, "towers": tower_list, "differential": diffs}
+
+    def cursors():  # per tower, its indices in turn, the last one repeated
+        return {t: chain(ks, repeat(ks[-1])) for t, ks in index.items()}
+
+    src_at, dst_at = cursors(), cursors()
+    return {
+        "page": pg.index,
+        "towers": [
+            {"p": t.p, "q": t.q, "height": "inf" if t.height is None else t.height,
+             "label": t.label}
+            for t in towers
+        ],
+        "differential": [
+            {"from": next(src_at[src]), "to": next(dst_at[dst]), "rho_power": power}
+            for src, dst, power in sorted(pg.arrows)
+        ],
+    }

@@ -116,6 +116,12 @@ class TestPagesFromWitt:
         prof = dict(WittProfile.of(h).x)
         assert prof[(2, 2)] == 2 and prof[(2, 3)] == 1 and prof[(2, 0)] == 1
 
+    def test_profile_reads_the_two_part_of_an_order(self):
+        # an order kept whole, not split into prime powers: Z/12 = Z/4 + Z/3
+        # holds a Z/4, Z/24 a Z/8 and Z/6 a Z/2
+        h = GradedGroup({0: FormalGroup(0, (12,)), 1: FormalGroup(0, (6, 24))})
+        assert WittProfile.of(h).x == (((0, 2), 1), ((1, 1), 1), ((1, 3), 1))
+
     @pytest.mark.parametrize("bad", [2.5, 3.0])
     def test_non_integer_page_refused(self, bad):
         with pytest.raises(TypeError):

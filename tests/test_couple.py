@@ -1,7 +1,10 @@
 import hashlib
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors
 
@@ -22,7 +25,7 @@ from mwtate.bockstein import couple, pages
 from mwtate.checks import random_adjacent_complex, random_normal_form, unimodular_twist
 from mwtate.exactalg import FormalGroup, FreeComplex, PresentedGroup, integer_cohomology
 from mwtate.exactalg import intmat
-from mwtate.exactalg.intmat import Mat, hstack, kernel_mod_lattice, zeros
+from mwtate.exactalg.intmat import Mat, hstack, kernel_mod_lattice, matmul, scalar, zeros
 from mwtate.motives import _to_free_complex, realize
 
 
@@ -399,6 +402,80 @@ class TestPinnedAnalyses:
         assert self.digest(got) == invariants
 
 
+@st.composite
+def small_mats(draw, rows, cols):
+    """A rows x cols matrix with entries in [-9, 9]."""
+    row = st.lists(st.integers(-9, 9), min_size=cols, max_size=cols)
+    return Mat(draw(st.lists(row, min_size=rows, max_size=rows)), cols)
+
+
+@st.composite
+def e_kernel_cases(draw):
+    """(group, A, extra) for a kernel into a group whose relations hold
+    2Z^m: A up to 10 x 12; relations 2I, or the Hermite form of 2Z^m plus
+    up to four integer columns; extra absent or up to four columns."""
+    m, n = draw(st.integers(0, 10)), draw(st.integers(0, 12))
+    rels = scalar(m, 2)
+    if draw(st.booleans()):
+        rels = intmat.column_reduce(hstack(rels, draw(small_mats(m, draw(st.integers(0, 4))))))
+    extra = draw(st.none() | small_mats(m, draw(st.integers(0, 4))))
+    return PresentedGroup.of_hermite(m, rels), draw(small_mats(m, n)), extra
+
+
+class TestModTwoSide:
+    # the mod-2 helpers of the E side against the integer oracle
+    # kernel_mod_lattice, column_reduce and solve_columns
+
+    @given(e_kernel_cases())
+    def test_kernel_into_an_e_group_is_the_integer_kernel(self, case):
+        group, a, extra = case
+        lattice = group.rels if extra is None else hstack(extra, group.rels)
+        expected = kernel_mod_lattice(a, lattice)
+        # read mod 2: the integer kernel is not called
+        with mock.patch.object(intmat, "kernel_mod_lattice", side_effect=AssertionError):
+            assert couple._kernel_into(group, a, extra) == expected
+
+    @given(st.data())
+    def test_hermite_is_the_integer_hermite_form(self, data):
+        m = data.draw(small_mats(data.draw(st.integers(0, 10)), data.draw(st.integers(0, 12))))
+        expected = intmat.column_reduce(hstack(scalar(m.rows, 2), m))
+        assert couple._mod2_hermite(couple._bits(m), m.rows) == expected
+
+    @pytest.mark.parametrize("rels", [[[4]], [[2, 0], [1, 2]], [[1, 0], [0, 0]]])
+    def test_other_groups_keep_the_integer_kernel(self, rels, intmat_calls):
+        # Z/4, a lattice whose 2-column is not 2e_r, and one not of full
+        # rank: none holds 2Z^m, and the mod-2 reading of each is wrong
+        group = PresentedGroup(len(rels), rels)
+        a = intmat.identity(len(rels))
+        expected = kernel_mod_lattice(a, group.rels)
+        calls = intmat_calls("kernel_mod_lattice")
+        assert couple._kernel_into(group, a) == expected and len(calls) == 1
+
+    @given(st.data())
+    def test_parity_coordinates_are_the_integer_solve(self, data):
+        m, n, k = data.draw(st.integers(0, 10)), data.draw(st.integers(0, 12)), 3
+        mod2 = PresentedGroup.of_hermite(m, scalar(m, 2))
+        basis = couple._kernel_into(mod2, data.draw(small_mats(m, n)))
+        coeffs = data.draw(small_mats(n, k))
+        assert couple._parity_coordinates(basis, matmul(basis, coeffs)) == coeffs
+        images = data.draw(small_mats(n, k))
+        expected = intmat.solve_columns(basis, images)
+        if expected is None:
+            with pytest.raises(InexactCouple):
+                couple._parity_coordinates(basis, images)
+        else:
+            assert couple._parity_coordinates(basis, images) == expected
+
+
+@pytest.mark.parametrize("lower, upper", [([[1]], [[1]]), ([[1]], [[3]]), ([[1, 1]], [[1], [0]])])
+def test_non_composable_complex_is_inexact(lower, upper):
+    # the two differentials compose to an odd matrix, so an incoming
+    # coboundary leaves the lattice {x : delta x in 2Z}
+    ranks = {0: 1, 1: len(lower[0]), 2: len(upper[0])}
+    with pytest.raises(InexactCouple):
+        bockstein_couple(FreeComplex(ranks, {0: lower, 1: upper}))
+
+
 GAP_ENTRIES = (0, 0, 1, -1, 2, -2, 4, -4, 8, 3, 6)
 
 
@@ -430,12 +507,14 @@ def test_kernel_mod_lattice_is_one_hermite_form(intmat_calls, echelon_calls):
     assert kernel_calls == []
 
 
-def test_couple_build_solves_each_basis_once(echelon_calls, monkeypatch):
+def test_couple_build_solves_each_basis_once(echelon_calls, intmat_calls, monkeypatch):
     # every coordinate bockstein_couple needs in a kernel basis (D
-    # relations and k) or in a lattice basis (E relations and j) comes from
-    # one solve against that basis, each one echelon pass
+    # relations and k) comes from one solve against that basis, one echelon
+    # pass; the lattice basis (E relations and j) is read off mod 2, with
+    # no solve and no integer kernel of its own
     solves = []
     solve = intmat.solve_columns
+    lattice_kernels = intmat_calls("kernel_mod_lattice")
 
     def counted(m, b):
         before = len(echelon_calls)
@@ -454,8 +533,9 @@ def test_couple_build_solves_each_basis_once(echelon_calls, monkeypatch):
         for w in complex_.weights():
             n = complex_.rank(w)
             kernel = intmat.kernel_basis(intmat.transpose(complex_.differential(w)))
-            expected += [(n, n, 1)] + ([(n, kernel.cols, 1)] if kernel.cols else [])
+            expected += [(n, kernel.cols, 1)] if kernel.cols else []
         assert sorted(solves) == sorted(expected)
+    assert lattice_kernels == []
 
 
 def test_coordinates_is_one_solve(echelon_calls, smith_calls):
