@@ -23,7 +23,7 @@ __all__, __getattr__ = _lazy_exports(globals(), {
         "bockstein_couple", "couple_analyze", "couple_derive",
     ),
     "pages": (
-        "Page", "PageTooSmall", "Tower", "WittProfile",
+        "Page", "PageTooSmall", "Tower",
         "block_pages", "degeneracy_page", "pages", "pages_from_witt", "tower",
     ),
     "steenrod": ("DSquareReport", "steenrod_dsquare_check"),

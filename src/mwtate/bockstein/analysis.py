@@ -13,8 +13,8 @@ The Leibniz check and the V-groups work on fiber models (``fibers``).
 The model of a normal form has one tower per free block and a u/v pair
 per dyadic cone, keyed by (block index, kind); the model of a product,
 such as A/2^j eta = A (x) cone(2^j eta), is the product of the factors'
-models, whose differentials follow the Leibniz rule.  Both compare or
-read its pages through one F2 elimination, ``fibers.f2_kernel``.  The
+models, whose differentials follow the Leibniz rule.  Both read its
+pages, and a V-group its fiber product, through ``exactalg.f2``.  The
 Leibniz check scans every bidegree of a window of rows, and checks
 dimensions, ranks and d_i o d_i = 0 there; a V-group computes page
 states only on the bidegrees its three targets depend on.
@@ -27,10 +27,10 @@ from collections import Counter
 from itertools import chain
 
 from .. import exactalg
-from ..exactalg.groups import FormalGroup
+from ..exactalg import FormalGroup, f2
 from ..motives import DyadicEta, Free, NormalForm, quotient_by_dyadic_eta, tensor
 from ..values import Frozen
-from .fibers import FiberModel, f2_image, f2_kernel, f2_reduce
+from .fibers import FiberModel
 from .pages import (
     T_PIECE,
     block_piece,
@@ -205,9 +205,9 @@ def _page_failures(model: FiberModel, nf: NormalForm, i_max: int, q_lo: int, q_t
             if z and model.arrows.get(i):
                 d = model.differential(i, (p, q))
                 d_next = model.differential(i, (p + i + 1, q + i))
-                bb2 = states[i].get((p + 2 * i + 2, q + 2 * i), ([], []))[1]
-                twice = [(v, f2_image(d_next, f2_image(d, v))) for v in z]
-                got = len(z) - len(f2_kernel(twice, bb2))
+                bb2 = states[i].get((p + 2 * i + 2, q + 2 * i), ([], {}))[1]
+                twice = [(v, f2.image(d_next, f2.image(d, v))) for v in z]
+                got = len(z) - len(f2.kernel(twice, bb2))
                 if got:
                     failures.append(("dd", i, p, q, got, 0))
             got, want = len(z) - len(bb), pg.dim(p, q)
@@ -287,9 +287,9 @@ def v_group(a: NormalForm, j: int, n: int) -> VGroupResult:
     amodel = _block_fiber_model(a.blocks)
     b_x, b_y, b_t = (2 * n, n), (2 * n + 2, n + 1), (2 * n + j + 2, n + j + 1)
     states = _v_states(amodel, [(j + 1, b_x), (j + 2, b_y), (j + 1, b_t)])
-    zx = states[j + 1].get(b_x, ([], []))[0]
-    zy = states[j + 2].get(b_y, ([], []))[0]
-    bt = states[j + 1].get(b_t, ([], []))[1]
+    zx = states[j + 1].get(b_x, ([], {}))[0]
+    zy = states[j + 2].get(b_y, ([], {}))[0]
+    bt = states[j + 1].get(b_t, ([], {}))[1]
     fib_x, fib_y, fib_t = amodel.fiber(*b_x), amodel.fiber(*b_y), amodel.fiber(*b_t)
     # solve beta(x) + rho^j y in B_j at the target over F2; a pair is packed
     # as its y-bits shifted above the x fiber width, and rho^j sends a tower
@@ -297,7 +297,7 @@ def v_group(a: NormalForm, j: int, n: int) -> VGroupResult:
     width = len(fib_x)
     cols = amodel.differential(j + 1, b_x) + [1 << fib_t[g] for g in fib_y]
     packed = zx + [y << width for y in zy]
-    v_basis = f2_kernel([(vec, f2_image(cols, vec)) for vec in packed], bt)
+    v_basis = f2.kernel([(vec, f2.image(cols, vec)) for vec in packed], bt)
     v_pairs = [(vec & ((1 << width) - 1), vec >> width) for vec in v_basis]
     return VGroupResult(len(v_basis), _fiber_product(a, j, n, amodel, v_pairs, fib_x, fib_y))
 
@@ -306,16 +306,16 @@ def _fiber_product(a, j, n, amodel, v_pairs, fib_x, fib_y):
     """ker of V + H^n(A, W/2^j) -> E_{j+2}^{(2n+2, n+1)}(A/2^j eta)."""
     tmodel = amodel * _cone_model(j)
     b_e = (2 * n + 2, n + 1)
-    eb = _v_states(tmodel, [(j + 2, b_e)])[j + 2].get(b_e, ([], []))[1]
+    eb = _v_states(tmodel, [(j + 2, b_e)])[j + 2].get(b_e, ([], {}))[1]
     efib = tmodel.fiber(*b_e)
 
     def e_class(keys):
-        """The class at b_e of the sum of these product generators."""
+        """The sum of these product generators at b_e, a lift of its class."""
         out = 0
         for key in keys:
             if key in efib:
                 out ^= 1 << efib[key]
-        return f2_reduce(out, eb)
+        return out
 
     # (order, class) per generator: V pairs map to x*v + y*u
     gens = [
@@ -339,9 +339,9 @@ def _fiber_product(a, j, n, amodel, v_pairs, fib_x, fib_y):
 
     if not gens:
         return FormalGroup.zero()
-    size = len(gens)
-    theta = [[(vec >> r) & 1 for _, vec in gens] for r in range(len(efib))]
-    intmat = exactalg.intmat
-    kernel = intmat.kernel_mod_lattice(intmat.Mat(theta, size), intmat.scalar(len(efib), 2))
-    orders = [[order if r == c else 0 for c in range(size)] for r, (order, _) in enumerate(gens)]
-    return exactalg.PresentedGroup(size, orders).subgroup_presentation(kernel).invariants()
+    # K = {x : sum x_c class_c = 0} holds 2Z^size, so D = diag(orders) too: K/D
+    size, intmat = len(gens), exactalg.intmat
+    pairs = [(1 << (size - 1 - c), vec) for c, (_, vec) in enumerate(gens)]
+    kernel = intmat.Mat(f2.hermite(f2.kernel(pairs, eb), size), size)
+    orders = intmat.Mat([[o * (r == c) for c in range(size)] for r, (o, _) in enumerate(gens)])
+    return exactalg.PresentedGroup(size, intmat.solve_columns(kernel, orders)).invariants()

@@ -9,7 +9,7 @@ attachment complex is the multiplication-by-2 couple on its integer
 cohomology: E_1 is mod-2 cohomology, d_1 the integral Bockstein.  Its E
 side is read mod 2: every E_r is an F2-space, and a lattice holding 2Z^n
 has one column Hermite form, fixed by its image mod 2, so the E lattices
-and the kernels into E groups come from one F2 elimination.
+and the kernels into E groups come from the F2 elimination ``exactalg.f2``.
 
 Couples are values, so a couple keeps what it builds: i^n, ker(i^n),
 ker(k) and E_inf of a degree are built once each, by one method each.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 
-from ..exactalg import FreeComplex, PresentedGroup, intmat
+from ..exactalg import FreeComplex, PresentedGroup, f2, intmat
 from ..exactalg.intmat import Mat
 from ..values import Frozen, Record
 
@@ -140,32 +140,17 @@ def _bits(m: Mat) -> list[int]:
     return out
 
 
-def _mod2_hermite(vecs, n: int) -> Mat:
-    """The column Hermite form of 2Z^n + the lifts of the vectors below bit n
-    in the F2 span of ``vecs`` (bit n - 1 - r is row r), the only one of a
-    lattice holding 2Z^n: reduced echelon vectors at pivot rows, else 2e_r."""
-    pivots = {}  # top bit -> vector, each pivot bit in its own vector only
-    for v in vecs:
-        for t, b in pivots.items():
-            if v >> t & 1:
-                v ^= b
-        if v:
-            t = v.bit_length() - 1
-            for u, b in pivots.items():
-                if b >> t & 1:
-                    pivots[u] = b ^ v
-            pivots[t] = v
-    cols = intmat.scalar(n, 2).a  # 2e_r, as columns, at rows where none pivots
-    for t, v in pivots.items():
-        if t < n:
-            cols[n - 1 - t] = [v >> (n - 1 - s) & 1 for s in range(n)]
-    return Mat.from_columns(cols, n)
+def _mod2_kernel(a: Mat, rels=()) -> Mat:
+    """{x : A x in 2Z^m + the lifts of the bitmasks ``rels``} in Hermite form:
+    the part with a zero A half of the F2 span of [rel; 0] and [A e_j; e_j]."""
+    n = a.cols
+    vecs = [b << n for b in rels] + [b << n | 1 << (n - 1 - j) for j, b in enumerate(_bits(a))]
+    return Mat(f2.hermite(vecs, n), n)
 
 
 def _kernel_into(group: PresentedGroup, a: Mat, extra: Mat | None = None) -> Mat:
     """{x : A x in colspan(extra) + the relations of ``group``} in Hermite
-    form.  If those hold 2Z^m, as an E group's do, it is the part with a zero
-    A half of the F2 span of [rel; 0] and [A e_j; e_j]; else the integer one."""
+    form, read mod 2 if those hold 2Z^m, as an E group's do."""
     rels = group.rels
     # a square Hermite form with diagonal 1s and 2s whose 2-columns are 2e_r
     holds_two = rels.cols == rels.rows and all(
@@ -176,13 +161,11 @@ def _kernel_into(group: PresentedGroup, a: Mat, extra: Mat | None = None) -> Mat
         rels = intmat.hstack(extra, rels)
     if not holds_two:
         return intmat.kernel_mod_lattice(a, rels)
-    n = a.cols
-    vecs = [b << n for b in _bits(rels)]
-    return _mod2_hermite(vecs + [b << n | 1 << (n - 1 - j) for j, b in enumerate(_bits(a))], n)
+    return _mod2_kernel(a, _bits(rels))
 
 
 def _parity_coordinates(basis: Mat, images: Mat) -> Mat:
-    """Coordinates of the columns of ``images`` in a basis from _mod2_hermite:
+    """Coordinates of the columns of ``images`` in a basis from ``f2.hermite``:
     v_p at each pivot row p, else (v_r - the v_p with a 1 in row r) / 2."""
     out = list(images.a)
     for r, row in enumerate(basis.a):
@@ -487,12 +470,11 @@ def bockstein_couple(complex_: FreeComplex) -> ExactCouple:
         delta_in = intmat.transpose(complex_.differential(deg - 1))
         ker = intmat.kernel_basis(delta)
         # the lattice {x : delta x in 2Z}, whose Hermite form is a basis of it
-        mod2 = PresentedGroup.of_hermite(delta.rows, intmat.scalar(delta.rows, 2))
-        basis = lattices[deg] = _kernel_into(mod2, delta)
+        basis = lattices[deg] = _mod2_kernel(delta)
         # E relations: [2I | delta_in] in the basis, read mod 2; j: the kernel
         rhs = intmat.hstack(intmat.hstack(intmat.scalar(n, 2), delta_in), ker)
         rels, j = _split(_parity_coordinates(basis, rhs), n + delta_in.cols)
-        e_groups[deg] = PresentedGroup.of_hermite(n, _mod2_hermite(_bits(rels), n))
+        e_groups[deg] = PresentedGroup.of_hermite(n, Mat(f2.hermite(_bits(rels), n), n))
         if ker.cols == 0:
             continue
         # D relations: delta_in in the kernel; k from degree deg - 1: half

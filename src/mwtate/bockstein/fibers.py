@@ -17,64 +17,17 @@ Pages are then computed per bidegree by the standard subspace recursion
     Z(i+1) = { z in Z(i) : d_i(z) in B(i) },
     B(i+1) = B(i) + d_i(Z(i)),
 
-with all fibers finite F2 spaces handled as bitmask bases.  This is
-exact for the block world: every differential here comes from one
-dyadic cone firing on a single page.
+with all fibers finite F2 spaces: Z as a list of bitmask vectors, B as
+an ``exactalg.f2`` basis, and each step one ``f2.kernel`` and ``f2.insert``.
+This is exact for the block world: every differential here comes from
+one dyadic cone firing on a single page.
 """
 
 from __future__ import annotations
 
+from ..exactalg import f2
 from ..values import Record
 from .pages import tower
-
-
-def f2_reduce(vec: int, basis: list[int]) -> int:
-    for b in basis:
-        vec = min(vec, vec ^ b)
-    return vec
-
-
-def f2_insert(vec: int, basis: list[int]) -> None:
-    vec = f2_reduce(vec, basis)
-    if vec:
-        basis.append(vec)
-        basis.sort(reverse=True)
-
-
-def f2_image(cols: list[int], vec: int) -> int:
-    """Image of a bitmask vector under the matrix with these columns."""
-    out = 0
-    for k, col in enumerate(cols):
-        if (vec >> k) & 1:
-            out ^= col
-    return out
-
-
-def f2_kernel(pairs, modulo: list[int]) -> list[int]:
-    """Basis of the vectors in the span of ``pairs`` whose image lies in
-    the span of ``modulo``.
-
-    ``pairs`` are (vector, image) with independent vectors; ``modulo`` is
-    a basis kept by ``f2_insert``.  Each image is reduced against
-    ``modulo`` and the earlier pivots, carrying its vector along.
-
-    >>> f2_kernel([(0b01, 0b1), (0b10, 0b1), (0b100, 0b10)], [0b10])
-    [3, 4]
-    """
-    pivots = []  # (reduced image, vector), images decreasing
-    kernel = []
-    for vec, img in pairs:
-        img = f2_reduce(img, modulo)
-        for pimg, pvec in pivots:
-            if img ^ pimg < img:
-                img ^= pimg
-                vec ^= pvec
-        if img:
-            pivots.append((img, vec))
-            pivots.sort(reverse=True)
-        else:
-            kernel.append(vec)
-    return kernel
 
 
 class FiberModel(Record):
@@ -141,12 +94,12 @@ class FiberModel(Record):
     def page_states(self, up_to: int, window):
         """Z/B bases per bidegree for pages 2..up_to.
 
-        Returns {page: {(p, q): (Z basis, B basis)}}.  The window is an
-        iterable of bidegrees; boundaries landing outside it are dropped,
-        so callers should pass a window closed under the arrows they
-        care about.
+        Returns {page: {(p, q): (Z basis, B basis)}}, Z a list of vectors
+        and B an ``f2`` basis dict.  The window is an iterable of
+        bidegrees; boundaries landing outside it are dropped, so callers
+        should pass a window closed under the arrows they care about.
         """
-        current = {b: ([1 << k for k in range(len(self.fiber(*b)))], []) for b in window}
+        current = {b: ([1 << k for k in range(len(self.fiber(*b)))], {}) for b in window}
         states = {2: current}
         for i in range(2, up_to):
             if i not in self._targets:  # d_i = 0: the page repeats
@@ -160,16 +113,16 @@ class FiberModel(Record):
                     continue
                 tgt = (b[0] + i + 1, b[1] + i)
                 cols = self.differential(i, b)
-                pairs = [(vec, f2_image(cols, vec)) for vec in z]
-                cycles[b] = f2_kernel(pairs, current.get(tgt, ([], []))[1])
+                pairs = [(vec, f2.image(cols, vec)) for vec in z]
+                cycles[b] = f2.kernel(pairs, current.get(tgt, ([], {}))[1])
                 images.setdefault(tgt, []).extend(img for _, img in pairs if img)
             nxt = {}
             for b, z in cycles.items():
                 bb = current[b][1]
                 if images.get(b):
-                    bb = bb[:]
+                    bb = dict(bb)
                     for img in images[b]:
-                        f2_insert(img, bb)
+                        f2.insert(img, bb)
                 nxt[b] = (z, bb)  # boundaries are always cycles; B stays inside Z
             states[i + 1] = current = nxt
         return states

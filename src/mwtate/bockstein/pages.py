@@ -15,7 +15,7 @@ The degree d of a piece is the weight of its lowest tower, based at
 (2d, d).
 
 One builder turns a sum of pieces into a page, for a block, a normal
-form and a Witt profile alike; a Z/2^j Witt summand is read as the 2^j
+form and Witt cohomology alike; a Z/2^j Witt summand is read as the 2^j
 eta cone one degree below it, so it shares the cone's page rule.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import operator
 
-from ..exactalg.groups import GradedGroup
+from ..exactalg.groups import GradedGroup, split_dyadic
 from ..motives import DyadicEta, Free, NormalForm
 from ..values import Frozen, Ordered
 
@@ -231,41 +231,26 @@ def pages(a: NormalForm, i: int) -> Page:
     return _page(i, (block_piece(b, i) for b in a.blocks))
 
 
-class WittProfile(Frozen):
-    """Multiplicities x[(row, exponent)] of Z/2^j summands per row, with
-    exponent 0 standing for a free Z summand."""
-
-    __slots__ = _fields = ("x",)
-
-    @classmethod
-    def of(cls, h: GradedGroup) -> WittProfile:
-        data: dict[tuple[int, int], int] = {}
-        for d, grp in h.items():
-            if grp.free_rank:  # each degree comes once
-                data[d, 0] = grp.free_rank
-            for c in grp.torsion:
-                if c % 2 == 0:  # a Z/2^v summand, v the 2-adic valuation of c
-                    key = (d, (c & -c).bit_length() - 1)
-                    data[key] = data.get(key, 0) + 1
-        return cls(tuple(sorted(data.items())))
-
-
 def pages_from_witt(h: GradedGroup, i: int) -> Page:
-    """Page tables recovered from a Witt cohomology profile alone.
+    """Page tables recovered from the Witt cohomology groups alone.
 
-    A free Z in cochain degree d is the piece R in degree d, and a
-    Z/2^j summand in degree d is the page-i piece of the cone of 2^j eta
-    on weight d-1, the same pieces the blocks give.  Odd torsion is
-    invisible.
+    A free Z in cochain degree d is the piece R in degree d, and a cyclic
+    summand of order 2^j s, s odd and j >= 1, in degree d is the page-i
+    piece of the cone of 2^j eta on weight d-1, the same pieces the blocks
+    give; per degree the R pieces come first, then the cones by j.  Odd
+    torsion is invisible.
 
     >>> h = GradedGroup({0: __import__('mwtate').exactalg.FormalGroup.free(1)})
     >>> len(pages_from_witt(h, 5).towers)
     1
     """
     return _page(i, (
-        (R_PIECE, 0, d) if j == 0 else _cone_piece(i, j, d - 1)
-        for (d, j), count in WittProfile.of(h).x
-        for _ in range(count)
+        piece
+        for d, grp in h.items()
+        for piece in [(R_PIECE, 0, d)] * grp.free_rank + [
+            _cone_piece(i, j, d - 1)
+            for j in sorted(split_dyadic(c)[0] for c in grp.torsion if c % 2 == 0)
+        ]
     ))
 
 

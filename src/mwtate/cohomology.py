@@ -135,14 +135,8 @@ def eta_inverted(a: NormalForm, p: int, q: int) -> FormalGroup:
     h = witt_cohomology(a, 0)[p - q]
     if m <= 0:
         return h
-    tors = []
-    for c in h.torsion:
-        if c % 2 == 0:
-            t = c.bit_length() - 1
-            if t > m:
-                tors.append(1 << (t - m))
-        else:
-            tors.append(c)
+    # Z/2^t s = Z/2^t + Z/s with s odd, of which I^m keeps Z/2^max(t-m, 0) + Z/s
+    tors = [c for t, s in map(split_dyadic, h.torsion) for c in (1 << max(t - m, 0), s) if c > 1]
     return FormalGroup(h.free_rank, tuple(tors))
 
 

@@ -1,5 +1,5 @@
-"""Exact linear algebra over Z: integer matrices, free cochain complexes,
-presented and formal abelian groups.
+"""Exact linear algebra over Z and F2: integer matrices, free cochain
+complexes, presented and formal abelian groups, bitmask elimination (f2).
 
 The package re-exports the names in ``__all__`` and, like
 ``mwtate.bockstein``, imports the submodule that defines one the first time
@@ -17,6 +17,5 @@ __all__, __getattr__ = _lazy_exports(globals(), {
     "groups": (
         "FormalGroup", "GradedGroup", "factor_prime_powers", "graded_kunneth", "split_dyadic",
     ),
-    "intmat": ("smith_normal_form",),
-    "presented": ("PresentedGroup",),
+    "f2": (), "intmat": ("smith_normal_form",), "presented": ("PresentedGroup",),
 })

@@ -7,8 +7,8 @@ at once, one column each, against the one matrix [gens | rels] by
 :mod:`mwtate.exactalg.intmat`: membership (do they lie in a subgroup)
 reduces them by the echelon pivots of that matrix, and coordinates in
 the subgroup solve [gens | rels] X = B by the echelon pivots of
-[gens | rels; I].  Invariants and subgroup presentations come from its
-invariant factors and kernels.
+[gens | rels; I].  Invariants come from the invariant factors of the
+relations.
 """
 
 from __future__ import annotations
@@ -61,11 +61,6 @@ class PresentedGroup(Record):
         return self.contains_subgroup(gens_a, gens_b) and self.contains_subgroup(
             gens_b, gens_a
         )
-
-    def subgroup_presentation(self, gens: Mat) -> PresentedGroup:
-        """The subgroup generated by the columns of ``gens`` as an
-        abstract group (relations pulled back through the generators)."""
-        return PresentedGroup(gens.cols, intmat.kernel_mod_lattice(gens, self.rels))
 
     def express(self, gens: Mat, images: Mat) -> Mat | None:
         """Coordinates of the columns of ``images`` in the columns of

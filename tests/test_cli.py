@@ -596,21 +596,21 @@ class TestVerbImports:
               "mwtate.bockstein", "mwtate.bockstein.pages", "mwtate.bockstein.analysis",
               "mwtate.bockstein.fibers", "mwtate.bockstein.couple",
               "mwtate.bockstein.steenrod", "mwtate.exactalg.intmat",
-              "mwtate.exactalg.complexes", "mwtate.exactalg.presented")
+              "mwtate.exactalg.complexes", "mwtate.exactalg.presented", "mwtate.exactalg.f2")
     # suite: the layers it runs, with the layers those import
     SUITE_LAYERS = {
         "block-pages": {"mwtate.bockstein.pages"},
         "bounded": {"mwtate.bockstein.pages", "mwtate.cohomology", "mwtate.exactalg.complexes"},
         "couple": {"mwtate.bockstein.couple", "mwtate.exactalg.complexes",
-                   "mwtate.exactalg.intmat", "mwtate.exactalg.presented"},
+                   "mwtate.exactalg.intmat", "mwtate.exactalg.presented", "mwtate.exactalg.f2"},
         "decompose": {"mwtate.cohomology", "mwtate.exactalg.complexes", "mwtate.exactalg.intmat"},
         "degeneracy": {"mwtate.bockstein.pages"},
         "hom-cone": {"mwtate.cohomology"},
         "hp1": {"mwtate.geometry", "mwtate.cohomology"},
         "kunneth": {"mwtate.bockstein.analysis", "mwtate.bockstein.fibers",
-                    "mwtate.bockstein.pages"},
+                    "mwtate.bockstein.pages", "mwtate.exactalg.f2"},
         "leibniz": {"mwtate.bockstein.analysis", "mwtate.bockstein.fibers",
-                    "mwtate.bockstein.pages"},
+                    "mwtate.bockstein.pages", "mwtate.exactalg.f2"},
         "pbundle": {"mwtate.bockstein.pages", "mwtate.cohomology", "mwtate.geometry",
                     "mwtate.exactalg.complexes", "mwtate.exactalg.intmat"},
         "steenrod": {"mwtate.bockstein.steenrod"},
@@ -618,7 +618,7 @@ class TestVerbImports:
         "torsion-profile": {"mwtate.bockstein.pages", "mwtate.cohomology",
                             "mwtate.exactalg.complexes"},
         "truncated": {"mwtate.bockstein.analysis", "mwtate.bockstein.fibers",
-                      "mwtate.bockstein.pages"},
+                      "mwtate.bockstein.pages", "mwtate.exactalg.f2"},
     }
 
     @pytest.fixture(scope="class")

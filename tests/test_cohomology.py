@@ -113,6 +113,30 @@ class TestEtaInverted:
         assert eta_inverted(NormalForm([DyadicEta(2, 1)]), 5, 3) == FormalGroup.cyclic(2)
         assert eta_inverted(NormalForm([DyadicEta(2, 1)]), 2, 0) == FormalGroup.cyclic(4)
 
+    def test_even_order_splits_off_its_odd_part(self, monkeypatch):
+        # an order kept whole, not split into prime powers: Z/12 = Z/4 + Z/3,
+        # of which I^1 keeps Z/2 + Z/3 and I^2 keeps Z/3
+        from mwtate import cohomology
+
+        h = GradedGroup({1: FormalGroup(0, (12,))})
+        monkeypatch.setattr(cohomology, "witt_cohomology", lambda a, j=0: h)
+        assert eta_inverted(NormalForm([]), 3, 2) == FormalGroup(0, (2, 3))
+        assert eta_inverted(NormalForm([]), 4, 3) == FormalGroup(0, (3,))
+
+    @pytest.mark.parametrize("order", [6, 12, 20, 24, 36, 45])
+    def test_whole_order_reads_as_its_prime_power_split(self, monkeypatch, order):
+        # Z/order in Witt degree 1, kept whole or split into prime powers,
+        # gives the same groups for m = 2q - p = 1..4, up to that split
+        from mwtate import cohomology
+
+        def scaled(h):
+            monkeypatch.setattr(cohomology, "witt_cohomology", lambda a, j=0: GradedGroup({1: h}))
+            groups = [eta_inverted(NormalForm([]), q + 1, q) for q in range(2, 6)]
+            return [FormalGroup.from_invariants(g.torsion) for g in groups]
+
+        whole = scaled(FormalGroup(0, (order,)))
+        assert whole == scaled(FormalGroup.from_invariants([order]))
+
     def test_odd_torsion_unscaled(self):
         a = NormalForm([OddTorsion(3, 2, 0)])
         # torsion sits in Witt degree 1 = p - q; m = 2q - p = 2 > 0

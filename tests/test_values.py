@@ -51,7 +51,6 @@ HOMES = {  # class: the module that defines it
     "SuiteResult": "mwtate.checks",
     "Tower": "mwtate.bockstein.pages",
     "Page": "mwtate.bockstein.pages",
-    "WittProfile": "mwtate.bockstein.pages",
     "ExactCouple": "mwtate.bockstein.couple",
     "CoupleAnalysis": "mwtate.bockstein.couple",
     "FiberModel": "mwtate.bockstein.fibers",
@@ -225,11 +224,6 @@ class Page:
         return hash(self.canonical())
 
 
-@dataclass(frozen=True)
-class WittProfile:
-    x: tuple
-
-
 @dataclass
 class ExactCouple:
     d_groups: dict
@@ -368,7 +362,6 @@ DRAWS = {
     "Tower": lambda rng: dict(p=rng.randint(0, 1), q=rng.randint(0, 1),
                               height_key=rng.randint(0, 1), label=rng.choice("uv")),
     "Page": _page,
-    "WittProfile": lambda rng: dict(x=tuple(((d, 0), 1) for d in range(rng.randint(0, 2)))),
     "ExactCouple": lambda rng: dict(
         d_groups={0: rng.randint(0, 1)}, e_groups={}, map_i={}, map_j={},
         map_k={0: rng.randint(0, 1)}),
@@ -416,7 +409,7 @@ def pool():
 
 
 def test_every_former_dataclass_has_a_twin_and_draws():
-    assert len(HOMES) == 25
+    assert len(HOMES) == 24
     assert sorted(TWINS) == sorted(DRAWS) == sorted(HOMES)
     for name in HOMES:
         assert real(name).__name__ == TWINS[name].__name__ == name
