@@ -191,13 +191,19 @@ def _page_failures(model: FiberModel, nf: NormalForm, i_max: int, q_lo: int, q_t
     The window runs 2 i_max rows above q_top, so d_i and d_i o d_i out
     of every checked bidegree land inside it or on a line without
     generators; the rank of d_i on classes is dim Z_i - dim Z_{i+1},
-    and d_i o d_i must send Z_i into B_i two steps up.
+    and d_i o d_i must send Z_i into B_i two steps up.  The tables are
+    tallied once per page from the towers and the arrows that hit them.
     """
+    def rows(t):  # the offsets of tower t up to row q_top
+        return range(t.height_key or max(q_top - t.q + 1, 0))
     window = _model_window(model, q_lo, q_top + 2 * i_max)
     states = model.page_states(i_max + 1, window)
     failures = []
     for i in range(2, i_max + 1):
         pg = pages(nf, i)
+        dims = Counter(_cells(pg.towers, rows, 0, 0))
+        ranks = Counter((s.p + k, s.q + k) for s, d, power in pg.arrows
+                        for k in rows(s) if d.covers(d.p + k + power, d.q + k + power))
         for p, q in window:
             if q > q_top:
                 continue
@@ -210,11 +216,11 @@ def _page_failures(model: FiberModel, nf: NormalForm, i_max: int, q_lo: int, q_t
                 got = len(z) - len(f2.kernel(twice, bb2))
                 if got:
                     failures.append(("dd", i, p, q, got, 0))
-            got, want = len(z) - len(bb), pg.dim(p, q)
+            got, want = len(z) - len(bb), dims[p, q]
             if got != want:
                 failures.append(("dim", i, p, q, got, want))
                 continue
-            got, want = len(z) - len(states[i + 1][p, q][0]), pg.differential_rank(p, q)
+            got, want = len(z) - len(states[i + 1][p, q][0]), ranks[p, q]
             if got != want:
                 failures.append(("rank", i, p, q, got, want))
     return failures

@@ -2,14 +2,14 @@
 
 Groups are finite presentations (Z^n modulo integer relation columns),
 graded by degree, with i: D^d -> D^d, j: D^d -> E^d, k: E^d -> D^{d+1}.
-Deriving replaces D by the image of i and E by the homology of j o k,
-with all induced maps computed by exact integer solving; analysis and
-derivation work on normalized (diagonal) couples.  The couple of an
-attachment complex is the multiplication-by-2 couple on its integer
+Deriving replaces D by im(i) and E by the homology of j o k, maps by exact
+solving; the analysis derives nothing, as the n-th derived E is
+E_{n+1} = k^-1(i^n D)/j(ker i^n) of the first couple (Massey).  The couple
+of an attachment complex is the multiplication-by-2 couple on its integer
 cohomology: E_1 is mod-2 cohomology, d_1 the integral Bockstein.  Its E
 side is read mod 2: every E_r is an F2-space, and a lattice holding 2Z^n
-has one column Hermite form, fixed by its image mod 2, so the E lattices
-and the kernels into E groups come from the F2 elimination ``exactalg.f2``.
+has one column Hermite form, fixed by its image mod 2, so E lattices, the
+kernels into E groups and the pages come from ``exactalg.f2``.
 
 Couples are values, so a couple keeps what it builds: i^n, ker(i^n),
 ker(k) and E_inf of a degree are built once each, by one method each.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 
-from ..exactalg import FreeComplex, PresentedGroup, f2, intmat
+from ..exactalg import FormalGroup, FreeComplex, PresentedGroup, f2, intmat
 from ..exactalg.intmat import Mat
 from ..values import Frozen, Record
 
@@ -107,10 +107,18 @@ class ExactCouple(Record):
     @_kept
     def e_inf(self, deg, r) -> PresentedGroup:
         """E_inf(deg) = ker(k)/j(ker(i^r)), presented on the columns of ker(k)."""
-        kerk = self.ker_k(deg)
-        jk = intmat.matmul(self.jmat(deg), self.ker_i(deg, r))
-        rels = _kernel_into(self.egroup(deg), kerk, jk)
-        return PresentedGroup.of_hermite(kerk.cols, rels)
+        return self.e_page(deg, r, self.ker_k(deg))
+
+    def e_page(self, deg, n, cycles: Mat | None = None) -> PresentedGroup:
+        """E_{n+1}(deg) = k^-1(i^n D(deg+1))/j(ker(i^n)) of this couple (Massey), on
+        the columns of the first or of ``cycles``; E(deg) itself for n = 0."""
+        if n == 0:
+            return self.egroup(deg)
+        if cycles is None:
+            below = intmat.hstack(self.i_power(deg + 1, n), self.dgroup(deg + 1).rels)
+            cycles = intmat.kernel_mod_lattice(self.kmat(deg), below)
+        jk = intmat.matmul(self.jmat(deg), self.ker_i(deg, n))
+        return PresentedGroup.of_hermite(cycles.cols, _kernel_into(self.egroup(deg), cycles, jk))
 
 
 def _map(maps, deg, target: PresentedGroup, source: PresentedGroup) -> Mat:
@@ -148,20 +156,28 @@ def _mod2_kernel(a: Mat, rels=()) -> Mat:
     return Mat(f2.hermite(vecs, n), n)
 
 
-def _kernel_into(group: PresentedGroup, a: Mat, extra: Mat | None = None) -> Mat:
-    """{x : A x in colspan(extra) + the relations of ``group``} in Hermite
-    form, read mod 2 if those hold 2Z^m, as an E group's do."""
-    rels = group.rels
-    # a square Hermite form with diagonal 1s and 2s whose 2-columns are 2e_r
-    holds_two = rels.cols == rels.rows and all(
+def _holds_two(rels: Mat) -> bool:
+    """Whether ``rels`` is a square Hermite form, diagonal 1s and 2s, with 2e_r as 2-columns."""
+    return rels.cols == rels.rows and all(
         col[r] == 1 or col[r] == 2 and col.count(0) == rels.rows - 1
         for r, col in enumerate(rels.columns())
     )
-    if extra is not None:
-        rels = intmat.hstack(extra, rels)
-    if not holds_two:
+
+
+def _kernel_into(group: PresentedGroup, a: Mat, extra: Mat | None = None) -> Mat:
+    """{x : A x in colspan(extra) + the relations of ``group``} in Hermite
+    form, read mod 2 if those hold 2Z^m, as an E group's do."""
+    rels = group.rels if extra is None else intmat.hstack(extra, group.rels)
+    if not _holds_two(group.rels):
         return intmat.kernel_mod_lattice(a, rels)
     return _mod2_kernel(a, _bits(rels))
+
+
+def _invariants(group: PresentedGroup) -> FormalGroup:
+    """The invariants of ``group``: the 2s on the diagonal if its relations hold 2Z^m."""
+    if _holds_two(group.rels):
+        return FormalGroup(0, (2,) * intmat.diagonal(group.rels).count(2))
+    return group.invariants()
 
 
 def _parity_coordinates(basis: Mat, images: Mat) -> Mat:
@@ -338,10 +354,15 @@ def _page_invariants(c: ExactCouple) -> dict:
     return {deg: g for deg, g in groups.items() if not g.is_zero()}
 
 
+def _nonzero(c: ExactCouple, group_of, *args) -> dict:
+    """The nonzero ``group_of(deg, *args)`` over the degrees where E is not zero."""
+    groups = {d: _invariants(group_of(d, *args)) for d in c.degrees() if c.egroup(d).ngens}
+    return {deg: g for deg, g in groups.items() if not g.is_zero()}
+
+
 def e_infinity(c: ExactCouple, r: int) -> dict:
     """ker(k)/j(ker(i^r)) per degree as FormalGroups."""
-    groups = {d: c.e_inf(d, r).invariants() for d in c.degrees() if c.egroup(d).ngens}
-    return {deg: g for deg, g in groups.items() if not g.is_zero()}
+    return _nonzero(c, c.e_inf, r)
 
 
 def _four_term_exact(c: ExactCouple, r: int) -> bool:
@@ -429,17 +450,13 @@ def couple_analyze(c: ExactCouple) -> CoupleAnalysis:
 
     Returns pages E_1..E_{r+1}, the limit term, the least r with
     ker(i^{r+1}) = ker(i^r), the four-term exactness verdict, and the
-    membership-criterion verdict, all invariants of the couple.  E_{r+2}
-    is derived only to test degeneration.
+    membership-criterion verdict, all invariants of the couple.  Each page,
+    E_{r+2} too for degeneration, is read off ``c`` itself by ``e_page``.
     """
     c = normalize_couple(c)
     verify_exactness(c)
     r = torsion_order(c)
-    pages = [_page_invariants(c)]
-    level = c
-    for _ in range(r + 1):
-        level = couple_derive(level)
-        pages.append(_page_invariants(level))
+    pages = [_nonzero(c, c.e_page, n) for n in range(r + 2)]
     einf = e_infinity(c, r)
     degeneration = pages[r] == einf and pages[r + 1] == pages[r]
     return CoupleAnalysis(
@@ -466,14 +483,15 @@ def bockstein_couple(complex_: FreeComplex) -> ExactCouple:
         n = complex_.rank(deg)
         if n == 0:
             continue
-        delta = intmat.transpose(complex_.differential(deg))
         delta_in = intmat.transpose(complex_.differential(deg - 1))
-        ker = intmat.kernel_basis(delta)
-        # the lattice {x : delta x in 2Z}, whose Hermite form is a basis of it
-        basis = lattices[deg] = _mod2_kernel(delta)
+        zero, delta = deg not in complex_.rows, intmat.transpose(complex_.differential(deg))
+        ker = intmat.identity(n) if zero else intmat.kernel_basis(delta)
+        # the lattice {x : delta x in 2Z}, whose Hermite form is a basis of it;
+        # like ker, Z^n where delta is zero, in which coordinates are vectors
+        basis = lattices[deg] = ker if zero else _mod2_kernel(delta)
         # E relations: [2I | delta_in] in the basis, read mod 2; j: the kernel
         rhs = intmat.hstack(intmat.hstack(intmat.scalar(n, 2), delta_in), ker)
-        rels, j = _split(_parity_coordinates(basis, rhs), n + delta_in.cols)
+        rels, j = _split(rhs if zero else _parity_coordinates(basis, rhs), n + delta_in.cols)
         e_groups[deg] = PresentedGroup.of_hermite(n, Mat(f2.hermite(_bits(rels), n), n))
         if ker.cols == 0:
             continue
@@ -483,8 +501,8 @@ def bockstein_couple(complex_: FreeComplex) -> ExactCouple:
         if any(x % 2 for row in image.a for x in row):
             raise InexactCouple("lattice vector with odd boundary")
         half = Mat([[x // 2 for x in row] for row in image.a], image.cols)
-        coords = _coordinates(None, ker, intmat.hstack(delta_in, half))
-        rels, k = _split(coords, delta_in.cols)
+        coords = intmat.hstack(delta_in, half)
+        rels, k = _split(coords if zero else _coordinates(None, ker, coords), delta_in.cols)
         d_groups[deg] = PresentedGroup(ker.cols, rels)
         map_i[deg], map_j[deg] = intmat.scalar(ker.cols, 2), j
         if deg - 1 in lattices:

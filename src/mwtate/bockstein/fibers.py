@@ -33,10 +33,10 @@ from .pages import tower
 class FiberModel(Record):
     """Generators (key -> infinite tower) plus per-page arrows
     (page -> list of (source key, target key)).  Models are equal when
-    their generators and arrows are; the arrows by source and the
-    fibers met so far are kept beside them."""
+    their generators and arrows are; the arrows by source, and the fibers
+    and differential columns met so far, are kept beside them."""
 
-    __slots__ = ("gens", "arrows", "_targets", "_fibers")
+    __slots__ = ("gens", "arrows", "_targets", "_fibers", "_columns")
     _fields = ("gens", "arrows")
 
     def __init__(self, gens: dict, arrows: dict):
@@ -47,7 +47,7 @@ class FiberModel(Record):
             out = self._targets.setdefault(i, {})
             for src, dst in pairs:
                 out.setdefault(src, []).append(dst)
-        self._fibers = {}
+        self._fibers, self._columns = {}, {}
 
     def __mul__(self, other: FiberModel) -> FiberModel:
         """The product model, with differentials by the Leibniz rule."""
@@ -79,16 +79,18 @@ class FiberModel(Record):
     def differential(self, i: int, b) -> list[int]:
         """The page-i arrows out of bidegree b as columns: per fiber
         generator, the bitmask of its targets in the fiber at
-        (p+i+1, q+i)."""
-        tgt = self.fiber(b[0] + i + 1, b[1] + i)
-        out = self._targets.get(i, {})
-        cols = []
-        for g in self.fiber(*b):
-            col = 0
-            for d in out.get(g, ()):
-                if d in tgt:
-                    col ^= 1 << tgt[d]
-            cols.append(col)
+        (p+i+1, q+i); built once per page and bidegree."""
+        cols = self._columns.get((i, b))
+        if cols is None:
+            tgt = self.fiber(b[0] + i + 1, b[1] + i)
+            out = self._targets.get(i, {})
+            cols = self._columns[i, b] = []
+            for g in self.fiber(*b):
+                col = 0
+                for d in out.get(g, ()):
+                    if d in tgt:
+                        col ^= 1 << tgt[d]
+                cols.append(col)
         return cols
 
     def page_states(self, up_to: int, window):

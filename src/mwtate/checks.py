@@ -37,7 +37,8 @@ from .wittring import GWElement, kx_orbit_canonical
 # `mwtate check --suite NAME` loads only what that suite runs.
 _LAYERS = {
     ".bockstein.analysis": ("kunneth_e2", "leibniz_check", "truncated_check"),
-    ".bockstein.couple": ("bockstein_couple", "couple_analyze"),
+    ".bockstein.couple": ("_page_invariants", "bockstein_couple", "couple_analyze",
+                          "couple_derive"),
     ".bockstein.pages": ("block_pages", "degeneracy_page", "pages", "pages_from_witt"),
     ".bockstein.steenrod": ("QUOTED_RULES", "identity_sanity", "steenrod_dsquare_check"),
     ".cohomology": ("chow", "hom_cone", "witt_cohomology"),
@@ -359,13 +360,14 @@ def suite_couple(seed) -> Iterator[str | None]:
     rng = random.Random(seed)
     for _ in range(100):
         c = random_adjacent_complex(rng)
-        res = couple_analyze(bockstein_couple(c))
+        cpl = bockstein_couple(c)
+        res = couple_analyze(cpl)
+        derived = [_page_invariants(cpl)]  # the pages the long way, by derived couples
+        for _ in range(res.torsion_order + 1):
+            cpl = couple_derive(cpl)
+            derived.append(_page_invariants(cpl))
         h = integer_cohomology(c, 0)
-        expected = {
-            d: FormalGroup.from_invariants([2] * g.free_rank)
-            for d, g in h.items()
-            if g.free_rank
-        }
+        expected = {d: FormalGroup(0, (2,) * g.free_rank) for d, g in h.items() if g.free_rank}
         if res.e_infinity != expected:
             yield f"E_inf mismatch: {c.ranks}"
         elif not res.four_term_exact:
@@ -374,6 +376,8 @@ def suite_couple(seed) -> Iterator[str | None]:
             yield f"identification: {c.ranks}"
         elif not res.degeneration_holds:
             yield f"degeneration: {c.ranks}"
+        elif derived != [*res.pages, res.pages[-1]]:  # E_{r+2} = E_{r+1} by degeneration
+            yield f"derived pages: {c.ranks}"
         else:
             yield None
 

@@ -24,7 +24,7 @@ from mwtate.bockstein.couple import (
 from mwtate.bockstein import couple, pages
 from mwtate.checks import random_adjacent_complex, random_normal_form, unimodular_twist
 from mwtate.exactalg import FormalGroup, FreeComplex, PresentedGroup, integer_cohomology
-from mwtate.exactalg import f2, intmat
+from mwtate.exactalg import f2, groups, intmat
 from mwtate.exactalg.intmat import Mat, hstack, kernel_mod_lattice, matmul, scalar, zeros
 from mwtate.motives import _to_free_complex, realize
 
@@ -61,6 +61,16 @@ class TestClassicalFixture:
         assert res.pages[0] == {} == res.pages[1]
         assert res.e_infinity == {}
         assert res.degeneration_holds
+
+    def test_hand_built_couple_reads_integer_invariants(self):
+        # D = Z with i = 4 and E = Z/4, not an F2-space: the pages and E_inf
+        # keep the integer reading, and E_2 is that of the derived couple
+        cpl = ExactCouple({0: PresentedGroup(1)}, {0: PresentedGroup(1, [[4]])},
+                          {0: Mat([[4]])}, {0: Mat([[1]])}, {})
+        res = couple_analyze(cpl)
+        z4 = {0: FormalGroup.cyclic(4)}
+        assert res.pages == (z4, z4) and res.e_infinity == z4 and res.degeneration_holds
+        assert couple._page_invariants(couple_derive(cpl)) == z4
 
     def test_nonzero_e_with_zero_d_is_inexact(self):
         e = PresentedGroup(1, [[2]])
@@ -391,7 +401,8 @@ class TestPinnedAnalyses:
         ("deep", 3, "75d7d1708377191b"),
     ]
 
-    @pytest.mark.parametrize("kind, seed, invariants", PINNED_INVARIANTS)
+    @pytest.mark.parametrize("kind, seed, invariants", PINNED_INVARIANTS,
+                             ids=[f"{kind}-{seed}" for kind, seed, _ in PINNED_INVARIANTS])
     def test_same_invariants(self, kind, seed, invariants):
         rng = random.Random(seed)
         draw = random_adjacent_complex if kind == "adjacent" else gap_complex
@@ -492,6 +503,62 @@ def gap_complex(rng):
     return FreeComplex(ranks, diffs)
 
 
+def formula_corpus(kind):
+    """The complexes whose couples the formula pages are checked on: the
+    DEEP_TORSION fixtures, 40 random_adjacent_complex or 10 gap_complex draws."""
+    rng = random.Random(23)
+    if kind == "adjacent":
+        return [random_adjacent_complex(rng) for _ in range(40)]
+    if kind == "gap":
+        return [gap_complex(rng) for _ in range(10)]
+    return DEEP_TORSION
+
+
+@pytest.mark.parametrize("kind", ["deep", "adjacent", "gap"])
+def test_formula_pages_are_the_derived_pages(kind):
+    # the pages couple_analyze reads off the first couple by formula are the
+    # E groups of its derived couples, read by their invariant factors, and
+    # so is E_{r+2}, which the analysis reads only to test degeneration
+    for complex_ in formula_corpus(kind):
+        cpl = bockstein_couple(complex_)
+        res = couple_analyze(cpl)
+        r = res.torsion_order
+        level = norm = normalize_couple(cpl)
+        derived = [couple._page_invariants(level)]
+        for _ in range(r + 1):
+            level = couple_derive(level)
+            derived.append(couple._page_invariants(level))
+        assert derived[: r + 1] == list(res.pages)
+        assert derived[r + 1] == couple._nonzero(norm, norm.e_page, r + 1)
+
+
+@pytest.mark.parametrize("kind", ["deep", "adjacent", "gap"])
+def test_analysis_derives_and_factors_nothing(kind, monkeypatch):
+    # every page and E_inf of a Bockstein couple is an F2 dimension read off
+    # the first couple: no derived couple, no invariant factor, no factoring
+    def refuse(*args, **kwargs):
+        raise AssertionError("called during the analysis")
+
+    monkeypatch.setattr(couple, "couple_derive", refuse)
+    monkeypatch.setattr(intmat, "invariant_factors", refuse)
+    monkeypatch.setattr(groups, "factor_prime_powers", refuse)
+    for complex_ in formula_corpus(kind):
+        assert couple_analyze(bockstein_couple(complex_)).degeneration_holds
+
+
+def test_zero_coboundary_needs_no_lattice_algebra(intmat_calls):
+    # where delta is zero, the kernel and the lattice {x : delta x in 2Z} are
+    # Z^n and the D coordinates are the vectors themselves: no kernel and no
+    # solve; Z --16--> Z needs both only at weight 0, whose kernel is zero
+    kernels, solves = intmat_calls("kernel_basis"), intmat_calls("solve_columns")
+    cpl = bockstein_couple(FreeComplex({0: 2, 1: 1, 3: 2}))
+    assert kernels == [] and solves == []
+    assert cpl.d_groups == {0: PresentedGroup(2), 1: PresentedGroup(1), 3: PresentedGroup(2)}
+    assert cpl.map_j == {0: scalar(2, 1), 1: scalar(1, 1), 3: scalar(2, 1)}
+    bockstein_couple(DEEP_TORSION[0])
+    assert [args[0] for args, _kwargs in kernels] == [Mat([[16]])] and solves == []
+
+
 def test_kernel_mod_lattice_is_one_hermite_form(intmat_calls, echelon_calls):
     # one echelon pass eliminates [A | R; I 0] and one Hermite form of the
     # x parts follows; the full kernel of [A | R] is never reduced
@@ -510,8 +577,10 @@ def test_kernel_mod_lattice_is_one_hermite_form(intmat_calls, echelon_calls):
 def test_couple_build_solves_each_basis_once(echelon_calls, intmat_calls, monkeypatch):
     # every coordinate bockstein_couple needs in a kernel basis (D
     # relations and k) comes from one solve against that basis, one echelon
-    # pass; the lattice basis (E relations and j) is read off mod 2, with
-    # no solve and no integer kernel of its own
+    # pass, at each weight whose differential is nonzero: elsewhere the
+    # kernel is the identity and needs no solve; the lattice basis (E
+    # relations and j) is read off mod 2, with no solve and no integer
+    # kernel of its own
     solves = []
     solve = intmat.solve_columns
     lattice_kernels = intmat_calls("kernel_mod_lattice")
@@ -533,7 +602,7 @@ def test_couple_build_solves_each_basis_once(echelon_calls, intmat_calls, monkey
         for w in complex_.weights():
             n = complex_.rank(w)
             kernel = intmat.kernel_basis(intmat.transpose(complex_.differential(w)))
-            expected += [(n, kernel.cols, 1)] if kernel.cols else []
+            expected += [(n, kernel.cols, 1)] if kernel.cols and w in complex_.rows else []
         assert sorted(solves) == sorted(expected)
     assert lattice_kernels == []
 
@@ -582,8 +651,8 @@ def test_missing_degrees_build_no_group(intmat_calls):
 def test_analysis_builds_each_kernel_once(intmat_calls, monkeypatch):
     # ker(i^n) of D(deg) is the kernel of the stored matrix i^n, so each
     # (deg, n) shows up as exactly one kernel_mod_lattice call on it.  The
-    # analysis works on the normalized couple, the first one that
-    # normalize_couple returns; the derivations normalize later ones.
+    # analysis works on the normalized couple, the one that
+    # normalize_couple returns.
     calls = intmat_calls("kernel_mod_lattice")
     normalized = []
 
@@ -612,7 +681,7 @@ def test_derive_skips_zero_groups(smith_calls):
     for complex_ in DEEP_TORSION:
         level = bockstein_couple(complex_)
         r = torsion_order(level)
-        for _ in range(r + 1):  # the derivations couple_analyze makes
+        for _ in range(r + 1):  # the derivations behind pages E_2 .. E_{r+2}
             smith_calls.clear()
             level = couple_derive(level)
             shapes += [(args[0].rows, args[0].cols) for args, _kwargs in smith_calls]
