@@ -337,7 +337,7 @@ class TestPinnedFibers:
     def digest(objs):
         return hashlib.sha256(repr(objs).encode()).hexdigest()[:16]
 
-    @pytest.mark.parametrize("seed, pinned", PINNED_V, ids=[str(seed) for seed, _ in PINNED_V])
+    @pytest.mark.parametrize("seed, pinned", PINNED_V)
     def test_same_v_groups(self, seed, pinned):
         a = random_normal_form(random.Random(1200 + seed), 6)
         results = [v_group(a, j, n) for j in (1, 2, 3) for n in range(-2, 3)]

@@ -401,8 +401,7 @@ class TestPinnedAnalyses:
         ("deep", 3, "75d7d1708377191b"),
     ]
 
-    @pytest.mark.parametrize("kind, seed, invariants", PINNED_INVARIANTS,
-                             ids=[f"{kind}-{seed}" for kind, seed, _ in PINNED_INVARIANTS])
+    @pytest.mark.parametrize("kind, seed, invariants", PINNED_INVARIANTS)
     def test_same_invariants(self, kind, seed, invariants):
         rng = random.Random(seed)
         draw = random_adjacent_complex if kind == "adjacent" else gap_complex
