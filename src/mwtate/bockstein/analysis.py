@@ -33,18 +33,13 @@ from ..values import Frozen
 from .fibers import FiberModel
 from .pages import (
     T_PIECE,
-    block_piece,
     degeneracy_page,
     derived_pieces,
+    page_pieces,
     pages,
     tensor_pieces,
     tower,
 )
-
-
-def _page_pieces(a: NormalForm, i: int):
-    """E_i of a normal form as standard pieces (kind, exponent, degree)."""
-    return sorted(p for p in (block_piece(b, i) for b in a.blocks) if p is not None)
 
 
 class KunnethReport(Frozen):
@@ -69,9 +64,7 @@ def kunneth_e2(a: NormalForm, b: NormalForm) -> KunnethReport:
     i_max = max(degeneracy_page(a), degeneracy_page(b), degeneracy_page(t)) + 1
     checked = []
     for i in range(2, i_max + 1):
-        xs = _page_pieces(a, i)
-        ys = _page_pieces(b, i)
-        rhs = _page_pieces(t, i)
+        xs, ys, rhs = (sorted(page_pieces(x, i)) for x in (a, b, t))
         lhs = tensor_pieces(xs, ys)
         mode = "complex"
         if any(k == T_PIECE for k, _, _ in xs + ys + rhs):

@@ -1,15 +1,17 @@
 """The Bockstein exact couple over finitely generated abelian groups.
 
-Groups are finite presentations (Z^n modulo integer relation columns),
-graded by degree, with i: D^d -> D^d, j: D^d -> E^d, k: E^d -> D^{d+1}.
-Deriving replaces D by im(i) and E by the homology of j o k, maps by exact
-solving; the analysis derives nothing, as the n-th derived E is
-E_{n+1} = k^-1(i^n D)/j(ker i^n) of the first couple (Massey).  The couple
-of an attachment complex is the multiplication-by-2 couple on its integer
-cohomology: E_1 is mod-2 cohomology, d_1 the integral Bockstein.  Its E
-side is read mod 2: every E_r is an F2-space, and a lattice holding 2Z^n
-has one column Hermite form, fixed by its image mod 2, so E lattices, the
-kernels into E groups and the pages come from ``exactalg.f2``.
+Groups are finite presentations (Z^n modulo integer relation columns in
+column Hermite form), graded by degree, with i: D^d -> D^d, j: D^d -> E^d,
+k: E^d -> D^{d+1}; normalizing drops the generators those forms make
+units, with no Smith form.  Deriving replaces D by im(i) and E by the
+homology of j o k, maps by exact solving; the analysis derives nothing,
+as the n-th derived E is E_{n+1} = k^-1(i^n D)/j(ker i^n) of the first
+couple (Massey).  The couple of an attachment complex is the
+multiplication-by-2 couple on its integer cohomology: E_1 is mod-2
+cohomology, d_1 the integral Bockstein.  Its E side is read mod 2: every
+E_r is an F2-space, and a lattice holding 2Z^n has one column Hermite
+form, fixed by its image mod 2, so E lattices, the kernels into E groups
+and the pages come from ``exactalg.f2``.
 
 Couples are values, so a couple keeps what it builds: i^n, ker(i^n),
 ker(k) and E_inf of a degree are built once each, by one method each.
@@ -196,71 +198,61 @@ def _parity_coordinates(basis: Mat, images: Mat) -> Mat:
     return Mat(out, images.cols)
 
 
-def _diag_normalize(group: PresentedGroup):
-    """Equivalent diagonal presentation with unit generators dropped.
+def _unit_free(group: PresentedGroup):
+    """``group`` without the generators its Hermite relations make units.
 
-    Returns (new_group, to_new, from_new, orders) with to_new * from_new
-    the identity on surviving coordinates; to_new carries old coordinates
-    into the new presentation, and maps conjugate accordingly.  orders
-    holds the order of each new generator, 0 for a free one.  A diagonal
-    group without unit generators comes back as is, with None transforms.
+    A relation with pivot 1 in row u says e_u = -(its entries below u), and
+    every other relation is 0 in row u, so dropping those rows and relations
+    leaves the unit-free Hermite form.  Returns (new_group, to_new, keep):
+    to_new, the identity on the kept rows and -(relation u) on them in
+    column u, carries old coordinates into new ones, and new coordinate i
+    is old coordinate keep[i]; (group, None, None) without a unit pivot.
     """
-    n, rels = group.ngens, group.rels
-    # already a Smith form: no relations, or a square diagonal Hermite form (entries >= 0)
-    diag = intmat.diagonal(rels)
-    diagonal = rels.cols == 0 or rels.cols == n and all(
-        sum(row) == d and d % p == 0 for row, d, p in zip(rels.a, diag, [1] + diag)
-    )
-    if diagonal and 1 not in diag:  # no generator to drop
-        return group, None, None, diag + [0] * (n - len(diag))
-    u = unit = intmat.identity(n)
-    if not diagonal:
-        u, s, _v = intmat.smith_normal_form(rels)
-        diag = intmat.diagonal(s)
-    keep = [i for i in range(n) if i >= len(diag) or diag[i] != 1]
-    orders = [diag[i] if i < len(diag) else 0 for i in keep]
-    k = len(keep)
-    new_rels = [[d if r == p else 0 for r in range(k)] for p, d in enumerate(orders) if d > 1]
-    new_group = PresentedGroup.of_hermite(k, Mat.from_columns(new_rels, k))
-    to_new = Mat([u[i] for i in keep], n)
-    from_new = Mat([[row[i] for i in keep] for row in unit], k)
-    if u is not unit:  # the kept columns of U^-1: U x = e_i for each kept i
-        from_new = intmat.solve_columns(u, from_new)
-    return new_group, to_new, from_new, orders
+    pivots = [(next(r for r, x in enumerate(c) if x), c) for c in group.rels.columns()]
+    units = {r: c for r, c in pivots if c[r] == 1}
+    if not units:
+        return group, None, None
+    n = group.ngens
+    keep = [r for r in range(n) if r not in units]
+    to_new = Mat([[-units[q][r] if q in units else int(q == r) for q in range(n)] for r in keep], n)
+    rels = [[c[r] for r in keep] for p, c in pivots if p not in units]
+    return PresentedGroup.of_hermite(len(keep), Mat.from_columns(rels, len(keep))), to_new, keep
+
+
+def _reduce_columns(group: PresentedGroup, m: Mat) -> Mat:
+    """``m`` with each column reduced top down modulo the Hermite relations
+    of ``group``: its entry at each pivot row goes into [0, pivot)."""
+    a = list(m.a)
+    for rel in group.rels.columns():
+        r = next(i for i, x in enumerate(rel) if x)
+        qs = [x // rel[r] for x in a[r]]
+        if any(qs):
+            a[r:] = [[x - q * y for x, q in zip(row, qs)] if y else row
+                     for row, y in zip(a[r:], rel[r:])]
+    return Mat(a, m.cols)
 
 
 def normalize_couple(c: ExactCouple) -> ExactCouple:
-    """Rewrite every group in diagonal form and shrink map entries."""
-    d_new, d_to, d_frm, d_ord = {}, {}, {}, {}
-    e_new, e_to, e_frm, e_ord = {}, {}, {}, {}
-    for deg in c.degrees():
-        d_new[deg], d_to[deg], d_frm[deg], d_ord[deg] = _diag_normalize(c.dgroup(deg))
-        e_new[deg], e_to[deg], e_frm[deg], e_ord[deg] = _diag_normalize(c.egroup(deg))
+    """Drop the unit generators of every group and reduce each map modulo
+    the relations of its target."""
+    d = {deg: _unit_free(c.dgroup(deg)) for deg in c.degrees()}
+    e = {deg: _unit_free(c.egroup(deg)) for deg in c.degrees()}
 
-    def conv(mat_of, src_frm, dst_to, dst_ord, step):
-        # step is the degree the map raises: 1 for k, 0 for i and j; an
-        # identity transform (None) is not multiplied in
+    def conv(mat_of, src, dst, step):
+        # step is the degree the map raises: 1 for k, 0 for i and j
         out = {}
-        for deg in c.degrees():
-            if deg + step not in dst_to:
-                continue
-            m, dst, frm = mat_of(deg), dst_to[deg + step], src_frm[deg]
-            if frm is not None:
-                m = intmat.matmul(m, frm)
-            if dst is not None:
-                m = intmat.matmul(dst, m)
-            if any(dst_ord[deg + step]):  # reduce rows modulo the orders of the generators
-                rows = zip(m.a, dst_ord[deg + step])
-                m = Mat([[x % d for x in r] if d > 1 else r for r, d in rows], m.cols)
-            out[deg] = m
+        for deg in [x for x in c.degrees() if x + step in dst]:
+            m, keep, (group, to_new, _) = mat_of(deg), src[deg][2], dst[deg + step]
+            m = m if keep is None else Mat([[row[q] for q in keep] for row in m.a], len(keep))
+            out[deg] = _reduce_columns(group, m if to_new is None else intmat.matmul(to_new, m))
         return out
 
     return ExactCouple(
-        {d: g for d, g in d_new.items() if g.ngens},
-        {d: g for d, g in e_new.items() if g.ngens},
-        conv(c.imat, d_frm, d_to, d_ord, 0),
-        conv(c.jmat, d_frm, e_to, e_ord, 0),
-        conv(c.kmat, e_frm, d_to, d_ord, 1),
+        {deg: g for deg, (g, _, _) in d.items() if g.ngens},
+        {deg: g for deg, (g, _, _) in e.items() if g.ngens},
+        conv(c.imat, d, d, 0),
+        conv(c.jmat, d, e, 0),
+        conv(c.kmat, e, d, 1),
     )
 
 

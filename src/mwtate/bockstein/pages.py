@@ -226,9 +226,14 @@ def derived_pieces(xs):
     return sorted(out)
 
 
+def page_pieces(a: NormalForm, i: int):
+    """The pieces of the blocks of ``a`` on page i that do not vanish mod 2."""
+    return filter(None, (block_piece(b, i) for b in a.blocks))
+
+
 def pages(a: NormalForm, i: int) -> Page:
     """Direct sum of the block tables of a normal form."""
-    return _page(i, (block_piece(b, i) for b in a.blocks))
+    return _page(i, page_pieces(a, i))
 
 
 def pages_from_witt(h: GradedGroup, i: int) -> Page:

@@ -10,8 +10,8 @@ routine, _hermite.  :func:`invariant_factors` eliminates exact pivots on
 sparse {column: entry} rows, the form in which a FreeComplex keeps its
 differentials, and works modulo a gcd of minors on what is left, so no
 entry outgrows the input's Hadamard bound.  That modular elimination and
-the Smith form, run on M bordered by identities so that its steps build
-both transforms, share one Euclidean step, _clear_pivot.
+the Smith form share one Euclidean step, _clear_pivot.  No package code
+makes a Smith form: it stays as the tests' oracle and a bench layer.
 """
 
 from __future__ import annotations

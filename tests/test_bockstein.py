@@ -27,6 +27,7 @@ from mwtate.bockstein.analysis import (
     _V,
 )
 from mwtate.bockstein.fibers import FiberModel
+from mwtate.bockstein.pages import Page
 from mwtate.checks import _page_content, random_normal_form
 from mwtate.cohomology import witt_cohomology
 from mwtate.exactalg import FormalGroup, GradedGroup
@@ -60,6 +61,14 @@ class TestBlockPages:
         assert len(jump.arrows) == 1
         (src, dst, power), = jump.arrows
         assert (src.label, dst.label, power) == ("u", "v", 2)
+
+    def test_rank_of_an_arrow_into_a_finite_tower(self):
+        # no page of a normal form has one, so a hand-built page pins the
+        # target test: rho^1 from offset k hits offset k + 1 of a tower of
+        # height 3, so only offsets 0 and 1 of the source have an image
+        u, v = tower(0, 0, None, "u"), tower(2, 1, 3, "v")
+        pg = Page(2, (u, v), ((u, v, 1),))
+        assert [pg.differential_rank(k, k) for k in range(5)] == [1, 1, 0, 0, 0]
 
     def test_plain_eta_cone_and_odd_empty(self):
         assert not block_pages(DyadicEta(0, 1), 2).towers

@@ -198,8 +198,10 @@ class TestNormalization:
         verify_exactness(norm)
 
     def test_diagonal_group_needs_no_transform(self):
+        # no relation has pivot 1: the group comes back as it is
         group = PresentedGroup(2, Mat([[2, 0], [0, 4]]))
-        assert couple._diag_normalize(group) == (group, None, None, [2, 4])
+        new, to_new, keep = couple._unit_free(group)
+        assert new is group and to_new is None and keep is None
 
     def test_diagonal_couple_is_reduced_without_products(self, intmat_calls):
         # every group square diagonal or free with no unit generator: each
@@ -221,27 +223,102 @@ class TestNormalization:
         assert (norm.d_groups, norm.e_groups) == (cpl.d_groups, cpl.e_groups)
 
 
-def sympy_bockstein(complex_):
-    """The classical Bockstein spectral sequence of H^*(C; Z), read off
-    sympy's invariant factors of each differential, with no mwtate algebra.
+@st.composite
+def hermite_groups(draw):
+    """A PresentedGroup on at most 6 generators whose relations are the
+    output of column_reduce, of f2.hermite or of kernel_mod_lattice on
+    small random matrices."""
+    kind = draw(st.sampled_from(["column_reduce", "f2", "kernel"]))
+    m, k = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    mat = draw(small_mats(m, k))
+    if kind == "column_reduce":
+        return PresentedGroup(m, mat)
+    if kind == "f2":
+        return PresentedGroup.of_hermite(m, Mat(f2.hermite(couple._bits(mat), m), m))
+    rels = draw(small_mats(m, draw(st.integers(0, 3))))
+    return PresentedGroup.of_hermite(k, kernel_mod_lattice(mat, rels))
 
-    In cochain degrees H^d has free rank n_d - rk d_d - rk d_{d-1} and
-    torsion the invariant factors of d_{d-1}.  dim E_r^d counts the free
-    rank of H^d and the summands Z/2^k, k >= r, of H^d and of H^{d+1}; the
-    torsion order is the largest such k (at least 1), and E_inf^d has the
-    dimension of the free rank of H^d.  Returns (pages E_1..E_{r+1},
-    E_inf, r), each page a {degree: FormalGroup} of its nonzero terms.
-    """
+
+def _pivots(rels):
+    """(row, pivot) of each column of a column Hermite form."""
+    return [next((r, x) for r, x in enumerate(col) if x) for col in rels.columns()]
+
+
+class TestUnitFree:
+    # _unit_free and _reduce_columns against the integer oracles
+    # invariant_factors, lattice_contains and column_reduce
+
+    @given(hermite_groups())
+    def test_same_group_without_unit_generators(self, group):
+        new, to_new, keep = couple._unit_free(group)
+        if to_new is None:
+            assert new is group and 1 not in [p for _, p in _pivots(group.rels)]
+            return
+        n, k = group.ngens, new.ngens
+        from_new = Mat([[int(r == q) for q in keep] for r in range(n)], k)
+        assert matmul(to_new, from_new) == intmat.identity(k)
+        # each transform carries relations into relations, and from_new
+        # after to_new is the identity modulo the old relations
+        assert all(intmat.lattice_contains(new.rels, matmul(to_new, group.rels)))
+        assert all(intmat.lattice_contains(group.rels, matmul(from_new, new.rels)))
+        back = matmul(from_new, to_new).a
+        shift = Mat([[x - (r == q) for q, x in enumerate(row)] for r, row in enumerate(back)], n)
+        assert all(intmat.lattice_contains(group.rels, shift))
+        # the same invariant factors above 1 and free rank, on a Hermite
+        # form without unit pivots; a unit factor may stay, as in Z^2/(2, -1)
+        old_factors, new_factors = map(intmat.invariant_factors, (group.rels, new.rels))
+        assert [d for d in new_factors if d > 1] == [d for d in old_factors if d > 1]
+        assert k - len(new_factors) == n - len(old_factors)
+        assert intmat.column_reduce(new.rels) == new.rels
+        assert 1 not in [p for _, p in _pivots(new.rels)]
+
+    @given(st.data())
+    def test_reduced_columns_stay_in_their_classes(self, data):
+        group = data.draw(hermite_groups())
+        m = data.draw(small_mats(group.ngens, data.draw(st.integers(0, 4))))
+        m = Mat([[7 * x for x in row] for row in m.a], m.cols)  # entries beyond the pivots
+        out = couple._reduce_columns(group, m)
+        diff = Mat([[x - y for x, y in zip(r, t)] for r, t in zip(m.a, out.a)], m.cols)
+        assert all(intmat.lattice_contains(group.rels, diff))
+        for r, p in _pivots(group.rels):
+            assert all(0 <= x < p for x in out.a[r])
+
+    def test_diagonal_reduction_is_the_remainder(self):
+        group = PresentedGroup(3, Mat([[2, 0], [0, 0], [0, 12]]))
+        m = Mat([[5, -3], [-7, 8], [25, -1]])
+        assert couple._reduce_columns(group, m) == Mat([[1, 1], [-7, 8], [1, 11]])
+
+
+def sympy_cohomology(complex_):
+    """H^d(C; Z) for each weight d as (free rank, invariant factors), read
+    off sympy's invariant factors of each differential, with no mwtate
+    algebra: the free rank is n_d - rk d_d - rk d_{d-1}, and the torsion
+    the invariant factors of d_{d-1}, units included."""
     inv = {}
     for w in complex_.weights():
         m = complex_.differential(w)
         entries = [x for row in m for x in row]
         factors = invariant_factors(Matrix(m.rows, m.cols, entries)) if entries else []
         inv[w] = [abs(int(x)) for x in factors if x != 0]
-    free, exps = {}, {}
-    for d in complex_.weights():
-        free[d] = complex_.rank(d) - len(inv.get(d, ())) - len(inv.get(d - 1, ()))
-        exps[d] = [(x & -x).bit_length() - 1 for x in inv.get(d - 1, ()) if x % 2 == 0]
+    return {
+        d: (complex_.rank(d) - len(inv.get(d, ())) - len(inv.get(d - 1, ())), inv.get(d - 1, []))
+        for d in complex_.weights()
+    }
+
+
+def sympy_bockstein(complex_):
+    """The classical Bockstein spectral sequence of H^*(C; Z), read off
+    sympy_cohomology, with no mwtate algebra.
+
+    dim E_r^d counts the free rank of H^d and the summands Z/2^k, k >= r,
+    of H^d and of H^{d+1}; the torsion order is the largest such k (at
+    least 1), and E_inf^d has the dimension of the free rank of H^d.
+    Returns (pages E_1..E_{r+1}, E_inf, r), each page a {degree:
+    FormalGroup} of its nonzero terms.
+    """
+    h = sympy_cohomology(complex_)
+    free = {d: f for d, (f, _) in h.items()}
+    exps = {d: [(x & -x).bit_length() - 1 for x in t if x % 2 == 0] for d, (_, t) in h.items()}
     r = max([1] + [k for ks in exps.values() for k in ks])
     degrees = sorted({e for d in complex_.weights() for e in (d - 1, d)})
 
@@ -302,6 +379,30 @@ class TestSympyBocksteinOracle:
         self.check(FreeComplex({0: rows, 1: cols}, {0: d}))
 
 
+@pytest.mark.parametrize("kind", ["deep", "adjacent"])
+def test_derived_d_groups_are_the_closed_form(kind):
+    # D of the n-th derived couple is 2^n H^*(C; Z): each Z/2^k s, s odd,
+    # becomes Z/2^max(k - n, 0) s and the free part stays, read off sympy;
+    # checked for n = 1 .. r + 1, with r the torsion order
+    complexes = DEEP_TORSION if kind == "deep" else formula_corpus("adjacent")
+    for complex_ in complexes:
+        h, r = sympy_cohomology(complex_), sympy_bockstein(complex_)[2]
+        level = bockstein_couple(complex_)
+        for n in range(1, r + 2):
+            level = couple_derive(level)
+            got = {d: level.dgroup(d).invariants() for d in level.degrees()}
+            expected = {
+                d: FormalGroup.from_invariants(
+                    [0] * free + [x >> min(n, (x & -x).bit_length() - 1) for x in torsion])
+                for d, (free, torsion) in h.items()
+            }
+            assert _nonzero_groups(got) == _nonzero_groups(expected), (complex_, n)
+
+
+def _nonzero_groups(groups):
+    return {d: g for d, g in groups.items() if not g.is_zero()}
+
+
 class TestPinnedAnalyses:
     # sha256 prefixes of the reprs of the analyses, and of the groups and
     # maps of the first derived couples, of five random_adjacent_complex
@@ -313,16 +414,25 @@ class TestPinnedAnalyses:
     # of bockstein_couple took the Hermite basis of their lattice in place
     # of a basis rebuilt from its Smith form: the same lattice in another
     # basis, so other presentations, with the invariants of
-    # PINNED_INVARIANTS and every analysis unchanged.
+    # PINNED_INVARIANTS and every analysis unchanged.  All eight derived
+    # digests were restated when normalize_couple dropped the unit
+    # generators of each group's Hermite form in place of diagonalizing it
+    # by a Smith form: other presentations of the same groups, with every
+    # analysis, built and invariant digest unchanged.  Old -> new:
+    # 0 d1d4c4aa26692d6d -> 7b261d388f6612bf, 1 e5eef8f8592ccccc -> 3908581e6b3ea8a4,
+    # 2 cad94224a87a0f2c -> b1144f23a2d80c59, 3 a8b64b842a7405bb -> 0511586b7c31a28b,
+    # 4 20e02396da4bb750 -> c960eecadf280e36, 5 e4357845101530a0 -> 46964b8c609a5031,
+    # 6 c3d2247746c0d852 -> 625833203b653e91, 7 c2cb593be8f70ad9 -> 74ed85bcc8636e06.
+    # The same normalization keeps the DEEP_TORSION derived digests below.
     PINNED = [
-        (0, "519aa24cc9f125ce", "d1d4c4aa26692d6d"),
-        (1, "0809a920d5b0fea0", "e5eef8f8592ccccc"),
-        (2, "c808df5b98eb6983", "cad94224a87a0f2c"),
-        (3, "f09feedc9028069f", "a8b64b842a7405bb"),
-        (4, "7ebfdb132049cb3d", "20e02396da4bb750"),
-        (5, "c35f956f1372d235", "e4357845101530a0"),
-        (6, "81ed0945fa5f76c3", "c3d2247746c0d852"),
-        (7, "5be2fc2882ffb6f8", "c2cb593be8f70ad9"),
+        (0, "519aa24cc9f125ce", "7b261d388f6612bf"),
+        (1, "0809a920d5b0fea0", "3908581e6b3ea8a4"),
+        (2, "c808df5b98eb6983", "b1144f23a2d80c59"),
+        (3, "f09feedc9028069f", "0511586b7c31a28b"),
+        (4, "7ebfdb132049cb3d", "c960eecadf280e36"),
+        (5, "c35f956f1372d235", "46964b8c609a5031"),
+        (6, "81ed0945fa5f76c3", "625833203b653e91"),
+        (7, "5be2fc2882ffb6f8", "74ed85bcc8636e06"),
     ]
 
     # the same for each DEEP_TORSION fixture (torsion orders 4, 3, 5 and 1),
@@ -345,12 +455,15 @@ class TestPinnedAnalyses:
     # the same, plus the built couples, for five gap_complex draws per seed:
     # deriving must keep each k' map into a zero D' as a matrix without rows.
     # For the same change of E basis the built digests of seeds 0-3 and the
-    # derived digests of seeds 2 and 3 were restated.
+    # derived digests of seeds 2 and 3 were restated; for the Hermite
+    # normalization above, the four derived digests, old -> new:
+    # 0 9fba0629cc6d9f17 -> 07d9a7df630f7521, 1 e61fb4ae37075c74 -> 2aac7fe785e3bc66,
+    # 2 7c4e0d502d3e23fe -> 18200596b5528a28, 3 9b03079475d0c237 -> 7f16282399f9832a.
     PINNED_GAPS = [
-        (0, "970ed30efd5cdcb1", "66c13b5c2f75484e", "9fba0629cc6d9f17"),
-        (1, "f71e2db8903987fa", "9b206a313cd57d33", "e61fb4ae37075c74"),
-        (2, "00b2881b611b928a", "9b0d608dc7870bc6", "7c4e0d502d3e23fe"),
-        (3, "bb9eee715cc3b56a", "4c4cb2aa40acfc67", "9b03079475d0c237"),
+        (0, "970ed30efd5cdcb1", "66c13b5c2f75484e", "07d9a7df630f7521"),
+        (1, "f71e2db8903987fa", "9b206a313cd57d33", "2aac7fe785e3bc66"),
+        (2, "00b2881b611b928a", "9b0d608dc7870bc6", "18200596b5528a28"),
+        (3, "bb9eee715cc3b56a", "4c4cb2aa40acfc67", "7f16282399f9832a"),
     ]
 
     @pytest.mark.parametrize("seed, analyses, derived", PINNED,
@@ -514,10 +627,11 @@ def formula_corpus(kind):
 
 
 @pytest.mark.parametrize("kind", ["deep", "adjacent", "gap"])
-def test_formula_pages_are_the_derived_pages(kind):
+def test_formula_pages_are_the_derived_pages(kind, smith_calls):
     # the pages couple_analyze reads off the first couple by formula are the
     # E groups of its derived couples, read by their invariant factors, and
-    # so is E_{r+2}, which the analysis reads only to test degeneration
+    # so is E_{r+2}, which the analysis reads only to test degeneration;
+    # building, analyzing and deriving make no Smith form
     for complex_ in formula_corpus(kind):
         cpl = bockstein_couple(complex_)
         res = couple_analyze(cpl)
@@ -529,17 +643,20 @@ def test_formula_pages_are_the_derived_pages(kind):
             derived.append(couple._page_invariants(level))
         assert derived[: r + 1] == list(res.pages)
         assert derived[r + 1] == couple._nonzero(norm, norm.e_page, r + 1)
+    assert smith_calls == []
 
 
 @pytest.mark.parametrize("kind", ["deep", "adjacent", "gap"])
 def test_analysis_derives_and_factors_nothing(kind, monkeypatch):
     # every page and E_inf of a Bockstein couple is an F2 dimension read off
     # the first couple: no derived couple, no invariant factor, no factoring
+    # and, as normalize_couple works on Hermite forms, no Smith form
     def refuse(*args, **kwargs):
         raise AssertionError("called during the analysis")
 
     monkeypatch.setattr(couple, "couple_derive", refuse)
     monkeypatch.setattr(intmat, "invariant_factors", refuse)
+    monkeypatch.setattr(intmat, "smith_normal_form", refuse)
     monkeypatch.setattr(groups, "factor_prime_powers", refuse)
     for complex_ in formula_corpus(kind):
         assert couple_analyze(bockstein_couple(complex_)).degeneration_holds
@@ -674,28 +791,24 @@ def test_analysis_builds_each_kernel_once(intmat_calls, monkeypatch):
 
 
 def test_derive_skips_zero_groups(smith_calls):
-    # a degree where D or E is zero needs no linear algebra: deriving (and
-    # the normalization inside it) makes no Smith form of an empty shape
-    shapes = []
+    # deriving, and the normalization inside it, makes no Smith form at all:
+    # a degree where D or E is zero needs no linear algebra, and the others
+    # drop unit generators from their Hermite forms
     for complex_ in DEEP_TORSION:
         level = bockstein_couple(complex_)
         r = torsion_order(level)
         for _ in range(r + 1):  # the derivations behind pages E_2 .. E_{r+2}
-            smith_calls.clear()
             level = couple_derive(level)
-            shapes += [(args[0].rows, args[0].cols) for args, _kwargs in smith_calls]
-    assert shapes and all(rows and cols for rows, cols in shapes), shapes
+    assert smith_calls == []
 
 
 def test_analysis_makes_no_smith_form_of_an_empty_shape(smith_calls):
-    # a kernel of a matrix without rows and membership in a lattice without
-    # generators need no Smith form
+    # the analysis makes no Smith form at all, of an empty shape or another
     rng = random.Random(0)
     inputs = DEEP_TORSION + [random_adjacent_complex(rng) for _ in range(40)]
     for complex_ in inputs:
         couple_analyze(bockstein_couple(complex_))
-    shapes = [(args[0].rows, args[0].cols) for args, _kwargs in smith_calls]
-    assert shapes and all(rows and cols for rows, cols in shapes)
+    assert smith_calls == []
 
 
 @pytest.mark.parametrize("seed", range(60))
