@@ -8,15 +8,14 @@ homology of j o k, maps by exact solving; the analysis derives nothing,
 as the n-th derived E is E_{n+1} = k^-1(i^n D)/j(ker i^n) of the first
 couple (Massey).  The couple of an attachment complex is the
 multiplication-by-2 couple on its integer cohomology: E_1 is mod-2
-cohomology, d_1 the integral Bockstein.  Its E side is read mod 2: every
-E_r is an F2-space, and a lattice holding 2Z^n has one column Hermite
-form, fixed by its image mod 2, so E lattices, the kernels into E groups
-and the pages come from ``exactalg.f2``.
+cohomology, d_1 the integral Bockstein.  Its E side is read mod 2: a
+lattice holding 2Z^n has one Hermite form, fixed by its image mod 2, so
+E lattices come from ``exactalg.f2`` and each page is an F2 dimension.
 
-Couples are values, so a couple keeps what it builds: i^n, ker(i^n),
-ker(k) and E_inf of a degree are built once each, by one method each.
-Each lattice question is asked once: one solve per basis for all the
-coordinates wanted in it, and no Hermite form is reduced a second time.
+Every lattice has one column Hermite form, so a subgroup identity is an
+equality of Hermite forms (``span``) against a kernel the couple keeps:
+i^n, ker(i^n), j(ker(i^n)), ker(k) and E_inf of a degree are built once
+each, by one method each.
 """
 
 from __future__ import annotations
@@ -96,8 +95,8 @@ class ExactCouple(Record):
 
     @_kept
     def ker_i(self, deg, n) -> Mat:
-        """Generators of ker(i^n) in D(deg); no columns for n = 0."""
-        if n == 0:
+        """Generators of ker(i^n) in D(deg); no columns for n = 0 or a zero D(deg)."""
+        if n == 0 or not self.dgroup(deg).ngens:
             return intmat.zeros(self.dgroup(deg).ngens, 0)
         return intmat.kernel_mod_lattice(self.i_power(deg, n), self.dgroup(deg).rels)
 
@@ -107,20 +106,36 @@ class ExactCouple(Record):
         return intmat.kernel_mod_lattice(self.kmat(deg), self.dgroup(deg + 1).rels)
 
     @_kept
+    def boundaries(self, deg, n) -> Mat:
+        """j(ker(i^n)) in E(deg)."""
+        return intmat.matmul(self.jmat(deg), self.ker_i(deg, n))
+
+    @_kept
+    def boundary_space(self, deg, n) -> dict:
+        """The F2 span of j(ker(i^n)) and the relations of E(deg), mod 2."""
+        basis = {}
+        for v in _bits(intmat.hstack(self.boundaries(deg, n), self.egroup(deg).rels)):
+            f2.insert(v, basis)
+        return basis
+
+    @_kept
     def e_inf(self, deg, r) -> PresentedGroup:
         """E_inf(deg) = ker(k)/j(ker(i^r)), presented on the columns of ker(k)."""
         return self.e_page(deg, r, self.ker_k(deg))
 
+    def cycles(self, deg, n) -> Mat:
+        """k^-1(i^n D(deg+1)) in E(deg), in Hermite form: all of it for n = 0 or D(deg+1) = 0."""
+        if n == 0 or not self.dgroup(deg + 1).ngens:
+            return intmat.identity(self.egroup(deg).ngens)
+        below = intmat.hstack(self.i_power(deg + 1, n), self.dgroup(deg + 1).rels)
+        return intmat.kernel_mod_lattice(self.kmat(deg), below)
+
     def e_page(self, deg, n, cycles: Mat | None = None) -> PresentedGroup:
         """E_{n+1}(deg) = k^-1(i^n D(deg+1))/j(ker(i^n)) of this couple (Massey), on
-        the columns of the first or of ``cycles``; E(deg) itself for n = 0."""
-        if n == 0:
-            return self.egroup(deg)
-        if cycles is None:
-            below = intmat.hstack(self.i_power(deg + 1, n), self.dgroup(deg + 1).rels)
-            cycles = intmat.kernel_mod_lattice(self.kmat(deg), below)
-        jk = intmat.matmul(self.jmat(deg), self.ker_i(deg, n))
-        return PresentedGroup.of_hermite(cycles.cols, _kernel_into(self.egroup(deg), cycles, jk))
+        the columns of the first or of ``cycles``: E(deg), by value, for n = 0."""
+        cycles = self.cycles(deg, n) if cycles is None else cycles
+        rels = _kernel_into(self.egroup(deg), cycles, self.boundaries(deg, n))
+        return PresentedGroup.of_hermite(cycles.cols, rels)
 
 
 def _map(maps, deg, target: PresentedGroup, source: PresentedGroup) -> Mat:
@@ -175,11 +190,13 @@ def _kernel_into(group: PresentedGroup, a: Mat, extra: Mat | None = None) -> Mat
     return _mod2_kernel(a, _bits(rels))
 
 
-def _invariants(group: PresentedGroup) -> FormalGroup:
-    """The invariants of ``group``: the 2s on the diagonal if its relations hold 2Z^m."""
+def span(group: PresentedGroup, gens: Mat) -> Mat:
+    """The column Hermite form of <gens> + the relations of ``group``, read
+    mod 2 if those hold 2Z^n: one form per lattice, so two subgroups, or a
+    subgroup and a kernel holding the relations, are equal iff theirs are."""
     if _holds_two(group.rels):
-        return FormalGroup(0, (2,) * intmat.diagonal(group.rels).count(2))
-    return group.invariants()
+        return Mat(f2.hermite(_bits(intmat.hstack(gens, group.rels)), group.ngens), group.ngens)
+    return intmat.column_reduce(intmat.hstack(gens, group.rels))
 
 
 def _parity_coordinates(basis: Mat, images: Mat) -> Mat:
@@ -262,16 +279,14 @@ def verify_exactness(c: ExactCouple) -> None:
         dg = c.dgroup(deg)
         if dg.ngens:
             # at D(deg) between i (incoming from D(deg)) and j
-            ker_j = _kernel_into(c.egroup(deg), c.jmat(deg))
-            if not dg.subgroups_equal(c.imat(deg), ker_j):
+            if span(dg, c.imat(deg)) != _kernel_into(c.egroup(deg), c.jmat(deg)):
                 raise InexactCouple(f"im(i) != ker(j) at D degree {deg}")
             # at D(deg) between k (incoming from E(deg - 1)) and i
-            if not dg.subgroups_equal(c.kmat(deg - 1), c.ker_i(deg, 1)):
+            if span(dg, c.kmat(deg - 1)) != c.ker_i(deg, 1):
                 raise InexactCouple(f"im(k) != ker(i) at D degree {deg}")
         eg = c.egroup(deg)
-        if eg.ngens:
-            if not eg.subgroups_equal(c.jmat(deg), c.ker_k(deg)):
-                raise InexactCouple(f"im(j) != ker(k) at E degree {deg}")
+        if eg.ngens and span(eg, c.jmat(deg)) != c.ker_k(deg):
+            raise InexactCouple(f"im(j) != ker(k) at E degree {deg}")
 
 
 def couple_derive(c: ExactCouple) -> ExactCouple:
@@ -321,13 +336,9 @@ def couple_derive(c: ExactCouple) -> ExactCouple:
 
 
 def torsion_order(c: ExactCouple) -> int:
-    """Least r >= 1 with ker(i^{r+1}) = ker(i^r) in every degree."""
+    """Least r >= 1 with ker(i^{r+1}) = ker(i^r), as Hermite forms, in every degree."""
     for r in range(1, TORSION_CAP + 1):
-        if all(
-            c.dgroup(deg).subgroups_equal(c.ker_i(deg, r), c.ker_i(deg, r + 1))
-            for deg in c.degrees()
-            if c.dgroup(deg).ngens
-        ):
+        if all(c.ker_i(d, r) == c.ker_i(d, r + 1) for d in c.degrees() if c.dgroup(d).ngens):
             return r
     raise InexactCouple(f"kernel chain did not stabilize within {TORSION_CAP} steps")
 
@@ -346,15 +357,26 @@ def _page_invariants(c: ExactCouple) -> dict:
     return {deg: g for deg, g in groups.items() if not g.is_zero()}
 
 
-def _nonzero(c: ExactCouple, group_of, *args) -> dict:
-    """The nonzero ``group_of(deg, *args)`` over the degrees where E is not zero."""
-    groups = {d: _invariants(group_of(d, *args)) for d in c.degrees() if c.egroup(d).ngens}
+def _page(c: ExactCouple, deg, n, cycles: Mat | None = None) -> FormalGroup:
+    """``c.e_page(deg, n, cycles)`` up to isomorphism.  If the relations R
+    of E(deg) hold 2Z^m, so does every lattice between them and Z^m: the
+    page Z/(j(ker(i^n)) + R) is an F2-space, of the dimension of Z mod 2,
+    the 1-pivots of its Hermite form, less the F2 rank of j(ker(i^n)) + R."""
+    if not _holds_two(c.egroup(deg).rels):
+        return c.e_page(deg, n, cycles).invariants()
+    ones = intmat.diagonal(c.cycles(deg, n) if cycles is None else cycles).count(1)
+    return FormalGroup(0, (2,) * (ones - len(c.boundary_space(deg, n))))
+
+
+def _nonzero(c: ExactCouple, n, cycles=lambda deg: None) -> dict:
+    """The nonzero ``_page(c, deg, n, cycles(deg))`` where E is not zero."""
+    groups = {d: _page(c, d, n, cycles(d)) for d in c.degrees() if c.egroup(d).ngens}
     return {deg: g for deg, g in groups.items() if not g.is_zero()}
 
 
 def e_infinity(c: ExactCouple, r: int) -> dict:
     """ker(k)/j(ker(i^r)) per degree as FormalGroups."""
-    return _nonzero(c, c.e_inf, r)
+    return _nonzero(c, r, c.ker_k)
 
 
 def _four_term_exact(c: ExactCouple, r: int) -> bool:
@@ -370,36 +392,31 @@ def _four_term_exact(c: ExactCouple, r: int) -> bool:
         dg = c.dgroup(deg)
         if dg.ngens == 0:
             continue
-        n = dg.ngens
-        eg = c.egroup(deg)
+        n, eg = dg.ngens, c.egroup(deg)
         ker_inf, kerk, einf_group = c.ker_i(deg, r), c.ker_k(deg), c.e_inf(deg, r)
-        inter = _subgroup_intersection(dg, c.imat(deg), ker_inf)
+        # D1 n ker(i^r) = i(ker(i^(r+1))): i x lies in ker(i^r) iff x in ker(i^(r+1))
+        inter = intmat.matmul(c.imat(deg), c.ker_i(deg, r + 1))
         # middle group M = ker(k) + D/ker(i^inf); map (j, p) on the
         # generators of D, in kerk coordinates followed by D coordinates
-        j_coords = _coordinates(eg, kerk, c.jmat(deg))
+        j_coords = (_parity_coordinates(kerk, c.jmat(deg)) if _holds_two(eg.rels)
+                    else _coordinates(eg, kerk, c.jmat(deg)))
         dm = Mat(j_coords.a + intmat.identity(n).a, n)
-        # relations of M: kerk relations lifted + D relations + ker(i^inf)
-        k_rels, d_rels = _kernel_into(eg, kerk), intmat.hstack(dg.rels, ker_inf)
-        pad_k, pad_d = [0] * d_rels.cols, [0] * k_rels.cols
-        m_rels = [row + pad_k for row in k_rels.a] + [pad_d + row for row in d_rels.a]
-        m_group = PresentedGroup(kerk.cols + n, Mat(m_rels, k_rels.cols + d_rels.cols))
-        if not dg.subgroups_equal(intmat.kernel_mod_lattice(dm, m_group.rels), inter):
+        # relations of M: kerk relations lifted and ker(i^inf), which holds
+        # the D relations; two Hermite forms on disjoint rows are one
+        k_rels = _kernel_into(eg, kerk)
+        pad_k, pad_d = [0] * ker_inf.cols, [0] * k_rels.cols
+        m_rels = [row + pad_k for row in k_rels.a] + [pad_d + row for row in ker_inf.a]
+        m_group = PresentedGroup.of_hermite(kerk.cols + n, Mat(m_rels, k_rels.cols + ker_inf.cols))
+        if span(dg, inter) != intmat.kernel_mod_lattice(dm, m_group.rels):
             return False
         # exactness at M: kernel of (pi, -jbar) into E_inf equals im(dm);
         # the map M -> E_inf is the identity on kerk coordinates and
         # -[j(x)] on the Dbar part
         minus_j = Mat([[-x for x in row] for row in j_coords.a], j_coords.cols)
         to_einf = intmat.hstack(intmat.identity(kerk.cols), minus_j)
-        if not m_group.subgroups_equal(_kernel_into(einf_group, to_einf), dm):
+        if span(m_group, dm) != _kernel_into(einf_group, to_einf):
             return False
     return True
-
-
-def _subgroup_intersection(g: PresentedGroup, gens_a: Mat, gens_b: Mat) -> Mat:
-    """Generators of the intersection of two subgroups of g: A x for the x
-    with A x in <B> + rels."""
-    x = intmat.kernel_mod_lattice(gens_a, intmat.hstack(gens_b, g.rels))
-    return intmat.matmul(gens_a, x)
 
 
 def identification_test(c: ExactCouple, r: int) -> bool:
@@ -413,21 +430,24 @@ def identification_test(c: ExactCouple, r: int) -> bool:
     in E_{n+1} = Z_n / B_n; preimages differ by ker(i^n), so the test is
     well defined.  Only the elements whose class vanished at stage n are
     looked at in stage n + 1, all of them in one solve and one
-    membership test.
+    membership test, mod 2 where the E relations hold 2Z^m.
     """
     for deg in c.degrees():
         dg = c.dgroup(deg)
         if dg.ngens == 0:
             continue
-        jm = c.jmat(deg)
-        e_rels = c.egroup(deg).rels
+        jm, mod2 = c.jmat(deg), _holds_two(c.egroup(deg).rels)
         vectors = intmat.hstack(c.ker_i(deg, r), intmat.zeros(dg.ngens, 1))
         alive = list(range(vectors.cols))
         for n in range(r):
             x = Mat([[row[a] for a in alive] for row in vectors.a], len(alive))
-            y = _coordinates(dg, c.i_power(deg, n), x)  # i^n(y) = x mod rels
-            bound = intmat.hstack(intmat.matmul(jm, c.ker_i(deg, n)), e_rels)
-            vanish = intmat.lattice_contains(bound, intmat.matmul(jm, y))
+            y = x if n == 0 else _coordinates(dg, c.i_power(deg, n), x)  # i^n(y) = x mod rels
+            jy = intmat.matmul(jm, y)
+            if mod2:
+                vanish = [not f2.reduce(v, c.boundary_space(deg, n)) for v in _bits(jy)]
+            else:
+                bound = intmat.hstack(c.boundaries(deg, n), c.egroup(deg).rels)
+                vanish = intmat.lattice_contains(bound, jy)
             alive = [a for a, v in zip(alive, vanish) if v]
             if not alive:
                 break
@@ -443,12 +463,12 @@ def couple_analyze(c: ExactCouple) -> CoupleAnalysis:
     Returns pages E_1..E_{r+1}, the limit term, the least r with
     ker(i^{r+1}) = ker(i^r), the four-term exactness verdict, and the
     membership-criterion verdict, all invariants of the couple.  Each page,
-    E_{r+2} too for degeneration, is read off ``c`` itself by ``e_page``.
+    E_{r+2} too for degeneration, is read off ``c`` itself by ``_page``.
     """
     c = normalize_couple(c)
     verify_exactness(c)
     r = torsion_order(c)
-    pages = [_nonzero(c, c.e_page, n) for n in range(r + 2)]
+    pages = [_nonzero(c, n) for n in range(r + 2)]
     einf = e_infinity(c, r)
     degeneration = pages[r] == einf and pages[r + 1] == pages[r]
     return CoupleAnalysis(

@@ -355,6 +355,21 @@ def random_adjacent_complex(rng) -> FreeComplex:
     return FreeComplex(ranks, diffs)
 
 
+def couple_torsion(pages) -> dict:
+    """{(n, 2^t): b} for the b summands Z/2^t of H^n(C; Z), read off the pages
+    E_1 .. E_(r+1): d_t: E_t^(n-1) -> E_t^n has rank b_t^n, so e_t^n - e_(t+1)^n
+    = b_t^n + b_t^(n+1), solved upward from the lowest degree of E_1 (Browder)."""
+    dims = [{d: len(g.torsion) for d, g in page.items()} for page in pages]
+    out = {}
+    for t in range(1, len(dims)):
+        b = 0
+        for n in range(min(dims[0], default=0), max(dims[0], default=-1) + 1):
+            b = dims[t - 1].get(n, 0) - dims[t].get(n, 0) - b
+            if b:
+                out[n + 1, 2**t] = b
+    return out
+
+
 def suite_couple(seed) -> Iterator[str | None]:
     _use(".bockstein.couple", ".exactalg.complexes")
     rng = random.Random(seed)
@@ -368,6 +383,7 @@ def suite_couple(seed) -> Iterator[str | None]:
             derived.append(_page_invariants(cpl))
         h = integer_cohomology(c, 0)
         expected = {d: FormalGroup(0, (2,) * g.free_rank) for d, g in h.items() if g.free_rank}
+        two = {(d, q): g.torsion.count(q) for d, g in h.items() for q in g.torsion if q % 2 == 0}
         if res.e_infinity != expected:
             yield f"E_inf mismatch: {c.ranks}"
         elif not res.four_term_exact:
@@ -378,6 +394,8 @@ def suite_couple(seed) -> Iterator[str | None]:
             yield f"degeneration: {c.ranks}"
         elif derived != [*res.pages, res.pages[-1]]:  # E_{r+2} = E_{r+1} by degeneration
             yield f"derived pages: {c.ranks}"
+        elif couple_torsion(res.pages) != two:
+            yield f"2-primary torsion: {c.ranks}"
         else:
             yield None
 

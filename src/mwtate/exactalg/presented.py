@@ -2,13 +2,10 @@
 
 A group is Z^n modulo the column span of an n x r relation matrix.
 Subgroups are carried around as generator matrices inside an ambient
-presentation.  Every question about elements is asked of all of them
-at once, one column each, against the one matrix [gens | rels] by
-:mod:`mwtate.exactalg.intmat`: membership (do they lie in a subgroup)
-reduces them by the echelon pivots of that matrix, and coordinates in
-the subgroup solve [gens | rels] X = B by the echelon pivots of
-[gens | rels; I].  Invariants come from the invariant factors of the
-relations.
+presentation.  Coordinates in a subgroup are asked for all elements at
+once, one column each: :mod:`mwtate.exactalg.intmat` solves
+[gens | rels] X = B by the echelon pivots of [gens | rels; I].
+Invariants come from the invariant factors of the relations.
 """
 
 from __future__ import annotations
@@ -51,16 +48,6 @@ class PresentedGroup(Record):
         nonzero = intmat.invariant_factors(self.rels)
         free = self.ngens - len(nonzero)
         return FormalGroup.from_invariants([0] * free + nonzero)
-
-    def contains_subgroup(self, gens_a: Mat, gens_b: Mat) -> bool:
-        """Whether every column of gens_b lies in <gens_a> + rels, by one
-        lattice membership test against [gens_a | rels]."""
-        return all(intmat.lattice_contains(intmat.hstack(gens_a, self.rels), gens_b))
-
-    def subgroups_equal(self, gens_a: Mat, gens_b: Mat) -> bool:
-        return self.contains_subgroup(gens_a, gens_b) and self.contains_subgroup(
-            gens_b, gens_a
-        )
 
     def express(self, gens: Mat, images: Mat) -> Mat | None:
         """Coordinates of the columns of ``images`` in the columns of

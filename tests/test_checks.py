@@ -16,7 +16,7 @@ import pytest
 
 from mwtate import checks
 from mwtate.cli import main
-from mwtate.exactalg import GradedGroup
+from mwtate.exactalg import FormalGroup, GradedGroup
 from mwtate.motives import DyadicEta, NormalForm
 
 from tests.test_acceptance import CASES as ACCEPTANCE_CASES
@@ -144,6 +144,21 @@ def test_failure_line(monkeypatch, suite):
     assert ": 1 cases" not in line  # a count of one would not test counting
     _fail_after(monkeypatch, name, good, fake)
     assert _check(suite) == (2, line + "\n")
+
+
+def test_couple_suite_reads_the_two_primary_torsion(monkeypatch):
+    # the integer cohomology with each Z/4 read as Z/8 keeps every free rank,
+    # so only the torsion that the couple pages give can catch it
+    real = checks.integer_cohomology
+
+    def z4_as_z8(c, modulus):
+        h = real(c, modulus)
+        return GradedGroup({d: FormalGroup(g.free_rank, [8 if q == 4 else q for q in g.torsion])
+                            for d, g in h.items()})
+
+    monkeypatch.setattr(checks, "integer_cohomology", z4_as_z8)
+    line = "FAIL  couple: 6 cases (2-primary torsion: {0: 1, 1: 2, 2: 2, 3: 1})\n"
+    assert _check("couple") == (2, line)
 
 
 @pytest.mark.parametrize("suite", sorted(checks.SUITES))

@@ -22,11 +22,16 @@ from mwtate.bockstein.couple import (
     verify_exactness,
 )
 from mwtate.bockstein import couple, pages
-from mwtate.checks import random_adjacent_complex, random_normal_form, unimodular_twist
+from mwtate.checks import (
+    couple_torsion,
+    random_adjacent_complex,
+    random_normal_form,
+    unimodular_twist,
+)
 from mwtate.exactalg import FormalGroup, FreeComplex, PresentedGroup, integer_cohomology
 from mwtate.exactalg import f2, groups, intmat
 from mwtate.exactalg.intmat import Mat, hstack, kernel_mod_lattice, matmul, scalar, zeros
-from mwtate.motives import _to_free_complex, realize
+from mwtate.motives import DyadicEta, NormalForm, _to_free_complex, realize
 
 
 def classical(complex_):
@@ -63,10 +68,9 @@ class TestClassicalFixture:
         assert res.degeneration_holds
 
     def test_hand_built_couple_reads_integer_invariants(self):
-        # D = Z with i = 4 and E = Z/4, not an F2-space: the pages and E_inf
-        # keep the integer reading, and E_2 is that of the derived couple
-        cpl = ExactCouple({0: PresentedGroup(1)}, {0: PresentedGroup(1, [[4]])},
-                          {0: Mat([[4]])}, {0: Mat([[1]])}, {})
+        # E = Z/4 is not an F2-space: the pages and E_inf keep the integer
+        # reading, and E_2 is that of the derived couple
+        cpl = _hand_built_z4()
         res = couple_analyze(cpl)
         z4 = {0: FormalGroup.cyclic(4)}
         assert res.pages == (z4, z4) and res.e_infinity == z4 and res.degeneration_holds
@@ -642,7 +646,7 @@ def test_formula_pages_are_the_derived_pages(kind, smith_calls):
             level = couple_derive(level)
             derived.append(couple._page_invariants(level))
         assert derived[: r + 1] == list(res.pages)
-        assert derived[r + 1] == couple._nonzero(norm, norm.e_page, r + 1)
+        assert derived[r + 1] == couple._nonzero(norm, r + 1)
     assert smith_calls == []
 
 
@@ -849,3 +853,115 @@ def _assert_pages_count_the_infinite_towers(res, a):
             if t.infinite():
                 towers[t.q] = towers.get(t.q, 0) + 1
         assert dims == towers, (a, i)
+
+
+def _plus(a: Mat, b: Mat) -> Mat:
+    return Mat([[x + y for x, y in zip(p, q)] for p, q in zip(a.a, b.a)], a.cols)
+
+
+@st.composite
+def span_cases(draw):
+    """(group, a, b) in Z^n, n <= 6: relations the Hermite form of a small
+    matrix or of 2Z^n plus one (f2.hermite, so 1-pivots too), and two
+    generator sets, b half the time a times a unimodular matrix plus
+    relation multiples, so the same subgroup."""
+    n = draw(st.integers(0, 6))
+    m = draw(small_mats(n, draw(st.integers(0, 4))))
+    rels = intmat.column_reduce(m) if draw(st.booleans()) else Mat(f2.hermite(couple._bits(m), n), n)
+    a = draw(small_mats(n, draw(st.integers(0, 4))))
+    if draw(st.booleans()):
+        u, _ = intmat.random_unimodular(a.cols, random.Random(draw(st.integers(0, 999))))
+        b = _plus(matmul(a, u), matmul(rels, draw(small_mats(rels.cols, a.cols))))
+    else:
+        b = draw(small_mats(n, draw(st.integers(0, 4))))
+    return PresentedGroup.of_hermite(n, rels), a, b
+
+
+class TestSpan:
+    # span(group, gens) is the one Hermite form of <gens> + rels, so equal
+    # spans are equal subgroups; the oracle is two-sided lattice_contains
+
+    @staticmethod
+    def equal_subgroups(group, a, b):
+        return (all(intmat.lattice_contains(hstack(a, group.rels), b))
+                and all(intmat.lattice_contains(hstack(b, group.rels), a)))
+
+    @given(span_cases())
+    def test_equal_spans_are_equal_subgroups(self, case):
+        group, a, b = case
+        assert (couple.span(group, a) == couple.span(group, b)) == self.equal_subgroups(group, a, b)
+        assert couple.span(group, a) == intmat.column_reduce(hstack(a, group.rels))
+
+    def test_relations_with_a_unit_pivot_count_mod_two(self):
+        # Z^2 / <(1, 1), (0, 2)> holds 2Z^2 with a 1-pivot: (1, 0) and (0, 1)
+        # are one class, as the relation bits say, and (2, 0) is zero
+        group = PresentedGroup(2, Mat([[1, 0], [1, 2]]))
+        assert couple._holds_two(group.rels)
+        one, other, two = Mat([[1], [0]]), Mat([[0], [1]]), Mat([[2], [0]])
+        assert couple.span(group, one) == couple.span(group, other) == scalar(2, 1)
+        assert couple.span(group, two) == group.rels != couple.span(group, one)
+
+
+def test_span_is_one_hermite_form_per_side(echelon_calls, smith_calls):
+    # both sides generate Z + Z + 3Z inside Z^3 / <(4, 0, 0), (0, 6, 0)>:
+    # one echelon pass each, and the two forms are equal
+    group = PresentedGroup(3, Mat([[4, 0], [0, 6], [0, 0]]))
+    a = Mat([[1, 2, 0], [0, 1, 0], [0, 0, 3]])
+    b = Mat([[1, 0, 0], [1, 1, 0], [0, 0, 3]])
+    echelon_calls.clear()
+    assert couple.span(group, a) == couple.span(group, b)
+    assert len(echelon_calls) == 2 and smith_calls == []
+
+
+def _hand_built_z4():
+    # D = Z with i = 4 and E = Z/4, j the quotient map and k = 0
+    return ExactCouple({0: PresentedGroup(1)}, {0: PresentedGroup(1, [[4]])},
+                       {0: Mat([[4]])}, {0: Mat([[1]])}, {})
+
+
+@pytest.mark.parametrize("kind", ["deep", "adjacent", "gap", "z4"])
+def test_dimension_pages_are_the_page_invariants(kind):
+    # each page and E_inf that _page reads as a dimension is the group that
+    # e_page presents, read by its invariant factors, on the built couples,
+    # which are not normalized, on their normalized couples, and on a couple
+    # whose E is Z/4, which keeps the integer reading
+    built = [_hand_built_z4()] if kind == "z4" else map(bockstein_couple, formula_corpus(kind))
+    for cpl in built:
+        for c in (cpl, normalize_couple(cpl)):
+            r = torsion_order(c)
+            for deg in c.degrees():
+                if c.egroup(deg).ngens:
+                    for n in range(r + 2):
+                        assert couple._page(c, deg, n) == c.e_page(deg, n).invariants()
+                    assert couple._page(c, deg, r, c.ker_k(deg)) == c.e_inf(deg, r).invariants()
+
+
+@pytest.mark.parametrize("kind", ["deep", "adjacent", "gap"])
+def test_subgroup_identities_make_no_membership_pass(kind, intmat_calls):
+    # verify_exactness and torsion_order compare Hermite forms the couple
+    # keeps: no lattice_contains at all; the whole analysis makes one, the
+    # zero test of identification_test, per degree where D is not zero
+    calls = intmat_calls("lattice_contains")
+    for complex_ in formula_corpus(kind):
+        cpl = normalize_couple(bockstein_couple(complex_))
+        verify_exactness(cpl)
+        torsion_order(cpl)
+        assert calls == []
+        couple_analyze(cpl)
+        assert len(calls) == sum(1 for d in cpl.degrees() if cpl.dgroup(d).ngens)
+        calls.clear()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pages_give_the_two_primary_torsion(seed):
+    # the Z/2^t counts that couple_torsion solves for from the pages are
+    # those of sympy's invariant factors, on twisted realizations with a
+    # planted Z/2^t, t = 5 or 6, beyond the corpora of the check suite
+    rng = random.Random(800 + seed)
+    a = random_normal_form(rng, 4, allow_odd=False)
+    a = NormalForm([*a.blocks, DyadicEta(rng.randrange(5, 7), rng.randrange(-3, 4))])
+    c = _to_free_complex(unimodular_twist(realize(a), rng))[0]
+    h = sympy_cohomology(c)
+    expected = {(d, q): t.count(q) for d, (_, t) in h.items() for q in t if q % 2 == 0}
+    assert max(q for _, q in expected) >= 32
+    assert couple_torsion(classical(c).pages) == expected
