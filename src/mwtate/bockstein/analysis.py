@@ -6,8 +6,9 @@ Z/2[rho]-pieces of ``pages``.  Pages without truncated pieces are
 compared strictly as complexes; pages with them are compared in the
 derived sense, where S_j collapses to its top homology R/rho^j.
 
-The truncated check tallies both sides of each page from the towers of
-A and A/2^j eta and compares them only where one of them is nonzero.
+The truncated check counts both sides of each page as segments of the
+towers of A and A/2^j eta along each line p - q, and lists bidegrees
+only where the counts differ.
 
 The Leibniz check and the V-groups work on fiber models (``fibers``).
 The model of a normal form has one tower per free block and a u/v pair
@@ -24,13 +25,12 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from itertools import chain
 
 from .. import exactalg
 from ..exactalg import FormalGroup, f2
 from ..motives import DyadicEta, Free, NormalForm, quotient_by_dyadic_eta, tensor
 from ..values import Frozen
-from .fibers import FiberModel
+from .fibers import NO_STATE, FiberModel
 from .pages import (
     T_PIECE,
     degeneracy_page,
@@ -99,6 +99,39 @@ def _cells(towers, offsets, dp, dq):
     return ((t.p + k + dp, t.q + k + dq) for t in towers for k in offsets(t))
 
 
+def _segment(t, first: int = 0, end=None, shift: int = 0):
+    """The rows of tower t at offsets first <= k < end (end None: up to
+    its height, for ever on an infinite tower), as (line p - q, first
+    row, end row or None), moved ``shift`` lines and rows up."""
+    if end is None and t.height_key:
+        end = t.height_key
+    return (t.p - t.q + shift, t.q + first + shift, None if end is None else t.q + end + shift)
+
+
+def _differences(got, want, prange, qrange):
+    """The cells (p, q, got, want) of the window where the coverage counts
+    of two lists of segments differ, in (p, q) order: each line is swept
+    once over the rows where a count changes, and cells are listed only
+    inside a stretch where the counts differ."""
+    steps: dict = {}  # line -> row -> [change of got, change of want]
+    for side, segments in enumerate((got, want)):
+        for line, first, end in segments:
+            rows = steps.setdefault(line, {})
+            rows.setdefault(first, [0, 0])[side] += 1
+            if end is not None:
+                rows.setdefault(end, [0, 0])[side] -= 1
+    out = []
+    for line, rows in steps.items():
+        marks = sorted(rows)
+        g = w = 0
+        for row, nxt in zip(marks, marks[1:] + [qrange.stop]):
+            g, w = g + rows[row][0], w + rows[row][1]
+            if g != w:
+                out += ((line + q, q, g, w) for q in range(max(row, qrange.start), min(nxt, qrange.stop))
+                        if line + q in prange)
+    return sorted(out)
+
+
 def truncated_check(a: NormalForm, j: int) -> CheckReport:
     """Dimension bookkeeping of the truncated-coefficient sequences.
 
@@ -107,12 +140,12 @@ def truncated_check(a: NormalForm, j: int) -> CheckReport:
     the rho^j long exact sequence forces dim E(A/2^j eta) to equal the
     kernel of rho^j plus the cokernel of rho^j two columns over.
 
-    Both sides are read off the towers in one pass: a tower adds to the
-    dimension at each of its cells, infinite ones up to the top row of
-    the window around the quotient's towers; on page j+2 the kernel of
-    rho^j is the top j cells of each finite tower and its cokernel the
-    bottom j cells of each tower.  Only bidegrees where either side is
-    nonzero are compared, in (p, q) order.
+    Both sides are counts of tower segments per line: a tower adds to
+    the dimension along its rows; on page j+2 the kernel of rho^j is the
+    top j cells of each finite tower and its cokernel the bottom j cells
+    of each tower, two columns over.  Each line is swept once, and the
+    bidegrees of the window around the quotient's towers where the
+    counts differ are listed in (p, q) order.
     """
     if j < 1:
         raise ValueError("need j >= 1")
@@ -122,22 +155,13 @@ def truncated_check(a: NormalForm, j: int) -> CheckReport:
         pa = pages(a, i)
         pq = pages(quot, i)
         prange, qrange = _page_window(pq, j + i + 4)
-
-        def rows(t):
-            return range(t.height_key or max(qrange[-1] - t.q + 1, 0))
-
         if i <= j + 1:  # dim E(A) at (p-2, q-1) plus at (p, q)
-            want = Counter(chain(_cells(pa.towers, rows, 0, 0), _cells(pa.towers, rows, 2, 1)))
+            want = [_segment(t, shift=s) for t in pa.towers for s in (0, 1)]
         else:  # ker rho^j at (p, q) plus coker rho^j at (p-2, q-1)
-            want = Counter(chain(
-                _cells(pa.towers, lambda t: range(max(t.height_key - j, 0), t.height_key), 0, 0),
-                _cells(pa.towers, lambda t: range(min(t.height_key or j, j)), 2, 1),
-            ))
-        got = Counter(_cells(pq.towers, rows, 0, 0))
-        for b in sorted(want.keys() | got.keys()):
-            g, w = got.get(b, 0), want.get(b, 0)
-            if g != w and b[0] in prange and b[1] in qrange:
-                failures.append((i, *b, g, w))
+            want = [_segment(t, max(h - j, 0)) for t in pa.towers if (h := t.height_key)]
+            want += [_segment(t, 0, min(t.height_key or j, j), 1) for t in pa.towers]
+        got = [_segment(t) for t in pq.towers]
+        failures += ((i, *cell) for cell in _differences(got, want, prange, qrange))
     return CheckReport(not failures, tuple(failures[:5]) or None)
 
 
@@ -185,35 +209,40 @@ def _page_failures(model: FiberModel, nf: NormalForm, i_max: int, q_lo: int, q_t
     of every checked bidegree land inside it or on a line without
     generators; the rank of d_i on classes is dim Z_i - dim Z_{i+1},
     and d_i o d_i must send Z_i into B_i two steps up.  The tables are
-    tallied once per page from the towers and the arrows that hit them.
+    tallied once per page from the towers and the arrows that hit them,
+    and each page's states are read once over the checked rows.
     """
     def rows(t):  # the offsets of tower t up to row q_top
         return range(t.height_key or max(q_top - t.q + 1, 0))
     window = _model_window(model, q_lo, q_top + 2 * i_max)
     states = model.page_states(i_max + 1, window)
+    checked = [b for b in window if b[1] <= q_top]
     failures = []
     for i in range(2, i_max + 1):
         pg = pages(nf, i)
         dims = Counter(_cells(pg.towers, rows, 0, 0))
         ranks = Counter((s.p + k, s.q + k) for s, d, power in pg.arrows
                         for k in rows(s) if d.covers(d.p + k + power, d.q + k + power))
-        for p, q in window:
-            if q > q_top:
-                continue
-            z, bb = states[i][p, q]
-            if z and model.arrows.get(i):
+        page, after, arrows = states[i], states[i + 1], bool(model.arrows.get(i))
+        twice_ranks = {}  # the rank of d_i o d_i on Z_i mod B_i, per tuple of shared inputs
+        for p, q in checked:
+            z, bb = page[p, q]
+            if z and arrows:
                 d = model.differential(i, (p, q))
                 d_next = model.differential(i, (p + i + 1, q + i))
-                bb2 = states[i].get((p + 2 * i + 2, q + 2 * i), ([], {}))[1]
-                twice = [(v, f2.image(d_next, f2.image(d, v))) for v in z]
-                got = len(z) - len(f2.kernel(twice, bb2))
+                bb2 = page.get((p + 2 * i + 2, q + 2 * i), NO_STATE)[1]
+                key = (id(z), id(d), id(d_next), id(bb2))
+                if key not in twice_ranks:
+                    twice = [(v, f2.image(d_next, f2.image(d, v))) for v in z]
+                    twice_ranks[key] = len(z) - len(f2.kernel(twice, bb2))
+                got = twice_ranks[key]
                 if got:
                     failures.append(("dd", i, p, q, got, 0))
-            got, want = len(z) - len(bb), dims[p, q]
+            got, want = len(z) - len(bb), dims.get((p, q), 0)
             if got != want:
                 failures.append(("dim", i, p, q, got, want))
                 continue
-            got, want = len(z) - len(states[i + 1][p, q][0]), ranks[p, q]
+            got, want = len(z) - len(after[p, q][0]), ranks.get((p, q), 0)
             if got != want:
                 failures.append(("rank", i, p, q, got, want))
     return failures
@@ -253,7 +282,7 @@ def _v_states(model: FiberModel, targets):
     layer: set = set()
     for i in range(top, 1, -1):
         layer |= {b for page, b in targets if page == i}
-        layer = {b for b in layer if model.fiber(*b)}
+        layer = {b for b in layer if model.size(*b)}
         window |= layer
         if model.arrows.get(i - 1):
             layer |= {(p + s * i, q + s * (i - 1)) for p, q in layer for s in (1, -1)}
@@ -286,15 +315,16 @@ def v_group(a: NormalForm, j: int, n: int) -> VGroupResult:
     amodel = _block_fiber_model(a.blocks)
     b_x, b_y, b_t = (2 * n, n), (2 * n + 2, n + 1), (2 * n + j + 2, n + j + 1)
     states = _v_states(amodel, [(j + 1, b_x), (j + 2, b_y), (j + 1, b_t)])
-    zx = states[j + 1].get(b_x, ([], {}))[0]
-    zy = states[j + 2].get(b_y, ([], {}))[0]
-    bt = states[j + 1].get(b_t, ([], {}))[1]
-    fib_x, fib_y, fib_t = amodel.fiber(*b_x), amodel.fiber(*b_y), amodel.fiber(*b_t)
+    zx = states[j + 1].get(b_x, NO_STATE)[0]
+    zy = states[j + 2].get(b_y, NO_STATE)[0]
+    bt = states[j + 1].get(b_t, NO_STATE)[1]
+    fib_x, fib_y = amodel.fiber(*b_x), amodel.fiber(*b_y)
     # solve beta(x) + rho^j y in B_j at the target over F2; a pair is packed
     # as its y-bits shifted above the x fiber width, and rho^j sends a tower
-    # generator to itself j rows up
+    # generator to itself j rows up: b_t is on the line of b_y, so it keeps
+    # its bit there
     width = len(fib_x)
-    cols = amodel.differential(j + 1, b_x) + [1 << fib_t[g] for g in fib_y]
+    cols = amodel.differential(j + 1, b_x) + [1 << k for k in range(len(fib_y))]
     packed = zx + [y << width for y in zy]
     v_basis = f2.kernel([(vec, f2.image(cols, vec)) for vec in packed], bt)
     v_pairs = [(vec & ((1 << width) - 1), vec >> width) for vec in v_basis]
@@ -305,7 +335,7 @@ def _fiber_product(a, j, n, amodel, v_pairs, fib_x, fib_y):
     """ker of V + H^n(A, W/2^j) -> E_{j+2}^{(2n+2, n+1)}(A/2^j eta)."""
     tmodel = amodel * _cone_model(j)
     b_e = (2 * n + 2, n + 1)
-    eb = _v_states(tmodel, [(j + 2, b_e)])[j + 2].get(b_e, ([], {}))[1]
+    eb = _v_states(tmodel, [(j + 2, b_e)])[j + 2].get(b_e, NO_STATE)[1]
     efib = tmodel.fiber(*b_e)
 
     def e_class(keys):

@@ -58,8 +58,26 @@ class Tower(Ordered):
         return self.height_key == 0
 
 
+TOWER_TABLE_SIZE = 1024
+_towers: dict = {}  # (p, q, height_key, label) -> the one Tower of that value
+
+
 def tower(p: int, q: int, height=INF, label: str = "plain") -> Tower:
-    return Tower(p, q, 0 if height is INF else operator.index(height), label)
+    """The tower based at (p, q) with this height (INF: infinite) and label.
+
+    p, q and the height go through ``operator.index``, so a float is
+    refused before anything is looked up.  Towers are frozen, and each
+    value is one shared Tower from a table of at most TOWER_TABLE_SIZE
+    entries, emptied when full: the pages of a normal form, the Witt
+    pages and the fiber models reuse the towers they met before.
+    """
+    key = (operator.index(p), operator.index(q), 0 if height is INF else operator.index(height), label)
+    t = _towers.get(key)
+    if t is None:
+        if len(_towers) >= TOWER_TABLE_SIZE:
+            _towers.clear()
+        t = _towers[key] = Tower(*key)
+    return t
 
 
 class Page(Frozen):

@@ -1,6 +1,5 @@
 import hashlib
 import random
-from collections import Counter
 
 import pytest
 
@@ -17,7 +16,7 @@ from mwtate.bockstein import (
     truncated_check,
     v_group,
 )
-from mwtate.bockstein import analysis
+from mwtate.bockstein import analysis, fibers
 from mwtate.bockstein.analysis import (
     _block_fiber_model,
     _cone_model,
@@ -39,6 +38,8 @@ from mwtate.motives import (
     quotient_by_dyadic_eta,
     tensor,
 )
+
+from tests._fibers import cover_fiber, cover_page_states, spans_by_generator
 
 
 class TestBlockPages:
@@ -82,6 +83,21 @@ class TestBlockPages:
     def test_non_integer_height_refused(self, bad):
         with pytest.raises(TypeError):
             tower(2, 1, bad, "v")
+
+    @pytest.mark.parametrize("p, q", [(2.0, 1), (2, 1.0)], ids=["p", "q"])
+    def test_non_integer_base_refused(self, p, q):
+        # refused before the table of shared towers is read, so the
+        # integer tower already in it is not returned for a float
+        assert tower(2, 1, 3, "v") is tower(2, 1, 3, "v")
+        with pytest.raises(TypeError):
+            tower(p, q, 3, "v")
+        with pytest.raises(TypeError):
+            tower(p, q)
+
+    def test_equal_towers_are_shared(self):
+        a = pages(NormalForm([Free(0), DyadicEta(2, 0)]), 5)
+        b = block_pages(DyadicEta(2, 0), 5)
+        assert a.towers[1] is b.towers[0] is tower(2, 1, 2, "v")
 
     @pytest.mark.parametrize("bad", [2.5, 3.0])
     def test_non_integer_page_refused(self, bad):
@@ -261,30 +277,30 @@ class TestTruncated:
         assert hashlib.sha256(repr(reports).encode()).hexdigest()[:16] == pinned
 
     def test_reads_each_tower_once(self, monkeypatch):
-        # the two sides of each page are tallied from the towers, with no
-        # scan of the window: towers x pages x window rows bounds the work
+        # the two sides of each page are segments of towers, at most two
+        # per tower of A and one per tower of the quotient, compared per
+        # line with no cell test and no scan of the window: on a check
+        # that holds, no cell is listed at all
         a, j = NormalForm([Free(0), DyadicEta(2, 1), DyadicEta(1, -1)]), 2
         quot = quotient_by_dyadic_eta(a, j)
-        bound = 0
-        for i in range(2, j + 3):
-            rows = analysis._page_window(pages(quot, i), j + i + 4)[1]
-            bound += (len(pages(a, i).towers) + len(pages(quot, i).towers)) * len(rows)
-        covers = Tower.covers
-        work = []
+        bound = sum(2 * len(pages(a, i).towers) + len(pages(quot, i).towers)
+                    for i in range(2, j + 3))
+        differences, sweeps = analysis._differences, []
 
-        def counted(self, p, q):
-            work.append(1)
-            return covers(self, p, q)
+        def recorded(got, want, prange, qrange):
+            cells = differences(got, want, prange, qrange)
+            sweeps.append((len(got) + len(want), cells))
+            return cells
 
-        class Table(Counter):
-            def __init__(self, cells):
-                super().__init__(cells)
-                work.append(len(self))
+        def refused(self, p, q):
+            raise AssertionError("a tower was asked for a single cell")
 
-        monkeypatch.setattr(Tower, "covers", counted)
-        monkeypatch.setattr(analysis, "Counter", Table)
+        monkeypatch.setattr(Tower, "covers", refused)
+        monkeypatch.setattr(analysis, "_differences", recorded)
         assert truncated_check(a, j).holds
-        assert 0 < sum(work) <= bound
+        assert len(sweeps) == j + 1  # one sweep per page
+        assert 0 < sum(n for n, _ in sweeps) <= bound
+        assert all(cells == [] for _, cells in sweeps)
 
 
 class TestLeibniz:
@@ -356,6 +372,12 @@ class TestPinnedFibers:
         reports = [leibniz_check(j, k) for j in range(1, 5) for k in range(1, 5)]
         assert self.digest(reports) == "79ff55ea951d5f2a"
 
+    def test_same_leibniz_reports_up_to_six(self):
+        # computed with cover-scan fibers, before fibers were line prefixes
+        reports = [leibniz_check(j, k) for j in range(1, 7) for k in range(1, 7)]
+        assert all(reports)
+        assert self.digest(reports) == "94e6288968a9d8c9"
+
     @pytest.mark.parametrize("blocks, j, n, dim_v, torsion", [
         ([Free(0)], 2, 0, 1, (4,)),
         ([DyadicEta(1, 0)], 3, 1, 1, (2,)),
@@ -395,6 +417,25 @@ def _without_each_first_arrow(model):
 
 
 class TestFiberModel:
+    def test_finite_tower_refused(self):
+        # a fiber is a prefix of its line only if every tower runs up it
+        with pytest.raises(ValueError, match="infinite"):
+            FiberModel({"g": tower(0, 0), "h": tower(2, 1, 3)}, {})
+
+    def test_fiber_is_a_prefix_of_its_line(self):
+        gens = {"late": tower(3, 2), "x": tower(0, 0), "early": tower(1, 0),
+                "high": tower(4, 3), "y": tower(2, 1)}
+        model = FiberModel(gens, {2: [("x", "late"), ("x", "high")]})
+        assert model.fiber(3, 2) == {"early": 0, "y": 1, "late": 2}
+        assert model.fiber(2, 1) == {"early": 0, "y": 1}
+        assert [model.size(k + 1, k) for k in range(-1, 5)] == [0, 1, 2, 3, 4, 4]
+        assert model.fiber(5, 5) == {"x": 0} and model.fiber(5, 3) == {}
+        # from (0, 0) the page-2 arrows land at (3, 2), below the base of
+        # high, so only late is hit; from (1, 1) both are
+        assert model.differential(2, (0, 0)) == [0b100]
+        assert model.differential(2, (1, 1)) == [0b1100]
+        assert model.differential(2, (-1, -1)) == []
+
     def test_product_keys_and_leibniz_arrows(self):
         model = _cone_model(2) * _cone_model(1)
         uu, uv, vu, vv = (_U, _U), (_U, _V), (_V, _U), (_V, _V)
@@ -453,26 +494,59 @@ class TestFiberModel:
         assert dd_failures(arrows) == []
         assert dd_failures({3: arrows[3]}) == [("dd", 3, k, k, 1, 0) for k in range(3)]
 
-    def test_v_group_scans_each_fiber_once(self, monkeypatch):
-        # a fiber is one scan of the generators per bidegree, however
-        # often the pages ask for it
-        covers, fiber = Tower.covers, FiberModel.fiber
-        calls = []
-        asked = {}
+    def test_taller_windows_add_no_elimination(self, monkeypatch):
+        # rows far enough above the bases repeat their inputs, so they share
+        # the states of the rows below: the F2 eliminations of the page
+        # states do not grow with the height of the window
+        kernel, calls = fibers.f2.kernel, []
 
-        def counted(self, p, q):
+        def counted(pairs, modulo):
             calls.append(None)
-            return covers(self, p, q)
+            return kernel(pairs, modulo)
 
-        def recorded(self, p, q):
-            asked.setdefault(id(self), (self, set()))[1].add((p, q))
-            return fiber(self, p, q)
+        monkeypatch.setattr(fibers.f2, "kernel", counted)
+        counts = []
+        for top in (20, 40, 80):
+            model = _cone_model(2) * _cone_model(3)
+            calls.clear()
+            states = model.page_states(7, _model_window(model, -1, top))
+            counts.append(len(calls))
+            high, below = states[7][top + 2, top], states[7][top + 1, top - 1]  # line p - q = 2
+            assert high[0] and high[0] is below[0] and high[1] is below[1]
+        assert counts[0] == counts[1] == counts[2] > 0
 
-        monkeypatch.setattr(Tower, "covers", counted)
-        monkeypatch.setattr(FiberModel, "fiber", recorded)
+    def test_v_group_scans_each_fiber_once(self, monkeypatch):
+        # a fiber is a prefix of its line, with no cell test: the lines are
+        # one pass over the generators, and each page's columns one pass
+        # over a line, made once per model, page and line however often
+        # the pages ask for a differential
+        line_columns, covers, built, models = FiberModel._line_columns, Tower.covers, [], []
+
+        def recorded(self, i, a):
+            built.append((id(self), i, a, len(self._lines.get(a, ((), (), {}))[1])))
+            if self not in models:
+                models.append(self)
+            return line_columns(self, i, a)
+
+        def refused(self, p, q):
+            raise AssertionError("a tower was asked for a single cell")
+
+        monkeypatch.setattr(Tower, "covers", refused)
+        monkeypatch.setattr(FiberModel, "_line_columns", recorded)
         v_group(NormalForm([Free(0), DyadicEta(2, 1), DyadicEta(1, -1)]), 2, 0)
-        bound = sum(len(model.gens) * len(bidegrees) for model, bidegrees in asked.values())
-        assert 0 < len(calls) <= bound
+        # a block model has one base row per line; here line 0 has two
+        # prefixes and line 1 three
+        hand = FiberModel({"x": tower(0, 0), "x2": tower(1, 1), "early": tower(1, 0),
+                           "late": tower(3, 2), "top": tower(5, 4)},
+                          {2: [("x", "late"), ("x2", "late"), ("x2", "top")]})
+        hand.page_states(4, _model_window(hand, -1, 8))
+        # the block tables of a Leibniz check, not its fibers, ask towers
+        # for cells
+        monkeypatch.setattr(Tower, "covers", covers)
+        assert leibniz_check(2, 3).holds
+        assert len({key[:3] for key in built}) == len(built) > 0
+        bound = sum(len(model.gens) * len(model.arrows) for model in models)
+        assert sum(visits for *_, visits in built) <= bound
 
 
 def _v_rectangle(model, j, n):
@@ -494,6 +568,70 @@ def _v_group_calls(monkeypatch):
 
     monkeypatch.setattr(FiberModel, "page_states", recorded)
     return calls
+
+
+def _same_states(model, up_to, window):
+    """page_states of the model against the cover-scan oracle: per page and
+    bidegree the same fiber generators, and Z and B the same spans of
+    generator sums (bit positions may differ)."""
+    window = list(window)
+    got, want = model.page_states(up_to, window), cover_page_states(model, up_to, window)
+    assert got.keys() == want.keys()
+    for i, page in want.items():
+        assert got[i].keys() == page.keys()
+        for b, (z, bb) in page.items():
+            order, fib = cover_fiber(model, *b), model.fiber(*b)
+            assert fib.keys() == order.keys()
+            gz, gbb = got[i][b]
+            assert len(gz) == len(z)
+            assert spans_by_generator(gz, fib, order) == spans_by_generator(z, order, order)
+            assert (spans_by_generator(gbb.values(), fib, order)
+                    == spans_by_generator(bb.values(), order, order))
+
+
+class TestFiberOracle:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_leibniz_windows(self, seed):
+        # the window _page_failures reads: leibniz_check's on a product of
+        # two cones, _quotient_failures' on A (x) cone(2^j eta)
+        rng = random.Random(1900 + seed)
+        j, k = rng.randint(1, 6), rng.randint(1, 6)
+        i_max = max(j, k) + 3
+        model = _cone_model(j) * _cone_model(k)
+        _same_states(model, i_max + 1, _model_window(model, -1, j + k + 4 + 2 * i_max))
+        a = random_normal_form(rng, 6, allow_odd=False)
+        model = _block_fiber_model(a.blocks) * _cone_model(j)
+        i_max = degeneracy_page(quotient_by_dyadic_eta(a, j)) + 1
+        qs = [t.q for t in model.gens.values()] or [0]
+        _same_states(model, i_max + 1, _model_window(model, min(qs) - 1, max(qs) + 2 + 2 * i_max))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_models(self, seed):
+        # towers based anywhere on three lines and arrows between any two
+        # generators: a target may start above the cell its arrow hits, and
+        # an arrow may skip a line or come twice
+        rng = random.Random(2100 + seed)
+        gens = {}
+        for g in range(rng.randint(1, 8)):
+            a, q = rng.randint(0, 2), rng.randint(-2, 6)
+            gens[g] = tower(q + a, q)
+        arrows: dict = {}
+        for _ in range(rng.randint(0, 10)):
+            src = rng.choice(list(gens))
+            above = [g for g, t in gens.items() if t.p - t.q == gens[src].p - gens[src].q + 1]
+            dst = rng.choice(above) if above and rng.random() < 0.8 else rng.choice(list(gens))
+            arrows.setdefault(rng.randint(2, 4), []).append((src, dst))
+        model = FiberModel(gens, arrows)
+        _same_states(model, 6, _model_window(model, -3, 12))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_v_rectangle_windows(self, seed):
+        rng = random.Random(2000 + seed)
+        a = random_normal_form(rng, 6, allow_odd=False)
+        j, n = rng.randint(1, 4), rng.randint(-2, 2)
+        amodel = _block_fiber_model(a.blocks)
+        for model in (amodel, amodel * _cone_model(j)):
+            _same_states(model, j + 2, _v_rectangle(model, j, n))
 
 
 class TestVGroupWindow:

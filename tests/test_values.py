@@ -12,8 +12,9 @@ from ``_fields`` in ``mwtate.values`` or declared by the class;
 them out again.
 
 One difference is deliberate: a ``FiberModel`` compares its generators and
-arrows only, where the dataclass also compared the fibers it had cached.
-Fresh models, as drawn here, compare alike either way.
+arrows only, where the dataclass also compared its private fields (the
+twin's ``_lines`` stays empty).  Fresh models, as drawn here, compare alike
+either way.
 """
 
 import copy
@@ -249,7 +250,7 @@ class FiberModel:
     gens: dict
     arrows: dict
     _targets: dict = field(init=False, repr=False)
-    _fibers: dict = field(init=False, repr=False, default_factory=dict)
+    _lines: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self._targets = {}
@@ -303,6 +304,13 @@ TWINS = {name: globals()[name] for name in HOMES}
 def _tower(rng):
     return real("Tower")(rng.randint(0, 1), rng.randint(0, 1), rng.randint(0, 1),
                          rng.choice("uv"))
+
+
+def _infinite_tower(rng):
+    """A tower as ``_tower`` draws it, made infinite: a FiberModel refuses
+    finite towers."""
+    t = _tower(rng)
+    return real("Tower")(t.p, t.q, 0, t.label)
 
 
 def _maybe(rng, kw, **defaulted):
@@ -370,7 +378,7 @@ DRAWS = {
         four_term_exact=True, identification_holds=rng.random() < .5,
         degeneration_holds=True),
     "FiberModel": lambda rng: dict(
-        gens={(0, "u"): _tower(rng)}, arrows=rng.choice(({}, {2: [((0, "u"), (0, "u"))]}))),
+        gens={(0, "u"): _infinite_tower(rng)}, arrows=rng.choice(({}, {2: [((0, "u"), (0, "u"))]}))),
     "EntryReport": lambda rng: dict(
         position=(1, rng.randint(1, 2)), start=frozenset({(0, ("Sq2",))}),
         normal_form=frozenset(), reduced_to_zero=rng.random() < .5, trace=("Sq2 Sq2",)),
